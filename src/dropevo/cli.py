@@ -85,6 +85,8 @@ def _manifest(out_dir: Path, command: str, config: dict, seed, outputs: list[str
 # evolve
 
 def cmd_evolve(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     cfg_file = _load_config(args.config)
     try:
         ga_cfg = ga.config_from_dict(_section(cfg_file, "ga"))
@@ -172,6 +174,8 @@ class FileFormatError(Exception):
 
 
 def cmd_landscape(args) -> int:
+    if args.resolution < 2:
+        raise UsageError(f"--resolution must be >= 2, got {args.resolution}")
     parsed = _load_histories(args.history)
     seen = {}
     for hist in parsed:

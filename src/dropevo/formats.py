@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +40,8 @@ class ColumnSpec:
             return f"row {row}: {self.name}={raw!r} is not a {self.kind}"
         if self.kind == "str":
             return None
+        if self.kind == "float" and not math.isfinite(value):
+            return f"row {row}: {self.name}={raw!r} is not finite"
         if self.minimum is not None:
             if value < self.minimum or (self.strict_min and value == self.minimum):
                 op = ">" if self.strict_min else ">="

@@ -9,11 +9,16 @@ resolution triangular lattice, and each valid cell is assigned to the fitness
 island reached by steepest ascent over its 8-neighbourhood, with the ascent
 allowed to cross the shared edges where two faces describe the same
 composition.
+
+The catchment is rank-min ascent with pointer jumping, after Vincent & Soille
+(1991) watersheds: each cell gets a global rank (value descending, ties to the
+smallest canonical (face, i, j)), its parent is the lowest rank in its 3x3
+window on every face hosting it, and ``parent = parent[parent]`` repeats until
+each cell points at its island's maximum.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 
@@ -49,9 +54,28 @@ def rbf_kernel(a, b, sigma: float) -> float:
     return float(np.exp(-np.dot(d, d) / (2.0 * sigma * sigma)))
 
 
-def _kernel_matrix(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
-    d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
-    return np.exp(-d2 / (2.0 * sigma * sigma))
+def _kernel_matrix(A: np.ndarray, B: np.ndarray, sigma: float,
+                   out: np.ndarray | None = None,
+                   tmp: np.ndarray | None = None) -> np.ndarray:
+    """K_ij = exp(-||A_i - B_j||^2 / (2 sigma^2)), written into ``out``.
+
+    The squared distance is accumulated one component at a time, in the order
+    ``((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)`` adds them, so the
+    bits are those of the broadcast form without its (m, n, d) tensor.
+    ``out`` and ``tmp`` are optional (m, n) buffers.
+    """
+    if A.shape[1] != B.shape[1]:
+        raise DimensionMismatch(f"{A.shape[1]} vs {B.shape[1]} components")
+    if out is None:
+        out = np.empty((len(A), len(B)))
+    if tmp is None:
+        tmp = np.empty_like(out)
+    np.square(np.subtract.outer(A[:, 0], B[:, 0], out=out), out=out)
+    for k in range(1, A.shape[1]):
+        out += np.square(np.subtract.outer(A[:, k], B[:, k], out=tmp), out=tmp)
+    np.negative(out, out=out)
+    out /= 2.0 * sigma * sigma
+    return np.exp(out, out=out)
 
 
 @dataclass
@@ -137,36 +161,41 @@ def cell_composition(face: int, i: int, j: int, resolution: int) -> tuple:
     return tuple(comp)
 
 
+# Rows per K @ theta matvec: OpenBLAS rounds differently for other row counts,
+# so this is part of the result. Kernel blocks of _BLOCK_ROWS stay in cache.
+_CHUNK_ROWS, _BLOCK_ROWS = 8192, 128
+
+
 def face_grid(model: KernelModel, face: int,
               resolution: int = DEFAULT_RESOLUTION) -> FaceLattice:
     """Predict the model over one face of the simplex."""
     if face not in (0, 1, 2, 3):
         raise LandscapeError("face must be 0..3")
+    if resolution < 2:
+        raise LandscapeError(f"resolution must be >= 2, got {resolution}")
     ax, ay, az = face_axes(face)
+    lat = FaceLattice(face=face, resolution=resolution,
+                      values=np.full((resolution, resolution), np.nan))
+    ii, jj = np.nonzero(lat.valid)
     coords = np.linspace(0.0, 1.0, resolution)
-    ii, jj = np.meshgrid(np.arange(resolution), np.arange(resolution), indexing="ij")
-    valid = ii + jj <= resolution - 1
-    Xv = coords[ii[valid]]
-    Yv = coords[jj[valid]]
-    Q = np.zeros((len(Xv), 4))
-    Q[:, ax] = Xv
-    Q[:, ay] = Yv
-    Q[:, az] = 1.0 - Xv - Yv
-    values = np.full((resolution, resolution), np.nan)
-    # Chunked so the (cells x n_train) distance matrix stays small in memory.
-    preds = np.empty(len(Xv))
-    for s in range(0, len(Xv), 8192):
-        preds[s:s + 8192] = predict_many(model, Q[s:s + 8192])
-    values[valid] = preds
-    return FaceLattice(face=face, resolution=resolution, values=values)
+    Q = np.zeros((len(ii), 4))
+    Q[:, ax], Q[:, ay] = coords[ii], coords[jj]
+    Q[:, az] = 1.0 - Q[:, ax] - Q[:, ay]
+    K = np.empty((_CHUNK_ROWS, len(model.X)))
+    tmp = np.empty((_BLOCK_ROWS, len(model.X)))
+    for s in range(0, len(Q), _CHUNK_ROWS):
+        cells = slice(s, s + _CHUNK_ROWS)
+        chunk = Q[cells]
+        for b in range(0, len(chunk), _BLOCK_ROWS):
+            block = chunk[b:b + _BLOCK_ROWS]
+            _kernel_matrix(block, model.X, model.sigma,
+                           out=K[b:b + len(block)], tmp=tmp[:len(block)])
+        lat.values[ii[cells], jj[cells]] = K[:len(chunk)] @ model.theta
+    return lat
 
 
 # ---------------------------------------------------------------------------
 # Catchment / fitness islands
-
-_NEIGHBOR_OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1),
-                     (0, 1), (1, -1), (1, 0), (1, 1)]
-
 
 @dataclass
 class Island:
@@ -183,117 +212,81 @@ class IslandMap:
     resolution: int
 
 
-class _LatticeGraph:
-    """Cells of 1-4 face lattices, with shared-edge cells identified.
+def _ascent(lattices: list[FaceLattice]):
+    """Steepest-ascent step over the cells of 1-4 face lattices.
 
-    A cell is keyed by its integer composition (counts out of res-1); cells
-    whose composition has two or more zero components appear on several faces
-    and collapse to one node. The canonical representative of a node is its
-    lexicographically smallest (face, i, j).
+    Cells are keyed by integer composition (counts out of res-1), so a cell on
+    an edge shared by several faces is one node, valued by the last lattice.
+    Its canonical cell is its smallest (face, i, j), coded (face*res + i)*res
+    + j. Returns the valid (ii, jj), the node of each cell per lattice, and
+    per node its value, canonical code and parent, plus the nodes in rank
+    order.
     """
+    res = lattices[0].resolution
+    if any(lat.resolution != res for lat in lattices):
+        raise LandscapeError("all lattices must share one resolution")
+    ii, jj = np.nonzero(lattices[0].valid)
+    keys, codes, values = [], [], []
+    for lat in lattices:
+        counts = np.zeros((4, len(ii)), dtype=np.int64)
+        counts[list(face_axes(lat.face))] = ii, jj, res - 1 - ii - jj
+        keys.append((counts[0] * res + counts[1]) * res + counts[2])
+        codes.append((lat.face * res + ii) * res + jj)
+        values.append(lat.values[ii, jj])
+    uniq, node = np.unique(np.concatenate(keys), return_inverse=True)
+    n = len(uniq)
+    last = np.zeros(n, dtype=np.int64)  # a shared cell takes the last lattice's value
+    np.maximum.at(last, node, np.arange(len(node)))
+    value = np.concatenate(values)[last]
+    canon = np.full(n, np.iinfo(np.int64).max)
+    np.minimum.at(canon, node, np.concatenate(codes))
+    order = np.lexsort((canon, -value))
+    rank = np.argsort(order)
 
-    def __init__(self, lattices: list[FaceLattice]):
-        res = lattices[0].resolution
-        if any(l.resolution != res for l in lattices):
-            raise LandscapeError("all lattices must share one resolution")
-        self.resolution = res
-        self.lattices = {l.face: l for l in lattices}
-        self.key_of = {}      # (face, i, j) -> node key
-        self.reps = {}        # node key -> sorted list of (face, i, j)
-        self.value = {}
-        for lat in lattices:
-            valid = lat.valid
-            for i, j in zip(*np.nonzero(valid)):
-                i, j = int(i), int(j)
-                key = self._comp_key(lat.face, i, j)
-                self.key_of[(lat.face, i, j)] = key
-                self.reps.setdefault(key, []).append((lat.face, i, j))
-                self.value[key] = float(lat.values[i, j])
-        for reps in self.reps.values():
-            reps.sort()
+    # Lowest rank in each cell's 3x3 window; padding and invalid cells hold n.
+    node = node.reshape(len(lattices), -1)
+    grid = np.full((len(lattices), res + 2, res + 2), n, dtype=np.int64)
+    grid[:, ii + 1, jj + 1] = rank[node]
+    best = grid[:, 1:-1, 1:-1].copy()
+    for di, dj in np.ndindex(3, 3):
+        np.minimum(best, grid[:, di:di + res, dj:dj + res], out=best)
+    step = np.full(n, n, dtype=np.int64)
+    np.minimum.at(step, node.ravel(), best[:, ii, jj].ravel())
+    return ii, jj, node, value, canon, order[step], order
 
-    def _comp_key(self, face, i, j):
-        ax, ay, az = face_axes(face)
-        counts = [0] * 4
-        counts[ax] = i
-        counts[ay] = j
-        counts[az] = (self.resolution - 1) - i - j
-        return tuple(counts)
 
-    def canonical(self, key):
-        return self.reps[key][0]
-
-    def neighbors(self, key):
-        """Union of in-face 8-neighbourhoods over every face hosting the cell."""
-        seen = set()
-        res = self.resolution
-        for face, i, j in self.reps[key]:
-            for di, dj in _NEIGHBOR_OFFSETS:
-                ni, nj = i + di, j + dj
-                if 0 <= ni < res and 0 <= nj < res and ni + nj <= res - 1:
-                    nk = self.key_of.get((face, ni, nj))
-                    if nk is not None and nk != key and nk not in seen:
-                        seen.add(nk)
-                        yield nk
-
-    def steepest_step(self, key):
-        """Best cell among self and neighbours: highest value, ties toward
-        the lexicographically smallest canonical (face, i, j)."""
-        best_key = key
-        best = (self.value[key], self.canonical(key))
-        for nk in self.neighbors(key):
-            cand = (self.value[nk], self.canonical(nk))
-            if cand[0] > best[0] or (cand[0] == best[0] and cand[1] < best[1]):
-                best, best_key = cand, nk
-        return best_key
+def _decode(code: int, res: int) -> tuple[int, int, int]:
+    face, rest = divmod(int(code), res * res)
+    return (face, *divmod(rest, res))
 
 
 def local_maxima(lat: FaceLattice) -> list[tuple[int, int]]:
     """Cells that are fixed points of the steepest-ascent step (one
     representative per connected plateau)."""
-    graph = _LatticeGraph([lat])
-    out = []
-    for key, reps in graph.reps.items():
-        if graph.steepest_step(key) == key:
-            out.append(reps[0][1:])
-    return sorted(out)
+    _, _, _, _, canon, parent, _ = _ascent([lat])
+    fixed = canon[parent == np.arange(len(parent))]
+    return sorted(_decode(code, lat.resolution)[1:] for code in fixed)
 
 
 def catchment_map(lattices: list[FaceLattice]) -> IslandMap:
     """Label every valid cell with the island whose maximum its steepest
-    ascent converges to, growing regions outward from each maximum."""
-    graph = _LatticeGraph(lattices)
-    parent = {key: graph.steepest_step(key) for key in graph.reps}
-    children: dict = {}
-    roots = []
-    for key, par in parent.items():
-        if par == key:
-            roots.append(key)
-        else:
-            children.setdefault(par, []).append(key)
-
-    # Region-grow each island from its maximum through the children lists.
-    label_of = {}
-    islands = []
-    roots.sort(key=lambda k: (-graph.value[k], graph.canonical(k)))
-    for rank, root in enumerate(roots):
-        active = [root]
-        count = 0
-        while active:
-            cell = active.pop()
-            label_of[cell] = rank
-            count += 1
-            active.extend(children.get(cell, ()))
-        islands.append(Island(rank=rank, max_cell=graph.canonical(root),
-                              max_value=graph.value[root], cell_count=count))
-
-    res = graph.resolution
+    ascent converges to, resolving roots by pointer jumping."""
+    ii, jj, node, value, canon, parent, order = _ascent(lattices)
+    res = lattices[0].resolution
+    peaks = order[parent[order] == order]  # roots, in rank order
+    while not np.array_equal(parent, root := parent[parent]):
+        parent = root
+    island_of = np.empty(len(parent), dtype=np.int64)
+    island_of[peaks] = np.arange(len(peaks))
+    label = island_of[parent]
+    sizes = np.bincount(label, minlength=len(peaks))
+    islands = [Island(rank=rank, max_cell=_decode(canon[peak], res),
+                      max_value=float(value[peak]), cell_count=int(sizes[rank]))
+               for rank, peak in enumerate(peaks)]
     labels = {}
-    for lat in lattices:
+    for lat, nodes in zip(lattices, node):
         grid = np.full((res, res), -1, dtype=int)
-        for (face, i, j), key in graph.key_of.items():
-            if face == lat.face:
-                grid[i, j] = label_of[key]
+        grid[ii, jj] = label[nodes]
         labels[lat.face] = grid
     return IslandMap(labels=labels, islands=islands, resolution=res)
 
@@ -302,20 +295,21 @@ def catchment_map(lattices: list[FaceLattice]) -> IslandMap:
 # Export
 
 def landscape_csv(lattices: list[FaceLattice], island_map: IslandMap | None = None) -> str:
-    buf = io.StringIO()
-    buf.write("face,i,j,X,Y,Z,fitness,island_label\n")
+    parts = ["face,i,j,X,Y,Z,fitness,island_label\n"]
+    prefixes = {}  # resolution -> "i,j,X,Y,Z," per valid cell, shared by every face
     for lat in lattices:
         res = lat.resolution
-        step = 1.0 / (res - 1)
-        valid = lat.valid
-        lab = island_map.labels[lat.face] if island_map is not None else None
-        for i, j in zip(*np.nonzero(valid)):
-            i, j = int(i), int(j)
-            x, y = i * step, j * step
-            label = lab[i, j] if lab is not None else ""
-            buf.write(f"{lat.face},{i},{j},{x:.10g},{y:.10g},{1.0 - x - y:.10g},"
-                      f"{float(lat.values[i, j])!r},{label}\n")
-    return buf.getvalue()
+        ii, jj = np.nonzero(lat.valid)
+        if res not in prefixes:
+            step = 1.0 / (res - 1)
+            prefixes[res] = [f"{i},{j},{i * step:.10g},{j * step:.10g},"
+                             f"{1.0 - i * step - j * step:.10g},"
+                             for i, j in zip(ii.tolist(), jj.tolist())]
+        labels = (island_map.labels[lat.face][ii, jj].tolist()
+                  if island_map is not None else [""] * len(ii))
+        parts.extend(f"{lat.face},{prefix}{value!r},{label}\n" for prefix, value, label
+                     in zip(prefixes[res], lat.values[ii, jj].tolist(), labels))
+    return "".join(parts)
 
 
 def island_summary_json(island_map: IslandMap) -> str:

@@ -156,3 +156,49 @@ def test_console_entry_point():
     assert proc.returncode == 0
     for sub in ("evolve", "landscape", "analyze", "gcode"):
         assert sub in proc.stdout
+
+
+HISTORY_HEADER = ("run,generation,individual_id,parent_ids,locus1,locus2,locus3,"
+                  "locus4,replicate1,replicate2,replicate3,fitness")
+
+
+def write_history(path, fitness=("1.0", "2.0", "3.0")):
+    rows = [f"0,1,{k},,0.{k + 1},0.5,0.5,0.5,1.0,1.0,1.0,{f}"
+            for k, f in enumerate(fitness)]
+    path.write_text("\n".join([HISTORY_HEADER, *rows]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("resolution", ["1", "0", "-5"])
+def test_landscape_rejects_resolution_below_two(tmp_path, capsys, resolution):
+    hist = write_history(tmp_path / "history.csv")
+    out_dir = tmp_path / "o"
+    rc = main(["landscape", hist, "--resolution", resolution, "--out-dir", str(out_dir)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--resolution" in err
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_evolve_rejects_jobs_below_one(tmp_path, capsys, fast_config, jobs):
+    out_dir = tmp_path / "o"
+    rc = main(["evolve", "--config", fast_config, "--jobs", jobs, "--out-dir", str(out_dir)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--jobs" in err
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["analyze", "landscape"])
+def test_nonfinite_fitness_is_a_data_error(tmp_path, capsys, command, bad):
+    hist = write_history(tmp_path / "history.csv", ("1.0", bad, "3.0"))
+    out_dir = tmp_path / "o"
+    rc = main([command, hist, "--out-dir", str(out_dir)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "row 3: fitness=" in err and "not finite" in err
+    assert not out_dir.exists()

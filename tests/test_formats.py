@@ -97,3 +97,18 @@ def test_format_spec_text_mentions_every_format():
     for fmt in CSV_FORMATS.values():
         for col in fmt.columns:
             assert col.name in text
+
+
+@pytest.mark.parametrize("bad", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_float_columns_reject_non_finite(bad):
+    issues = validate_text(f"frame,x,y,area\n0,1.0,{bad},5.0\n", "detections")
+    assert len(issues) == 1
+    assert issues[0].startswith("row 2: y=") and "not finite" in issues[0]
+
+    header = ("run,generation,individual_id,parent_ids,locus1,locus2,locus3,"
+              "locus4,replicate1,replicate2,replicate3,fitness")
+    rows = [f"0,1,{k},,0.5,0.5,0.5,0.5,1.0,1.0,1.0,{bad if k == 1 else '1.0'}"
+            for k in range(3)]
+    issues = validate_text("\n".join([header, *rows]) + "\n", "history")
+    assert len(issues) == 1
+    assert issues[0].startswith("row 3: fitness=") and "not finite" in issues[0]

@@ -16,6 +16,7 @@ from dropevo.landscape import (
     FaceLattice,
     IslandMap,
     KernelModel,
+    LandscapeError,
     NonpositiveBandwidth,
     SolveFailure,
     catchment_map,
@@ -324,3 +325,86 @@ def test_lattice_to_pgm():
     data = lattice_to_pgm(lat)
     assert data.startswith(b"P5\n11 11\n255\n")
     assert len(data) == len(b"P5\n11 11\n255\n") + 121
+
+
+# ------------------------------------------------- array-native equivalence
+
+
+def _face_queries(face, res):
+    """Valid cells of a face and their query rows, built as face_grid does."""
+    ax, ay, az = face_axes(face)
+    ii, jj = np.nonzero(np.add.outer(np.arange(res), np.arange(res)) <= res - 1)
+    coords = np.linspace(0.0, 1.0, res)
+    Q = np.zeros((len(ii), 4))
+    Q[:, ax], Q[:, ay] = coords[ii], coords[jj]
+    Q[:, az] = 1.0 - Q[:, ax] - Q[:, ay]
+    return ii, jj, Q
+
+
+def test_face_grid_bit_identical_single_chunk():
+    rng = np.random.default_rng(8)
+    X = rng.dirichlet(np.ones(4), size=200)
+    model = fit(X, rng.normal(size=200))
+    for face in range(4):
+        ii, jj, Q = _face_queries(face, 61)
+        got = face_grid(model, face, resolution=61).values[ii, jj]
+        assert np.array_equal(got, predict_many(model, Q))
+        # The broadcast difference-tensor form gives the same bits.
+        d2 = ((Q[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        K = np.exp(-d2 / (2.0 * model.sigma * model.sigma))
+        assert np.array_equal(got, K @ model.theta)
+
+
+def test_face_grid_bit_identical_multi_chunk():
+    rng = np.random.default_rng(9)
+    X = rng.dirichlet(np.ones(4), size=675)
+    model = fit(X, rng.normal(size=675))
+    ii, jj, Q = _face_queries(1, 301)
+    assert len(Q) > 8192
+    want = np.concatenate([predict_many(model, Q[s:s + 8192])
+                           for s in range(0, len(Q), 8192)])
+    assert np.array_equal(face_grid(model, 1, resolution=301).values[ii, jj], want)
+
+
+def test_face_grid_rejects_resolution_below_two():
+    model = fit([[0.25] * 4], [1.0])
+    for res in (1, 0, -5):
+        with pytest.raises(LandscapeError):
+            face_grid(model, 0, resolution=res)
+
+
+def _quantized_lattice(face, res, rng, levels=4):
+    values = np.full((res, res), np.nan)
+    for i in range(res):
+        values[i, :res - i] = rng.integers(0, levels, size=res - i)
+    return FaceLattice(face=face, resolution=res, values=values)
+
+
+def test_catchment_matches_oracle_quantized_four_faces():
+    # Few distinct values: many exact ties and plateaus, and the four faces
+    # disagree on their shared edges, so the tie rule and the last-lattice
+    # rule for shared cells are both exercised.
+    rng = np.random.default_rng(10)
+    for res in (21, 24, 27, 31):
+        lats = [_quantized_lattice(f, res, rng) for f in range(4)]
+        imap = catchment_map(lats)
+        assert island_labels_to_roots(lats, imap) == oracle_labels(lats)
+        g = OracleGraph(lats)
+        sizes = {}
+        for key in g.reps:
+            root = g.reps[g.basin_root(key)][0]
+            sizes[root] = sizes.get(root, 0) + 1
+        assert {isl.max_cell: isl.cell_count for isl in imap.islands} == sizes
+        order = [(-isl.max_value, isl.max_cell) for isl in imap.islands]
+        assert order == sorted(order)
+        for lat in lats:
+            assert (imap.labels[lat.face][~lat.valid] == -1).all()
+
+
+def test_local_maxima_match_oracle_fixed_points_with_ties():
+    rng = np.random.default_rng(12)
+    for face, res in ((0, 25), (3, 30)):
+        lat = _quantized_lattice(face, res, rng, levels=3)
+        g = OracleGraph([lat])
+        fixed = sorted(g.reps[key][0][1:] for key in g.reps if g.step(key) == key)
+        assert local_maxima(lat) == fixed
