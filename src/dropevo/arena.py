@@ -1,11 +1,15 @@
 """Synthetic droplet arena: a deterministic stand-in for the wet experiment.
 
-Maps an oil formulation to per-frame droplet detection lists via a correlated
+Maps an oil formulation to per-frame droplet detections via a correlated
 random walk with splitting, shrinking, and wall death. The formulation ->
 behaviour map is an explicitly invented affine model driven by the measured
 oil properties (solubility drives speed, inverse viscosity drives turning,
 surface-tension deficit drives splitting); its constants are module-level and
 documented so the ground truth of the landscape is auditable.
+
+An experiment's detections travel as one columnar `DetectionRecord`: frame
+offsets plus flat float64 x, y and area arrays. Iterating a record yields one
+`DetectionFrame` per frame for callers that want tuples.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +34,6 @@ class ArenaConfig:
     injection_positions: tuple = ((-60.0, -60.0), (60.0, -60.0),
                                   (-60.0, 60.0), (60.0, 60.0))
     initial_droplet_area: float = 400.0   # px^2
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.total_frames < 2:
@@ -60,6 +64,45 @@ class BehaviorParams:
 class DetectionFrame:
     frame_index: int
     detections: tuple  # of (x, y, area)
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionRecord:
+    """All detections of one experiment, column-wise: frame t holds rows
+    offsets[t]:offsets[t + 1] of the float64 arrays x, y and area."""
+
+    offsets: np.ndarray  # int64, one more entry than there are frames
+    x: np.ndarray
+    y: np.ndarray
+    area: np.ndarray
+
+    @classmethod
+    def of(cls, frames) -> DetectionRecord:
+        """The record itself, or the record of a list of DetectionFrames
+        numbered 0, 1, 2, ..."""
+        if isinstance(frames, cls):
+            return frames
+        counts = [0]
+        cols = []
+        for t, fr in enumerate(frames):
+            if fr.frame_index != t:
+                raise ValueError(f"frame {t} has frame_index {fr.frame_index}")
+            counts.append(len(fr.detections))
+            cols.extend(fr.detections)
+        x, y, area = np.array(cols, dtype=float).reshape(-1, 3).T
+        return cls(np.cumsum(counts), x, y, area)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __iter__(self):
+        return iter(self._frames)
+
+    @cached_property
+    def _frames(self) -> list[DetectionFrame]:
+        o = self.offsets.tolist()
+        rows = list(zip(self.x.tolist(), self.y.tolist(), self.area.tolist()))
+        return [DetectionFrame(t, tuple(rows[o[t]:o[t + 1]])) for t in range(len(o) - 1)]
 
 
 # Affine behaviour-map constants (invented; fixed before any tuning against
@@ -120,13 +163,19 @@ class _Droplet:
 
 def simulate(f: Formulation, cfg: ArenaConfig, rng: np.random.Generator,
              behavior: BehaviorParams | None = None,
-             oils: list[OilProperties] | None = None) -> list[DetectionFrame]:
-    """Run the correlated random walk and emit one DetectionFrame per frame.
+             oils: list[OilProperties] | None = None) -> DetectionRecord:
+    """Run the correlated random walk and record every frame's detections.
 
     Droplets touching the arena wall freeze in place ("dead") but are still
     emitted; downstream analytic-arena filtering removes them. Droplets whose
     area reaches zero disappear. A split halves the parent's area between two
     children displaced 1 px to either side, perpendicular to the heading.
+
+    RNG contract: one uniform heading per injection, then, per frame and per
+    live (not frozen) droplet in list order, one normal heading change
+    followed by one uniform only when the droplet can split. Frozen droplets
+    draw nothing and never change, so once no droplet is live the remaining
+    frames repeat the last one and the walk stops early.
     """
     if behavior is None:
         behavior = behavior_from_formulation(f, oils)
@@ -138,9 +187,17 @@ def simulate(f: Formulation, cfg: ArenaConfig, rng: np.random.Generator,
         for x, y in cfg.injection_positions
     ]
     r2 = cfg.arena_radius ** 2
-    frames = [DetectionFrame(0, tuple((d.x, d.y, d.area) for d in droplets))]
-    for t in range(1, cfg.total_frames):
+    xs, ys, areas, counts = [], [], [], [0]
+    live = len(droplets)
+    for t in range(cfg.total_frames):
+        xs += [d.x for d in droplets]
+        ys += [d.y for d in droplets]
+        areas += [d.area for d in droplets]
+        counts.append(len(droplets))
+        if not live or t == cfg.total_frames - 1:
+            break
         new_droplets = []
+        live = 0
         for d in droplets:
             if not d.frozen:
                 d.heading += rng.normal(0.0, b.turn_noise)
@@ -163,29 +220,44 @@ def simulate(f: Formulation, cfg: ArenaConfig, rng: np.random.Generator,
                         if cx * cx + cy * cy < r2:
                             new_droplets.append(_Droplet(
                                 x=cx, y=cy, heading=d.heading, area=half))
+                            live += 1
                         else:
                             child = _Droplet(x=d.x, y=d.y, heading=d.heading,
                                              area=half, frozen=True)
                             new_droplets.append(child)
                     continue
+                live += not d.frozen
             new_droplets.append(d)
         droplets = new_droplets
-        frames.append(DetectionFrame(t, tuple((d.x, d.y, d.area) for d in droplets)))
-    return frames
+    # Every droplet is frozen or gone: the remaining frames repeat the last.
+    rest = cfg.total_frames - (len(counts) - 1)
+    counts.extend([counts[-1]] * rest)
+    k = counts[-1]
+    cols = []
+    for values in (xs, ys, areas):
+        col = np.array(values, dtype=float)
+        cols.append(np.concatenate((col, np.tile(col[len(col) - k:], rest))))
+    return DetectionRecord(np.cumsum(counts), *cols)
 
 
-def filter_analytic_arena(frames: list[DetectionFrame], arena_radius: float,
-                          shrink: float = 0.95) -> list[DetectionFrame]:
-    """Drop detections outside the analytic arena (wall-dead droplets)."""
+def filter_analytic_arena(frames, arena_radius: float,
+                          shrink: float = 0.95) -> DetectionRecord:
+    """Drop detections outside the analytic arena (wall-dead droplets).
+
+    Takes a DetectionRecord or a list of DetectionFrames; the kept detections
+    stay in their frame and order."""
+    rec = DetectionRecord.of(frames)
     r2 = (shrink * arena_radius) ** 2
-    return [
-        DetectionFrame(fr.frame_index,
-                       tuple(d for d in fr.detections if d[0] ** 2 + d[1] ** 2 < r2))
-        for fr in frames
-    ]
+    # float_power squares through libm pow, as Python's x ** 2 does; x * x
+    # rounds differently for about one value in a thousand.
+    keep = np.float_power(rec.x, 2) + np.float_power(rec.y, 2) < r2
+    frame_of = np.repeat(np.arange(len(rec)), np.diff(rec.offsets))
+    counts = np.bincount(frame_of[keep], minlength=len(rec))
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return DetectionRecord(offsets, rec.x[keep], rec.y[keep], rec.area[keep])
 
 
-def detections_to_csv(frames: list[DetectionFrame]) -> str:
+def detections_to_csv(frames) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["frame", "x", "y", "area"])

@@ -3,7 +3,10 @@ analytic-arena filtering -> tracking -> behaviour score.
 
 Replicate RNG streams are derived from (master seed, run, recipe id,
 replicate index), so results are independent of evaluation order and safe to
-compute concurrently.
+compute concurrently; within a stream, draws follow `arena.simulate`'s RNG
+contract. A replicate's detections pass from stage to stage as one columnar
+`arena.DetectionRecord`, and its tracks as a column-wise
+`tracking.TrajectorySet`, so no per-frame objects are built.
 """
 
 from __future__ import annotations
@@ -62,13 +65,6 @@ def run_replicate(setup: ExperimentSetup, proportions, recipe_id: int,
 def evaluate_recipe(setup: ExperimentSetup, proportions, recipe_id: int) -> list[float]:
     return [run_replicate(setup, proportions, recipe_id, rep)
             for rep in range(setup.replicates)]
-
-
-def make_evaluator(setup: ExperimentSetup):
-    """Evaluator callable for ga.run_ga."""
-    def evaluator(proportions, recipe_id):
-        return evaluate_recipe(setup, proportions, recipe_id)
-    return evaluator
 
 
 def _evaluate_one(args):

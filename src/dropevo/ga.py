@@ -72,6 +72,9 @@ class GAConfig:
                      "replicates_per_recipe", "runs"):
             if getattr(self, name) < 1:
                 raise GAError(f"{name} must be >= 1")
+        if self.replicates_per_recipe != 3:
+            raise GAError("replicates_per_recipe must be 3 (the history format has "
+                          f"three replicate columns), got {self.replicates_per_recipe}")
         if not 0.0 <= self.per_locus_mutation_rate <= 1.0:
             raise GAError("per_locus_mutation_rate must lie in [0, 1]")
 

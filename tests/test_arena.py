@@ -66,8 +66,8 @@ def test_unimodal_map_peaks_at_optimum():
 
 
 def test_simulate_frame_structure():
-    frames = simulate(Formulation((0.25, 0.25, 0.25, 0.25)), SHORT,
-                      np.random.default_rng(0))
+    frames = list(simulate(Formulation((0.25, 0.25, 0.25, 0.25)), SHORT,
+                           np.random.default_rng(0)))
     assert len(frames) == SHORT.total_frames
     assert [f.frame_index for f in frames] == list(range(60))
     assert len(frames[0].detections) == 4
@@ -79,7 +79,7 @@ def test_simulate_deterministic():
     f = Formulation((0.25, 0.25, 0.25, 0.25))
     a = simulate(f, SHORT, np.random.default_rng(42))
     b = simulate(f, SHORT, np.random.default_rng(42))
-    assert a == b
+    assert list(a) == list(b)
 
 
 def test_simulate_zero_speed_stays_put():
@@ -95,8 +95,8 @@ def test_simulate_zero_speed_stays_put():
 def test_simulate_step_length_equals_speed():
     b = BehaviorParams(speed=3.0, turn_noise=0.3, split_probability=0.0,
                        shrink_rate=0.0)
-    frames = simulate(Formulation((1, 0, 0, 0)), SHORT,
-                      np.random.default_rng(2), behavior=b)
+    frames = list(simulate(Formulation((1, 0, 0, 0)), SHORT,
+                           np.random.default_rng(2), behavior=b))
     for prev, cur in zip(frames, frames[1:]):
         for (x0, y0, _), (x1, y1, _) in zip(prev.detections, cur.detections):
             step = math.hypot(x1 - x0, y1 - y0)
@@ -107,8 +107,8 @@ def test_simulate_wall_freeze():
     cfg = ArenaConfig(duration=10.0, arena_radius=100.0)
     b = BehaviorParams(speed=5.0, turn_noise=0.0, split_probability=0.0,
                        shrink_rate=0.0)
-    frames = simulate(Formulation((1, 0, 0, 0)), cfg,
-                      np.random.default_rng(3), behavior=b)
+    frames = list(simulate(Formulation((1, 0, 0, 0)), cfg,
+                           np.random.default_rng(3), behavior=b))
     # Straight lines at 5 px/frame in a 100 px arena: everything freezes well
     # within 10 s, positions then stop changing and stay inside the wall.
     assert frames[-1].detections == frames[-2].detections
@@ -119,8 +119,8 @@ def test_simulate_wall_freeze():
 def test_simulate_shrink_and_disappear():
     b = BehaviorParams(speed=0.0, turn_noise=0.0, split_probability=0.0,
                        shrink_rate=10.0)
-    frames = simulate(Formulation((1, 0, 0, 0)), SHORT,
-                      np.random.default_rng(4), behavior=b)
+    frames = list(simulate(Formulation((1, 0, 0, 0)), SHORT,
+                           np.random.default_rng(4), behavior=b))
     assert frames[1].detections[0][2] == pytest.approx(390.0)
     assert frames[40].detections == ()  # 400 px^2 gone after 40 frames
 
@@ -129,8 +129,8 @@ def test_simulate_split_halves_area():
     cfg = ArenaConfig(duration=1.0)
     b = BehaviorParams(speed=0.0, turn_noise=0.0, split_probability=1.0,
                        shrink_rate=0.0)
-    frames = simulate(Formulation((1, 0, 0, 0)), cfg,
-                      np.random.default_rng(5), behavior=b)
+    frames = list(simulate(Formulation((1, 0, 0, 0)), cfg,
+                           np.random.default_rng(5), behavior=b))
     assert len(frames[1].detections) == 8
     assert all(d[2] == 200.0 for d in frames[1].detections)
     total0 = sum(d[2] for d in frames[0].detections)
@@ -142,8 +142,8 @@ def test_simulate_split_floor():
     cfg = ArenaConfig(duration=3.0)
     b = BehaviorParams(speed=0.0, turn_noise=0.0, split_probability=1.0,
                        shrink_rate=0.0)
-    frames = simulate(Formulation((1, 0, 0, 0)), cfg,
-                      np.random.default_rng(6), behavior=b)
+    frames = list(simulate(Formulation((1, 0, 0, 0)), cfg,
+                           np.random.default_rng(6), behavior=b))
     # 400 -> 200 -> 100 -> 50 -> 25: splitting stops below 30 px^2.
     areas = {d[2] for d in frames[-1].detections}
     assert areas == {25.0}
@@ -152,14 +152,24 @@ def test_simulate_split_floor():
 
 def test_filter_analytic_arena_boundary():
     frames = [DetectionFrame(0, ((0.0, 189.9, 10.0), (0.0, 190.1, 10.0)))]
-    kept = filter_analytic_arena(frames, arena_radius=200.0)
+    kept = list(filter_analytic_arena(frames, arena_radius=200.0))
     assert kept[0].detections == ((0.0, 189.9, 10.0),)
+
+
+def test_filter_analytic_arena_squares_like_pow():
+    # A coordinate whose x * x rounds below x ** 2, in an arena of radius x:
+    # x ** 2 < x ** 2 is false, so the detection is outside.
+    rng = np.random.default_rng(0)
+    x = next(v for v in rng.uniform(100.0, 300.0, 100_000).tolist() if v * v < v ** 2)
+    kept = list(filter_analytic_arena([DetectionFrame(0, ((x, 0.0, 9.0),))],
+                                      arena_radius=x, shrink=1.0))
+    assert kept[0].detections == ()
 
 
 def test_detections_csv_round_trip():
     frames = simulate(Formulation((0.25, 0.25, 0.25, 0.25)), SHORT,
                       np.random.default_rng(7))
-    assert detections_from_csv(detections_to_csv(frames)) == frames
+    assert detections_from_csv(detections_to_csv(frames)) == list(frames)
 
 
 def test_detections_csv_preserves_empty_frames():
@@ -171,3 +181,107 @@ def test_detections_csv_preserves_empty_frames():
 
 def test_min_split_area_constant():
     assert arena.MIN_SPLIT_AREA == 30.0
+
+
+# ------------------------------------------------ scalar reference pipeline
+
+
+def reference_simulate(f, cfg, rng, behavior):
+    """The scalar walk, one tuple of detections per frame for every frame:
+    the reference that simulate must match exactly, draws included."""
+    b = behavior
+    droplets = [[float(x), float(y), float(rng.uniform(0.0, 2.0 * math.pi)),
+                 float(cfg.initial_droplet_area), False]
+                for x, y in cfg.injection_positions]
+    r2 = cfg.arena_radius ** 2
+    frames = [DetectionFrame(0, tuple((d[0], d[1], d[3]) for d in droplets))]
+    for t in range(1, cfg.total_frames):
+        new_droplets = []
+        for d in droplets:
+            if not d[4]:
+                d[2] += rng.normal(0.0, b.turn_noise)
+                nx = d[0] + b.speed * math.cos(d[2])
+                ny = d[1] + b.speed * math.sin(d[2])
+                if nx * nx + ny * ny >= r2:
+                    d[4] = True
+                else:
+                    d[0], d[1] = nx, ny
+                d[3] -= b.shrink_rate
+                if d[3] <= 0:
+                    continue
+                if (d[3] >= arena.MIN_SPLIT_AREA and b.split_probability > 0
+                        and rng.random() < b.split_probability):
+                    half = d[3] / 2.0
+                    px, py = -math.sin(d[2]), math.cos(d[2])
+                    for sign in (1.0, -1.0):
+                        cx, cy = d[0] + sign * px, d[1] + sign * py
+                        if cx * cx + cy * cy < r2:
+                            new_droplets.append([cx, cy, d[2], half, False])
+                        else:
+                            new_droplets.append([d[0], d[1], d[2], half, True])
+                    continue
+            new_droplets.append(d)
+        droplets = new_droplets
+        frames.append(DetectionFrame(t, tuple((d[0], d[1], d[3]) for d in droplets)))
+    return frames
+
+
+def reference_filter(frames, arena_radius, shrink=0.95):
+    r2 = (shrink * arena_radius) ** 2
+    return [DetectionFrame(fr.frame_index,
+                           tuple(d for d in fr.detections if d[0] ** 2 + d[1] ** 2 < r2))
+            for fr in frames]
+
+
+NEAR_WALL = ArenaConfig(duration=3.0, arena_radius=100.0,
+                        injection_positions=((99.5, 0.0), (0.0, -99.2),
+                                             (-70.0, 70.0), (10.0, 10.0)))
+ORACLE_CASES = [
+    # (config, behaviour) -- what each case exercises
+    (SHORT, BehaviorParams(2.0, 0.4, 0.05, 0.5)),            # splits
+    (ArenaConfig(duration=3.0), BehaviorParams(0.5, 0.3, 1.0, 0.0)),  # split floor
+    (SHORT, BehaviorParams(1.0, 0.2, 0.0, 10.0)),            # shrink to zero
+    (ArenaConfig(duration=4.0, arena_radius=90.0),
+     BehaviorParams(5.0, 0.1, 0.0, 0.0)),                    # wall freeze, static tail
+    (ArenaConfig(duration=4.0, arena_radius=90.0),
+     BehaviorParams(4.0, 0.2, 0.2, 1.0)),                    # splits racing the wall
+    (NEAR_WALL, BehaviorParams(0.6, 1.5, 0.5, 0.0)),         # frozen split children
+    (NEAR_WALL, BehaviorParams(0.0, 0.0, 1.0, 0.0)),         # zero-length steps, floor
+    (ArenaConfig(duration=1.0, injection_count=0, injection_positions=()),
+     BehaviorParams(1.0, 0.1, 0.1, 0.0)),                    # no droplets at all
+]
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_simulate_matches_scalar_reference(case, seed):
+    cfg, b = ORACLE_CASES[case]
+    f = Formulation((1, 0, 0, 0))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = simulate(f, cfg, rng, behavior=b)
+    want = reference_simulate(f, cfg, ref_rng, b)
+    assert list(got) == want
+    assert rng.random() == ref_rng.random()  # same number of draws
+    assert list(filter_analytic_arena(got, cfg.arena_radius)) == reference_filter(
+        want, cfg.arena_radius)
+
+
+def test_simulate_matches_scalar_reference_on_recipes():
+    # Full-length default arenas: the static tail, splits and wall deaths of
+    # real recipes.
+    cfg = ArenaConfig()
+    for seed, p in enumerate([(0.25, 0.25, 0.25, 0.25), (1, 0, 0, 0),
+                              (0, 1, 0, 0), (0.1, 0.2, 0.3, 0.4)]):
+        f = Formulation(p)
+        b = behavior_from_formulation(f)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = simulate(f, cfg, rng, behavior=b)
+        want = reference_simulate(f, cfg, ref_rng, b)
+        assert list(got) == want
+        assert rng.random() == ref_rng.random()
+        assert list(filter_analytic_arena(got, 200.0)) == reference_filter(want, 200.0)
+
+
+def test_record_rejects_unnumbered_frames():
+    with pytest.raises(ValueError):
+        filter_analytic_arena([DetectionFrame(1, ((0.0, 0.0, 1.0),))], 200.0)

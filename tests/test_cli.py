@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -202,3 +203,46 @@ def test_nonfinite_fitness_is_a_data_error(tmp_path, capsys, command, bad):
     err = capsys.readouterr().err
     assert "row 3: fitness=" in err and "not finite" in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("ga", "replicates_per_recipe", 5),    # history files hold three replicates
+    ("ga", "replicates_per_recipe", 1),
+    ("arena", "rng_seed", 3),              # the arena draws from the replicate stream
+])
+def test_evolve_rejects_unsupported_config(tmp_path, capsys, section, key, value):
+    cfg = json.loads(json.dumps(FAST_CONFIG))
+    cfg[section][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "o"
+    rc = main(["evolve", "--config", str(path), "--out-dir", str(out_dir)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and key in err
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+# sha256 of history_run0.csv for GOLDEN_CONFIG under the directionality
+# objective. It pins the replicate RNG streams and the order of arena draws
+# (arena.simulate's RNG contract): a change to either must update it on
+# purpose, and it is the same for any --jobs.
+GOLDEN_CONFIG = {
+    "ga": {"generations": 2, "population_size": 4, "carry_overs": 2,
+           "runs": 1, "rng_seed": 7},
+    "arena": {"duration": 2.0},
+}
+GOLDEN_HISTORY_SHA256 = "91d092a941dd6e8a6ec41e8c2bfe47bd06f321fe66ae22a06d8d7c7e0cdea480"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_evolve_golden_history(tmp_path, jobs):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(GOLDEN_CONFIG))
+    out_dir = tmp_path / "o"
+    rc = main(["evolve", "--config", str(path), "--objective", "directionality",
+               "--jobs", jobs, "--out-dir", str(out_dir)])
+    assert rc == EXIT_OK
+    digest = hashlib.sha256((out_dir / "history_run0.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_HISTORY_SHA256

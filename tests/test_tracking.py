@@ -2,7 +2,8 @@
 
 The oracles below re-derive the tracker assignment and all three fitness
 scores from first principles using only dict/list arithmetic, deliberately
-sharing no code with dropevo.tracking.
+sharing no code with dropevo.tracking. The reference scores are the scalar
+per-trajectory implementations that the array scores must match bit for bit.
 """
 
 import math
@@ -11,22 +12,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dropevo.arena import ArenaConfig, DetectionFrame, simulate
+from dropevo import tracking
+from dropevo.arena import ArenaConfig, DetectionFrame, filter_analytic_arena, simulate
 from dropevo.formulation import Formulation
 from dropevo.tracking import (
     EmptyExperiment,
     NoFramePairs,
     NoTriples,
+    Trajectory,
     TrajectorySet,
-    directionality_mn,
     fitness_directionality,
     fitness_division,
     fitness_movement,
-    fitness_record,
-    movement_mn,
     track,
     trajectories_to_csv,
-    turn_angle,
 )
 
 
@@ -209,7 +208,6 @@ def test_movement_unequal_pair_sizes():
                          [(1, 0, 9), (53, 0, 9)],
                          [(11, 0, 9)]))
     assert fitness_movement(ts) == pytest.approx(6.0)
-    assert movement_mn(ts) == pytest.approx((1 + 3 + 10) / (2 * 3))
 
 
 def test_movement_needs_two_frames():
@@ -217,19 +215,24 @@ def test_movement_needs_two_frames():
         fitness_movement(track(frames_of([(0, 0, 9)])))
 
 
-def test_turn_angle_cases():
-    assert turn_angle((1, 0), (0, 1)) == pytest.approx(math.pi / 2)
-    assert turn_angle((1, 0), (-1, 0)) == pytest.approx(math.pi)
-    assert turn_angle((1, 0), (2, 0)) == pytest.approx(0.0)
-    assert turn_angle((0, 0), (1, 0)) is None
+def test_directionality_turn_angle_cases():
+    def angle(v, w):
+        points = [(0.0, 0.0), v, (v[0] + w[0], v[1] + w[1])]
+        ts = TrajectorySet([Trajectory(0, [(t, float(x), float(y), 9.0)
+                                           for t, (x, y) in enumerate(points)])], 3)
+        return fitness_directionality(ts)
+
+    assert angle((1, 0), (0, 1)) == pytest.approx(math.pi / 2)
+    assert angle((1, 0), (-1, 0)) == pytest.approx(math.pi)
+    assert angle((1, 0), (2, 0)) == pytest.approx(0.0)
+    assert angle((0, 0), (1, 0)) == 0.0  # a zero vector has no angle
     # Near-parallel vectors can push the cosine just past 1; must not raise.
-    assert turn_angle((1e8, 1), (1e8, 1)) == pytest.approx(0.0, abs=1e-6)
+    assert angle((1e8, 1), (1e8, 1)) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_directionality_right_angles():
     ts = track(frames_of([(0, 0, 9)], [(1, 0, 9)], [(1, 1, 9)], [(0, 1, 9)]))
     assert fitness_directionality(ts) == pytest.approx(math.pi / 2)
-    assert directionality_mn(ts) == pytest.approx(2 * (math.pi / 2) / (1 * 4))
 
 
 def test_directionality_needs_triples():
@@ -258,18 +261,177 @@ def test_fitness_matches_oracles_on_simulations():
             oracle_directionality(tracks), abs=1e-9)
 
 
-def test_fitness_record_keys():
-    frames = simulate(Formulation((0.25, 0.25, 0.25, 0.25)),
-                      ArenaConfig(duration=2.0), np.random.default_rng(0))
-    rec = fitness_record(track(frames))
-    assert set(rec) == {"division", "movement", "directionality",
-                        "movement_mn", "directionality_mn"}
-    assert all(isinstance(v, float) for v in rec.values())
-
-
 def test_trajectories_csv_header():
     frames = frames_of([(0, 0, 9)], [(1, 0, 9)])
     text = trajectories_to_csv(track(frames))
     lines = text.splitlines()
     assert lines[0] == "droplet_id,frame,x,y,area"
     assert len(lines) == 3
+
+
+# ------------------------------------------ scalar reference scores, exact
+
+
+def reference_turn_angle(v, w):
+    nv = math.hypot(*v)
+    nw = math.hypot(*w)
+    if nv == 0.0 or nw == 0.0:
+        return None
+    c = (v[0] * w[0] + v[1] * w[1]) / (nv * nw)
+    return math.acos(max(-1.0, min(1.0, c)))
+
+
+def reference_scores(ts: TrajectorySet):
+    """The per-trajectory scalar scores: dicts filled in trajectory order,
+    np.mean per frame, then np.mean over frames. Division, movement and
+    directionality (None where there is no triple)."""
+    last = ts.total_frames - 1
+    division = float(sum(1 for tr in ts.trajectories
+                         if tr.last_frame == last and tr.samples[-1][3] > 15.0))
+    pairs, triples = {}, {}
+    for tr in ts.trajectories:
+        s = tr.samples
+        for k in range(1, len(s)):
+            pairs.setdefault(s[k][0], []).append(
+                math.hypot(s[k][1] - s[k - 1][1], s[k][2] - s[k - 1][2]))
+        for k in range(2, len(s)):
+            a, b, c = s[k - 2], s[k - 1], s[k]
+            alpha = reference_turn_angle((b[1] - a[1], b[2] - a[2]),
+                                         (c[1] - b[1], c[2] - b[2]))
+            if alpha is not None:
+                triples.setdefault(b[0], []).append(alpha)
+    movement = float(np.mean([np.mean(d) for d in pairs.values()])) if pairs else 0.0
+    directionality = None
+    if any(len(tr.samples) >= 3 for tr in ts.trajectories):
+        directionality = (float(np.mean([np.mean(a) for a in triples.values()]))
+                          if triples else 0.0)
+    return division, movement, directionality
+
+
+def scores(ts: TrajectorySet):
+    try:
+        directionality = fitness_directionality(ts)
+    except NoTriples:
+        directionality = None
+    return fitness_division(ts), fitness_movement(ts), directionality
+
+
+def test_scores_match_reference_on_pipeline():
+    # The evaluator's pipeline on full-length default arenas.
+    cfg = ArenaConfig()
+    rng = np.random.default_rng(17)
+    for seed in range(12):
+        p = tuple(rng.dirichlet(np.ones(4)))
+        frames = simulate(Formulation(p), cfg, np.random.default_rng(seed))
+        ts = track(filter_analytic_arena(frames, cfg.arena_radius))
+        assert scores(ts) == reference_scores(ts)
+
+
+def test_group_means_match_np_mean_for_all_sizes():
+    # Rows of one size averaged together give the bits of np.mean per row.
+    rng = np.random.default_rng(3)
+    for size in range(1, 201):
+        values = rng.exponential(3.0, size * 3)
+        frame = np.repeat([5, 2, 9], size)
+        droplet = np.tile(np.arange(size), 3)
+        want = float(np.mean([np.mean(values[frame == f].tolist()) for f in (5, 2, 9)]))
+        got = tracking._mean_of_group_means(values.tolist(), frame, droplet)
+        assert got == want, size
+
+
+grid_frames = st.lists(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=-3, max_value=3).map(lambda v: 10.0 * v),
+            st.integers(min_value=-3, max_value=3).map(lambda v: 10.0 * v),
+            st.sampled_from([5.0, 15.0, 20.0]),
+        ),
+        max_size=8,
+    ),
+    min_size=2,
+    max_size=10,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_frames)
+def test_track_and_scores_on_grid_frames(lists):
+    # Coordinates on a 10 px grid: exact distance ties, shared nearest
+    # droplets and zero-length steps are common.
+    frames = frames_of(*lists)
+    ts = track(frames)
+    assert as_tracks(ts) == oracle_track(frames)
+    assert scores(ts) == reference_scores(ts)
+
+
+def test_track_split_children_share_nearest_parent():
+    frames = frames_of([(0.0, 0.0, 20), (40.0, 0.0, 20)],
+                       [(0.0, 1.0, 10), (0.0, -1.0, 10), (40.0, 1.0, 10), (40.0, -1.0, 10)])
+    ts = track(frames)
+    assert as_tracks(ts) == oracle_track(frames)
+    # The first child of each parent keeps its id; the second is new.
+    assert [len(tr.samples) for tr in ts.trajectories] == [2, 2, 1, 1]
+    assert ts.trajectories[2].samples[0][2] == -1.0
+
+
+def test_track_tie_lower_id_at_higher_position():
+    # Frame 1 lists the new droplet 1 before droplet 0; the frame-2 detection
+    # is equidistant from both and must join droplet 0, the lower id.
+    frames = frames_of([(50.0, 0.0, 9)],
+                       [(0.0, 0.0, 9), (50.0, 0.0, 9)],
+                       [(25.0, 0.0, 9)])
+    ts = track(frames)
+    assert as_tracks(ts) == oracle_track(frames)
+    assert [s[0] for s in ts.trajectories[0].samples] == [0, 1, 2]
+
+
+def test_track_across_block_budget():
+    # 40 droplets a frame pad to 64 lanes, so one block holds
+    # CELL_BUDGET // 64**2 frame pairs; the run spans several blocks, with
+    # dirty frames (duplicated positions) in more than one of them.
+    rng = np.random.default_rng(8)
+    per_block = tracking.CELL_BUDGET // 64 ** 2
+    xy = rng.uniform(-200, 200, size=(40, 2))
+    lists = []
+    for t in range(3 * per_block + 5):
+        xy = xy + rng.normal(0, 4, size=xy.shape)
+        rows = [(float(x), float(y), 9.0) for x, y in xy]
+        if t % 7 == 3:
+            rows[5] = rows[4]  # a collision: two detections at one place
+        lists.append(rows)
+    frames = frames_of(*lists)
+    ts = track(frames)
+    assert as_tracks(ts) == oracle_track(frames)
+    assert scores(ts) == reference_scores(ts)
+
+
+def test_scores_match_reference_on_trajectory_lists():
+    # Trajectory lists built by hand, in any order: the scores take groups in
+    # order of their first trajectory in the list, as a scan over it would.
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        total_frames = int(rng.integers(3, 12))
+        trajectories = []
+        for did in range(int(rng.integers(1, 7))):
+            start = int(rng.integers(0, total_frames - 1))
+            length = int(rng.integers(1, total_frames - start + 1))
+            x, y = rng.uniform(-50, 50, size=2)
+            samples = []
+            for t in range(start, start + length):
+                if rng.random() < 0.7:
+                    x, y = x + rng.uniform(-5, 5), y + rng.uniform(-5, 5)
+                samples.append((t, float(x), float(y), float(rng.uniform(5, 25))))
+            trajectories.append(Trajectory(droplet_id=did, samples=samples))
+        ts = TrajectorySet(trajectories=trajectories, total_frames=total_frames)
+        assert scores(ts) == reference_scores(ts)
+
+
+def test_step_lengths_and_angles_are_libm_exact():
+    # One droplet, three samples: each score is a function of two step
+    # lengths or one angle, so a last-bit difference from math.hypot or
+    # math.acos (numpy's hypot and arccos differ on some inputs) shows.
+    rng = np.random.default_rng(12)
+    for _ in range(1000):
+        xy = np.cumsum(rng.uniform(-20, 20, size=(3, 2)), axis=0).tolist()
+        ts = TrajectorySet([Trajectory(0, [(t, x, y, 9.0) for t, (x, y) in enumerate(xy)])], 3)
+        assert scores(ts) == reference_scores(ts)
