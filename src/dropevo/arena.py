@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .formulation import Formulation, OilProperties, oils_for_order
+from .formulation import (Formulation, OilProperties, check_number, check_vector,
+                          oils_for_order)
 
 
 @dataclass(frozen=True)
@@ -36,10 +37,17 @@ class ArenaConfig:
     initial_droplet_area: float = 400.0   # px^2
 
     def __post_init__(self):
-        if self.total_frames < 2:
+        for name in ("frame_rate", "duration", "arena_radius", "initial_droplet_area"):
+            check_number(name, getattr(self, name), 0, strict=True)
+        if not math.isfinite(self.frame_rate * self.duration) or self.total_frames < 2:
             raise ValueError("frame_rate * duration must give at least 2 frames")
-        if len(self.injection_positions) != self.injection_count:
-            raise ValueError("need one injection position per injection")
+        check_number("injection_count", self.injection_count, 0, integer=True)
+        positions = self.injection_positions
+        if not (isinstance(positions, (list, tuple)) and len(positions) == self.injection_count):
+            raise ValueError(f"injection_positions must hold injection_count = "
+                             f"{self.injection_count} [x, y] pairs, got {positions!r}")
+        object.__setattr__(self, "injection_positions", tuple(
+            check_vector("injection_positions item", xy, 2) for xy in positions))
 
     @property
     def total_frames(self) -> int:
@@ -162,8 +170,7 @@ class _Droplet:
 
 
 def simulate(f: Formulation, cfg: ArenaConfig, rng: np.random.Generator,
-             behavior: BehaviorParams | None = None,
-             oils: list[OilProperties] | None = None) -> DetectionRecord:
+             behavior: BehaviorParams | None = None) -> DetectionRecord:
     """Run the correlated random walk and record every frame's detections.
 
     Droplets touching the arena wall freeze in place ("dead") but are still
@@ -178,7 +185,7 @@ def simulate(f: Formulation, cfg: ArenaConfig, rng: np.random.Generator,
     frames repeat the last one and the walk stops early.
     """
     if behavior is None:
-        behavior = behavior_from_formulation(f, oils)
+        behavior = behavior_from_formulation(f)
     b = behavior
     droplets = [
         _Droplet(x=float(x), y=float(y),

@@ -10,8 +10,12 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
+import multiprocessing
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -19,7 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__, arena, evaluators, formats, ga, gcode, landscape, stats
-from .formulation import Formulation, normalize
+from .formulation import normalize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,45 +88,52 @@ def _manifest(out_dir: Path, command: str, config: dict, seed, outputs: list[str
 # ---------------------------------------------------------------------------
 # evolve
 
+def _build(cls, section: dict, where: str, **fixed):
+    """The dataclass `cls` built from a config section plus the `fixed`
+    fields the command sets itself; any rejection is a usage error."""
+    allowed = {f.name for f in dataclasses.fields(cls)} - set(fixed)
+    unknown = sorted(set(section) - allowed)
+    if unknown:
+        raise UsageError(f"{where}: unknown field(s) {unknown}; allowed: {sorted(allowed)}")
+    try:
+        return cls(**section, **fixed)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{where}: {exc}") from exc
+
+
 def cmd_evolve(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     cfg_file = _load_config(args.config)
-    try:
-        ga_cfg = ga.config_from_dict(_section(cfg_file, "ga"))
-    except ga.GAError as exc:
-        raise UsageError(f"config {args.config}: ga: {exc}") from exc
+    unknown = sorted(set(cfg_file) - {"ga", "arena", "evaluation"})
+    if unknown:
+        raise UsageError(f"config {args.config}: unknown section(s) {unknown}")
+    where = f"config {args.config}: " if args.config else ""
+    ga_section = _section(cfg_file, "ga")
     if args.seed is not None:
-        ga_cfg = ga.with_seed(ga_cfg, args.seed)
-    arena_section = _section(cfg_file, "arena")
-    try:
-        arena_cfg = arena.ArenaConfig(**{k: tuple(map(tuple, v)) if k == "injection_positions" else v
-                                         for k, v in arena_section.items()})
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"config {args.config}: arena: {exc}") from exc
-    eval_section = _section(cfg_file, "evaluation")
+        ga_section = {**ga_section, "rng_seed": args.seed}
+    ga_cfg = _build(ga.GAConfig, ga_section, where + "ga")
+    arena_cfg = _build(arena.ArenaConfig, _section(cfg_file, "arena"), where + "arena")
+    setup = _build(evaluators.ExperimentSetup, _section(cfg_file, "evaluation"),
+                   where + "evaluation", objective=args.objective,
+                   arena_config=arena_cfg, master_seed=ga_cfg.rng_seed, run=0)
 
     out_dir = Path(args.out_dir)
     outputs = []
     histories = []
-    for run in range(ga_cfg.runs):
-        setup = evaluators.ExperimentSetup(
-            objective=args.objective,
-            arena_config=arena_cfg,
-            master_seed=ga_cfg.rng_seed,
-            run=run,
-            replicates=ga_cfg.replicates_per_recipe,
-            behavior_map=eval_section.get("behavior_map", "oils"),
-            unimodal_optimum=tuple(eval_section.get("unimodal_optimum",
-                                                    (0.1, 0.6, 0.2, 0.1))),
-            unimodal_width=eval_section.get("unimodal_width", 0.35),
-        )
-        batch = evaluators.make_batch_evaluator(setup, ga_cfg, jobs=args.jobs)
-        history = ga.run_ga(ga_cfg, evaluator=None, run=run, evaluate_batch=batch)
-        histories.append(history)
-        name = f"history_run{run}.csv"
-        _write(out_dir, name, ga.history_to_csv(history))
-        outputs.append(name)
+    # One pool serves the whole campaign. Its workers are spawned, not forked
+    # from a process whose BLAS threads may hold locks.
+    with (ProcessPoolExecutor(max_workers=args.jobs,
+                              mp_context=multiprocessing.get_context("spawn"))
+          if args.jobs > 1 else contextlib.nullcontext()) as pool:
+        for run in range(ga_cfg.runs):
+            batch = evaluators.make_batch_evaluator(dataclasses.replace(setup, run=run),
+                                                    ga_cfg, pool=pool)
+            history = ga.run_ga(ga_cfg, evaluator=None, run=run, evaluate_batch=batch)
+            histories.append(history)
+            name = f"history_run{run}.csv"
+            _write(out_dir, name, ga.history_to_csv(history))
+            outputs.append(name)
 
     if args.emit_gcode:
         gdir = out_dir / "gcode"
@@ -141,7 +152,7 @@ def cmd_evolve(args) -> int:
 
     recipes_per_run = ga_cfg.recipes_per_run
     total_recipes = recipes_per_run * ga_cfg.runs
-    experiments = total_recipes * ga_cfg.replicates_per_recipe
+    experiments = total_recipes * ga.REPLICATES
     _manifest(out_dir, "evolve", cfg_file, ga_cfg.rng_seed, outputs, extra={
         "objective": args.objective,
         "bookkeeping": {
@@ -201,7 +212,7 @@ def cmd_landscape(args) -> int:
               {"sigma": args.sigma, "lambda": args.lam, "resolution": args.resolution,
                "face_axes": {face: landscape.face_axes(face) for face in range(4)},
                "history_files": [str(p) for p in args.history]},
-              args.seed, outputs,
+              None, outputs,
               extra={"training_points": int(len(y))})
     return EXIT_OK
 
@@ -226,7 +237,7 @@ def cmd_analyze(args) -> int:
     ]
     _manifest(out_dir, "analyze",
               {"history_files": [str(p) for p in args.history]},
-              args.seed, outputs)
+              None, outputs)
     return EXIT_OK
 
 
@@ -294,13 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=landscape.DEFAULT_SIGMA)
     p.add_argument("--lambda", dest="lam", type=float, default=landscape.DEFAULT_LAMBDA)
     p.add_argument("--resolution", type=int, default=landscape.DEFAULT_RESOLUTION)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_landscape)
 
     p = sub.add_parser("analyze", help="trajectory statistics report")
     p.add_argument("history", nargs="+", help="history CSV files")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_analyze)
 

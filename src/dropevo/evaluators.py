@@ -7,17 +7,21 @@ compute concurrently; within a stream, draws follow `arena.simulate`'s RNG
 contract. A replicate's detections pass from stage to stage as one columnar
 `arena.DetectionRecord`, and its tracks as a column-wise
 `tracking.TrajectorySet`, so no per-frame objects are built.
+
+`ExperimentSetup` is built once per campaign and checks itself; each GA run
+scores with `dataclasses.replace(setup, run=run)`. A batch evaluator maps
+recipes over the process pool it is given, or over none (serially).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import arena, ga, tracking
-from .formulation import DEFAULT_OIL_ORDER, Formulation, oils_for_order
+from .formulation import GENOME_LENGTH, Formulation, check_number, check_vector, normalize
 
 ANALYTIC_ARENA_SHRINK = 0.95
 
@@ -28,10 +32,8 @@ class ExperimentSetup:
 
     objective: str                      # 'division' | 'movement' | 'directionality'
     arena_config: arena.ArenaConfig = field(default_factory=arena.ArenaConfig)
-    oil_order: tuple = DEFAULT_OIL_ORDER
     master_seed: int = 0
     run: int = 0
-    replicates: int = 3
     behavior_map: str = "oils"          # 'oils' or 'unimodal'
     unimodal_optimum: tuple = (0.1, 0.6, 0.2, 0.1)
     unimodal_width: float = 0.35
@@ -39,6 +41,12 @@ class ExperimentSetup:
     def __post_init__(self):
         if self.objective not in tracking.FITNESS_FUNCTIONS:
             raise ValueError(f"unknown objective {self.objective!r}")
+        if self.behavior_map not in ("oils", "unimodal"):
+            raise ValueError(f"behavior_map must be 'oils' or 'unimodal', "
+                             f"got {self.behavior_map!r}")
+        check_number("unimodal_width", self.unimodal_width, 0, strict=True)
+        object.__setattr__(self, "unimodal_optimum", check_vector(
+            "unimodal_optimum", self.unimodal_optimum, GENOME_LENGTH))
 
 
 def run_replicate(setup: ExperimentSetup, proportions, recipe_id: int,
@@ -49,7 +57,7 @@ def run_replicate(setup: ExperimentSetup, proportions, recipe_id: int,
         behavior = arena.unimodal_behavior_map(
             setup.unimodal_optimum, setup.unimodal_width)(f)
     else:
-        behavior = arena.behavior_from_formulation(f, oils_for_order(setup.oil_order))
+        behavior = arena.behavior_from_formulation(f)
     rng = np.random.default_rng(
         ga.replicate_seed(setup.master_seed, setup.run, recipe_id, replicate))
     frames = arena.simulate(f, setup.arena_config, rng, behavior=behavior)
@@ -64,26 +72,21 @@ def run_replicate(setup: ExperimentSetup, proportions, recipe_id: int,
 
 def evaluate_recipe(setup: ExperimentSetup, proportions, recipe_id: int) -> list[float]:
     return [run_replicate(setup, proportions, recipe_id, rep)
-            for rep in range(setup.replicates)]
+            for rep in range(ga.REPLICATES)]
 
 
-def _evaluate_one(args):
-    setup, proportions, recipe_id = args
-    return evaluate_recipe(setup, proportions, recipe_id)
-
-
-def make_batch_evaluator(setup: ExperimentSetup, cfg: ga.GAConfig, jobs: int = 1):
-    """Batch evaluator for ga.run_ga; jobs > 1 evaluates the recipes of a
-    generation in a process pool (per-recipe seeding keeps this exact)."""
-    from .formulation import normalize
+def make_batch_evaluator(setup: ExperimentSetup, cfg: ga.GAConfig, pool=None):
+    """Batch evaluator for ga.run_ga under `setup`. With a pool (a
+    concurrent.futures executor, which the caller owns) the recipes of a
+    batch are mapped over it; per-recipe seeding keeps the results equal to
+    serial evaluation. `cfg`, the run's GAConfig, is accepted for the call's
+    sake: nothing in it changes how a recipe is scored."""
+    score = partial(evaluate_recipe, setup)
 
     def evaluate_batch(batch):
-        recipes = [(setup, normalize(ind.genome).proportions, ind.id) for ind in batch]
-        if jobs > 1 and len(batch) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_evaluate_one, recipes))
-        else:
-            results = [_evaluate_one(r) for r in recipes]
+        recipes = [normalize(ind.genome).proportions for ind in batch]
+        ids = [ind.id for ind in batch]
+        results = pool.map(score, recipes, ids) if pool else map(score, recipes, ids)
         for ind, reps in zip(batch, results):
-            ind.set_fitness(reps, ga.aggregate_fitness(reps, cfg.replicates_per_recipe))
+            ind.set_fitness(reps, ga.aggregate_fitness(reps))
     return evaluate_batch

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .gcode import GcodeError, parse_line
+from .gcode import StageLayout, check_program
 
 
 class UnknownFormat(KeyError):
@@ -128,18 +128,7 @@ CSV_FORMATS = {
 }
 
 
-def _validate_gcode(text: str) -> list[str]:
-    violations = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        try:
-            parse_line(line, line_no)
-        except GcodeError as exc:
-            violations.append(str(exc))
-    return violations
-
-
 def _validate_layout(text: str) -> list[str]:
-    from .gcode import StageLayout
     try:
         layout = StageLayout.from_json(text)
     except (ValueError, KeyError, TypeError) as exc:
@@ -161,7 +150,7 @@ def validate_text(text: str, format_id: str) -> list[str]:
     if format_id in CSV_FORMATS:
         return CSV_FORMATS[format_id].validate(text)
     if format_id == "gcode":
-        return _validate_gcode(text)
+        return check_program(text)
     if format_id == "layout":
         return _validate_layout(text)
     raise UnknownFormat(format_id)

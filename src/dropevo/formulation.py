@@ -1,14 +1,18 @@
 """Recipe representation: 4-locus genomes, simplex formulations and oil data.
 
-A genome holds four raw quantitative trait loci in [0, 1]. It only becomes a
-recipe (a Formulation, a point on the 4-component unit simplex) when it is
-normalized at phenotype time; genetic operators act on the raw loci.
+A genome holds GENOME_LENGTH = 4 raw quantitative trait loci in [0, 1]. It
+only becomes a recipe (a Formulation, a point on the 4-component unit simplex)
+when it is normalized at phenotype time; genetic operators act on the raw
+loci. oils.json is parsed once per process.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -16,10 +20,9 @@ import numpy as np
 GENOME_LENGTH = 4
 WELL_TOTAL_UL = 360.0
 
-# Fixed component order in every serialized formulation. The fourth slot is
-# either octanoic acid or dodecane, chosen per run configuration.
+# Fixed component order in every serialized formulation. The paper's
+# alternative fourth oil, dodecane, is in the table for oils_for_order.
 DEFAULT_OIL_ORDER = ("1-octanol", "1-pentanol", "DEP", "octanoic acid")
-ALT_OIL_ORDER = ("1-octanol", "1-pentanol", "DEP", "dodecane")
 
 
 class FormulationError(ValueError):
@@ -32,6 +35,29 @@ class AllZeroError(FormulationError):
 
 class NegativeComponentError(FormulationError):
     """A raw component is negative."""
+
+
+def check_number(name: str, value, minimum=None, *, integer=False, strict=False) -> None:
+    """Raise ValueError unless `value` (any JSON value) is a finite number,
+    not a bool, an integer if `integer`, and >= minimum (> if `strict`)."""
+    ok = (isinstance(value, numbers.Integral if integer else numbers.Real)
+          and not isinstance(value, bool) and math.isfinite(value))
+    if ok and minimum is not None:
+        ok = value > minimum if strict else value >= minimum
+    if not ok:
+        bound = "" if minimum is None else f" {'>' if strict else '>='} {minimum}"
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a finite number'}"
+                         f"{bound}, got {value!r}")
+
+
+def check_vector(name: str, values, length: int) -> tuple:
+    """`values` as a tuple; ValueError unless it is a list or tuple of
+    `length` finite numbers."""
+    if not (isinstance(values, (list, tuple)) and len(values) == length):
+        raise ValueError(f"{name} must be {length} numbers, got {values!r}")
+    for value in values:
+        check_number(name, value)
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -60,14 +86,19 @@ class OilProperties:
         return 0.0 if self.solubility is None else self.solubility
 
 
+@cache
+def _oils() -> tuple[OilProperties, ...]:
+    raw = json.loads(resources.files("dropevo.data").joinpath("oils.json").read_text())
+    return tuple(OilProperties(**row) for row in raw["oils"])
+
+
 def oil_table() -> list[OilProperties]:
     """The five stock oils, loaded from the versioned data file."""
-    raw = json.loads(resources.files("dropevo.data").joinpath("oils.json").read_text())
-    return [OilProperties(**row) for row in raw["oils"]]
+    return list(_oils())
 
 
 def oil_lookup(name: str) -> OilProperties:
-    for oil in oil_table():
+    for oil in _oils():
         if oil.name == name:
             return oil
     raise KeyError(name)

@@ -9,21 +9,27 @@ selective pressure 1. With these defaults one run evaluates exactly
 Order of events each generation is cull-then-birth (cull 25 -> 15 survivors,
 then add 10 evaluated children); birth-then-cull is available behind
 ``GAConfig.birth_before_cull`` for comparison.
+
+Every recipe is scored from ``REPLICATES`` = 3 replicate experiments and
+every genome has ``formulation.GENOME_LENGTH`` = 4 loci; neither is a knob.
+``GAConfig`` checks the type and range of every field when it is built.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .formulation import GENOME_LENGTH, normalize
+from .formulation import GENOME_LENGTH, check_number, normalize
 
 RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
+
+# Replicate experiments per recipe: the history format has three columns.
+REPLICATES = 3
 
 # Added to fitness before exponentiation so zero-fitness individuals keep
 # finite selection and death weights.
@@ -54,28 +60,27 @@ class EvaluationError(RuntimeError):
 @dataclass(frozen=True)
 class GAConfig:
     generations: int = 21
-    genome_length: int = GENOME_LENGTH
     population_size: int = 25
     carry_overs: int = 15
     per_locus_mutation_rate: float = 0.3
     mutation_sd: float = 0.1
     selective_pressure: float = 1.0
-    replicates_per_recipe: int = 3
     runs: int = 3
     rng_seed: int = 0
     birth_before_cull: bool = False
 
     def __post_init__(self):
-        if not (1 <= self.carry_overs < self.population_size):
+        for name in ("generations", "population_size", "carry_overs", "runs"):
+            check_number(name, getattr(self, name), 1, integer=True)
+        check_number("rng_seed", self.rng_seed, 0, integer=True)
+        for name in ("per_locus_mutation_rate", "mutation_sd", "selective_pressure"):
+            check_number(name, getattr(self, name), 0)
+        if not isinstance(self.birth_before_cull, bool):
+            raise GAError(f"birth_before_cull must be true or false, "
+                          f"got {self.birth_before_cull!r}")
+        if not self.carry_overs < self.population_size:
             raise GAError("carry_overs must satisfy 1 <= carry_overs < population_size")
-        for name in ("generations", "genome_length", "population_size",
-                     "replicates_per_recipe", "runs"):
-            if getattr(self, name) < 1:
-                raise GAError(f"{name} must be >= 1")
-        if self.replicates_per_recipe != 3:
-            raise GAError("replicates_per_recipe must be 3 (the history format has "
-                          f"three replicate columns), got {self.replicates_per_recipe}")
-        if not 0.0 <= self.per_locus_mutation_rate <= 1.0:
+        if self.per_locus_mutation_rate > 1.0:
             raise GAError("per_locus_mutation_rate must lie in [0, 1]")
 
     @property
@@ -114,15 +119,12 @@ class GAHistory:
     def distinct_recipes(self) -> int:
         return len({ind.id for gen in self.generations for ind in gen})
 
-    def generation_fitnesses(self) -> list[list[float]]:
-        return [[ind.fitness for ind in gen] for gen in self.generations]
-
 
 def init_population(cfg: GAConfig, rng: np.random.Generator,
                     id_start: int = 0) -> list[Individual]:
-    """Uniform random population on [0, 1]^genome_length."""
+    """Uniform random population on [0, 1]^GENOME_LENGTH."""
     return [
-        Individual(genome=rng.uniform(0.0, 1.0, cfg.genome_length),
+        Individual(genome=rng.uniform(0.0, 1.0, GENOME_LENGTH),
                    id=id_start + i, generation_born=1)
         for i in range(cfg.population_size)
     ]
@@ -176,11 +178,12 @@ def cull(pop: list[Individual], survivors: int, pressure: float,
     return alive
 
 
-def aggregate_fitness(replicates, expected: int = 3) -> float:
-    """Per-recipe score: min(mean, median) of the replicate fitnesses."""
+def aggregate_fitness(replicates) -> float:
+    """Per-recipe score: min(mean, median) of the REPLICATES replicate
+    fitnesses."""
     reps = [float(r) for r in replicates]
-    if len(reps) != expected:
-        raise WrongReplicateCount(f"expected {expected} replicates, got {len(reps)}")
+    if len(reps) != REPLICATES:
+        raise WrongReplicateCount(f"expected {REPLICATES} replicates, got {len(reps)}")
     if any(r < 0 for r in reps):
         raise GAError("replicate fitnesses must be >= 0")
     return min(statistics.fmean(reps), statistics.median(reps))
@@ -192,33 +195,29 @@ def replicate_seed(master_seed: int, run: int, recipe_id: int, replicate: int) -
                                   spawn_key=(run, recipe_id, replicate))
 
 
-def _evaluate(ind: Individual, cfg: GAConfig, evaluator) -> None:
+def _evaluate(ind: Individual, evaluator) -> None:
     recipe = normalize(ind.genome).proportions
     try:
         reps = evaluator(recipe, ind.id)
     except Exception as exc:  # noqa: BLE001 - context is attached and re-raised
         raise EvaluationError(recipe, exc) from exc
-    ind.set_fitness(reps, aggregate_fitness(reps, cfg.replicates_per_recipe))
+    ind.set_fitness(reps, aggregate_fitness(reps))
 
 
-def run_ga(cfg: GAConfig, evaluator, run: int = 0,
-           rng: np.random.Generator | None = None,
-           evaluate_batch=None) -> GAHistory:
+def run_ga(cfg: GAConfig, evaluator, run: int = 0, evaluate_batch=None) -> GAHistory:
     """Run one GA optimization.
 
-    evaluator(proportions, individual_id) must return the
-    replicates_per_recipe raw fitness values for that recipe.
+    evaluator(proportions, individual_id) must return the REPLICATES raw
+    fitness values for that recipe.
     evaluate_batch, if given, receives a list of unevaluated Individuals and
     may evaluate them concurrently via _evaluate-equivalent semantics; results
     must not depend on evaluation order.
     """
-    if rng is None:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.rng_seed, spawn_key=(run,)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.rng_seed, spawn_key=(run,)))
     if evaluate_batch is None:
         def evaluate_batch(batch):
             for ind in batch:
-                _evaluate(ind, cfg, evaluator)
+                _evaluate(ind, evaluator)
 
     history = GAHistory(run=run, config=cfg)
     next_id = run * 10_000_000
@@ -286,27 +285,3 @@ def history_from_csv(text: str) -> dict:
         generations.setdefault(int(row["generation"]), []).append(
             (int(row["individual_id"]), loci, float(row["fitness"])))
     return {"run": int(rows[0]["run"]) if rows else 0, "generations": generations}
-
-
-def run_manifest(cfg: GAConfig) -> dict:
-    return {
-        "config": {k: getattr(cfg, k) for k in cfg.__dataclass_fields__},
-        "seed": cfg.rng_seed,
-        "rng": RNG_ALGORITHM,
-    }
-
-
-def with_seed(cfg: GAConfig, seed: int) -> GAConfig:
-    return replace(cfg, rng_seed=seed)
-
-
-def config_from_dict(d: dict) -> GAConfig:
-    allowed = set(GAConfig.__dataclass_fields__)
-    unknown = set(d) - allowed
-    if unknown:
-        raise GAError(f"unknown GA config fields: {sorted(unknown)}")
-    return GAConfig(**d)
-
-
-def manifest_json(manifest: dict) -> str:
-    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"

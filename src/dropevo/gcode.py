@@ -536,14 +536,6 @@ class VirtualRobot:
     def _log(self, pc, event, vessel, delta_ul):
         self.events.append((self.state.time_ms, pc, event, vessel, delta_ul))
 
-    def _drawable(self, vessel: str) -> float:
-        contents = self.state.vessels[vessel]
-        retained = self.layout.vessel_retained_ul.get(vessel, {})
-        free = 0.0
-        for liq, amount in contents.items():
-            free += max(0.0, amount - retained.get(liq, 0.0))
-        return free
-
     def _draw_from_vessel(self, vessel: str, volume: float, pc: int) -> dict:
         contents = self.state.vessels[vessel]
         retained = self.layout.vessel_retained_ul.get(vessel, {})

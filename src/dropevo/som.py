@@ -30,10 +30,6 @@ class SomGrid:
         if self.initial_radius is None:
             self.initial_radius = max(self.width, self.height) / 2.0
 
-    @property
-    def node_count(self) -> int:
-        return self.width * self.height
-
 
 def init_grid(width: int, height: int, data: np.ndarray,
               rng: np.random.Generator) -> SomGrid:

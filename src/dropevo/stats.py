@@ -3,8 +3,8 @@ Kendall rank correlation with tie correction, and Holm step-down multiple
 testing correction.
 
 The F and Kendall test statistics are computed here from first principles;
-only the reference distributions (F via the regularized incomplete beta, the
-standard normal for Kendall's z) come from scipy.stats.
+only the reference distributions come from scipy.special: `fdtrc` for F and
+`ndtr` for Kendall's z, the routines behind scipy.stats without its import.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import f as f_dist
-from scipy.stats import norm
+from scipy.special import fdtrc, ndtr
 
 
 class StatsError(ValueError):
@@ -81,7 +80,7 @@ def anova_oneway(groups: list[GenerationSample]) -> tuple[float, float]:
             return 0.0, 1.0
         raise DegenerateVariance("zero within-group variance (F = inf)")
     F = (ss_between / df_between) / (ss_within / df_within)
-    p = float(f_dist.sf(F, df_between, df_within))
+    p = float(fdtrc(df_between, df_within, F))
     return float(F), p
 
 
@@ -120,7 +119,7 @@ def kendall_tau(x, y) -> tuple[float, float, float]:
           / (9.0 * n * (n - 1) * (n - 2))) if n > 2 else 0.0
     var = (v0 - vt - vu) / 18.0 + v1 + v2
     z = s / math.sqrt(var) if var > 0 else math.inf * np.sign(s)
-    p = float(2.0 * norm.sf(abs(z))) if math.isfinite(z) else 0.0
+    p = float(2.0 * ndtr(-abs(z))) if math.isfinite(z) else 0.0
     return float(tau), float(z), p
 
 

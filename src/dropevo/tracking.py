@@ -59,10 +59,6 @@ class Trajectory:
     samples: list  # of (frame, x, y, area), frames contiguous
 
     @property
-    def first_frame(self) -> int:
-        return self.samples[0][0]
-
-    @property
     def last_frame(self) -> int:
         return self.samples[-1][0]
 

@@ -1,11 +1,20 @@
+import contextlib
+import dataclasses
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+import time
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dropevo import formats
+from dropevo import arena, formats, ga
 from dropevo.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 FAST_CONFIG = {
@@ -85,6 +94,7 @@ def test_landscape_pipeline(tmp_path, fast_config):
     manifest = json.loads((land_dir / "manifest.json").read_text())
     assert manifest["config"]["sigma"] == 0.2
     assert manifest["training_points"] == 16
+    assert manifest["seed"] is None            # --seed is evolve's alone
 
 
 def test_landscape_rejects_bad_history(tmp_path, capsys):
@@ -121,6 +131,7 @@ def test_analyze_pipeline(tmp_path, fast_config):
             "fitness_vs_generation", "percentile_bands"} <= set(report)
     assert formats.validate_file(an_dir / "bands.csv", "bands") == []
     assert len(report["percentile_bands"]) == 3
+    assert json.loads((an_dir / "manifest.json").read_text())["seed"] is None
 
 
 def test_gcode_compile_parse_exec(tmp_path, capsys):
@@ -209,10 +220,27 @@ def test_nonfinite_fitness_is_a_data_error(tmp_path, capsys, command, bad):
     ("ga", "replicates_per_recipe", 5),    # history files hold three replicates
     ("ga", "replicates_per_recipe", 1),
     ("arena", "rng_seed", 3),              # the arena draws from the replicate stream
+    ("ga", "genome_length", 4),            # genomes always have four loci
+    ("ga", "generations", "3"),
+    ("ga", "generations", 2.5),
+    ("ga", "rng_seed", 1.5),
+    ("ga", "rng_seed", -1),
+    ("ga", "mutation_sd", "x"),
+    ("ga", "birth_before_cull", "yes"),
+    ("arena", "duration", float("nan")),
+    ("arena", "injection_positions", [[1.0]]),
+    ("evaluation", "behaviour_map", "unimodal"),
+    ("evaluation", "bogus", 1),
+    ("evaluation", "behavior_map", "unimodl"),
+    ("evaluation", "unimodal_width", 0),
+    ("evaluation", "unimodal_optimum", [0.5, 0.5]),
+    ("evaluation", "run", 1),              # set by the command, not the config
+    ("evaluation", "master_seed", 1),
+    ("evaluation", "objective", "division"),
 ])
 def test_evolve_rejects_unsupported_config(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(FAST_CONFIG))
-    cfg[section][key] = value
+    cfg.setdefault(section, {})[key] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     out_dir = tmp_path / "o"
@@ -246,3 +274,94 @@ def test_evolve_golden_history(tmp_path, jobs):
     assert rc == EXIT_OK
     digest = hashlib.sha256((out_dir / "history_run0.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_HISTORY_SHA256
+
+
+@pytest.mark.parametrize("argv", [
+    ["landscape", "HISTORY", "--seed", "3"],   # seeds only evolve
+    ["analyze", "HISTORY", "--seed", "3"],
+    ["evolve", "--seed", "-1"],
+])
+def test_seed_option_rejections(tmp_path, capsys, argv):
+    hist = write_history(tmp_path / "history.csv")
+    out_dir = tmp_path / "o"
+    argv = [hist if a == "HISTORY" else a for a in argv]
+    rc = main([*argv, "--out-dir", str(out_dir)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and ("--seed" in err or "rng_seed" in err)
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+
+def test_evolve_opens_one_pool_per_campaign(tmp_path, monkeypatch):
+    pools = []
+    init = ProcessPoolExecutor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        pools.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "ga": {"generations": 3, "population_size": 4, "carry_overs": 2,
+               "runs": 2, "rng_seed": 7},
+        "arena": {"duration": 2.0},
+    }))
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        assert main(["evolve", "--config", str(path), "--jobs", jobs,
+                     "--out-dir", str(outs[jobs])]) == EXIT_OK
+    assert len(pools) == 1
+    for run in (0, 1):
+        name = f"history_run{run}.csv"
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
+
+# Config fuzz: a tiny valid evolve config with one or two fields swapped for
+# adversarial values. Every outcome must be an exit code with at most a
+# one-line message, never a traceback.
+FUZZ_BASE = {
+    "ga": {"generations": 2, "population_size": 4, "carry_overs": 2,
+           "runs": 1, "rng_seed": 3},
+    "arena": {"duration": 1.0},
+    "evaluation": {},
+}
+FUZZ_FIELDS = ([("ga", f.name) for f in dataclasses.fields(ga.GAConfig)]
+               + [("arena", f.name) for f in dataclasses.fields(arena.ArenaConfig)]
+               + [("evaluation", name) for name in
+                  ("behavior_map", "unimodal_optimum", "unimodal_width", "bogus")])
+ADVERSARIAL = [None, True, False, 0, -1, -2.5, 0.5, "nan", "NaN", "-inf", "x", "3",
+               [], {}, [1, 2], [[1.0, 2.0]], float("nan"), float("inf")]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(swaps=st.lists(st.tuples(st.sampled_from(FUZZ_FIELDS), st.sampled_from(ADVERSARIAL)),
+                      min_size=1, max_size=2),
+       objective=st.sampled_from(["movement", "division", "directionality"]))
+def _fuzz_evolve_config(swaps, objective):
+    cfg = json.loads(json.dumps(FUZZ_BASE))
+    for (section, key), value in swaps:
+        cfg[section][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        out_dir = Path(tmp) / "o"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["evolve", "--config", str(path), "--objective", objective,
+                       "--out-dir", str(out_dir)])
+        assert rc in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
+        assert "Traceback" not in err.getvalue()
+        if rc != EXIT_OK:
+            assert err.getvalue().count("\n") == 1
+        if rc == EXIT_USAGE:
+            assert not out_dir.exists()
+
+
+def test_evolve_config_fuzz():
+    t0 = time.monotonic()
+    _fuzz_evolve_config()
+    assert time.monotonic() - t0 < 30.0

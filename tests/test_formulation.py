@@ -82,6 +82,9 @@ def test_oil_table_rows():
     assert dodecane.viscosity == 1.383
     dep = oil_lookup("DEP")
     assert (dep.density, dep.surface_tension, dep.viscosity) == (1.12, 19.6, 10.625)
+    # The file is parsed once; each caller still gets a list of its own.
+    table.clear()
+    assert len(oil_table()) == 5
 
 
 def test_formulation_invariants():

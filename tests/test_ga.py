@@ -194,8 +194,8 @@ def test_run_ga_experiment_bookkeeping():
     cfg = GAConfig()
     total_recipes = cfg.recipes_per_run * cfg.runs
     assert total_recipes == 675
-    assert total_recipes * cfg.replicates_per_recipe == 2025
-    assert total_recipes * cfg.replicates_per_recipe * 4 == 8100
+    assert total_recipes * ga.REPLICATES == 2025
+    assert total_recipes * ga.REPLICATES * 4 == 8100
 
 
 def test_run_ga_single_generation():

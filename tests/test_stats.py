@@ -7,6 +7,9 @@ against a brute-force reference implementation.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -74,6 +77,38 @@ def test_anova_matches_scipy():
         ref = scipy.stats.f_oneway(*groups)
         assert F == pytest.approx(ref.statistic, rel=1e-10)
         assert p == pytest.approx(ref.pvalue, rel=1e-10)
+
+
+def test_p_values_equal_scipy_stats_distributions():
+    # stats takes its reference distributions from scipy.special; they must
+    # give the very bits scipy.stats' f.sf and norm.sf give.
+    rng = np.random.default_rng(2)
+    for _ in range(300):
+        groups = [rng.normal(loc=rng.uniform(-1, 1), scale=rng.uniform(0.1, 3),
+                             size=rng.integers(2, 40))
+                  for _ in range(rng.integers(2, 8))]
+        F, p = anova_oneway([gs(i + 1, g) for i, g in enumerate(groups)])
+        df_within = sum(map(len, groups)) - len(groups)
+        assert p == float(scipy.stats.f.sf(F, len(groups) - 1, df_within))
+    for _ in range(300):
+        n = int(rng.integers(3, 30))
+        x = rng.integers(0, 8, size=n).astype(float)
+        y = rng.normal(size=n) + rng.uniform(-1, 1) * x
+        if len(set(x)) == 1:
+            continue
+        _, z, p = kendall_tau(x, y)
+        assert p == float(2.0 * scipy.stats.norm.sf(abs(z)))
+
+
+def test_importing_the_cli_skips_scipy_stats():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, dropevo.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_anova_degenerate_cases():
