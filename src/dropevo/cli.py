@@ -244,42 +244,48 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 # gcode
 
-def cmd_gcode(args) -> int:
-    layout = (gcode.StageLayout.from_json(Path(args.layout).read_text())
-              if args.layout else gcode.default_layout())
-    if args.gcode_cmd == "compile":
-        parts = []
-        if args.formulation:
-            props = normalize([float(v) for v in args.formulation.split(",")])
-            parts.append(gcode.compile_experiment(props, layout))
-        if args.cleaning:
-            parts.append(gcode.compile_cleaning_cycle(layout))
-        if not parts:
-            raise UsageError("gcode compile needs --formulation and/or --cleaning")
-        program = "".join(parts)
-        if args.output:
-            Path(args.output).write_text(program)
-        else:
-            sys.stdout.write(program)
-        return EXIT_OK
-    if args.gcode_cmd == "parse":
-        failures = 0
-        for path in args.files:
-            errors = gcode.check_program(Path(path).read_text())
-            for err in errors:
-                print(f"{path}: {err}", file=sys.stderr)
-            failures += len(errors)
-        print(f"{len(args.files)} file(s), {failures} error(s)")
-        return EXIT_OK if failures == 0 else EXIT_DATA
-    if args.gcode_cmd == "exec":
-        robot = gcode.VirtualRobot(layout=layout)
-        for path in args.files:
-            robot.execute(Path(path).read_text())
-        sys.stdout.write(robot.state.to_json())
-        if args.out_dir:
-            _write(Path(args.out_dir), "events.csv", robot.events_csv())
-        return EXIT_OK
-    raise UsageError(f"unknown gcode subcommand {args.gcode_cmd!r}")
+def _layout(args) -> gcode.StageLayout:
+    if args.layout is None:
+        return gcode.default_layout()
+    return gcode.StageLayout.from_json(Path(args.layout).read_text())
+
+
+def cmd_gcode_compile(args) -> int:
+    if not (args.formulation or args.cleaning):
+        raise UsageError("gcode compile needs --formulation and/or --cleaning")
+    layout = _layout(args)
+    program = ""
+    if args.formulation:
+        props = normalize([float(v) for v in args.formulation.split(",")])
+        program += gcode.compile_experiment(props, layout)
+    if args.cleaning:
+        program += gcode.compile_cleaning_cycle(layout)
+    if args.output:
+        Path(args.output).write_text(program)
+    else:
+        sys.stdout.write(program)
+    return EXIT_OK
+
+
+def cmd_gcode_parse(args) -> int:
+    failures = 0
+    for path in args.files:
+        errors = gcode.check_program(Path(path).read_text())
+        for err in errors:
+            print(f"{path}: {err}", file=sys.stderr)
+        failures += len(errors)
+    print(f"{len(args.files)} file(s), {failures} error(s)")
+    return EXIT_OK if failures == 0 else EXIT_DATA
+
+
+def cmd_gcode_exec(args) -> int:
+    robot = gcode.VirtualRobot(layout=_layout(args))
+    for path in args.files:
+        robot.execute(Path(path).read_text())
+    sys.stdout.write(robot.state.to_json())
+    if args.out_dir:
+        _write(Path(args.out_dir), "events.csv", robot.events_csv())
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--cleaning", action="store_true")
     pc.add_argument("--layout", default=None)
     pc.add_argument("--output", "-o", default=None)
-    pc.set_defaults(func=cmd_gcode)
+    pc.set_defaults(func=cmd_gcode_compile)
     pp = gsub.add_parser("parse")
     pp.add_argument("files", nargs="+")
-    pp.add_argument("--layout", default=None)
-    pp.set_defaults(func=cmd_gcode)
+    pp.set_defaults(func=cmd_gcode_parse)
     pe = gsub.add_parser("exec")
     pe.add_argument("files", nargs="+")
     pe.add_argument("--layout", default=None)
     pe.add_argument("--out-dir", default=None)
-    pe.set_defaults(func=cmd_gcode)
+    pe.set_defaults(func=cmd_gcode_exec)
     return parser
 
 

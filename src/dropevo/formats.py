@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .gcode import StageLayout, check_program
+from .gcode import GcodeError, StageLayout, check_program
 
 
 class UnknownFormat(KeyError):
@@ -131,7 +131,7 @@ CSV_FORMATS = {
 def _validate_layout(text: str) -> list[str]:
     try:
         layout = StageLayout.from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
+    except GcodeError as exc:
         return [f"not a layout config: {exc}"]
     violations = []
     xmax, ymax = layout.bounds_mm

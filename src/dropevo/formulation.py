@@ -37,9 +37,9 @@ class NegativeComponentError(FormulationError):
     """A raw component is negative."""
 
 
-def check_number(name: str, value, minimum=None, *, integer=False, strict=False) -> None:
-    """Raise ValueError unless `value` (any JSON value) is a finite number,
-    not a bool, an integer if `integer`, and >= minimum (> if `strict`)."""
+def check_number(name: str, value, minimum=None, *, integer=False, strict=False):
+    """`value`; ValueError unless it (any JSON value) is a finite number, not
+    a bool, an integer if `integer`, and >= minimum (> if `strict`)."""
     ok = (isinstance(value, numbers.Integral if integer else numbers.Real)
           and not isinstance(value, bool) and math.isfinite(value))
     if ok and minimum is not None:
@@ -48,6 +48,7 @@ def check_number(name: str, value, minimum=None, *, integer=False, strict=False)
         bound = "" if minimum is None else f" {'>' if strict else '>='} {minimum}"
         raise ValueError(f"{name} must be {'an integer' if integer else 'a finite number'}"
                          f"{bound}, got {value!r}")
+    return value
 
 
 def check_vector(name: str, values, length: int) -> tuple:
@@ -119,8 +120,8 @@ class Formulation:
         p = np.asarray(self.proportions, dtype=float)
         if p.shape != (GENOME_LENGTH,):
             raise FormulationError(f"expected {GENOME_LENGTH} proportions, got {p.shape}")
-        if np.any(p < 0) or np.any(p > 1):
-            raise FormulationError("proportions must lie in [0, 1]")
+        if not np.all((p >= 0) & (p <= 1)):   # also rejects NaN
+            raise FormulationError(f"proportions must lie in [0, 1], got {p.tolist()}")
         if abs(p.sum() - 1.0) > 1e-12:
             raise FormulationError(f"proportions sum to {p.sum()!r}, not 1")
 
@@ -131,12 +132,15 @@ class Formulation:
 def normalize(raw) -> Formulation:
     """Scale four nonnegative components so they sum to 1.
 
-    Raises AllZeroError if every component is 0 and NegativeComponentError
-    if any component is negative.
+    Raises AllZeroError if every component is 0, NegativeComponentError
+    if any component is negative and FormulationError if any is NaN or
+    infinite.
     """
     r = np.asarray(raw, dtype=float)
     if r.shape != (GENOME_LENGTH,):
         raise FormulationError(f"expected {GENOME_LENGTH} components, got {r.shape}")
+    if not np.isfinite(r).all():
+        raise FormulationError(f"non-finite component in {r.tolist()}")
     if np.any(r < 0):
         raise NegativeComponentError(f"negative component in {r.tolist()}")
     total = r.sum()
@@ -150,6 +154,6 @@ def normalize(raw) -> Formulation:
     return Formulation(tuple((r / total).tolist()))
 
 
-def well_volumes(f: Formulation, total: float = WELL_TOTAL_UL) -> np.ndarray:
-    """Per-oil volumes (uL) for a mixing well holding `total` uL."""
-    return f.as_array() * total
+def well_volumes(f: Formulation) -> np.ndarray:
+    """Per-oil volumes (uL) for a mixing well holding WELL_TOTAL_UL."""
+    return f.as_array() * WELL_TOTAL_UL

@@ -26,7 +26,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .formulation import DEFAULT_OIL_ORDER, Formulation, well_volumes
+from .formulation import (DEFAULT_OIL_ORDER, Formulation, check_number, check_vector,
+                          well_volumes)
 
 PUMP_MAX_STEPS = 50000
 COORD_STEP_MM = 0.1
@@ -36,7 +37,7 @@ SYRINGE_CAPACITY_UL = 100.0       # carriage servo syringe (Hamilton 100 uL)
 APPARATUS_TOLERANCE_MM = 0.5
 VALVE_TURN_STEPS = 100
 VALVE_SPEED_MS = 5
-DEFAULT_PUMP_SPEED_MS = 2
+PUMP_SPEED_MS = 2
 
 EXPERIMENT_ASPIRATE_UL = 80.0
 DROPLET_UL = 5.0
@@ -48,23 +49,20 @@ DISH_AQUEOUS_RETAINED_UL = 100.0  # drain dead volume, aqueous phase only
 
 
 class GcodeError(Exception):
-    pass
+    """A stage, compile or parse error; a known `line_no` prefixes the
+    message as 'line N: '."""
+
+    def __init__(self, message, line_no=None):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
+        self.line_no = line_no
 
 
 class PumpSyntaxError(GcodeError):
-    def __init__(self, message, line_no=None):
-        where = f"line {line_no}: " if line_no is not None else ""
-        super().__init__(f"{where}{message}")
-        self.line_no = line_no
+    pass
 
 
 class PumpRangeError(GcodeError):
-    def __init__(self, fld, value, message, line_no=None):
-        where = f"line {line_no}: " if line_no is not None else ""
-        super().__init__(f"{where}{fld}={value}: {message}")
-        self.field = fld
-        self.value = value
-        self.line_no = line_no
+    pass
 
 
 class OutOfBounds(GcodeError):
@@ -93,17 +91,15 @@ class PumpInstruction:
     steps: int       # B in [0..50000]
 
     def __post_init__(self):
-        checks = [
-            ("X", self.pump, 0 <= self.pump <= 6, "valid pumps are 0..6"),
-            ("Y", self.motor, self.motor in (0, 1), "motor select is 0 or 1"),
-            ("Z", self.direction, self.direction in (0, 1), "direction is 0 or 1"),
-            ("A", self.speed_ms, self.speed_ms > 0, "speed must be > 0 ms"),
-            ("B", self.steps, 0 <= self.steps <= PUMP_MAX_STEPS,
-             f"steps limited to {PUMP_MAX_STEPS}"),
-        ]
-        for fld, value, ok, msg in checks:
+        for fld, value, ok, msg in (
+                ("X", self.pump, 0 <= self.pump <= 6, "valid pumps are 0..6"),
+                ("Y", self.motor, self.motor in (0, 1), "motor select is 0 or 1"),
+                ("Z", self.direction, self.direction in (0, 1), "direction is 0 or 1"),
+                ("A", self.speed_ms, self.speed_ms > 0, "speed must be > 0 ms"),
+                ("B", self.steps, 0 <= self.steps <= PUMP_MAX_STEPS,
+                 f"steps limited to {PUMP_MAX_STEPS}")):
             if not ok:
-                raise PumpRangeError(fld, value, msg)
+                raise PumpRangeError(f"{fld}={value}: {msg}")
 
     def serialize(self) -> str:
         return f"P{self.pump} M{self.motor} D{self.direction} S{self.speed_ms} E{self.steps}"
@@ -121,7 +117,7 @@ def parse_pump_line(line: str, line_no: int | None = None) -> PumpInstruction:
     try:
         return PumpInstruction(*(int(g) for g in m.groups()))
     except PumpRangeError as exc:
-        raise PumpRangeError(exc.field, exc.value, "out of range", line_no) from exc
+        raise PumpRangeError(str(exc), line_no) from None
 
 
 # ---------------------------------------------------------------------------
@@ -159,21 +155,37 @@ class StageLayout:
 
     @classmethod
     def from_json(cls, text: str) -> "StageLayout":
-        d = json.loads(text)
-        d["bounds_mm"] = tuple(d["bounds_mm"])
-        d["locations"] = {k: tuple(v) for k, v in d["locations"].items()}
-        d["apparatus_offsets"] = {k: tuple(v) for k, v in d["apparatus_offsets"].items()}
-        d["pump_ports"] = {int(k): {int(p): n for p, n in v.items()}
-                           for k, v in d["pump_ports"].items()}
-        d["pump_syringe_ml"] = {int(k): v for k, v in d["pump_syringe_ml"].items()}
+        """Inverse of to_json; GcodeError names the field of a malformed layout."""
+        points = lambda v: {k: check_vector(f"point {k!r}", p, 2) for k, p in v.items()}
+        required = {
+            "bounds_mm": lambda v: check_vector("bounds", v, 2),
+            "locations": points, "apparatus_offsets": points,
+            "pump_ports": lambda v: {int(k): {int(p): n for p, n in ports.items()}
+                                     for k, ports in v.items()},
+            "pump_syringe_ml": lambda v: {int(k): check_number("barrel mL", ml, 0, strict=True)
+                                          for k, ml in v.items()},
+        }
+        name = "file"
+        try:
+            d = json.loads(text)
+            if not isinstance(d, dict):
+                raise ValueError("top level must be an object")
+            missing = sorted(required.keys() - d.keys())
+            unknown = sorted(d.keys() - cls.__dataclass_fields__.keys())
+            if missing or unknown:
+                raise ValueError(f"missing fields {missing}, unknown fields {unknown}")
+            for name, convert in required.items():
+                d[name] = convert(d[name])
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise GcodeError(f"layout {name}: {exc}") from exc
         return cls(**d)
 
 
-def default_layout(oil_order=DEFAULT_OIL_ORDER) -> StageLayout:
+def default_layout() -> StageLayout:
     """Standard stage: mixing well at centre, dish with the four droplet
     points, waste dish, and seven pumps (0-3 oils, 4 aqueous, 5 acetone in,
     6 acetone out)."""
-    oil_liquids = [f"oil:{name}" for name in oil_order]
+    oil_liquids = [f"oil:{name}" for name in DEFAULT_OIL_ORDER]
     locations = {
         "mixing_well": (250.0, 200.0),
         "dish_center": (120.0, 200.0),
@@ -251,7 +263,6 @@ class PumpTransfer:
     pump: int
     volume_ml: float
     direction: int          # 0 draw through current port, 1 expel
-    speed_ms: int = DEFAULT_PUMP_SPEED_MS
 
 
 @dataclass(frozen=True)
@@ -286,16 +297,12 @@ def compile_ops(ops, layout: StageLayout) -> str:
             lines.append(f"M10 S{op.syringe}")
         elif isinstance(op, RaiseSyringe):
             lines.append(f"M11 S{op.syringe}")
-        elif isinstance(op, Aspirate):
+        elif isinstance(op, (Aspirate, Dispense)):
+            code, verb = (12, "aspirate") if isinstance(op, Aspirate) else (13, "dispense")
             if op.volume_ul < 0:
-                raise GcodeError("aspirate volume must be >= 0")
+                raise GcodeError(f"{verb} volume must be >= 0")
             if op.volume_ul > 0:
-                lines.append(f"M12 S{op.syringe} V{op.volume_ul:.1f}")
-        elif isinstance(op, Dispense):
-            if op.volume_ul < 0:
-                raise GcodeError("dispense volume must be >= 0")
-            if op.volume_ul > 0:
-                lines.append(f"M13 S{op.syringe} V{op.volume_ul:.1f}")
+                lines.append(f"M{code} S{op.syringe} V{op.volume_ul:.1f}")
         elif isinstance(op, Stir):
             lines.append("M15" if op.on else "M16")
         elif isinstance(op, Valve):
@@ -305,55 +312,43 @@ def compile_ops(ops, layout: StageLayout) -> str:
             cal = layout.pump_calibration_ul_per_step(op.pump)
             steps = int(round(op.volume_ml * 1000.0 / cal))
             if steps > PUMP_MAX_STEPS:
-                raise PumpRangeError("E", steps,
-                                     f"{op.volume_ml} mL exceeds one barrel stroke")
+                raise PumpRangeError(f"E={steps}: {op.volume_ml} mL exceeds one barrel stroke")
             if steps > 0:
                 lines.append(PumpInstruction(op.pump, 0, op.direction,
-                                             op.speed_ms, steps).serialize())
+                                             PUMP_SPEED_MS, steps).serialize())
         else:
             raise GcodeError(f"unknown lab operation {op!r}")
     return "".join(line + "\n" for line in lines)
 
 
-def compile_experiment(f: Formulation, layout: StageLayout | None = None,
-                       total_ul: float = 360.0) -> str:
+def _transfer(pump: int, volume_ml: float) -> list:
+    """Draw `volume_ml` through valve port 0 and push it out through port 1."""
+    return [Valve(pump, 0), PumpTransfer(pump, volume_ml, 0),
+            Valve(pump, 1), PumpTransfer(pump, volume_ml, 1)]
+
+
+def _syringe_at(point, *actions) -> list:
+    """Move the syringe over `point`, lower it, do `actions`, raise it."""
+    return [MoveTo(*point), LowerSyringe(0), *actions, RaiseSyringe(0)]
+
+
+def compile_experiment(f: Formulation, layout: StageLayout | None = None) -> str:
     """Mix one well per the formulation, stir, draw 80 uL and place four
     5 uL droplets, raising the syringe after each; leftover goes to waste."""
     if layout is None:
         layout = default_layout()
-    ops = [MoveTo(*layout.locations["mixing_well"], apparatus="pump_tube")]
-    for pump, vol in enumerate(well_volumes(f, total_ul)):
-        if vol <= 0:
-            continue
-        ops += [Valve(pump, 0), PumpTransfer(pump, vol / 1000.0, 0),
-                Valve(pump, 1), PumpTransfer(pump, vol / 1000.0, 1)]
+    at = layout.locations
+    ops = [MoveTo(*at["mixing_well"], apparatus="pump_tube")]
+    for pump, vol in enumerate(well_volumes(f)):
+        if vol > 0:
+            ops += _transfer(pump, vol / 1000.0)
     ops += [Stir(True), Stir(False)]
-    ops += [MoveTo(*layout.locations["mixing_well"]), LowerSyringe(0),
-            Aspirate(0, EXPERIMENT_ASPIRATE_UL), RaiseSyringe(0)]
+    ops += _syringe_at(at["mixing_well"], Aspirate(0, EXPERIMENT_ASPIRATE_UL))
     for k in range(1, 5):
-        ops += [MoveTo(*layout.locations[f"drop_{k}"]), LowerSyringe(0),
-                Dispense(0, DROPLET_UL), RaiseSyringe(0)]
+        ops += _syringe_at(at[f"drop_{k}"], Dispense(0, DROPLET_UL))
     leftover = EXPERIMENT_ASPIRATE_UL - 4 * DROPLET_UL
-    ops += [MoveTo(*layout.locations["waste"]), LowerSyringe(0),
-            Dispense(0, leftover), RaiseSyringe(0)]
+    ops += _syringe_at(at["waste"], Dispense(0, leftover))
     return compile_ops(ops, layout)
-
-
-def _wash(pump: int, volume_ml: float, layout: StageLayout) -> list:
-    return [MoveTo(*layout.locations["dish_center"], apparatus="pump_tube"),
-            Valve(pump, 0), PumpTransfer(pump, volume_ml, 0),
-            Valve(pump, 1), PumpTransfer(pump, volume_ml, 1)]
-
-
-def _drain(layout: StageLayout) -> list:
-    return [Valve(6, 0), PumpTransfer(6, DRAIN_DISPLACEMENT_ML, 0),
-            Valve(6, 1), PumpTransfer(6, DRAIN_DISPLACEMENT_ML, 1)]
-
-
-def _needle_dip(layout: StageLayout) -> list:
-    return [MoveTo(*layout.locations["dish_center"]), LowerSyringe(0),
-            Aspirate(0, NEEDLE_DIP_UL), Dispense(0, NEEDLE_DIP_UL),
-            RaiseSyringe(0)]
 
 
 def compile_cleaning_cycle(layout: StageLayout | None = None) -> str:
@@ -362,15 +357,15 @@ def compile_cleaning_cycle(layout: StageLayout | None = None) -> str:
     is drained to waste after every wash."""
     if layout is None:
         layout = default_layout()
+    dish = layout.locations["dish_center"]
+    dip = _syringe_at(dish, Aspirate(0, NEEDLE_DIP_UL), Dispense(0, NEEDLE_DIP_UL))
+    washes = [(5, vol) for vol in ACETONE_WASHES_ML] + [(4, vol) for vol in AQUEOUS_WASHES_ML]
     ops = []
-    for k, vol in enumerate(ACETONE_WASHES_ML):
-        ops += _wash(5, vol, layout)
+    for k, (pump, vol) in enumerate(washes):
+        ops += [MoveTo(*dish, apparatus="pump_tube"), *_transfer(pump, vol)]
         if k < 2:
-            ops += _needle_dip(layout)
-        ops += _drain(layout)
-    for vol in AQUEOUS_WASHES_ML:
-        ops += _wash(4, vol, layout)
-        ops += _drain(layout)
+            ops += dip
+        ops += _transfer(6, DRAIN_DISPLACEMENT_ML)
     return compile_ops(ops, layout)
 
 
@@ -396,10 +391,8 @@ def parse_line(line: str, line_no: int = 0) -> ParsedLine | None:
         return None
     if body.startswith("P"):
         return ParsedLine(line_no, "pump", (parse_pump_line(body, line_no),))
-    if body == "M15":
-        return ParsedLine(line_no, "stir_on")
-    if body == "M16":
-        return ParsedLine(line_no, "stir_off")
+    if body in ("M15", "M16"):
+        return ParsedLine(line_no, "stir_on" if body == "M15" else "stir_off")
     m = _G1_RE.match(body)
     if m:
         return ParsedLine(line_no, "move", (float(m.group(1)), float(m.group(2))))
@@ -418,12 +411,8 @@ def parse_line(line: str, line_no: int = 0) -> ParsedLine | None:
 
 
 def parse_program(text: str) -> list[ParsedLine]:
-    out = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        parsed = parse_line(line, line_no)
-        if parsed is not None:
-            out.append(parsed)
-    return out
+    parsed = (parse_line(line, n) for n, line in enumerate(text.splitlines(), start=1))
+    return [p for p in parsed if p is not None]
 
 
 def check_program(text: str) -> list[str]:
@@ -444,7 +433,6 @@ def check_program(text: str) -> list[str]:
 class SyringeState:
     contents: dict = field(default_factory=dict)   # liquid -> uL
     lowered: bool = False
-    capacity_ul: float = SYRINGE_CAPACITY_UL
 
     @property
     def volume_ul(self) -> float:
@@ -523,8 +511,6 @@ class VirtualRobot:
         self.state = state if state is not None else VirtualState.initial(self.layout)
         self.events: list[tuple] = []
 
-    # -- helpers ------------------------------------------------------------
-
     def _vessel_at_carriage(self, pc: int) -> str:
         cx, cy = self.state.carriage
         for name, (lx, ly) in self.layout.locations.items():
@@ -536,36 +522,44 @@ class VirtualRobot:
     def _log(self, pc, event, vessel, delta_ul):
         self.events.append((self.state.time_ms, pc, event, vessel, delta_ul))
 
-    def _draw_from_vessel(self, vessel: str, volume: float, pc: int) -> dict:
+    def _draw(self, pc, event, vessel: str, volume: float, into: dict) -> None:
+        """Move `volume` uL from `vessel` into a syringe or pump barrel."""
         contents = self.state.vessels[vessel]
         retained = self.layout.vessel_retained_ul.get(vessel, {})
         if sum(contents.values()) <= 0:
             raise StateFault(f"aspirating from empty vessel {vessel!r}", pc)
         if not retained:
-            return _mix_out(contents, volume)
-        # Liquids with a retained dead volume (the standing aqueous phase)
-        # are drawn last and never below their dead volume; everything else
-        # (solvated oil and solvent) comes out first.
-        loose_keys = [liq for liq in contents if liq not in retained]
-        loose = {liq: contents[liq] for liq in loose_keys}
-        taken = _mix_out(loose, volume)
-        for liq in loose_keys:
-            if loose.get(liq, 0.0) <= 1e-12:
-                del contents[liq]
-            else:
-                contents[liq] = loose[liq]
-        remaining = volume - sum(taken.values())
-        if remaining > 1e-12:
-            for liq, dead in retained.items():
-                avail = max(0.0, contents.get(liq, 0.0) - dead)
-                amount = min(avail, remaining)
-                if amount > 0:
-                    contents[liq] -= amount
-                    taken[liq] = taken.get(liq, 0.0) + amount
-                    remaining -= amount
-        return taken
+            taken = _mix_out(contents, volume)
+        else:
+            # Liquids with a retained dead volume (the standing aqueous phase)
+            # are drawn last and never below their dead volume; everything
+            # else (solvated oil and solvent) comes out first.
+            loose = {liq: v for liq, v in contents.items() if liq not in retained}
+            taken = _mix_out(loose, volume)
+            for liq in contents.keys() - retained.keys():
+                if loose.get(liq, 0.0) <= 1e-12:
+                    del contents[liq]
+                else:
+                    contents[liq] = loose[liq]
+            remaining = volume - sum(taken.values())
+            if remaining > 1e-12:
+                for liq, dead in retained.items():
+                    avail = max(0.0, contents.get(liq, 0.0) - dead)
+                    amount = min(avail, remaining)
+                    if amount > 0:
+                        contents[liq] -= amount
+                        taken[liq] = taken.get(liq, 0.0) + amount
+                        remaining -= amount
+        _mix_in(into, taken)
+        self._log(pc, event, vessel, -sum(taken.values()))
 
-    # -- instruction semantics ----------------------------------------------
+    def _push(self, pc, event, vessel: str, volume: float, source: dict) -> None:
+        """Move `volume` uL from a syringe or pump barrel into `vessel`."""
+        given = _mix_out(source, volume)
+        _mix_in(self.state.vessels[vessel], given)
+        self._log(pc, event, vessel, sum(given.values()))
+
+    # -- instruction semantics, one method per ParsedLine.kind ----------------
 
     def _exec_move(self, pc, x, y):
         cx, cy = self.state.carriage
@@ -573,39 +567,41 @@ class VirtualRobot:
         self.state.carriage = (x, y)
         self._log(pc, "move", "", 0.0)
 
-    def _exec_servo(self, pc, kind, args):
-        syringe = self.state.syringes.setdefault(args[0], SyringeState())
-        self.state.time_ms += SERVO_ACTION_MS
-        if kind == "lower":
-            syringe.lowered = True
-            self._log(pc, "lower", "", 0.0)
-        elif kind == "raise":
-            syringe.lowered = False
-            self._log(pc, "raise", "", 0.0)
-        elif kind == "aspirate":
-            volume = args[1]
-            if not syringe.lowered:
-                raise StateFault("aspirate with syringe raised", pc)
-            if syringe.volume_ul + volume > syringe.capacity_ul + 1e-9:
-                raise StateFault("syringe plunger over-travel", pc)
-            vessel = self._vessel_at_carriage(pc)
-            taken = self._draw_from_vessel(vessel, volume, pc)
-            _mix_in(syringe.contents, taken)
-            self._log(pc, "aspirate", vessel, -sum(taken.values()))
-        elif kind == "dispense":
-            volume = args[1]
-            if not syringe.lowered:
-                raise StateFault("dispense with syringe raised", pc)
-            if syringe.volume_ul + 1e-9 < volume:
-                raise StateFault("dispensing more than the syringe holds", pc)
-            vessel = self._vessel_at_carriage(pc)
-            given = _mix_out(syringe.contents, volume)
-            _mix_in(self.state.vessels[vessel], given)
-            self._log(pc, "dispense", vessel, sum(given.values()))
+    def _exec_stir_on(self, pc):
+        self.state.stirring = True
+        self._log(pc, "stir_on", "", 0.0)
 
-    def _port_vessel(self, pump: int, pc: int) -> str:
-        target = self.layout.pump_ports[pump][self.state.pumps[pump].valve_port]
-        return self._vessel_at_carriage(pc) if target == "carriage" else target
+    def _exec_stir_off(self, pc):
+        self.state.stirring = False
+        self._log(pc, "stir_off", "", 0.0)
+
+    def _servo(self, syringe: int) -> SyringeState:
+        self.state.time_ms += SERVO_ACTION_MS
+        return self.state.syringes.setdefault(syringe, SyringeState())
+
+    def _exec_lower(self, pc, syringe):
+        self._servo(syringe).lowered = True
+        self._log(pc, "lower", "", 0.0)
+
+    def _exec_raise(self, pc, syringe):
+        self._servo(syringe).lowered = False
+        self._log(pc, "raise", "", 0.0)
+
+    def _exec_aspirate(self, pc, syringe, volume):
+        held = self._servo(syringe)
+        if not held.lowered:
+            raise StateFault("aspirate with syringe raised", pc)
+        if held.volume_ul + volume > SYRINGE_CAPACITY_UL + 1e-9:
+            raise StateFault("syringe plunger over-travel", pc)
+        self._draw(pc, "aspirate", self._vessel_at_carriage(pc), volume, held.contents)
+
+    def _exec_dispense(self, pc, syringe, volume):
+        held = self._servo(syringe)
+        if not held.lowered:
+            raise StateFault("dispense with syringe raised", pc)
+        if held.volume_ul + 1e-9 < volume:
+            raise StateFault("dispensing more than the syringe holds", pc)
+        self._push(pc, "dispense", self._vessel_at_carriage(pc), volume, held.contents)
 
     def _exec_pump(self, pc, instr: PumpInstruction):
         pump = self.state.pumps[instr.pump]
@@ -614,39 +610,21 @@ class VirtualRobot:
             pump.valve_port = instr.direction
             self._log(pc, "valve", "", 0.0)
             return
-        cal = self.layout.pump_calibration_ul_per_step(instr.pump)
-        vessel = self._port_vessel(instr.pump, pc)
-        if instr.direction == 0:
-            if pump.position_steps + instr.steps > PUMP_MAX_STEPS:
-                raise StateFault(f"pump {instr.pump} plunger over-travel", pc)
-            pump.position_steps += instr.steps
-            taken = self._draw_from_vessel(vessel, instr.steps * cal, pc)
-            _mix_in(pump.contents, taken)
-            self._log(pc, "pump_draw", vessel, -sum(taken.values()))
+        volume = instr.steps * self.layout.pump_calibration_ul_per_step(instr.pump)
+        target = self.layout.pump_ports[instr.pump][pump.valve_port]
+        vessel = self._vessel_at_carriage(pc) if target == "carriage" else target
+        travel = -instr.steps if instr.direction else instr.steps
+        if not 0 <= pump.position_steps + travel <= PUMP_MAX_STEPS:
+            raise StateFault(f"pump {instr.pump} plunger over-travel", pc)
+        pump.position_steps += travel
+        if instr.direction:
+            self._push(pc, "pump_push", vessel, volume, pump.contents)
         else:
-            if pump.position_steps - instr.steps < 0:
-                raise StateFault(f"pump {instr.pump} plunger over-travel", pc)
-            pump.position_steps -= instr.steps
-            given = _mix_out(pump.contents, instr.steps * cal)
-            _mix_in(self.state.vessels[vessel], given)
-            self._log(pc, "pump_push", vessel, sum(given.values()))
-
-    # -- program execution ---------------------------------------------------
+            self._draw(pc, "pump_draw", vessel, volume, pump.contents)
 
     def execute(self, program: str) -> VirtualState:
         for pc, parsed in enumerate(parse_program(program)):
-            if parsed.kind == "move":
-                self._exec_move(pc, *parsed.args)
-            elif parsed.kind in ("lower", "raise", "aspirate", "dispense"):
-                self._exec_servo(pc, parsed.kind, parsed.args)
-            elif parsed.kind == "stir_on":
-                self.state.stirring = True
-                self._log(pc, "stir_on", "", 0.0)
-            elif parsed.kind == "stir_off":
-                self.state.stirring = False
-                self._log(pc, "stir_off", "", 0.0)
-            elif parsed.kind == "pump":
-                self._exec_pump(pc, parsed.args[0])
+            getattr(self, f"_exec_{parsed.kind}")(pc, *parsed.args)
         return self.state
 
     def events_csv(self) -> str:
@@ -654,20 +632,3 @@ class VirtualRobot:
         lines += [f"{t!r},{pc},{event},{vessel},{delta!r}"
                   for t, pc, event, vessel, delta in self.events]
         return "".join(line + "\n" for line in lines)
-
-
-def execute(program: str, layout: StageLayout | None = None,
-            state: VirtualState | None = None) -> tuple[VirtualState, list]:
-    """Run a program on a fresh (or supplied) virtual robot."""
-    robot = VirtualRobot(layout=layout, state=state)
-    robot.execute(program)
-    return robot.state, robot.events
-
-
-def execute_ops(ops, layout: StageLayout | None = None,
-                state: VirtualState | None = None) -> tuple[VirtualState, list]:
-    """Direct execution of a lab-operation list (compiles internally, so the
-    0.1 mm quantization applies identically)."""
-    if layout is None:
-        layout = default_layout()
-    return execute(compile_ops(ops, layout), layout=layout, state=state)

@@ -151,17 +151,17 @@ def _amalgamated_generations(histories) -> list[GenerationSample]:
     return [GenerationSample(g, pooled[g]) for g in sorted(pooled)]
 
 
-def _top_half_or_none(sample: GenerationSample):
-    kept = top_half(sample)
-    return None if kept.degenerate else kept
-
-
-def _anova_entry(a, b) -> dict:
+def _entry(keys, test, *args) -> dict:
+    """`test(*args)` as a dict under `keys`; any StatsError (too few values,
+    zero variance, all ties) marks the test degenerate instead."""
     try:
-        F, p = anova_oneway([a, b])
-        return {"F": F, "p": p, "degenerate": False}
-    except (StatsError, TypeError):
-        return {"F": None, "p": None, "degenerate": True}
+        return {**dict(zip(keys, test(*args))), "degenerate": False}
+    except StatsError:
+        return {**dict.fromkeys(keys), "degenerate": True}
+
+
+def _tophalf_anova(a: GenerationSample, b: GenerationSample):
+    return anova_oneway([top_half(a), top_half(b)])
 
 
 def trajectory_report(histories, alpha: float = 0.05) -> dict:
@@ -172,34 +172,17 @@ def trajectory_report(histories, alpha: float = 0.05) -> dict:
     gens = _amalgamated_generations(histories)
     first, last = gens[0], gens[-1]
     mid = gens[len(gens) // 2] if len(gens) > 2 else gens[0]
-
-    th_first, th_mid, th_last = map(_top_half_or_none, (first, mid, last))
-    report = {
-        "first_vs_last_tophalf": (_anova_entry(th_first, th_last)
-                                  if th_first and th_last
-                                  else {"F": None, "p": None, "degenerate": True}),
-        "mid_vs_last_tophalf": (_anova_entry(th_mid, th_last)
-                                if th_mid and th_last
-                                else {"F": None, "p": None, "degenerate": True}),
-        "mid_generation": mid.generation,
-    }
-
-    # All generations as a categorical factor.
-    try:
-        F, p = anova_oneway(gens)
-        report["all_generations"] = {"F": F, "p": p, "degenerate": False}
-    except DegenerateVariance:
-        report["all_generations"] = {"F": None, "p": None, "degenerate": True}
-
     # Kendall: fitness against generation, every individual a data point.
     xs = [g.generation for g in gens for _ in g.fitnesses]
     ys = [v for g in gens for v in g.fitnesses]
-    try:
-        tau, z, p = kendall_tau(xs, ys)
-        report["fitness_vs_generation"] = {"tau": tau, "z": z, "p": p, "degenerate": False}
-    except AllTied:
-        report["fitness_vs_generation"] = {"tau": None, "z": None, "p": None,
-                                           "degenerate": True}
+    report = {
+        "first_vs_last_tophalf": _entry(("F", "p"), _tophalf_anova, first, last),
+        "mid_vs_last_tophalf": _entry(("F", "p"), _tophalf_anova, mid, last),
+        "mid_generation": mid.generation,
+        # All generations as a categorical factor.
+        "all_generations": _entry(("F", "p"), anova_oneway, gens),
+        "fitness_vs_generation": _entry(("tau", "z", "p"), kendall_tau, xs, ys),
+    }
 
     # Holm across the two planned top-half comparisons.
     anova_ps = [report["first_vs_last_tophalf"], report["mid_vs_last_tophalf"]]

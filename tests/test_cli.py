@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -162,6 +163,37 @@ def test_gcode_compile_requires_something(capsys):
     assert main(["gcode", "compile"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("layout, problem", [
+    ("{}", "missing fields"),
+    ('{"bounds_mm": [1, 2], "locations": {"a": 1}}', "missing fields"),
+    ("[1]", "top level must be an object"),
+    ("not json", "Expecting value"),
+    ('{"bounds_mm": [500, 400], "locations": {"a": 1}, "apparatus_offsets": {},'
+     ' "pump_ports": {}, "pump_syringe_ml": {}}', "locations: point 'a' must be 2 numbers"),
+    ('{"bounds_mm": [500, 400], "locations": {}, "apparatus_offsets": {},'
+     ' "pump_ports": {}, "pump_syringe_ml": {"4": 0}}', "pump_syringe_ml"),
+])
+def test_gcode_malformed_layout_is_a_data_error(tmp_path, capsys, layout, problem):
+    path = tmp_path / "layout.json"
+    path.write_text(layout)
+    rc = main(["gcode", "compile", "--cleaning", "--layout", str(path)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: layout") and problem in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("formulation", ["inf,1,1,1", "nan,1,1,1", "1,1,1,-inf"])
+def test_gcode_non_finite_formulation_is_a_data_error(capsys, formulation):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["gcode", "compile", "--formulation", formulation])
+    assert rc == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: non-finite") and captured.err.count("\n") == 1
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "dropevo", "--help"],
                           capture_output=True, text=True)
@@ -179,6 +211,20 @@ def write_history(path, fitness=("1.0", "2.0", "3.0")):
             for k, f in enumerate(fitness)]
     path.write_text("\n".join([HISTORY_HEADER, *rows]) + "\n")
     return str(path)
+
+
+def test_analyze_single_generation(tmp_path):
+    # One generation: first, mid and last coincide, so every test in the
+    # report is degenerate and reported as such, never as NaN.
+    hist = write_history(tmp_path / "history.csv")
+    out_dir = tmp_path / "an"
+    assert main(["analyze", hist, "--out-dir", str(out_dir)]) == EXIT_OK
+    text = (out_dir / "report.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    report = json.loads(text)
+    for test in ("first_vs_last_tophalf", "mid_vs_last_tophalf", "all_generations",
+                 "fitness_vs_generation"):
+        assert report[test]["degenerate"] is True
 
 
 @pytest.mark.parametrize("resolution", ["1", "0", "-5"])

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from dropevo.formulation import (
     AllZeroError,
     Formulation,
+    FormulationError,
     NegativeComponentError,
     normalize,
     oil_lookup,
@@ -30,6 +31,14 @@ def test_normalize_errors():
         normalize([0, 0, 0, 0])
     with pytest.raises(NegativeComponentError):
         normalize([1, -0.1, 0, 0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_components_rejected(bad):
+    with pytest.raises(FormulationError, match="non-finite"):
+        normalize([bad, 1, 1, 1])
+    with pytest.raises(FormulationError, match=r"\[0, 1\]"):
+        Formulation((bad, 0.0, 0.0, 1.0))
 
 
 positive_raws = st.lists(

@@ -1,9 +1,9 @@
-import math
+import hashlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dropevo.formulation import Formulation
+from dropevo.formulation import Formulation, normalize
 from dropevo.gcode import (
     Aspirate,
     Dispense,
@@ -15,10 +15,8 @@ from dropevo.gcode import (
     PumpRangeError,
     PumpSyntaxError,
     PumpTransfer,
-    RaiseSyringe,
     StageLayout,
     StateFault,
-    Stir,
     UnknownApparatus,
     Valve,
     VirtualRobot,
@@ -28,8 +26,6 @@ from dropevo.gcode import (
     compile_experiment,
     compile_ops,
     default_layout,
-    execute,
-    execute_ops,
     parse_line,
     parse_program,
     parse_pump_line,
@@ -71,6 +67,10 @@ def test_pump_syntax_errors_positioned():
     with pytest.raises(PumpRangeError) as err:
         parse_pump_line("P0 M0 D0 S1 E99999", line_no=9)
     assert err.value.line_no == 9
+    # The positioned error keeps the field's own reason.
+    with pytest.raises(PumpRangeError) as err:
+        parse_pump_line("P9 M0 D0 S1 E1", line_no=3)
+    assert str(err.value) == "line 3: X=9: valid pumps are 0..6"
 
 
 @given(st.integers(0, 6), st.integers(0, 1), st.integers(0, 1),
@@ -182,6 +182,11 @@ def test_compile_experiment_skips_zero_components():
 # -------------------------------------------------------- virtual robot
 
 
+def run_ops(ops, layout, state=None):
+    """Compile `ops` and run them on a robot with a fresh (or the given) state."""
+    return VirtualRobot(layout, state).execute(compile_ops(ops, layout))
+
+
 def test_layout_json_round_trip():
     layout = default_layout()
     assert StageLayout.from_json(layout.to_json()) == layout
@@ -232,25 +237,30 @@ def test_state_faults():
     wx, wy = layout.locations["mixing_well"]
     # Aspirating with the syringe raised.
     with pytest.raises(StateFault):
-        execute_ops([MoveTo(wx, wy), Aspirate(0, 10.0)], layout)
+        run_ops([MoveTo(wx, wy), Aspirate(0, 10.0)], layout)
     # Dispensing more than the syringe holds.
     with pytest.raises(StateFault):
-        execute_ops([MoveTo(wx, wy), LowerSyringe(0), Dispense(0, 10.0)], layout)
+        run_ops([MoveTo(wx, wy), LowerSyringe(0), Dispense(0, 10.0)], layout)
     # Syringe over-capacity (100 uL barrel) from a non-empty well.
     state = VirtualState.initial(layout)
     state.vessels["well"]["aqueous"] = 500.0
     with pytest.raises(StateFault):
-        execute_ops([MoveTo(wx, wy), LowerSyringe(0), Aspirate(0, 80.0),
-                     Aspirate(0, 30.0)], layout, state=state)
+        run_ops([MoveTo(wx, wy), LowerSyringe(0), Aspirate(0, 80.0),
+                 Aspirate(0, 30.0)], layout, state=state)
     # Aspirating from an empty vessel.
     with pytest.raises(StateFault):
-        execute_ops([MoveTo(wx, wy), LowerSyringe(0), Aspirate(0, 10.0)], layout)
-    # Pump plunger over-travel: expel from an empty barrel.
-    with pytest.raises(StateFault):
-        execute(compile_ops([Valve(4, 1), PumpTransfer(4, 1.0, 1)], layout), layout)
+        run_ops([MoveTo(wx, wy), LowerSyringe(0), Aspirate(0, 10.0)], layout)
+    # Pump plunger over-travel, at the dish so the port reaches a vessel:
+    # expel from an empty barrel, and draw past a full one.
+    at_dish = MoveTo(*layout.locations["dish_center"], apparatus="pump_tube")
+    with pytest.raises(StateFault, match="plunger over-travel"):
+        run_ops([at_dish, Valve(4, 1), PumpTransfer(4, 1.0, 1)], layout)
+    with pytest.raises(StateFault, match="plunger over-travel"):
+        run_ops([at_dish, Valve(4, 0), PumpTransfer(4, 5.0, 0), PumpTransfer(4, 0.1, 0)],
+                layout)
     # Nowhere vessel: pump port 'carriage' with the carriage parked at origin.
     with pytest.raises(StateFault) as err:
-        execute(compile_ops([Valve(4, 1), PumpTransfer(4, 1.0, 0)], layout), layout)
+        run_ops([Valve(4, 1), PumpTransfer(4, 1.0, 0)], layout)
     assert err.value.pc == 1
 
 
@@ -287,6 +297,25 @@ def test_time_accounting():
     assert robot.state.time_ms == pytest.approx(500.0)
     robot.execute("P4 M0 D1 S2 E0\n")  # zero steps: no time
     assert robot.state.time_ms == pytest.approx(500.0)
+
+
+# sha256 of the robot's state JSON and events CSV after it runs an
+# experiment-plus-cleaning program and a pure 1-pentanol experiment, twice
+# over. They pin the firmware's liquid accounting, timing and event log to
+# the byte: a change to any of these must update the digests on purpose.
+FIRMWARE_STATE_SHA256 = "3c081f8e0ef576dade2ea023677c5f21c8dbb09b937769fa2cfdfd127ceb8417"
+FIRMWARE_EVENTS_SHA256 = "07a160b7268d69deeb3993a463e4a7e0964b42f226a868f20d791074b48895fc"
+
+
+def test_firmware_output_bytes_pinned():
+    programs = [compile_experiment(normalize([4, 3, 2, 1])) + compile_cleaning_cycle(),
+                compile_experiment(normalize([0, 1, 0, 0]))]
+    robot = VirtualRobot()
+    for program in programs * 2:
+        robot.execute(program)
+    state, events = robot.state.to_json().encode(), robot.events_csv().encode()
+    assert hashlib.sha256(state).hexdigest() == FIRMWARE_STATE_SHA256
+    assert hashlib.sha256(events).hexdigest() == FIRMWARE_EVENTS_SHA256
 
 
 # ------------------------------------------------------------- fuzzing
