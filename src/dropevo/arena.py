@@ -62,8 +62,9 @@ class BehaviorParams:
     shrink_rate: float        # px^2/frame
 
     def __post_init__(self):
-        if self.speed < 0:
-            raise ValueError("speed must be >= 0")
+        for name in ("speed", "turn_noise", "shrink_rate"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.split_probability <= 1.0:
             raise ValueError("split_probability must lie in [0, 1]")
 
@@ -160,91 +161,146 @@ def unimodal_behavior_map(optimum, width: float = 0.35, peak_speed: float = 5.0)
     return _map
 
 
-@dataclass
-class _Droplet:
-    x: float
-    y: float
-    heading: float
-    area: float
-    frozen: bool = False
+# A droplet's two RNG streams: children TURN and SPLIT of its SeedSequence.
+TURN, SPLIT = 0, 1
+# Steps in a droplet's first block of draws; a droplet with no event in it
+# draws the rest of its walk as a second block. The block only bounds the
+# draws wasted past a droplet's first event: the walk is the same for any
+# block size.
+FIRST_BLOCK = 256
 
 
-def simulate(f: Formulation, cfg: ArenaConfig, rng: np.random.Generator,
+def droplet_stream(seed: np.random.SeedSequence, lineage: tuple,
+                   stream: int) -> np.random.Generator:
+    """Stream `stream` (TURN or SPLIT) of the droplet with this lineage in
+    the replicate seeded by `seed`: child `stream` of
+    SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, *lineage))."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        seed.entropy, spawn_key=(*seed.spawn_key, *lineage, stream))))
+
+
+def _on_wall(x0: float, y0: float, x1: float, y1: float, r: float) -> tuple:
+    """Where the segment from (x0, y0), inside the circle of radius r, to
+    (x1, y1), on or beyond it, meets the circle."""
+    dx, dy = x1 - x0, y1 - y0
+    a = dx * dx + dy * dy
+    half_b = x0 * dx + y0 * dy
+    c = x0 * x0 + y0 * y0 - r * r
+    t = (math.sqrt(half_b * half_b - a * c) - half_b) / a
+    return x0 + t * dx, y0 + t * dy
+
+
+def simulate(f: Formulation, cfg: ArenaConfig, seed: np.random.SeedSequence,
              behavior: BehaviorParams | None = None) -> DetectionRecord:
     """Run the correlated random walk and record every frame's detections.
 
-    Droplets touching the arena wall freeze in place ("dead") but are still
-    emitted; downstream analytic-arena filtering removes them. Droplets whose
-    area reaches zero disappear. A split halves the parent's area between two
-    children displaced 1 px to either side, perpendicular to the heading.
+    Each step a live droplet turns by turn_noise * N(0, 1), moves `speed`
+    along its new heading and loses `shrink_rate` of area, so a droplet born
+    with area a has area a - shrink_rate * k after k steps. Then, in this
+    order: a droplet with area <= 0 disappears; a droplet whose new position
+    touches the wall (|p| >= arena_radius) freezes on the wall, where its
+    step meets it, and never moves, shrinks or splits again; a droplet with
+    area >= MIN_SPLIT_AREA splits when its uniform draw is below
+    split_probability. A split replaces the droplet by two children, each
+    with half its area and its heading, 1 px to its left (child 0) and right
+    (child 1); a child born on or beyond the wall is frozen on it, and a
+    droplet injected on or beyond the wall is frozen where it is. Frozen
+    droplets are still emitted; the analytic-arena filter removes them.
 
-    RNG contract: one uniform heading per injection, then, per frame and per
-    live (not frozen) droplet in list order, one normal heading change
-    followed by one uniform only when the droplet can split. Frozen droplets
-    draw nothing and never change, so once no droplet is live the remaining
-    frames repeat the last one and the walk stops early.
+    RNG contract v2: every droplet draws from its own streams,
+    droplet_stream(seed, lineage, TURN) and (..., SPLIT), where `seed` is the
+    replicate's SeedSequence and `lineage` is the droplet's injection index
+    followed by its child number at each split. An injected droplet's TURN
+    stream first gives its heading, uniform on [0, 2 pi); after that the
+    k-th normal of TURN and the k-th uniform of SPLIT belong to the
+    droplet's k-th step; SPLIT is drawn only while split_probability > 0
+    and the droplet's area is at least MIN_SPLIT_AREA. A droplet's walk
+    therefore depends only on its own streams. The detections of a frame
+    are ordered by lineage, which is the order splits in place give.
+
+    The walk is event-driven: each droplet draws its steps in blocks, takes
+    its headings, positions and areas as running sums, and stops at its
+    first event (disappearance, wall contact or split); children are
+    walked the same way from their birth frame.
     """
-    if behavior is None:
-        behavior = behavior_from_formulation(f)
-    b = behavior
-    droplets = [
-        _Droplet(x=float(x), y=float(y),
-                 heading=float(rng.uniform(0.0, 2.0 * math.pi)),
-                 area=float(cfg.initial_droplet_area))
-        for x, y in cfg.injection_positions
-    ]
-    r2 = cfg.arena_radius ** 2
-    xs, ys, areas, counts = [], [], [], [0]
-    live = len(droplets)
-    for t in range(cfg.total_frames):
-        xs += [d.x for d in droplets]
-        ys += [d.y for d in droplets]
-        areas += [d.area for d in droplets]
-        counts.append(len(droplets))
-        if not live or t == cfg.total_frames - 1:
-            break
-        new_droplets = []
-        live = 0
-        for d in droplets:
-            if not d.frozen:
-                d.heading += rng.normal(0.0, b.turn_noise)
-                nx = d.x + b.speed * math.cos(d.heading)
-                ny = d.y + b.speed * math.sin(d.heading)
-                if nx * nx + ny * ny >= r2:
-                    d.frozen = True  # wall contact: dead, stays in place
-                else:
-                    d.x, d.y = nx, ny
-                d.area -= b.shrink_rate
-                if d.area <= 0:
-                    continue
-                if (d.area >= MIN_SPLIT_AREA and b.split_probability > 0
-                        and rng.random() < b.split_probability):
-                    half = d.area / 2.0
-                    px = -math.sin(d.heading)
-                    py = math.cos(d.heading)
-                    for sign in (1.0, -1.0):
-                        cx, cy = d.x + sign * px, d.y + sign * py
-                        if cx * cx + cy * cy < r2:
-                            new_droplets.append(_Droplet(
-                                x=cx, y=cy, heading=d.heading, area=half))
-                            live += 1
-                        else:
-                            child = _Droplet(x=d.x, y=d.y, heading=d.heading,
-                                             area=half, frozen=True)
-                            new_droplets.append(child)
-                    continue
-                live += not d.frozen
-            new_droplets.append(d)
-        droplets = new_droplets
-    # Every droplet is frozen or gone: the remaining frames repeat the last.
-    rest = cfg.total_frames - (len(counts) - 1)
-    counts.extend([counts[-1]] * rest)
-    k = counts[-1]
-    cols = []
-    for values in (xs, ys, areas):
-        col = np.array(values, dtype=float)
-        cols.append(np.concatenate((col, np.tile(col[len(col) - k:], rest))))
-    return DetectionRecord(np.cumsum(counts), *cols)
+    b = behavior if behavior is not None else behavior_from_formulation(f)
+    frames = cfg.total_frames
+    r = cfg.arena_radius
+    r2 = r ** 2
+    done = []  # (lineage, first frame, x, y, area) of each walk and frozen tail
+    live = []  # (lineage, birth frame, x, y, heading or None, area) to walk
+
+    def frozen(lineage, t, x, y, area):
+        """The droplet stays at (x, y) with this area from frame t on."""
+        n = frames - t
+        done.append((lineage, t, np.full(n, x), np.full(n, y), np.full(n, area)))
+
+    for i, (x, y) in enumerate(cfg.injection_positions):
+        if x * x + y * y >= r2:
+            frozen((i,), 0, x, y, cfg.initial_droplet_area)
+        else:
+            live.append(((i,), 0, x, y, None, float(cfg.initial_droplet_area)))
+    while live:
+        lineage, t0, x, y, h, a0 = live.pop()
+        turn = droplet_stream(seed, lineage, TURN)
+        split = None
+        if h is None:
+            h = turn.uniform(0.0, 2.0 * math.pi)
+        xs, ys, areas = [], [], []
+        steps = frames - 1 - t0
+        k, a, block, event = 0, a0, FIRST_BLOCK, False
+        while k < steps and not event:
+            m = min(block, steps - k)
+            block = steps  # after the first block, draw the rest at once
+            hb = np.cumsum(np.concatenate(([h], b.turn_noise * turn.standard_normal(m))))
+            xb = np.cumsum(np.concatenate(([x], b.speed * np.cos(hb[1:]))))
+            yb = np.cumsum(np.concatenate(([y], b.speed * np.sin(hb[1:]))))
+            ab = a0 - b.shrink_rate * np.arange(k, k + m + 1)
+            stop = (xb[1:] * xb[1:] + yb[1:] * yb[1:] >= r2) | (ab[1:] <= 0)
+            if b.split_probability > 0 and ab[1] >= MIN_SPLIT_AREA:
+                if split is None:
+                    split = droplet_stream(seed, lineage, SPLIT)
+                stop |= (split.random(m) < b.split_probability) & (ab[1:] >= MIN_SPLIT_AREA)
+            hits = np.flatnonzero(stop)
+            event = hits.size > 0
+            n = int(hits[0]) + 1 if event else m
+            xs.append(xb[:n])
+            ys.append(yb[:n])
+            areas.append(ab[:n])
+            x, y, h, a = float(xb[n]), float(yb[n]), float(hb[n]), float(ab[n])
+            k += n
+        if not event:  # the droplet's state at the last frame
+            xs.append([x])
+            ys.append([y])
+            areas.append([a])
+        done.append((lineage, t0, np.concatenate(xs), np.concatenate(ys),
+                     np.concatenate(areas)))
+        t = t0 + k  # the frame of the droplet's event
+        if not event or a <= 0:
+            continue
+        if x * x + y * y >= r2:
+            frozen(lineage, t, *_on_wall(float(xb[n - 1]), float(yb[n - 1]), x, y, r), a)
+            continue
+        px, py = -math.sin(h), math.cos(h)
+        for child, sign in ((0, 1.0), (1, -1.0)):
+            cx, cy = x + sign * px, y + sign * py
+            if cx * cx + cy * cy >= r2:
+                frozen((*lineage, child), t, *_on_wall(x, y, cx, cy, r), a / 2.0)
+            else:
+                live.append(((*lineage, child), t, cx, cy, h, a / 2.0))
+    if not done:
+        empty = np.zeros(0)
+        return DetectionRecord(np.zeros(frames + 1, dtype=np.int64), empty, empty, empty)
+    done.sort(key=lambda d: d[0])
+    lengths = np.array([len(d[2]) for d in done])
+    first_row = np.cumsum(lengths) - lengths
+    frame = np.arange(lengths.sum()) - np.repeat(first_row - [d[1] for d in done], lengths)
+    # Rows are grouped by lineage; a stable sort on frame keeps lineage
+    # order within each frame.
+    order = np.argsort(frame, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(frame, minlength=frames))))
+    return DetectionRecord(offsets, *(np.concatenate([d[c] for d in done])[order]
+                                      for c in (2, 3, 4)))
 
 
 def filter_analytic_arena(frames, arena_radius: float,
@@ -255,12 +311,15 @@ def filter_analytic_arena(frames, arena_radius: float,
     stay in their frame and order."""
     rec = DetectionRecord.of(frames)
     r2 = (shrink * arena_radius) ** 2
-    # float_power squares through libm pow, as Python's x ** 2 does; x * x
-    # rounds differently for about one value in a thousand.
-    keep = np.float_power(rec.x, 2) + np.float_power(rec.y, 2) < r2
-    frame_of = np.repeat(np.arange(len(rec)), np.diff(rec.offsets))
-    counts = np.bincount(frame_of[keep], minlength=len(rec))
-    offsets = np.concatenate(([0], np.cumsum(counts)))
+    # The test is x ** 2 + y ** 2 < r2, squared through libm pow as Python's
+    # x ** 2 does. x * x differs from pow(x, 2) by at most an ulp (for about
+    # one value in a thousand), so pow decides only the sums within a hair
+    # of r2.
+    q = rec.x * rec.x + rec.y * rec.y
+    keep = q < r2
+    near = np.flatnonzero(np.abs(q - r2) <= 1e-9 * r2)
+    keep[near] = np.float_power(rec.x[near], 2) + np.float_power(rec.y[near], 2) < r2
+    offsets = np.concatenate(([0], np.cumsum(keep)))[rec.offsets]
     return DetectionRecord(offsets, rec.x[keep], rec.y[keep], rec.area[keep])
 
 

@@ -13,16 +13,17 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import multiprocessing
+import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-from . import __version__, arena, evaluators, formats, ga, gcode, landscape, stats
+# evolve, landscape and analyze import the layers behind them when they run,
+# so that the gcode commands load no scipy.
+from . import __version__, formats, gcode
 from .formulation import normalize
 
 EXIT_OK = 0
@@ -32,6 +33,10 @@ EXIT_NUMERIC = 3
 
 
 class UsageError(Exception):
+    pass
+
+
+class NumericFailure(Exception):
     pass
 
 
@@ -71,6 +76,8 @@ def _write(out_dir: Path, name: str, data) -> Path:
 
 def _manifest(out_dir: Path, command: str, config: dict, seed, outputs: list[str],
               extra: dict | None = None) -> None:
+    from . import ga
+
     manifest = {
         "command": command,
         "config": config,
@@ -102,6 +109,11 @@ def _build(cls, section: dict, where: str, **fixed):
 
 
 def cmd_evolve(args) -> int:
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    from . import arena, evaluators, ga
+
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     cfg_file = _load_config(args.config)
@@ -169,6 +181,8 @@ def cmd_evolve(args) -> int:
 # landscape
 
 def _load_histories(paths):
+    from . import ga
+
     parsed = []
     for path in paths:
         violations = formats.validate_file(path, "history")
@@ -185,8 +199,17 @@ class FileFormatError(Exception):
 
 
 def cmd_landscape(args) -> int:
+    from . import landscape
+
+    for key, default in (("sigma", landscape.DEFAULT_SIGMA), ("lam", landscape.DEFAULT_LAMBDA),
+                         ("resolution", landscape.DEFAULT_RESOLUTION)):
+        if getattr(args, key) is None:
+            setattr(args, key, default)
     if args.resolution < 2:
         raise UsageError(f"--resolution must be >= 2, got {args.resolution}")
+    for option, value in (("--sigma", args.sigma), ("--lambda", args.lam)):
+        if not math.isfinite(value):
+            raise UsageError(f"{option} must be finite, got {value}")
     parsed = _load_histories(args.history)
     seen = {}
     for hist in parsed:
@@ -195,7 +218,10 @@ def cmd_landscape(args) -> int:
                 seen[(hist["run"], ind_id)] = (loci, fitness)
     X = np.array([normalize(loci).proportions for loci, _ in seen.values()])
     y = np.array([fitness for _, fitness in seen.values()])
-    model = landscape.fit(X, y, lam=args.lam, sigma=args.sigma)
+    try:
+        model = landscape.fit(X, y, lam=args.lam, sigma=args.sigma)
+    except (landscape.SolveFailure, np.linalg.LinAlgError) as exc:
+        raise NumericFailure(exc) from exc
     lattices = [landscape.face_grid(model, face, args.resolution)
                 for face in range(4)]
     islands = landscape.catchment_map(lattices)
@@ -221,6 +247,8 @@ def cmd_landscape(args) -> int:
 # analyze
 
 def cmd_analyze(args) -> int:
+    from . import stats
+
     parsed = _load_histories(args.history)
     shims = []
     for hist in parsed:
@@ -308,9 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("landscape", help="fit the kernel model and map islands")
     p.add_argument("history", nargs="+", help="history CSV files")
-    p.add_argument("--sigma", type=float, default=landscape.DEFAULT_SIGMA)
-    p.add_argument("--lambda", dest="lam", type=float, default=landscape.DEFAULT_LAMBDA)
-    p.add_argument("--resolution", type=int, default=landscape.DEFAULT_RESOLUTION)
+    # Left unset, these take landscape's defaults when the command runs.
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--resolution", type=int)
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_landscape)
 
@@ -347,12 +376,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (landscape.SolveFailure, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+    except (NumericFailure, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (FileFormatError, formats.UnknownFormat, gcode.GcodeError,
-            ga.GAError, ValueError, OSError) as exc:
+            ValueError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,10 +1,11 @@
 """Closed-loop fitness evaluation: formulation -> arena simulation ->
 analytic-arena filtering -> tracking -> behaviour score.
 
-Replicate RNG streams are derived from (master seed, run, recipe id,
-replicate index), so results are independent of evaluation order and safe to
-compute concurrently; within a stream, draws follow `arena.simulate`'s RNG
-contract. A replicate's detections pass from stage to stage as one columnar
+Each replicate is seeded by `ga.replicate_seed(master seed, run, recipe id,
+replicate index)`, and `arena.simulate` (RNG contract v2) gives every droplet
+its own streams keyed by that seed and the droplet's lineage, so results are
+independent of evaluation order and safe to compute concurrently. A
+replicate's detections pass from stage to stage as one columnar
 `arena.DetectionRecord`, and its tracks as a column-wise
 `tracking.TrajectorySet`, so no per-frame objects are built.
 
@@ -17,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-
-import numpy as np
 
 from . import arena, ga, tracking
 from .formulation import GENOME_LENGTH, Formulation, check_number, check_vector, normalize
@@ -58,9 +57,8 @@ def run_replicate(setup: ExperimentSetup, proportions, recipe_id: int,
             setup.unimodal_optimum, setup.unimodal_width)(f)
     else:
         behavior = arena.behavior_from_formulation(f)
-    rng = np.random.default_rng(
-        ga.replicate_seed(setup.master_seed, setup.run, recipe_id, replicate))
-    frames = arena.simulate(f, setup.arena_config, rng, behavior=behavior)
+    seed = ga.replicate_seed(setup.master_seed, setup.run, recipe_id, replicate)
+    frames = arena.simulate(f, setup.arena_config, seed, behavior=behavior)
     frames = arena.filter_analytic_arena(frames, setup.arena_config.arena_radius,
                                          ANALYTIC_ARENA_SHRINK)
     ts = tracking.track(frames)

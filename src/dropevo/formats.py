@@ -138,8 +138,6 @@ def _validate_layout(text: str) -> list[str]:
     for name, (x, y) in layout.locations.items():
         if not (0 <= x <= xmax and 0 <= y <= ymax):
             violations.append(f"location {name} ({x}, {y}) outside stage bounds")
-        if name not in layout.location_vessel:
-            violations.append(f"location {name} has no vessel mapping")
     return violations
 
 

@@ -26,7 +26,9 @@ import numpy as np
 
 from .formulation import GENOME_LENGTH, check_number, normalize
 
-RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
+# The manifest's `rng` field: the bit generator, and the arena's RNG contract
+# (see arena.simulate).
+RNG_ALGORITHM = "numpy.random.Generator(PCG64); arena RNG contract v2 (per-droplet streams)"
 
 # Replicate experiments per recipe: the history format has three columns.
 REPLICATES = 3

@@ -30,6 +30,11 @@ from .formulation import (DEFAULT_OIL_ORDER, Formulation, check_number, check_ve
                           well_volumes)
 
 PUMP_MAX_STEPS = 50000
+PUMP_IDS = range(7)
+# Names that compiled programs and the firmware look up in a layout.
+LAYOUT_LOCATIONS = ("mixing_well", "dish_center", "drop_1", "drop_2", "drop_3", "drop_4",
+                    "waste")
+LAYOUT_APPARATUS = ("syringe", "pump_tube")
 COORD_STEP_MM = 0.1
 CARRIAGE_MS_PER_MM = 10.0
 SERVO_ACTION_MS = 300.0
@@ -92,7 +97,7 @@ class PumpInstruction:
 
     def __post_init__(self):
         for fld, value, ok, msg in (
-                ("X", self.pump, 0 <= self.pump <= 6, "valid pumps are 0..6"),
+                ("X", self.pump, self.pump in PUMP_IDS, "valid pumps are 0..6"),
                 ("Y", self.motor, self.motor in (0, 1), "motor select is 0 or 1"),
                 ("Z", self.direction, self.direction in (0, 1), "direction is 0 or 1"),
                 ("A", self.speed_ms, self.speed_ms > 0, "speed must be > 0 ms"),
@@ -155,7 +160,11 @@ class StageLayout:
 
     @classmethod
     def from_json(cls, text: str) -> "StageLayout":
-        """Inverse of to_json; GcodeError names the field of a malformed layout."""
+        """Inverse of to_json; GcodeError names the field of a malformed layout,
+        or of one that lacks a name that programs or the firmware use: a
+        location or apparatus of LAYOUT_LOCATIONS and LAYOUT_APPARATUS, the
+        ports and barrel of each pump, the vessel of each location, or the
+        initial contents of a vessel that a location or pump port names."""
         points = lambda v: {k: check_vector(f"point {k!r}", p, 2) for k, p in v.items()}
         required = {
             "bounds_mm": lambda v: check_vector("bounds", v, 2),
@@ -176,6 +185,23 @@ class StageLayout:
                 raise ValueError(f"missing fields {missing}, unknown fields {unknown}")
             for name, convert in required.items():
                 d[name] = convert(d[name])
+            ports = d["pump_ports"]
+            location_vessel = d.setdefault("location_vessel", {})
+            port_vessels = {v for pp in ports.values() for v in pp.values() if v != "carriage"}
+            needed = [  # (field, names it must hold, what it holds), checked in order
+                ("locations", LAYOUT_LOCATIONS, d["locations"]),
+                ("apparatus_offsets", LAYOUT_APPARATUS, d["apparatus_offsets"]),
+                ("pump_ports", PUMP_IDS, ports),
+                *((f"pump_ports {p}", (0, 1), ports[p]) for p in PUMP_IDS if p in ports),
+                ("pump_syringe_ml", PUMP_IDS, d["pump_syringe_ml"]),
+                ("location_vessel", d["locations"], location_vessel),
+                ("vessel_initial_ul", {*location_vessel.values(), *port_vessels},
+                 d.setdefault("vessel_initial_ul", {})),
+            ]
+            for name, names, present in needed:
+                missing = sorted(set(names) - set(present), key=str)
+                if missing:
+                    raise ValueError(f"missing {missing}")
         except (AttributeError, TypeError, ValueError) as exc:
             raise GcodeError(f"layout {name}: {exc}") from exc
         return cls(**d)
@@ -299,8 +325,8 @@ def compile_ops(ops, layout: StageLayout) -> str:
             lines.append(f"M11 S{op.syringe}")
         elif isinstance(op, (Aspirate, Dispense)):
             code, verb = (12, "aspirate") if isinstance(op, Aspirate) else (13, "dispense")
-            if op.volume_ul < 0:
-                raise GcodeError(f"{verb} volume must be >= 0")
+            if not op.volume_ul >= 0:
+                raise GcodeError(f"{verb} volume must be >= 0, got {op.volume_ul}")
             if op.volume_ul > 0:
                 lines.append(f"M{code} S{op.syringe} V{op.volume_ul:.1f}")
         elif isinstance(op, Stir):
@@ -309,6 +335,8 @@ def compile_ops(ops, layout: StageLayout) -> str:
             lines.append(PumpInstruction(op.pump, 1, op.port, VALVE_SPEED_MS,
                                          VALVE_TURN_STEPS).serialize())
         elif isinstance(op, PumpTransfer):
+            if not op.volume_ml >= 0:
+                raise GcodeError(f"pump transfer volume must be >= 0, got {op.volume_ml}")
             cal = layout.pump_calibration_ul_per_step(op.pump)
             steps = int(round(op.volume_ml * 1000.0 / cal))
             if steps > PUMP_MAX_STEPS:
@@ -450,7 +478,7 @@ class PumpState:
 class VirtualState:
     carriage: tuple = (0.0, 0.0)
     syringes: dict = field(default_factory=lambda: {0: SyringeState()})
-    pumps: dict = field(default_factory=lambda: {i: PumpState() for i in range(7)})
+    pumps: dict = field(default_factory=lambda: {i: PumpState() for i in PUMP_IDS})
     vessels: dict = field(default_factory=dict)
     stirring: bool = False
     time_ms: float = 0.0

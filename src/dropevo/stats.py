@@ -94,14 +94,16 @@ def kendall_tau(x, y) -> tuple[float, float, float]:
     n = len(x)
     if n != len(y) or n < 2:
         raise StatsError("x and y must have equal length >= 2")
+    if any(math.isnan(v) for v in x + y):
+        raise StatsError("x and y must not hold NaN")
     if len(set(x)) == 1 or len(set(y)) == 1:
         raise AllTied("a variable is constant; tau undefined")
-    s = 0  # C - D
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = (x[i] > x[j]) - (x[i] < x[j])
-            b = (y[i] > y[j]) - (y[i] < y[j])
-            s += a * b
+    # C - D, exactly: row i adds the sum over j > i of
+    # sign(x[j] - x[i]) * sign(y[j] - y[i]), taken on integer ranks.
+    rx = np.unique(x, return_inverse=True)[1]
+    ry = np.unique(y, return_inverse=True)[1]
+    s = sum(int(np.sign(rx[i + 1:] - rx[i]) @ np.sign(ry[i + 1:] - ry[i]))
+            for i in range(n - 1))
     n0 = n * (n - 1) // 2
     tx = Counter(x).values()
     ty = Counter(y).values()

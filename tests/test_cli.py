@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropevo import arena, formats, ga
+from dropevo import arena, formats, ga, gcode, landscape
 from dropevo.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 FAST_CONFIG = {
@@ -55,6 +56,7 @@ def test_evolve_outputs(tmp_path, fast_config):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["command"] == "evolve"
     assert manifest["seed"] == 7
+    assert "arena RNG contract v2" in manifest["rng"]
     # 8 initial + 2 generations x 4 newborns.
     assert manifest["bookkeeping"]["recipes_per_run"] == 16
     assert manifest["bookkeeping"]["experiments"] == 48
@@ -183,6 +185,50 @@ def test_gcode_malformed_layout_is_a_data_error(tmp_path, capsys, layout, proble
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, name, problem", [
+    ("locations", "dish_center", "layout locations: missing ['dish_center']"),
+    ("location_vessel", "waste", "layout location_vessel: missing ['waste']"),
+    ("apparatus_offsets", "pump_tube", "layout apparatus_offsets: missing ['pump_tube']"),
+    ("pump_syringe_ml", "6", "layout pump_syringe_ml: missing [6]"),
+    ("vessel_initial_ul", "dish", "layout vessel_initial_ul: missing ['dish']"),
+])
+@pytest.mark.parametrize("command", ["compile", "exec"])
+def test_gcode_layout_missing_a_name_is_a_data_error(tmp_path, capsys, field, name,
+                                                     problem, command):
+    # A layout that parses but lacks a name that the compiler or the
+    # firmware looks up.
+    program = tmp_path / "exp.gcode"
+    assert main(["gcode", "compile", "--formulation", "1,1,1,1", "--cleaning",
+                 "-o", str(program)]) == EXIT_OK
+    layout = json.loads(gcode.default_layout().to_json())
+    del layout[field][name]
+    path = tmp_path / "layout.json"
+    path.write_text(json.dumps(layout))
+    argv = {"compile": ["gcode", "compile", "--cleaning", "--layout", str(path)],
+            "exec": ["gcode", "exec", str(program), "--layout", str(path)]}[command]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"data error: {problem}\n"
+
+
+def test_gcode_commands_load_no_scipy(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    program = tmp_path / "exp.gcode"
+    code = f"""
+import sys
+from dropevo.cli import main
+assert main(["gcode", "compile", "--formulation", "1,2,3,4", "--cleaning", "-o", {str(program)!r}]) == 0
+assert main(["gcode", "parse", {str(program)!r}]) == 0
+assert main(["gcode", "exec", {str(program)!r}, "--out-dir", {str(tmp_path / "ev")!r}]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("formulation", ["inf,1,1,1", "nan,1,1,1", "1,1,1,-inf"])
 def test_gcode_non_finite_formulation_is_a_data_error(capsys, formulation):
     with warnings.catch_warnings():
@@ -235,6 +281,28 @@ def test_landscape_rejects_resolution_below_two(tmp_path, capsys, resolution):
     assert rc == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "--resolution" in err
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_landscape_defaults_in_manifest(tmp_path):
+    hist = write_history(tmp_path / "history.csv")
+    out_dir = tmp_path / "o"
+    assert main(["landscape", hist, "--out-dir", str(out_dir)]) == EXIT_OK
+    config = json.loads((out_dir / "manifest.json").read_text())["config"]
+    assert (config["sigma"], config["lambda"], config["resolution"]) == (
+        landscape.DEFAULT_SIGMA, landscape.DEFAULT_LAMBDA, landscape.DEFAULT_RESOLUTION)
+
+
+@pytest.mark.parametrize("option, value", [("--sigma", "inf"), ("--sigma", "nan"),
+                                           ("--lambda", "nan"), ("--lambda", "-inf")])
+def test_landscape_rejects_non_finite_sigma_and_lambda(tmp_path, capsys, option, value):
+    hist = write_history(tmp_path / "history.csv")
+    out_dir = tmp_path / "o"
+    rc = main(["landscape", hist, f"{option}={value}", "--out-dir", str(out_dir)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and option in err
     assert err.count("\n") == 1
     assert not out_dir.exists()
 
@@ -299,15 +367,15 @@ def test_evolve_rejects_unsupported_config(tmp_path, capsys, section, key, value
 
 
 # sha256 of history_run0.csv for GOLDEN_CONFIG under the directionality
-# objective. It pins the replicate RNG streams and the order of arena draws
-# (arena.simulate's RNG contract): a change to either must update it on
-# purpose, and it is the same for any --jobs.
+# objective. It pins the replicate RNG streams and arena RNG contract v2
+# (per-droplet streams keyed by lineage, see arena.simulate): a change to
+# either must update it on purpose, and it is the same for any --jobs.
 GOLDEN_CONFIG = {
     "ga": {"generations": 2, "population_size": 4, "carry_overs": 2,
            "runs": 1, "rng_seed": 7},
     "arena": {"duration": 2.0},
 }
-GOLDEN_HISTORY_SHA256 = "91d092a941dd6e8a6ec41e8c2bfe47bd06f321fe66ae22a06d8d7c7e0cdea480"
+GOLDEN_HISTORY_SHA256 = "60d5a831ff0ed23bd6464626d5e673a64cd86ffe934ef19b5f1cc7cee9ae432d"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -43,8 +43,8 @@ def test_run_replicate_matches_manual_pipeline():
     from dropevo.formulation import Formulation, oils_for_order
     f = Formulation(p)
     behavior = arena.behavior_from_formulation(f, oils_for_order())
-    rng = np.random.default_rng(ga.replicate_seed(11, 2, 42, 1))
-    frames = arena.simulate(f, SHORT_ARENA, rng, behavior=behavior)
+    frames = arena.simulate(f, SHORT_ARENA, ga.replicate_seed(11, 2, 42, 1),
+                            behavior=behavior)
     frames = arena.filter_analytic_arena(frames, SHORT_ARENA.arena_radius, 0.95)
     assert got == tracking.fitness_directionality(tracking.track(frames))
 

@@ -45,7 +45,7 @@ def test_field_count_mismatch():
 
 def test_real_outputs_validate():
     frames = simulate(Formulation((0.25, 0.25, 0.25, 0.25)),
-                      ArenaConfig(duration=2.0), np.random.default_rng(0))
+                      ArenaConfig(duration=2.0), np.random.SeedSequence(0))
     assert validate_text(detections_to_csv(frames), "detections") == []
     assert validate_text(trajectories_to_csv(track(frames)), "trajectories") == []
 

@@ -153,8 +153,10 @@ def test_compile_zero_volume_elided():
     layout = default_layout()
     assert compile_ops([Aspirate(0, 0.0), Dispense(0, 0.0),
                         PumpTransfer(0, 0.0, 0)], layout) == ""
-    with pytest.raises(GcodeError):
-        compile_ops([Aspirate(0, -1.0)], layout)
+    for op in (Aspirate(0, -1.0), Dispense(0, -1.0), PumpTransfer(4, -1.0, 0),
+               PumpTransfer(4, float("nan"), 1), Aspirate(0, float("nan"))):
+        with pytest.raises(GcodeError, match="volume must be >= 0"):
+            compile_ops([op], layout)
 
 
 def test_compiled_programs_parse_cleanly():

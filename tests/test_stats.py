@@ -7,12 +7,14 @@ against a brute-force reference implementation.
 
 import itertools
 import math
+from collections import Counter
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, strategies as st
 
@@ -166,6 +168,54 @@ def test_kendall_errors():
         kendall_tau([1], [1])
     with pytest.raises(StatsError):
         kendall_tau([1, 2], [1, 2, 3])
+    with pytest.raises(StatsError):
+        kendall_tau([1, 2, float("nan")], [1, 2, 3])
+
+
+def kendall_tau_oracle(x, y):
+    """kendall_tau as it was with its pairwise double loop over C - D."""
+    x = list(map(float, x))
+    y = list(map(float, y))
+    n = len(x)
+    s = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            a = (x[i] > x[j]) - (x[i] < x[j])
+            b = (y[i] > y[j]) - (y[i] < y[j])
+            s += a * b
+    n0 = n * (n - 1) // 2
+    tx = Counter(x).values()
+    ty = Counter(y).values()
+    n1 = sum(t * (t - 1) // 2 for t in tx)
+    n2 = sum(u * (u - 1) // 2 for u in ty)
+    tau = s / math.sqrt((n0 - n1) * (n0 - n2))
+    v0 = n * (n - 1) * (2 * n + 5)
+    vt = sum(t * (t - 1) * (2 * t + 5) for t in tx)
+    vu = sum(u * (u - 1) * (2 * u + 5) for u in ty)
+    v1 = (sum(t * (t - 1) for t in tx) * sum(u * (u - 1) for u in ty)
+          / (2.0 * n * (n - 1)))
+    v2 = (sum(t * (t - 1) * (t - 2) for t in tx)
+          * sum(u * (u - 1) * (u - 2) for u in ty)
+          / (9.0 * n * (n - 1) * (n - 2))) if n > 2 else 0.0
+    var = (v0 - vt - vu) / 18.0 + v1 + v2
+    z = s / math.sqrt(var) if var > 0 else math.inf * np.sign(s)
+    p = float(2.0 * scipy.special.ndtr(-abs(z))) if math.isfinite(z) else 0.0
+    return float(tau), float(z), p
+
+
+def test_kendall_count_matches_double_loop():
+    # C - D is an integer, so an exact count gives the very bits of tau, z
+    # and p that the double loop gives.
+    rng = np.random.default_rng(4)
+    for trial in range(40):
+        n = int(rng.integers(2, 300))
+        x = rng.integers(0, int(rng.integers(2, 50)), size=n).astype(float)
+        y = np.round(rng.normal(0.0, 1.0, n), int(rng.integers(0, 3)))
+        if trial % 5 == 0:
+            x[rng.integers(0, n)] = math.inf * rng.choice([-1, 1])
+        if len(set(x)) == 1 or len(set(y)) == 1:
+            continue
+        assert kendall_tau(x, y) == kendall_tau_oracle(x, y)
 
 
 # ------------------------------------------------------------------- Holm

@@ -150,7 +150,7 @@ def test_track_matches_oracle_on_simulations():
     cfg = ArenaConfig(duration=4.0)
     for seed in range(10):
         frames = simulate(Formulation((0.25, 0.25, 0.25, 0.25)), cfg,
-                          np.random.default_rng(seed))
+                          np.random.SeedSequence(seed))
         assert as_tracks(track(frames)) == oracle_track(frames)
 
 
@@ -251,7 +251,7 @@ def test_fitness_matches_oracles_on_simulations():
     cfg = ArenaConfig(duration=4.0)
     for seed in range(10):
         frames = simulate(Formulation((0.1, 0.3, 0.4, 0.2)), cfg,
-                          np.random.default_rng(seed))
+                          np.random.SeedSequence(seed))
         ts = track(frames)
         tracks = oracle_track(frames)
         assert fitness_division(ts) == oracle_division(tracks, len(frames))
@@ -322,7 +322,7 @@ def test_scores_match_reference_on_pipeline():
     rng = np.random.default_rng(17)
     for seed in range(12):
         p = tuple(rng.dirichlet(np.ones(4)))
-        frames = simulate(Formulation(p), cfg, np.random.default_rng(seed))
+        frames = simulate(Formulation(p), cfg, np.random.SeedSequence(seed))
         ts = track(filter_analytic_arena(frames, cfg.arena_radius))
         assert scores(ts) == reference_scores(ts)
 
