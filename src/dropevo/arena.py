@@ -14,8 +14,6 @@ offsets plus flat float64 x, y and area arrays. Iterating a record yields one
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,6 +46,14 @@ class ArenaConfig:
                              f"{self.injection_count} [x, y] pairs, got {positions!r}")
         object.__setattr__(self, "injection_positions", tuple(
             check_vector("injection_positions item", xy, 2) for xy in positions))
+        try:
+            r2 = self.arena_radius ** 2  # as simulate squares it
+        except OverflowError:
+            raise ValueError(f"arena_radius = {self.arena_radius} is too large") from None
+        for x, y in self.injection_positions:
+            if x * x + y * y >= r2:
+                raise ValueError(f"injection_positions item {[x, y]} must lie inside "
+                                 f"arena_radius = {self.arena_radius}")
 
     @property
     def total_frames(self) -> int:
@@ -179,17 +185,6 @@ def droplet_stream(seed: np.random.SeedSequence, lineage: tuple,
         seed.entropy, spawn_key=(*seed.spawn_key, *lineage, stream))))
 
 
-def _on_wall(x0: float, y0: float, x1: float, y1: float, r: float) -> tuple:
-    """Where the segment from (x0, y0), inside the circle of radius r, to
-    (x1, y1), on or beyond it, meets the circle."""
-    dx, dy = x1 - x0, y1 - y0
-    a = dx * dx + dy * dy
-    half_b = x0 * dx + y0 * dy
-    c = x0 * x0 + y0 * y0 - r * r
-    t = (math.sqrt(half_b * half_b - a * c) - half_b) / a
-    return x0 + t * dx, y0 + t * dy
-
-
 def simulate(f: Formulation, cfg: ArenaConfig, seed: np.random.SeedSequence,
              behavior: BehaviorParams | None = None) -> DetectionRecord:
     """Run the correlated random walk and record every frame's detections.
@@ -198,14 +193,13 @@ def simulate(f: Formulation, cfg: ArenaConfig, seed: np.random.SeedSequence,
     along its new heading and loses `shrink_rate` of area, so a droplet born
     with area a has area a - shrink_rate * k after k steps. Then, in this
     order: a droplet with area <= 0 disappears; a droplet whose new position
-    touches the wall (|p| >= arena_radius) freezes on the wall, where its
-    step meets it, and never moves, shrinks or splits again; a droplet with
-    area >= MIN_SPLIT_AREA splits when its uniform draw is below
-    split_probability. A split replaces the droplet by two children, each
-    with half its area and its heading, 1 px to its left (child 0) and right
-    (child 1); a child born on or beyond the wall is frozen on it, and a
-    droplet injected on or beyond the wall is frozen where it is. Frozen
-    droplets are still emitted; the analytic-arena filter removes them.
+    touches the wall (|p| >= arena_radius) dies there, so it has no
+    detection from that frame on and does not split; a droplet with area >=
+    MIN_SPLIT_AREA splits when its uniform draw is below split_probability.
+    A split replaces the droplet by two children, each with half its area
+    and its heading, 1 px to its left (child 0) and right (child 1); a child
+    born on or beyond the wall dies at birth. ArenaConfig keeps every
+    injection inside the wall, so no detection lies on or beyond it.
 
     RNG contract v2: every droplet draws from its own streams,
     droplet_stream(seed, lineage, TURN) and (..., SPLIT), where `seed` is the
@@ -225,21 +219,11 @@ def simulate(f: Formulation, cfg: ArenaConfig, seed: np.random.SeedSequence,
     """
     b = behavior if behavior is not None else behavior_from_formulation(f)
     frames = cfg.total_frames
-    r = cfg.arena_radius
-    r2 = r ** 2
-    done = []  # (lineage, first frame, x, y, area) of each walk and frozen tail
-    live = []  # (lineage, birth frame, x, y, heading or None, area) to walk
-
-    def frozen(lineage, t, x, y, area):
-        """The droplet stays at (x, y) with this area from frame t on."""
-        n = frames - t
-        done.append((lineage, t, np.full(n, x), np.full(n, y), np.full(n, area)))
-
-    for i, (x, y) in enumerate(cfg.injection_positions):
-        if x * x + y * y >= r2:
-            frozen((i,), 0, x, y, cfg.initial_droplet_area)
-        else:
-            live.append(((i,), 0, x, y, None, float(cfg.initial_droplet_area)))
+    r2 = cfg.arena_radius ** 2
+    done = []  # (lineage, first frame, x, y, area) of each walk
+    # (lineage, birth frame, x, y, heading or None, area) of each droplet to walk
+    live = [((i,), 0, x, y, None, float(cfg.initial_droplet_area))
+            for i, (x, y) in enumerate(cfg.injection_positions)]
     while live:
         lineage, t0, x, y, h, a0 = live.pop()
         turn = droplet_stream(seed, lineage, TURN)
@@ -275,19 +259,13 @@ def simulate(f: Formulation, cfg: ArenaConfig, seed: np.random.SeedSequence,
             areas.append([a])
         done.append((lineage, t0, np.concatenate(xs), np.concatenate(ys),
                      np.concatenate(areas)))
-        t = t0 + k  # the frame of the droplet's event
-        if not event or a <= 0:
-            continue
-        if x * x + y * y >= r2:
-            frozen(lineage, t, *_on_wall(float(xb[n - 1]), float(yb[n - 1]), x, y, r), a)
+        if not event or a <= 0 or x * x + y * y >= r2:
             continue
         px, py = -math.sin(h), math.cos(h)
         for child, sign in ((0, 1.0), (1, -1.0)):
             cx, cy = x + sign * px, y + sign * py
-            if cx * cx + cy * cy >= r2:
-                frozen((*lineage, child), t, *_on_wall(x, y, cx, cy, r), a / 2.0)
-            else:
-                live.append(((*lineage, child), t, cx, cy, h, a / 2.0))
+            if cx * cx + cy * cy < r2:
+                live.append(((*lineage, child), t0 + k, cx, cy, h, a / 2.0))
     if not done:
         empty = np.zeros(0)
         return DetectionRecord(np.zeros(frames + 1, dtype=np.int64), empty, empty, empty)
@@ -305,7 +283,9 @@ def simulate(f: Formulation, cfg: ArenaConfig, seed: np.random.SeedSequence,
 
 def filter_analytic_arena(frames, arena_radius: float,
                           shrink: float = 0.95) -> DetectionRecord:
-    """Drop detections outside the analytic arena (wall-dead droplets).
+    """Drop detections outside the analytic arena, the open disc of radius
+    shrink * arena_radius. Wall death is not the filter's job: `simulate`
+    emits no detection on or beyond the wall.
 
     Takes a DetectionRecord or a list of DetectionFrames; the kept detections
     stay in their frame and order."""
@@ -321,24 +301,3 @@ def filter_analytic_arena(frames, arena_radius: float,
     keep[near] = np.float_power(rec.x[near], 2) + np.float_power(rec.y[near], 2) < r2
     offsets = np.concatenate(([0], np.cumsum(keep)))[rec.offsets]
     return DetectionRecord(offsets, rec.x[keep], rec.y[keep], rec.area[keep])
-
-
-def detections_to_csv(frames) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["frame", "x", "y", "area"])
-    for fr in frames:
-        for x, y, area in fr.detections:
-            w.writerow([fr.frame_index, repr(x), repr(y), repr(area)])
-    return buf.getvalue()
-
-
-def detections_from_csv(text: str) -> list[DetectionFrame]:
-    by_frame: dict[int, list] = {}
-    max_frame = -1
-    for row in csv.DictReader(io.StringIO(text)):
-        t = int(row["frame"])
-        max_frame = max(max_frame, t)
-        by_frame.setdefault(t, []).append(
-            (float(row["x"]), float(row["y"]), float(row["area"])))
-    return [DetectionFrame(t, tuple(by_frame.get(t, ()))) for t in range(max_frame + 1)]

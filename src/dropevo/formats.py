@@ -27,7 +27,6 @@ class ColumnSpec:
     unit: str = ""
     minimum: float | None = None
     maximum: float | None = None
-    strict_min: bool = False
     allow_empty: bool = False
 
     def check(self, raw: str, row: int) -> str | None:
@@ -42,10 +41,8 @@ class ColumnSpec:
             return None
         if self.kind == "float" and not math.isfinite(value):
             return f"row {row}: {self.name}={raw!r} is not finite"
-        if self.minimum is not None:
-            if value < self.minimum or (self.strict_min and value == self.minimum):
-                op = ">" if self.strict_min else ">="
-                return f"row {row}: {self.name}={raw} violates {self.name} {op} {self.minimum}"
+        if self.minimum is not None and value < self.minimum:
+            return f"row {row}: {self.name}={raw} violates {self.name} >= {self.minimum}"
         if self.maximum is not None and value > self.maximum:
             return f"row {row}: {self.name}={raw} violates {self.name} <= {self.maximum}"
         return None
@@ -79,19 +76,6 @@ class CsvFormat:
 
 
 CSV_FORMATS = {
-    "detections": CsvFormat("detections", 1, (
-        ColumnSpec("frame", "int", "frame index", minimum=0),
-        ColumnSpec("x", "float", "px"),
-        ColumnSpec("y", "float", "px"),
-        ColumnSpec("area", "float", "px^2", minimum=0, strict_min=True),
-    )),
-    "trajectories": CsvFormat("trajectories", 1, (
-        ColumnSpec("droplet_id", "int", "", minimum=0),
-        ColumnSpec("frame", "int", "frame index", minimum=0),
-        ColumnSpec("x", "float", "px"),
-        ColumnSpec("y", "float", "px"),
-        ColumnSpec("area", "float", "px^2", minimum=0, strict_min=True),
-    )),
     "history": CsvFormat("history", 1, (
         ColumnSpec("run", "int", "", minimum=0),
         ColumnSpec("generation", "int", "", minimum=1),
@@ -167,7 +151,7 @@ def format_spec_text() -> str:
         for col in fmt.columns:
             bounds = []
             if col.minimum is not None:
-                bounds.append(f"{'>' if col.strict_min else '>='} {col.minimum}")
+                bounds.append(f">= {col.minimum}")
             if col.maximum is not None:
                 bounds.append(f"<= {col.maximum}")
             unit = f" [{col.unit}]" if col.unit else ""

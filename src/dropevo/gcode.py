@@ -160,33 +160,46 @@ class StageLayout:
 
     @classmethod
     def from_json(cls, text: str) -> "StageLayout":
-        """Inverse of to_json; GcodeError names the field of a malformed layout,
-        or of one that lacks a name that programs or the firmware use: a
-        location or apparatus of LAYOUT_LOCATIONS and LAYOUT_APPARATUS, the
-        ports and barrel of each pump, the vessel of each location, or the
-        initial contents of a vessel that a location or pump port names."""
+        """Inverse of to_json; GcodeError names the field of a malformed layout
+        (a port target or location vessel that is not a string, a vessel
+        amount that is not a finite number >= 0, ...), or of one that lacks
+        a name that programs or the firmware use: a location or apparatus of
+        LAYOUT_LOCATIONS and LAYOUT_APPARATUS, the ports and barrel of each
+        pump, the vessel of each location, or the initial contents of a
+        vessel that a location or pump port names."""
+        def string(value):
+            if not isinstance(value, str):
+                raise ValueError(f"{value!r} is not a name")
+            return value
+
         points = lambda v: {k: check_vector(f"point {k!r}", p, 2) for k, p in v.items()}
-        required = {
+        amounts = lambda v: {vessel: {liquid: check_number(f"{vessel!r} {liquid!r} uL", ul, 0)
+                                      for liquid, ul in contents.items()}
+                             for vessel, contents in v.items()}
+        convert = {
             "bounds_mm": lambda v: check_vector("bounds", v, 2),
             "locations": points, "apparatus_offsets": points,
-            "pump_ports": lambda v: {int(k): {int(p): n for p, n in ports.items()}
+            "pump_ports": lambda v: {int(k): {int(p): string(n) for p, n in ports.items()}
                                      for k, ports in v.items()},
             "pump_syringe_ml": lambda v: {int(k): check_number("barrel mL", ml, 0, strict=True)
                                           for k, ml in v.items()},
+            "location_vessel": lambda v: {k: string(n) for k, n in v.items()},
+            "vessel_initial_ul": amounts, "vessel_retained_ul": amounts,
         }
+        required = {"bounds_mm", "locations", "apparatus_offsets", "pump_ports",
+                    "pump_syringe_ml"}
         name = "file"
         try:
             d = json.loads(text)
             if not isinstance(d, dict):
                 raise ValueError("top level must be an object")
-            missing = sorted(required.keys() - d.keys())
+            missing = sorted(required - d.keys())
             unknown = sorted(d.keys() - cls.__dataclass_fields__.keys())
             if missing or unknown:
                 raise ValueError(f"missing fields {missing}, unknown fields {unknown}")
-            for name, convert in required.items():
-                d[name] = convert(d[name])
+            for name, check in convert.items():
+                d[name] = check(d.get(name, {}))
             ports = d["pump_ports"]
-            location_vessel = d.setdefault("location_vessel", {})
             port_vessels = {v for pp in ports.values() for v in pp.values() if v != "carriage"}
             needed = [  # (field, names it must hold, what it holds), checked in order
                 ("locations", LAYOUT_LOCATIONS, d["locations"]),
@@ -194,9 +207,9 @@ class StageLayout:
                 ("pump_ports", PUMP_IDS, ports),
                 *((f"pump_ports {p}", (0, 1), ports[p]) for p in PUMP_IDS if p in ports),
                 ("pump_syringe_ml", PUMP_IDS, d["pump_syringe_ml"]),
-                ("location_vessel", d["locations"], location_vessel),
-                ("vessel_initial_ul", {*location_vessel.values(), *port_vessels},
-                 d.setdefault("vessel_initial_ul", {})),
+                ("location_vessel", d["locations"], d["location_vessel"]),
+                ("vessel_initial_ul", {*d["location_vessel"].values(), *port_vessels},
+                 d["vessel_initial_ul"]),
             ]
             for name, names, present in needed:
                 missing = sorted(set(names) - set(present), key=str)

@@ -21,8 +21,6 @@ so the scores stay well defined when the droplet count varies.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -57,10 +55,6 @@ class NoTriples(TrackingError):
 class Trajectory:
     droplet_id: int
     samples: list  # of (frame, x, y, area), frames contiguous
-
-    @property
-    def last_frame(self) -> int:
-        return self.samples[-1][0]
 
 
 class TrajectorySet:
@@ -278,13 +272,3 @@ FITNESS_FUNCTIONS = {
     "movement": fitness_movement,
     "directionality": fitness_directionality,
 }
-
-
-def trajectories_to_csv(ts: TrajectorySet) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["droplet_id", "frame", "x", "y", "area"])
-    for tr in ts.trajectories:
-        for t, x, y, area in tr.samples:
-            w.writerow([tr.droplet_id, t, repr(x), repr(y), repr(area)])
-    return buf.getvalue()

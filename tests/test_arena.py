@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,8 +11,6 @@ from dropevo.arena import (
     BehaviorParams,
     DetectionFrame,
     behavior_from_formulation,
-    detections_from_csv,
-    detections_to_csv,
     filter_analytic_arena,
     simulate,
     unimodal_behavior_map,
@@ -103,39 +102,43 @@ def test_simulate_zero_speed_stays_put():
 
 
 def test_simulate_step_length_equals_speed():
+    # One droplet per arena, so consecutive detections are one lineage: a
+    # full step each frame until the droplet reaches the wall and dies.
     b = BehaviorParams(speed=3.0, turn_noise=0.3, split_probability=0.0,
                        shrink_rate=0.0)
-    frames = list(simulate(Formulation((1, 0, 0, 0)), SHORT,
-                           np.random.SeedSequence(2), behavior=b))
-    for prev, cur in zip(frames, frames[1:]):
-        for (x0, y0, _), (x1, y1, _) in zip(prev.detections, cur.detections):
-            step = math.hypot(x1 - x0, y1 - y0)
-            # A full step, none once frozen, or the part of a step that
-            # reaches the wall.
-            assert (step == pytest.approx(3.0) or step == 0.0
-                    or (step < 3.0 and math.hypot(x1, y1) == pytest.approx(200.0)))
+    ends = set()
+    for seed, xy in enumerate(SHORT.injection_positions):
+        cfg = ArenaConfig(duration=2.0, arena_radius=150.0, injection_count=1,
+                          injection_positions=(xy,))
+        rec = simulate(Formulation((1, 0, 0, 0)), cfg, np.random.SeedSequence(seed),
+                       behavior=b)
+        alive = np.diff(rec.offsets)
+        n = len(rec.x)
+        assert alive.tolist() == [1] * n + [0] * (cfg.total_frames - n)
+        assert np.hypot(np.diff(rec.x), np.diff(rec.y)) == pytest.approx(3.0)
+        ends.add(n < cfg.total_frames)
+    assert ends == {False, True}  # droplets that die at the wall and that do not
 
 
 def test_simulate_wall_freeze():
+    # Wall death: straight lines at 5 px/frame in a 100 px arena reach the
+    # wall well within 10 s, and a droplet that touches it leaves the record.
     cfg = ArenaConfig(duration=10.0, arena_radius=100.0)
     b = BehaviorParams(speed=5.0, turn_noise=0.0, split_probability=0.0,
                        shrink_rate=0.0)
-    frames = list(simulate(Formulation((1, 0, 0, 0)), cfg,
-                           np.random.SeedSequence(3), behavior=b))
-    # Straight lines at 5 px/frame in a 100 px arena: everything freezes well
-    # within 10 s, on the wall itself, and stays there.
-    assert frames[-1].detections == frames[-2].detections
-    for x, y, _ in frames[-1].detections:
-        assert math.hypot(x, y) == pytest.approx(100.0, rel=1e-12)
-    assert list(filter_analytic_arena(frames, 100.0))[-1].detections == ()
+    rec = simulate(Formulation((1, 0, 0, 0)), cfg, np.random.SeedSequence(3), behavior=b)
+    assert np.all(np.hypot(rec.x, rec.y) < 100.0)
+    # No droplet appears, and each dies within 37 steps of 5 px: it starts
+    # 84.85 px out, at most 184.85 px from the wall along its line.
+    counts = np.diff(rec.offsets)
+    assert counts[0] == 4 and np.all(np.diff(counts) <= 0) and not counts[37:].any()
 
 
 def test_simulate_wall_contact_does_not_split():
     # From (99, 0) a 5 px step touches the wall of a 100 px arena when its
     # heading has cos >= 0.176. With split_probability 1 the droplet splits
-    # at its first step unless the step touches the wall: then it freezes on
-    # the wall as one droplet, with no live children at its last interior
-    # position.
+    # at its first step unless the step touches the wall: then it dies, and
+    # leaves no children at its last interior position.
     cfg = ArenaConfig(duration=0.1, arena_radius=100.0, injection_count=1,
                       injection_positions=((99.0, 0.0),))
     b = BehaviorParams(speed=5.0, turn_noise=0.0, split_probability=1.0,
@@ -144,17 +147,12 @@ def test_simulate_wall_contact_does_not_split():
     for seed in range(20):
         frames = list(simulate(Formulation((1, 0, 0, 0)), cfg,
                                np.random.SeedSequence(seed), behavior=b))
+        # No detection (wall death) or the children of a split, less a child
+        # born beyond the wall.
         first = frames[1].detections
-        if len(first) == 1:
-            (x, y, area), = first
-            assert math.hypot(x, y) == pytest.approx(100.0, rel=1e-12) and area == 400.0
-        else:
-            assert len(first) == 2
-            # Two children; one born beyond the wall would sit on it.
-            assert all(math.hypot(x, y) <= 100.0 * (1 + 1e-12) and area == 200.0
-                       for x, y, area in first)
+        assert all(math.hypot(x, y) < 100.0 and area == 200.0 for x, y, area in first)
         outcomes.add(len(first))
-    assert outcomes == {1, 2}
+    assert outcomes == {0, 1, 2}
 
 
 def test_simulate_shrink_and_disappear():
@@ -207,19 +205,6 @@ def test_filter_analytic_arena_squares_like_pow():
     assert kept[0].detections == ()
 
 
-def test_detections_csv_round_trip():
-    frames = simulate(Formulation((0.25, 0.25, 0.25, 0.25)), SHORT,
-                      np.random.SeedSequence(7))
-    assert detections_from_csv(detections_to_csv(frames)) == list(frames)
-
-
-def test_detections_csv_preserves_empty_frames():
-    frames = [DetectionFrame(0, ((1.0, 2.0, 3.0),)),
-              DetectionFrame(1, ()),
-              DetectionFrame(2, ((4.0, 5.0, 6.0),))]
-    assert detections_from_csv(detections_to_csv(frames)) == frames
-
-
 def test_min_split_area_constant():
     assert arena.MIN_SPLIT_AREA == 30.0
 
@@ -270,40 +255,27 @@ def simulate_v1(f, cfg, rng, behavior):
     return frames
 
 
-def on_wall(x0, y0, x1, y1, r):
-    # The root of |p0 + s (p1 - p0)| = r in (0, 1].
-    dx, dy = x1 - x0, y1 - y0
-    a, half_b, c = dx * dx + dy * dy, x0 * dx + y0 * dy, x0 * x0 + y0 * y0 - r * r
-    s = (math.sqrt(half_b * half_b - a * c) - half_b) / a
-    return x0 + s * dx, y0 + s * dy
-
-
 def reference_simulate(f, cfg, seed, behavior):
     """Contract v2 walked frame by frame, droplet by droplet, drawing one
     value at a time from each droplet's own streams: the reference that the
     event-driven simulate must match exactly."""
     b = behavior
-    r = cfg.arena_radius
-    r2 = r ** 2
+    r2 = cfg.arena_radius ** 2
 
-    def droplet(lineage, x, y, area, frozen):
-        turn = None if frozen else arena.droplet_stream(seed, lineage, arena.TURN)
+    def droplet(lineage, x, y, area):
         return {"lineage": lineage, "x": x, "y": y, "born_area": area, "age": 0,
-                "area": area, "frozen": frozen, "turn": turn, "split": None}
+                "area": area, "turn": arena.droplet_stream(seed, lineage, arena.TURN),
+                "split": None}
 
     droplets = []
     for i, (x, y) in enumerate(cfg.injection_positions):
-        d = droplet((i,), x, y, float(cfg.initial_droplet_area), x * x + y * y >= r2)
-        if not d["frozen"]:
-            d["heading"] = d["turn"].uniform(0.0, 2.0 * math.pi)
+        d = droplet((i,), x, y, float(cfg.initial_droplet_area))
+        d["heading"] = d["turn"].uniform(0.0, 2.0 * math.pi)
         droplets.append(d)
     frames = [DetectionFrame(0, tuple((d["x"], d["y"], d["area"]) for d in droplets))]
     for t in range(1, cfg.total_frames):
         new_droplets = []
         for d in droplets:
-            if d["frozen"]:
-                new_droplets.append(d)
-                continue
             d["age"] += 1
             d["heading"] += b.turn_noise * d["turn"].standard_normal()
             nx = d["x"] + b.speed * math.cos(d["heading"])
@@ -311,10 +283,7 @@ def reference_simulate(f, cfg, seed, behavior):
             d["area"] = d["born_area"] - b.shrink_rate * d["age"]
             if d["area"] <= 0:
                 continue
-            if nx * nx + ny * ny >= r2:
-                d["x"], d["y"] = on_wall(d["x"], d["y"], nx, ny, r)
-                d["frozen"] = True
-                new_droplets.append(d)
+            if nx * nx + ny * ny >= r2:  # wall death
                 continue
             d["x"], d["y"] = nx, ny
             if b.split_probability > 0 and d["area"] >= arena.MIN_SPLIT_AREA:
@@ -325,12 +294,10 @@ def reference_simulate(f, cfg, seed, behavior):
                     px, py = -math.sin(d["heading"]), math.cos(d["heading"])
                     for child, sign in ((0, 1.0), (1, -1.0)):
                         cx, cy = d["x"] + sign * px, d["y"] + sign * py
-                        beyond = cx * cx + cy * cy >= r2
-                        if beyond:
-                            cx, cy = on_wall(d["x"], d["y"], cx, cy, r)
-                        c = droplet((*d["lineage"], child), cx, cy, half, beyond)
-                        c["heading"] = d["heading"]
-                        new_droplets.append(c)
+                        if cx * cx + cy * cy < r2:
+                            c = droplet((*d["lineage"], child), cx, cy, half)
+                            c["heading"] = d["heading"]
+                            new_droplets.append(c)
                     continue
             new_droplets.append(d)
         droplets = new_droplets
@@ -354,7 +321,7 @@ ORACLE_CASES = [
     (ArenaConfig(duration=3.0), BehaviorParams(0.5, 0.3, 1.0, 0.0)),  # split floor
     (SHORT, BehaviorParams(1.0, 0.2, 0.0, 10.0)),            # shrink to zero
     (ArenaConfig(duration=4.0, arena_radius=90.0),
-     BehaviorParams(5.0, 0.1, 0.0, 0.0)),                    # wall freeze, static tail
+     BehaviorParams(5.0, 0.1, 0.0, 0.0)),                    # wall death
     (ArenaConfig(duration=4.0, arena_radius=90.0),
      BehaviorParams(4.0, 0.2, 0.2, 1.0)),                    # splits racing the wall
     (NEAR_WALL, BehaviorParams(0.6, 1.5, 0.5, 0.0)),         # children born beyond the wall
@@ -372,12 +339,43 @@ def test_simulate_matches_scalar_reference(case, seed):
     got = simulate(f, cfg, np.random.SeedSequence(seed), behavior=b)
     want = reference_simulate(f, cfg, np.random.SeedSequence(seed), b)
     assert list(got) == want
+    assert np.all(got.x * got.x + got.y * got.y < cfg.arena_radius ** 2)
     assert list(filter_analytic_arena(got, cfg.arena_radius)) == reference_filter(
         want, cfg.arena_radius)
 
 
+# sha256 of filter_analytic_arena(simulate(...)) for each of ORACLE_CASES over
+# seeds 0-2 (offsets as int64, then x, y and area as float64, little-endian):
+# what the tracker sees, whichever of the two layers drops a droplet at the
+# wall.
+FILTERED_RECORD_SHA256 = [
+    "9046d6f7470f687d2cd5bb51ec2147d32fa7a13d4c7cad831c35425649306572",
+    "60074ff293feb68ad6f2b9c220f353d55d1d2639f734f7cd0c2307347c5d5307",
+    "e770194e718b7bee2d34f10cd507ca088191ef21eb38682dcbb2a7efe49201a2",
+    "813a3d68fcc17701096edd0772ae41d9dd2405c92dfdc4a6c9ccea184fb599ce",
+    "5fd4be2e38cf2df44a4f34011f84f8c28f342e1ee576dba2b95daea83d549ee8",
+    "cd5c82c1c5fa0b9da88d38375b6ddd9f21f331d7590392aad903a86398269dfb",
+    "3a84de2a4741d1108016814eaf69d2ecefaee6e3bbc7f8633c1dc5010a05a462",
+    "1b66520d471367f736d50c070a2e2bba8ad88ac58743394a764b888e9cb6f6be",
+]
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_filtered_record_digest(case):
+    cfg, b = ORACLE_CASES[case]
+    h = hashlib.sha256()
+    for seed in range(3):
+        rec = filter_analytic_arena(simulate(Formulation((1, 0, 0, 0)), cfg,
+                                             np.random.SeedSequence(seed), behavior=b),
+                                    cfg.arena_radius)
+        for col, dtype in ((rec.offsets, "<i8"), (rec.x, "<f8"), (rec.y, "<f8"),
+                           (rec.area, "<f8")):
+            h.update(np.ascontiguousarray(col, dtype=dtype).tobytes())
+    assert h.hexdigest() == FILTERED_RECORD_SHA256[case]
+
+
 def test_simulate_matches_scalar_reference_on_recipes():
-    # Full-length default arenas: the static tail, splits and wall deaths of
+    # Full-length default arenas: the splits, shrinking and wall deaths of
     # real recipes.
     cfg = ArenaConfig()
     for seed, p in enumerate([(0.25, 0.25, 0.25, 0.25), (1, 0, 0, 0),

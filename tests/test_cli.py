@@ -165,6 +165,16 @@ def test_gcode_compile_requires_something(capsys):
     assert main(["gcode", "compile"]) == EXIT_USAGE
 
 
+def edited_layout(value, *path):
+    """The default layout as JSON, with the entry at `path` set to `value`."""
+    layout = json.loads(gcode.default_layout().to_json())
+    node = layout
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(layout)
+
+
 @pytest.mark.parametrize("layout, problem", [
     ("{}", "missing fields"),
     ('{"bounds_mm": [1, 2], "locations": {"a": 1}}', "missing fields"),
@@ -174,6 +184,19 @@ def test_gcode_compile_requires_something(capsys):
      ' "pump_ports": {}, "pump_syringe_ml": {}}', "locations: point 'a' must be 2 numbers"),
     ('{"bounds_mm": [500, 400], "locations": {}, "apparatus_offsets": {},'
      ' "pump_ports": {}, "pump_syringe_ml": {"4": 0}}', "pump_syringe_ml"),
+    pytest.param(edited_layout("lots", "vessel_initial_ul", "well", "x"),
+                 "layout vessel_initial_ul: 'well' 'x' uL must be a finite number >= 0",
+                 id="initial-amount-not-a-number"),
+    pytest.param(edited_layout("x", "vessel_retained_ul", "dish", "aqueous"),
+                 "layout vessel_retained_ul: 'dish' 'aqueous' uL must be a finite number >= 0",
+                 id="retained-amount-not-a-number"),
+    pytest.param(edited_layout(-5, "vessel_initial_ul", "dish", "aqueous"),
+                 "layout vessel_initial_ul: 'dish' 'aqueous' uL must be a finite number >= 0",
+                 id="initial-amount-negative"),
+    pytest.param(edited_layout(["waste"], "pump_ports", "6", "1"),
+                 "layout pump_ports: ['waste']", id="port-target-not-a-string"),
+    pytest.param(edited_layout(["dish"], "location_vessel", "drop_1"),
+                 "layout location_vessel: ['dish']", id="location-vessel-not-a-string"),
 ])
 def test_gcode_malformed_layout_is_a_data_error(tmp_path, capsys, layout, problem):
     path = tmp_path / "layout.json"
@@ -351,6 +374,9 @@ def test_nonfinite_fitness_is_a_data_error(tmp_path, capsys, command, bad):
     ("evaluation", "run", 1),              # set by the command, not the config
     ("evaluation", "master_seed", 1),
     ("evaluation", "objective", "division"),
+    ("arena", "injection_positions",       # on the wall of the 200 px arena
+     [[0.0, 200.0], [60.0, -60.0], [-60.0, 60.0], [60.0, 60.0]]),
+    ("arena", "arena_radius", 1e200),      # its square overflows
 ])
 def test_evolve_rejects_unsupported_config(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(FAST_CONFIG))

@@ -1,8 +1,6 @@
-import numpy as np
 import pytest
 
-from dropevo import ga
-from dropevo.arena import ArenaConfig, detections_to_csv, simulate
+from dropevo import ga, stats
 from dropevo.formats import (
     CSV_FORMATS,
     FORMAT_IDS,
@@ -13,45 +11,42 @@ from dropevo.formats import (
 )
 from dropevo.formulation import Formulation
 from dropevo.gcode import VirtualRobot, compile_experiment, default_layout
-from dropevo.tracking import track, trajectories_to_csv
+
+BANDS_HEADER = "generation,median,p25,p75,p10,p90"
 
 
 def test_format_registry():
-    assert set(FORMAT_IDS) == {"detections", "trajectories", "history",
-                               "landscape", "events", "bands", "gcode", "layout"}
+    assert set(FORMAT_IDS) == {"history", "landscape", "events", "bands", "gcode", "layout"}
     with pytest.raises(UnknownFormat):
         validate_text("", "telemetry")
 
 
-def test_detections_valid_and_invalid():
-    good = "frame,x,y,area\n0,1.0,2.0,400.0\n1,1.5,2.5,399.0\n"
-    assert validate_text(good, "detections") == []
-    assert validate_text("frame,x,y\n0,1,2\n", "detections") != []
-    bad_area = "frame,x,y,area\n0,1.0,2.0,0.0\n"
-    issues = validate_text(bad_area, "detections")
-    assert len(issues) == 1 and "area" in issues[0] and "row 2" in issues[0]
-    bad_type = "frame,x,y,area\n0,abc,2.0,5.0\n"
-    assert "not a float" in validate_text(bad_type, "detections")[0]
+def test_bands_valid_and_invalid():
+    good = f"{BANDS_HEADER}\n1,1.0,0.5,1.5,0.2,1.8\n2,1.1,0.6,1.6,0.3,1.9\n"
+    assert validate_text(good, "bands") == []
+    assert validate_text("generation,median\n1,1.0\n", "bands") != []
+    bad_generation = f"{BANDS_HEADER}\n0,1.0,0.5,1.5,0.2,1.8\n"
+    issues = validate_text(bad_generation, "bands")
+    assert len(issues) == 1 and "generation" in issues[0] and "row 2" in issues[0]
+    bad_type = f"{BANDS_HEADER}\n1,abc,0.5,1.5,0.2,1.8\n"
+    assert "not a float" in validate_text(bad_type, "bands")[0]
 
 
 def test_empty_file_rejected():
-    assert validate_text("", "detections") == ["empty file"]
+    assert validate_text("", "bands") == ["empty file"]
 
 
 def test_field_count_mismatch():
-    text = "frame,x,y,area\n0,1.0,2.0\n"
-    assert "expected 4 fields" in validate_text(text, "detections")[0]
+    text = f"{BANDS_HEADER}\n1,1.0,0.5\n"
+    assert "expected 6 fields" in validate_text(text, "bands")[0]
 
 
 def test_real_outputs_validate():
-    frames = simulate(Formulation((0.25, 0.25, 0.25, 0.25)),
-                      ArenaConfig(duration=2.0), np.random.SeedSequence(0))
-    assert validate_text(detections_to_csv(frames), "detections") == []
-    assert validate_text(trajectories_to_csv(track(frames)), "trajectories") == []
-
     hist = ga.run_ga(ga.GAConfig(generations=2, rng_seed=1),
                      lambda p, rid: (1.0, 1.0, 1.0))
     assert validate_text(ga.history_to_csv(hist), "history") == []
+    report = stats.trajectory_report([hist])
+    assert validate_text(stats.bands_csv(report), "bands") == []
 
     robot = VirtualRobot()
     robot.execute(compile_experiment(Formulation((0.4, 0.3, 0.2, 0.1))))
@@ -85,9 +80,9 @@ def test_layout_validation():
 
 
 def test_validate_file(tmp_path):
-    p = tmp_path / "d.csv"
-    p.write_text("frame,x,y,area\n0,1.0,2.0,3.0\n")
-    assert validate_file(p, "detections") == []
+    p = tmp_path / "bands.csv"
+    p.write_text(f"{BANDS_HEADER}\n1,1.0,0.5,1.5,0.2,1.8\n")
+    assert validate_file(p, "bands") == []
 
 
 def test_format_spec_text_mentions_every_format():
@@ -101,9 +96,9 @@ def test_format_spec_text_mentions_every_format():
 
 @pytest.mark.parametrize("bad", ["nan", "NaN", "inf", "-inf", "Infinity"])
 def test_float_columns_reject_non_finite(bad):
-    issues = validate_text(f"frame,x,y,area\n0,1.0,{bad},5.0\n", "detections")
+    issues = validate_text(f"{BANDS_HEADER}\n1,1.0,{bad},1.5,0.2,1.8\n", "bands")
     assert len(issues) == 1
-    assert issues[0].startswith("row 2: y=") and "not finite" in issues[0]
+    assert issues[0].startswith("row 2: p25=") and "not finite" in issues[0]
 
     header = ("run,generation,individual_id,parent_ids,locus1,locus2,locus3,"
               "locus4,replicate1,replicate2,replicate3,fitness")

@@ -25,7 +25,6 @@ from dropevo.tracking import (
     fitness_division,
     fitness_movement,
     track,
-    trajectories_to_csv,
 )
 
 
@@ -261,14 +260,6 @@ def test_fitness_matches_oracles_on_simulations():
             oracle_directionality(tracks), abs=1e-9)
 
 
-def test_trajectories_csv_header():
-    frames = frames_of([(0, 0, 9)], [(1, 0, 9)])
-    text = trajectories_to_csv(track(frames))
-    lines = text.splitlines()
-    assert lines[0] == "droplet_id,frame,x,y,area"
-    assert len(lines) == 3
-
-
 # ------------------------------------------ scalar reference scores, exact
 
 
@@ -287,7 +278,7 @@ def reference_scores(ts: TrajectorySet):
     directionality (None where there is no triple)."""
     last = ts.total_frames - 1
     division = float(sum(1 for tr in ts.trajectories
-                         if tr.last_frame == last and tr.samples[-1][3] > 15.0))
+                         if tr.samples[-1][0] == last and tr.samples[-1][3] > 15.0))
     pairs, triples = {}, {}
     for tr in ts.trajectories:
         s = tr.samples
