@@ -18,7 +18,7 @@ setup = evaluators.ExperimentSetup(objective="movement",
                                    arena_config=ArenaConfig(duration=4.0),
                                    master_seed=cfg.rng_seed)
 history = ga.run_ga(cfg, evaluator=None, run=0,
-                    evaluate_batch=evaluators.make_batch_evaluator(setup, cfg))
+                    evaluate_batch=evaluators.make_batch_evaluator(setup))
 
 seen = {}
 for gen in history.generations:

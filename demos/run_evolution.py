@@ -19,7 +19,7 @@ setup = evaluators.ExperimentSetup(
     arena_config=ArenaConfig(duration=6.0),  # short arenas keep this quick
     master_seed=cfg.rng_seed,
 )
-batch = evaluators.make_batch_evaluator(setup, cfg)
+batch = evaluators.make_batch_evaluator(setup)
 
 print(f"objective: {setup.objective}, population {cfg.population_size}, "
       f"carry-overs {cfg.carry_overs}, {cfg.generations} generations")

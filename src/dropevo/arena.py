@@ -137,7 +137,7 @@ def behavior_from_formulation(f: Formulation, oils: list[OilProperties] | None =
         oils = oils_for_order()
     if len(oils) != 4:
         raise ValueError("need exactly 4 oils")
-    p = f.as_array()
+    p = np.asarray(f.proportions, dtype=float)
     solubility = float(np.dot(p, [o.effective_solubility for o in oils]))
     inv_viscosity = float(np.dot(p, [1.0 / o.viscosity for o in oils]))
     tension = float(np.dot(p, [o.surface_tension for o in oils]))
@@ -159,7 +159,7 @@ def unimodal_behavior_map(optimum, width: float = 0.35, peak_speed: float = 5.0)
     opt = np.asarray(optimum, dtype=float)
 
     def _map(f: Formulation, oils=None) -> BehaviorParams:
-        d2 = float(np.sum((f.as_array() - opt) ** 2))
+        d2 = float(np.sum((np.asarray(f.proportions, dtype=float) - opt) ** 2))
         speed = SPEED_FLOOR + peak_speed * math.exp(-d2 / (2.0 * width ** 2))
         return BehaviorParams(speed=speed, turn_noise=0.5,
                               split_probability=0.0, shrink_rate=0.0)
@@ -212,73 +212,110 @@ def simulate(f: Formulation, cfg: ArenaConfig, seed: np.random.SeedSequence,
     therefore depends only on its own streams. The detections of a frame
     are ordered by lineage, which is the order splits in place give.
 
-    The walk is event-driven: each droplet draws its steps in blocks, takes
-    its headings, positions and areas as running sums, and stops at its
-    first event (disappearance, wall contact or split); children are
-    walked the same way from their birth frame.
+    The walk is event-driven and runs in lockstep: the droplets born in one
+    frame are walked together, each drawing its steps from its own streams
+    in blocks (one row per droplet), taking its headings, positions and
+    areas as running sums along its row, and stopping at its first event
+    (disappearance, wall contact or split); children are walked the same
+    way from their birth frame.
     """
     b = behavior if behavior is not None else behavior_from_formulation(f)
     frames = cfg.total_frames
-    r2 = cfg.arena_radius ** 2
-    done = []  # (lineage, first frame, x, y, area) of each walk
-    # (lineage, birth frame, x, y, heading or None, area) of each droplet to walk
-    live = [((i,), 0, x, y, None, float(cfg.initial_droplet_area))
-            for i, (x, y) in enumerate(cfg.injection_positions)]
-    while live:
-        lineage, t0, x, y, h, a0 = live.pop()
-        turn = droplet_stream(seed, lineage, TURN)
-        split = None
-        if h is None:
-            h = turn.uniform(0.0, 2.0 * math.pi)
-        xs, ys, areas = [], [], []
-        steps = frames - 1 - t0
-        k, a, block, event = 0, a0, FIRST_BLOCK, False
-        while k < steps and not event:
-            m = min(block, steps - k)
-            block = steps  # after the first block, draw the rest at once
-            hb = np.cumsum(np.concatenate(([h], b.turn_noise * turn.standard_normal(m))))
-            xb = np.cumsum(np.concatenate(([x], b.speed * np.cos(hb[1:]))))
-            yb = np.cumsum(np.concatenate(([y], b.speed * np.sin(hb[1:]))))
-            ab = a0 - b.shrink_rate * np.arange(k, k + m + 1)
-            stop = (xb[1:] * xb[1:] + yb[1:] * yb[1:] >= r2) | (ab[1:] <= 0)
-            if b.split_probability > 0 and ab[1] >= MIN_SPLIT_AREA:
-                if split is None:
-                    split = droplet_stream(seed, lineage, SPLIT)
-                stop |= (split.random(m) < b.split_probability) & (ab[1:] >= MIN_SPLIT_AREA)
-            hits = np.flatnonzero(stop)
-            event = hits.size > 0
-            n = int(hits[0]) + 1 if event else m
-            xs.append(xb[:n])
-            ys.append(yb[:n])
-            areas.append(ab[:n])
-            x, y, h, a = float(xb[n]), float(yb[n]), float(hb[n]), float(ab[n])
-            k += n
-        if not event:  # the droplet's state at the last frame
-            xs.append([x])
-            ys.append([y])
-            areas.append([a])
-        done.append((lineage, t0, np.concatenate(xs), np.concatenate(ys),
-                     np.concatenate(areas)))
-        if not event or a <= 0 or x * x + y * y >= r2:
-            continue
-        px, py = -math.sin(h), math.cos(h)
-        for child, sign in ((0, 1.0), (1, -1.0)):
-            cx, cy = x + sign * px, y + sign * py
-            if cx * cx + cy * cy < r2:
-                live.append(((*lineage, child), t0 + k, cx, cy, h, a / 2.0))
-    if not done:
-        empty = np.zeros(0)
-        return DetectionRecord(np.zeros(frames + 1, dtype=np.int64), empty, empty, empty)
-    done.sort(key=lambda d: d[0])
-    lengths = np.array([len(d[2]) for d in done])
-    first_row = np.cumsum(lengths) - lengths
-    frame = np.arange(lengths.sum()) - np.repeat(first_row - [d[1] for d in done], lengths)
-    # Rows are grouped by lineage; a stable sort on frame keeps lineage
-    # order within each frame.
-    order = np.argsort(frame, kind="stable")
+    lineages = []  # of each droplet walked, by walk number
+    runs = []
+    # birth frame -> [(lineage, x, y, heading or None, area)] of the droplets to walk
+    born = {0: [((i,), x, y, None, float(cfg.initial_droplet_area))
+                for i, (x, y) in enumerate(cfg.injection_positions)]}
+    while born:
+        t0 = min(born)
+        group = born.pop(t0)
+        group_runs, children = _walk(b, seed, cfg.arena_radius ** 2, frames, t0, group,
+                                     len(lineages))
+        lineages.extend(d[0] for d in group)
+        runs += group_runs
+        for t, child in children:
+            born.setdefault(t, []).append(child)
+    droplet, first, length, x, y, area = (np.concatenate(c) for c in zip(*runs))
+    frame = np.arange(len(x)) - np.repeat(np.cumsum(length) - length - first, length)
+    # Frames list their detections in lineage order. Each run is sorted by
+    # frame already, which the stable sort (a merge of sorted runs) exploits.
+    rank = np.empty(len(lineages), dtype=np.int64)
+    rank[sorted(range(len(lineages)), key=lineages.__getitem__)] = np.arange(len(lineages))
+    order = np.argsort(frame * len(lineages) + np.repeat(rank[droplet], length), kind="stable")
     offsets = np.concatenate(([0], np.cumsum(np.bincount(frame, minlength=frames))))
-    return DetectionRecord(offsets, *(np.concatenate([d[c] for d in done])[order]
-                                      for c in (2, 3, 4)))
+    return DetectionRecord(offsets, x[order], y[order], area[order])
+
+
+def _walk(b: BehaviorParams, seed: np.random.SeedSequence, r2: float, frames: int, t0: int,
+          group: list, first_id: int) -> tuple:
+    """Walk the droplets born in frame t0 in lockstep, one row each. `group`
+    holds their (lineage, x, y, heading or None, area); their walk numbers
+    count from first_id. Returns their runs of detections, each one
+    droplet's detections in consecutive frames as (walk numbers, first
+    frame, lengths, x, y, area), and the (birth frame, droplet to walk) of
+    every child their splits leave inside the wall."""
+    ids = np.arange(first_id, first_id + len(group))
+    turn = [droplet_stream(seed, d[0], TURN) for d in group]
+    split = [None] * len(group)
+    x, y, a0 = (np.array([d[c] for d in group], dtype=float) for c in (1, 2, 4))
+    h = np.array([t.uniform(0.0, 2.0 * math.pi) if d[3] is None else d[3]
+                  for t, d in zip(turn, group)])
+    a = a0.copy()
+    rows = np.arange(len(group))  # the droplets still walking
+    steps = frames - 1 - t0
+    runs, children = [], []
+    k, block = 0, FIRST_BLOCK
+    while k < steps and len(rows):
+        m = min(block, steps - k)
+        block = steps  # after the first block, draw the rest at once
+        ab = a0[rows, None] - b.shrink_rate * np.arange(k, k + m + 1)
+        hb = np.empty((len(rows), m + 1))
+        hb[:, 0] = h[rows]
+        # u holds the SPLIT draws of the rows that can split, and 1 (no
+        # split) for the others.
+        u = np.ones((len(rows), m)) if b.split_probability > 0 else None
+        can = (ab[:, 1] >= MIN_SPLIT_AREA).tolist()
+        for row, r in enumerate(rows.tolist()):
+            turn[r].standard_normal(out=hb[row, 1:])
+            if u is not None and can[row]:
+                if split[r] is None:
+                    split[r] = droplet_stream(seed, group[r][0], SPLIT)
+                split[r].random(out=u[row])
+        hb[:, 1:] *= b.turn_noise
+        hb = np.cumsum(hb, axis=1)
+        xb = np.empty_like(hb)
+        yb = np.empty_like(hb)
+        xb[:, 0], yb[:, 0] = x[rows], y[rows]
+        xb[:, 1:] = b.speed * np.cos(hb[:, 1:])
+        yb[:, 1:] = b.speed * np.sin(hb[:, 1:])
+        xb = np.cumsum(xb, axis=1)
+        yb = np.cumsum(yb, axis=1)
+        stop = (xb[:, 1:] * xb[:, 1:] + yb[:, 1:] * yb[:, 1:] >= r2) | (ab[:, 1:] <= 0)
+        if u is not None:
+            stop |= (u < b.split_probability) & (ab[:, 1:] >= MIN_SPLIT_AREA)
+        event = stop.any(axis=1)
+        n = np.where(event, stop.argmax(axis=1) + 1, m)
+        kept = np.arange(m) < n[:, None]
+        runs.append((ids[rows], np.full(len(rows), t0 + k), n,
+                     xb[:, :m][kept], yb[:, :m][kept], ab[:, :m][kept]))
+        at = (np.arange(len(rows)), n)
+        x[rows], y[rows], h[rows], a[rows] = xb[at], yb[at], hb[at], ab[at]
+        for r, steps_taken in zip(rows[event].tolist(), n[event].tolist()):
+            cx, cy, ch, ca = float(x[r]), float(y[r]), float(h[r]), float(a[r])
+            if ca <= 0 or cx * cx + cy * cy >= r2:
+                continue
+            px, py = -math.sin(ch), math.cos(ch)
+            for child, sign in ((0, 1.0), (1, -1.0)):
+                bx, by = cx + sign * px, cy + sign * py
+                if bx * bx + by * by < r2:
+                    children.append((t0 + k + steps_taken,
+                                     ((*group[r][0], child), bx, by, ch, ca / 2.0)))
+        rows = rows[~event]
+        k += m
+    # the state at the last frame of the droplets that walked to it
+    runs.append((ids[rows], np.full(len(rows), frames - 1), np.ones_like(rows),
+                 x[rows], y[rows], a[rows]))
+    return runs, children
 
 
 def filter_analytic_arena(frames, arena_radius: float,

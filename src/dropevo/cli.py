@@ -19,10 +19,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
-
-# evolve, landscape and analyze import the layers behind them when they run,
-# so that the gcode commands load no scipy.
+# evolve, landscape and analyze import numpy and the layers behind them when
+# they run, so that the gcode commands load neither numpy nor scipy.
 from . import __version__, formats, gcode
 from .formulation import normalize
 
@@ -139,8 +137,7 @@ def cmd_evolve(args) -> int:
                               mp_context=multiprocessing.get_context("spawn"))
           if args.jobs > 1 else contextlib.nullcontext()) as pool:
         for run in range(ga_cfg.runs):
-            batch = evaluators.make_batch_evaluator(dataclasses.replace(setup, run=run),
-                                                    ga_cfg, pool=pool)
+            batch = evaluators.make_batch_evaluator(dataclasses.replace(setup, run=run), pool=pool)
             history = ga.run_ga(ga_cfg, evaluator=None, run=run, evaluate_batch=batch)
             histories.append(history)
             name = f"history_run{run}.csv"
@@ -199,6 +196,8 @@ class FileFormatError(Exception):
 
 
 def cmd_landscape(args) -> int:
+    import numpy as np
+
     from . import landscape
 
     for key, default in (("sigma", landscape.DEFAULT_SIGMA), ("lam", landscape.DEFAULT_LAMBDA),

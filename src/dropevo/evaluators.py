@@ -73,12 +73,11 @@ def evaluate_recipe(setup: ExperimentSetup, proportions, recipe_id: int) -> list
             for rep in range(ga.REPLICATES)]
 
 
-def make_batch_evaluator(setup: ExperimentSetup, cfg: ga.GAConfig, pool=None):
+def make_batch_evaluator(setup: ExperimentSetup, pool=None):
     """Batch evaluator for ga.run_ga under `setup`. With a pool (a
     concurrent.futures executor, which the caller owns) the recipes of a
     batch are mapped over it; per-recipe seeding keeps the results equal to
-    serial evaluation. `cfg`, the run's GAConfig, is accepted for the call's
-    sake: nothing in it changes how a recipe is scored."""
+    serial evaluation."""
     score = partial(evaluate_recipe, setup)
 
     def evaluate_batch(batch):

@@ -4,6 +4,10 @@ A genome holds GENOME_LENGTH = 4 raw quantitative trait loci in [0, 1]. It
 only becomes a recipe (a Formulation, a point on the 4-component unit simplex)
 when it is normalized at phenotype time; genetic operators act on the raw
 loci. oils.json is parsed once per process.
+
+The module is pure Python, so the G-code commands that use it load no numpy.
+A four-component total is ((a + b) + c) + d, the bits of numpy's sum of a
+4-element float64 array (builtin sum() compensates from Python 3.12 on).
 """
 
 from __future__ import annotations
@@ -11,11 +15,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
-
-import numpy as np
 
 GENOME_LENGTH = 4
 WELL_TOTAL_UL = 360.0
@@ -110,6 +113,11 @@ def oils_for_order(order: tuple[str, ...] = DEFAULT_OIL_ORDER) -> list[OilProper
     return [oil_lookup(name) for name in order]
 
 
+def _total(p: list) -> float:
+    """((p[0] + p[1]) + p[2]) + p[3]."""
+    return ((p[0] + p[1]) + p[2]) + p[3]
+
+
 @dataclass(frozen=True)
 class Formulation:
     """A point on the 4-component unit simplex: the proportion of each oil."""
@@ -117,16 +125,14 @@ class Formulation:
     proportions: tuple[float, float, float, float]
 
     def __post_init__(self):
-        p = np.asarray(self.proportions, dtype=float)
-        if p.shape != (GENOME_LENGTH,):
-            raise FormulationError(f"expected {GENOME_LENGTH} proportions, got {p.shape}")
-        if not np.all((p >= 0) & (p <= 1)):   # also rejects NaN
-            raise FormulationError(f"proportions must lie in [0, 1], got {p.tolist()}")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise FormulationError(f"proportions sum to {p.sum()!r}, not 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.proportions, dtype=float)
+        p = [float(v) for v in self.proportions]
+        if len(p) != GENOME_LENGTH:
+            raise FormulationError(f"expected {GENOME_LENGTH} proportions, got {len(p)}")
+        if not all(0.0 <= v <= 1.0 for v in p):   # also rejects NaN
+            raise FormulationError(f"proportions must lie in [0, 1], got {p}")
+        total = _total(p)
+        if abs(total - 1.0) > 1e-12:
+            raise FormulationError(f"proportions sum to {total!r}, not 1")
 
 
 def normalize(raw) -> Formulation:
@@ -136,24 +142,24 @@ def normalize(raw) -> Formulation:
     if any component is negative and FormulationError if any is NaN or
     infinite.
     """
-    r = np.asarray(raw, dtype=float)
-    if r.shape != (GENOME_LENGTH,):
-        raise FormulationError(f"expected {GENOME_LENGTH} components, got {r.shape}")
-    if not np.isfinite(r).all():
-        raise FormulationError(f"non-finite component in {r.tolist()}")
-    if np.any(r < 0):
-        raise NegativeComponentError(f"negative component in {r.tolist()}")
-    total = r.sum()
+    r = [float(v) for v in raw]
+    if len(r) != GENOME_LENGTH:
+        raise FormulationError(f"expected {GENOME_LENGTH} components, got {len(r)}")
+    if not all(math.isfinite(v) for v in r):
+        raise FormulationError(f"non-finite component in {r}")
+    if any(v < 0 for v in r):
+        raise NegativeComponentError(f"negative component in {r}")
+    total = _total(r)
     if total == 0:
         raise AllZeroError("all components are zero")
     # Inputs already on the simplex (to within a few ulps) pass through
     # unchanged; dividing by a total this close to 1 could only churn the
     # last bit, and passing through makes normalize exactly idempotent.
-    if abs(total - 1.0) <= 16 * np.finfo(float).eps:
-        return Formulation(tuple(r.tolist()))
-    return Formulation(tuple((r / total).tolist()))
+    if abs(total - 1.0) <= 16 * sys.float_info.epsilon:
+        return Formulation(tuple(r))
+    return Formulation(tuple(v / total for v in r))
 
 
-def well_volumes(f: Formulation) -> np.ndarray:
+def well_volumes(f: Formulation) -> tuple:
     """Per-oil volumes (uL) for a mixing well holding WELL_TOTAL_UL."""
-    return f.as_array() * WELL_TOTAL_UL
+    return tuple(float(v) * WELL_TOTAL_UL for v in f.proportions)

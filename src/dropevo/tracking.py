@@ -7,12 +7,17 @@ previous frame whose centre lies within the gate, distance ties going to the
 lower droplet id; a detection without a candidate starts a new identity.
 Droplet ids number trajectories in the order of their first detection.
 
-The tracker works on the columnar `DetectionRecord`. For every frame pair it
-computes the gated squared distances in blocks and takes each detection's
-nearest previous detection. A frame is clean when no nearest distance is an
-exact tie and no two detections pick the same previous detection; there the
-greedy claims are exactly these picks. Dirty frames (splits, collisions,
-ties) replay the greedy rule on their own block, in frame order.
+The tracker makes one sparse pass over the columnar `DetectionRecord`. It
+sorts each frame's detections by x once and gives every detection an x band
+in the previous frame: the gate, or, where the two frames hold equally many
+detections, the distance to the previous frame's detection in the same slot,
+which bounds the nearest candidate and all its ties. The exact squared
+distances of the band's candidates give each detection's nearest previous
+detection. A frame is clean when no nearest distance is an exact tie and no
+two detections pick the same previous detection; there the greedy claims are
+exactly these picks, and every clean frame is linked at once. Dirty frames
+(splits, collisions, ties) replay the greedy rule in frame order, each over
+its own gated candidate lists.
 
 Movement and directionality average per frame pair (respectively frame
 triple) over the droplets contributing to that pair/triple, then over time,
@@ -30,9 +35,6 @@ from .arena import DetectionRecord
 
 TRACK_RADIUS_PX = 30.0
 DIVISION_AREA_THRESHOLD = 15.0
-# Distance cells per block of frame pairs: bounds the tracker's scratch
-# memory (a few arrays of this many float64) whatever the droplet count.
-CELL_BUDGET = 1 << 16
 
 
 class TrackingError(ValueError):
@@ -102,34 +104,44 @@ class TrajectorySet:
         return self._trajectories
 
 
-def _link_clean(rec: DetectionRecord, frames: np.ndarray, width: int, r2: float,
-                parent: np.ndarray) -> np.ndarray:
-    """Link the clean frames among `frames` (frames whose own and previous
-    detection counts are at most `width`) and return the dirty ones."""
-    lane = np.arange(width)
-    o = rec.offsets
-    cur = o[frames, None] + lane
-    prev = o[frames - 1, None] + lane
-    cur_ok = cur < o[frames + 1, None]
-    prev_ok = prev < o[frames, None]
-    cur[~cur_ok] = 0  # padding lanes: any valid row, masked below
-    prev[~prev_ok] = 0
-    d2 = rec.x[cur][:, :, None] - rec.x[prev][:, None, :]
-    d2 *= d2
-    dy = rec.y[cur][:, :, None] - rec.y[prev][:, None, :]
-    dy *= dy
-    d2 += dy
-    d2[~((d2 <= r2) & prev_ok[:, None, :])] = np.inf
-    pick = d2.argmin(axis=2)
-    nearest = d2.min(axis=2)
-    linked = (nearest < np.inf) & cur_ok
-    tie = ((d2 == nearest[:, :, None]).sum(axis=2) > 1) & linked
-    slot = (np.arange(len(frames))[:, None] * width + pick)[linked]
-    shared = np.bincount(slot, minlength=len(frames) * width).reshape(len(frames), width) > 1
-    dirty = tie.any(axis=1) | shared.any(axis=1)
-    keep = linked & ~dirty[:, None]
-    parent[cur[keep]] = (o[frames - 1, None] + pick)[keep]
-    return frames[dirty]
+def _grow(keys: np.ndarray, pos: np.ndarray, bound: np.ndarray, step: int) -> np.ndarray:
+    """Move each pos by `step` (1 or -1) while the sorted key it passes lies
+    within its bound: keys[pos] <= bound going up, keys[pos - 1] >= bound
+    going down. The -inf and inf that end `keys` stop every walk."""
+    def inside(at, b):
+        return keys[at] <= b if step > 0 else keys[at - 1] >= b
+
+    pos = pos.copy()
+    live = np.flatnonzero(inside(pos, bound))
+    while len(live):
+        pos[live] += step
+        live = live[inside(pos[live], bound[live])]
+    return pos
+
+
+def _squared_distance(rec: DetectionRecord, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """dx * dx + dy * dy of each pair of detections (i, j)."""
+    dx = rec.x[i] - rec.x[j]
+    dy = rec.y[i] - rec.y[j]
+    return dx * dx + dy * dy
+
+
+def _pairs(rec: DetectionRecord, order: np.ndarray, cur: np.ndarray, lo: np.ndarray,
+           hi: np.ndarray) -> tuple:
+    """The pairs (i, j) of each detection i of `cur` and each detection j
+    order[lo - 1:hi - 1] of its band, grouped by i in `cur` order, with each
+    pair's squared distance."""
+    count = hi - lo
+    i = np.repeat(cur, count)
+    j = order[np.arange(len(i)) + np.repeat(lo - 1 - (np.cumsum(count) - count), count)]
+    return i, j, _squared_distance(rec, i, j)
+
+
+def _search_width(d2: np.ndarray) -> np.ndarray:
+    """A half-width in x that holds every j whose computed dx * dx + dy * dy
+    is at most d2: sqrt(d2) widened past the rounding of dx, its square and
+    the square root (1e-150 covers squares that underflow to zero)."""
+    return np.sqrt(d2) * (1.0 + 1e-9) + 1e-150
 
 
 def _root(parent: np.ndarray, roots: dict, i: int) -> int:
@@ -140,33 +152,45 @@ def _root(parent: np.ndarray, roots: dict, i: int) -> int:
         path.append(i)
         i = int(parent[i])
     root = roots.get(i, i)
-    roots.update(dict.fromkeys(path, root))
+    for k in path:
+        roots[k] = root
     return root
 
 
-def _link_greedy(xs: list, ys: list, prev: range, cur: range, r2: float,
-                 parent: np.ndarray, roots: dict) -> None:
-    """The scalar greedy rule on one frame pair. Every earlier frame must be
-    linked already: an exact tie compares droplet ids, which follow the flat
-    index of each trajectory's first detection."""
+def _replay(i: np.ndarray, j: np.ndarray, d2: np.ndarray, frame: np.ndarray,
+            parent: np.ndarray) -> None:
+    """The greedy rule on whole frames, in frame order, over their gated
+    pairs sorted by (i, d2, j): each detection takes its nearest unclaimed
+    candidate, an exact tie going to the lower droplet id. Every earlier
+    frame must be linked already, since droplet ids follow the flat index of
+    each trajectory's first detection."""
+    first = np.flatnonzero(np.r_[True, i[1:] != i[:-1]])
+    groups = zip(i[first].tolist(), frame[i[first]].tolist(), first.tolist(),
+                 [*first[1:].tolist(), len(i)])
+    j, d2 = j.tolist(), d2.tolist()
+    roots = {}
     claimed = set()
-    for i in cur:
+    t = None
+    for det, det_frame, a, b in groups:
+        if det_frame != t:
+            t = det_frame
+            claimed = set()
         best = None
-        best_d2 = None
-        for j in prev:
-            if j in claimed:
+        for k in range(a, b):
+            c = j[k]
+            if c in claimed:
                 continue
-            dx, dy = xs[i] - xs[j], ys[i] - ys[j]
-            d2 = dx * dx + dy * dy
-            if d2 > r2:
-                continue
-            if best is None or d2 < best_d2 or (
-                    d2 == best_d2
-                    and _root(parent, roots, j) < _root(parent, roots, best)):
-                best, best_d2 = j, d2
+            if best is None:
+                best, best_d2 = c, d2[k]
+            elif d2[k] != best_d2:
+                break
+            elif _root(parent, roots, c) < _root(parent, roots, best):
+                best = c
         if best is not None:
             claimed.add(best)
-            parent[i] = best
+            parent[det] = best
+            if best in roots:  # a tie looked it up: det's is the same
+                roots[det] = roots[best]
 
 
 def track(frames, radius: float = TRACK_RADIUS_PX) -> TrajectorySet:
@@ -175,34 +199,85 @@ def track(frames, radius: float = TRACK_RADIUS_PX) -> TrajectorySet:
     Takes a DetectionRecord or a list of DetectionFrames."""
     rec = DetectionRecord.of(frames)
     n = np.diff(rec.offsets)
+    frame = np.repeat(np.arange(len(rec)), n)
     parent = np.full(len(rec.x), -1, dtype=np.int64)
     r2 = radius * radius
-    pairs = np.flatnonzero((n[1:] > 0) & (n[:-1] > 0)) + 1
-    # Pad each frame pair to the next power of two of its larger count, so a
-    # few block shapes cover every pair.
-    widths = 1 << np.ceil(np.log2(np.maximum(n[pairs], n[pairs - 1]))).astype(np.int64)
-    dirty = []
-    for width in np.unique(widths).tolist():
-        frames = pairs[widths == width]
-        step = max(1, CELL_BUDGET // (width * width))
-        for k in range(0, len(frames), step):
-            dirty.extend(_link_clean(rec, frames[k:k + step], width, r2, parent).tolist())
-    if dirty:
-        o, xs, ys, roots = rec.offsets.tolist(), rec.x.tolist(), rec.y.tolist(), {}
-        for t in sorted(dirty):
-            _link_greedy(xs, ys, range(o[t - 1], o[t]), range(o[t], o[t + 1]), r2,
-                         parent, roots)
-    # Droplet ids number the trajectory roots in flat order; each detection
-    # finds its root by pointer jumping.
+    # Sort detections by (frame, x) on the key frame + x / scale. x / scale
+    # stays below a quarter and a band's half-width below a half, so no band
+    # reaches another frame's keys; `margin` widens every band past the
+    # rounding of the keys. A non-finite x, which links to nothing, sorts as 0.
+    x = np.nan_to_num(rec.x, nan=0.0, posinf=0.0, neginf=0.0)
+    scale = 4.0 * float(np.max(np.abs(x), initial=0.0)) + 2.0 * math.sqrt(r2) + 1.0
+    key = frame + x / scale
+    order = np.argsort(key)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    key = np.r_[-np.inf, key[order], np.inf]
+    margin = 4.0 * math.ulp(len(rec) + 1.0)
+
+    def bands(cur, same, half):
+        """For each detection of `cur`, its band lo:hi of positions in the
+        sorted `key`: the detections of its previous frame within `half` of
+        it in x, grown from its same-slot detection `same` there, which the
+        band always holds."""
+        base = (frame[cur] - 1) + x[cur] / scale
+        half = half / scale + margin
+        start = rank[same] + 1
+        return _grow(key, start, base - half, -1), _grow(key, start + 1, base + half, 1)
+
+    # Detections with a previous frame, and their same-slot detection there
+    # (its last where there is none).
+    n_prev = np.r_[0, n][frame]
+    cur = np.flatnonzero(n_prev > 0)
+    cur_frame = frame[cur]
+    same = np.minimum(cur - n_prev[cur], rec.offsets[cur_frame] - 1)
+    # Where a frame pair has equal counts, the same-slot detection bounds the
+    # nearest distance and all its ties.
+    d2_same = _squared_distance(rec, cur, same)
+    bound = np.where((n[cur_frame] == n_prev[cur]) & (d2_same <= r2), d2_same, r2)
+    lo, hi = bands(cur, same, _search_width(bound))
+    # Each detection's nearest pick within the gate: the same-slot detection
+    # where the band holds it alone. A frame is clean when no nearest
+    # distance is an exact tie and no two detections pick the same previous
+    # detection; there the greedy claims are exactly these picks.
+    nearest = np.where(d2_same <= r2, d2_same, np.inf)
+    pick = same.copy()
+    bad = np.zeros(len(cur), dtype=bool)
+    multi = np.flatnonzero(hi - lo > 1)
+    if len(multi):
+        i, j, d2 = _pairs(rec, order, cur[multi], lo[multi], hi[multi])
+        d2 = np.where(d2 <= r2, d2, np.inf)
+        count = (hi - lo)[multi]
+        first = np.cumsum(count) - count
+        nearest[multi] = np.minimum.reduceat(d2, first)
+        tie = d2 == np.repeat(nearest[multi], count)
+        pick[multi] = j[np.minimum.reduceat(np.where(tie, np.arange(len(j)), len(j)), first)]
+        bad[multi] = np.add.reduceat(tie, first) > 1
+    linked = nearest <= r2
+    bad |= np.bincount(pick[linked], minlength=len(parent))[pick] > 1
+    dirty = np.zeros(len(rec), dtype=bool)
+    dirty[cur_frame[linked & bad]] = True
+    redo = dirty[cur_frame]
+    keep = linked & ~redo
+    parent[cur[keep]] = pick[keep]
+    # Dirty frames (splits, collisions, ties) replay the greedy rule over all
+    # their gated pairs.
+    if redo.any():
+        cur, same = cur[redo], same[redo]
+        i, j, d2 = _pairs(rec, order, cur, *bands(cur, same,
+                                                  _search_width(np.full(len(cur), r2))))
+        gated = d2 <= r2
+        i, j, d2 = i[gated], j[gated], d2[gated]
+        by = np.lexsort((j, d2, i))
+        _replay(i[by], j[by], d2[by], frame, parent)
+    # Droplet ids number the trajectory roots in flat order. Each detection
+    # finds its root by pointer jumping: a parent lies one frame back, so
+    # after k jumps a pointer has covered 2**k frames or reached its root.
     root = np.where(parent < 0, np.arange(len(parent)), parent)
-    while True:
-        up = root[root]
-        if np.array_equal(up, root):
-            break
-        root = up
+    for _ in range(max(len(rec) - 1, 0).bit_length()):
+        root = root[root]
     start = parent < 0
     droplet = (np.cumsum(start) - 1)[root]
-    frame = np.repeat(np.arange(len(rec)), n)
     return TrajectorySet._from_columns(len(rec), frame, rec, parent, droplet,
                                        int(start.sum()))
 

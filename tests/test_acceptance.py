@@ -325,7 +325,7 @@ def test_ga_efficacy():
             master_seed=seed,
             behavior_map="unimodal",
         )
-        batch = evaluators.make_batch_evaluator(setup, cfg)
+        batch = evaluators.make_batch_evaluator(setup)
         history = ga.run_ga(cfg, evaluator=None, run=0, evaluate_batch=batch)
         report = stats.trajectory_report([history])
         entry = report["first_vs_last_tophalf"]

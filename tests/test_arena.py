@@ -312,6 +312,12 @@ def reference_filter(frames, arena_radius, shrink=0.95):
             for fr in frames]
 
 
+# 32 droplets 19.6 px apart on a ring, walked together from frame 0; some
+# split, and some reach the wall.
+RING = ArenaConfig(duration=2.0, arena_radius=250.0, injection_count=32,
+                   injection_positions=tuple(
+                       (100.0 * math.cos(2 * math.pi * k / 32),
+                        100.0 * math.sin(2 * math.pi * k / 32)) for k in range(32)))
 NEAR_WALL = ArenaConfig(duration=3.0, arena_radius=100.0,
                         injection_positions=((99.5, 0.0), (0.0, -99.2),
                                              (-70.0, 70.0), (10.0, 10.0)))
@@ -328,6 +334,7 @@ ORACLE_CASES = [
     (NEAR_WALL, BehaviorParams(0.0, 0.0, 1.0, 0.0)),         # zero-length steps, floor
     (ArenaConfig(duration=1.0, injection_count=0, injection_positions=()),
      BehaviorParams(1.0, 0.1, 0.1, 0.0)),                    # no droplets at all
+    (RING, BehaviorParams(5.0, 0.5, 0.02, 0.0)),             # 32 droplets in lockstep
 ]
 
 
@@ -357,6 +364,7 @@ FILTERED_RECORD_SHA256 = [
     "cd5c82c1c5fa0b9da88d38375b6ddd9f21f331d7590392aad903a86398269dfb",
     "3a84de2a4741d1108016814eaf69d2ecefaee6e3bbc7f8633c1dc5010a05a462",
     "1b66520d471367f736d50c070a2e2bba8ad88ac58743394a764b888e9cb6f6be",
+    "e5e65971c4ef68c63c61f385faca06c8e683b17dec7b62be66bad2c30bf56608",
 ]
 
 

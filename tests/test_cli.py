@@ -245,7 +245,7 @@ from dropevo.cli import main
 assert main(["gcode", "compile", "--formulation", "1,2,3,4", "--cleaning", "-o", {str(program)!r}]) == 0
 assert main(["gcode", "parse", {str(program)!r}]) == 0
 assert main(["gcode", "exec", {str(program)!r}, "--out-dir", {str(tmp_path / "ev")!r}]) == 0
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)

@@ -75,7 +75,30 @@ def test_well_volumes_exact_multiplication():
 
 @given(positive_raws)
 def test_well_volumes_conserve_total(raw):
-    assert abs(well_volumes(normalize(raw)).sum() - 360.0) < 1e-9
+    assert abs(np.sum(well_volumes(normalize(raw))) - 360.0) < 1e-9
+
+
+def numpy_normalize(raw) -> tuple:
+    """normalize's arithmetic written with numpy arrays: the reference that
+    the pure-Python normalize must match bit for bit."""
+    r = np.asarray(raw, dtype=float)
+    total = r.sum()
+    if abs(total - 1.0) <= 16 * np.finfo(float).eps:
+        return tuple(r.tolist())
+    return tuple((r / total).tolist())
+
+
+# Raw loci anywhere, and raw loci already on the simplex to within rounding
+# (normalize passes those through unchanged).
+any_raws = st.lists(st.floats(min_value=0, max_value=1e300), min_size=4,
+                    max_size=4).filter(lambda r: 0 < sum(r) < 1e300)
+near_simplex_raws = positive_raws.map(lambda r: [v / sum(r) for v in r])
+
+
+@given(st.one_of(any_raws, near_simplex_raws))
+def test_normalize_matches_numpy_bit_for_bit(raw):
+    got = normalize(raw).proportions
+    assert [v.hex() for v in got] == [v.hex() for v in numpy_normalize(raw)]
 
 
 def test_oil_table_rows():

@@ -376,15 +376,13 @@ def test_track_tie_lower_id_at_higher_position():
     assert [s[0] for s in ts.trajectories[0].samples] == [0, 1, 2]
 
 
-def test_track_across_block_budget():
-    # 40 droplets a frame pad to 64 lanes, so one block holds
-    # CELL_BUDGET // 64**2 frame pairs; the run spans several blocks, with
-    # dirty frames (duplicated positions) in more than one of them.
+def test_track_dirty_frames_among_clean_ones():
+    # 40 random walkers over 53 frames, with dirty frames (duplicated
+    # positions) spread through the run among clean ones.
     rng = np.random.default_rng(8)
-    per_block = tracking.CELL_BUDGET // 64 ** 2
     xy = rng.uniform(-200, 200, size=(40, 2))
     lists = []
-    for t in range(3 * per_block + 5):
+    for t in range(53):
         xy = xy + rng.normal(0, 4, size=xy.shape)
         rows = [(float(x), float(y), 9.0) for x, y in xy]
         if t % 7 == 3:
@@ -394,6 +392,62 @@ def test_track_across_block_budget():
     ts = track(frames)
     assert as_tracks(ts) == oracle_track(frames)
     assert scores(ts) == reference_scores(ts)
+
+
+def test_track_coincident_static_pair_every_frame():
+    # Two coincident static detections give every frame an exact tie and a
+    # shared pick, so every frame is replayed; a third droplet circles alone.
+    lists = [[(0.0, 0.0, 9.0), (0.0, 0.0, 9.0),
+              (80.0 + 20.0 * math.cos(t / 50), 20.0 * math.sin(t / 50), 9.0)]
+             for t in range(1800)]
+    frames = frames_of(*lists)
+    assert as_tracks(track(frames)) == oracle_track(frames)
+
+
+def test_track_nan_coordinates_link_nothing():
+    # A NaN coordinate is within no gate; it must not disturb the x order the
+    # other detections are searched in.
+    nan = float("nan")
+    frames = frames_of([(0.0, 0.0, 9), (nan, 5.0, 9), (40.0, 0.0, 9)],
+                       [(41.0, 0.0, 9), (nan, nan, 9), (1.0, 0.0, 9)],
+                       [(2.0, 0.0, 9), (42.0, 0.0, 9)])
+    ts = track(frames)
+    assert [len(tr.samples) for tr in ts.trajectories] == [3, 1, 3, 1]
+    assert ts.parent.tolist() == [-1, -1, -1, 2, -1, 0, 5, 3]
+
+
+@st.composite
+def crowded_frames(draw):
+    """Frames of 20-40 detections on a 10 px grid, inside the 30 px gate of
+    their neighbours: a frame is empty, drawn afresh, or the previous frame
+    moved a grid step per detection with a few detections dropped or added
+    (equal and unequal counts, coincident detections, exact ties)."""
+    cells = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
+    lists, prev = [], []
+    for _ in range(draw(st.integers(min_value=2, max_value=6))):
+        kind = draw(st.sampled_from(["empty", "fresh", "moved", "moved"]))
+        if kind == "moved" and prev:
+            step = st.integers(-1, 1).map(lambda v: 10.0 * v)
+            rows = [(x + draw(step), y + draw(step), a) for x, y, a in prev]
+            for _ in range(draw(st.integers(0, min(3, len(rows) - 20)))):
+                del rows[draw(st.integers(0, len(rows) - 1))]
+            extra = draw(st.lists(cells, max_size=40 - len(rows)))
+            rows += [(10.0 * i, 10.0 * j, 9.0) for i, j in extra]
+        elif kind == "empty":
+            rows = []
+        else:
+            rows = [(10.0 * i, 10.0 * j, 9.0)
+                    for i, j in draw(st.lists(cells, min_size=20, max_size=40))]
+        lists.append(rows)
+        prev = rows
+    return lists
+
+
+@settings(max_examples=100, deadline=None)
+@given(crowded_frames())
+def test_track_matches_oracle_on_crowded_frames(lists):
+    frames = frames_of(*lists)
+    assert as_tracks(track(frames)) == oracle_track(frames)
 
 
 def test_scores_match_reference_on_trajectory_lists():
