@@ -219,6 +219,8 @@ def cmd_landscape(args) -> int:
     y = np.array([fitness for _, fitness in seen.values()])
     try:
         model = landscape.fit(X, y, lam=args.lam, sigma=args.sigma)
+    except landscape.NonpositiveBandwidth as exc:
+        raise UsageError(f"--sigma: {exc}") from exc
     except (landscape.SolveFailure, np.linalg.LinAlgError) as exc:
         raise NumericFailure(exc) from exc
     lattices = [landscape.face_grid(model, face, args.resolution)
@@ -377,6 +379,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (NumericFailure, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"numeric failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (FileFormatError, formats.UnknownFormat, gcode.GcodeError,
             ValueError, OSError) as exc:

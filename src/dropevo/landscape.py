@@ -20,6 +20,7 @@ each cell points at its island's maximum.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,30 +47,32 @@ class SolveFailure(LandscapeError):
     pass
 
 
+def _check_sigma(sigma: float) -> None:
+    # Below the smallest normal float, 2 sigma^2 is 0 or subnormal and the
+    # kernel's d / (2 sigma^2) overflows to inf (NaN at d = 0 when it is 0).
+    if not (sigma > 0 and 2.0 * sigma * sigma >= sys.float_info.min):
+        raise NonpositiveBandwidth(
+            f"sigma must be > 0 with 2*sigma^2 >= {sys.float_info.min:.4g}, got {sigma}")
+
+
 def rbf_kernel(a, b, sigma: float) -> float:
     """exp(-||a-b||^2 / (2 sigma^2)), in (0, 1]."""
-    if sigma <= 0:
-        raise NonpositiveBandwidth(f"sigma must be > 0, got {sigma}")
+    _check_sigma(sigma)
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     return float(np.exp(-np.dot(d, d) / (2.0 * sigma * sigma)))
 
 
-def _kernel_matrix(A: np.ndarray, B: np.ndarray, sigma: float,
-                   out: np.ndarray | None = None,
-                   tmp: np.ndarray | None = None) -> np.ndarray:
-    """K_ij = exp(-||A_i - B_j||^2 / (2 sigma^2)), written into ``out``.
+def _kernel_matrix(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
+    """K_ij = exp(-||A_i - B_j||^2 / (2 sigma^2)).
 
     The squared distance is accumulated one component at a time, in the order
     ``((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)`` adds them, so the
     bits are those of the broadcast form without its (m, n, d) tensor.
-    ``out`` and ``tmp`` are optional (m, n) buffers.
     """
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatch(f"{A.shape[1]} vs {B.shape[1]} components")
-    if out is None:
-        out = np.empty((len(A), len(B)))
-    if tmp is None:
-        tmp = np.empty_like(out)
+    out = np.empty((len(A), len(B)))
+    tmp = np.empty_like(out)
     np.square(np.subtract.outer(A[:, 0], B[:, 0], out=out), out=out)
     for k in range(1, A.shape[1]):
         out += np.square(np.subtract.outer(A[:, k], B[:, k], out=tmp), out=tmp)
@@ -90,8 +93,7 @@ class KernelModel:
 
 def fit(X, y, lam: float = DEFAULT_LAMBDA, sigma: float = DEFAULT_SIGMA) -> KernelModel:
     """Solve (K + lam*I) theta = y by Cholesky factorization."""
-    if sigma <= 0:
-        raise NonpositiveBandwidth(f"sigma must be > 0, got {sigma}")
+    _check_sigma(sigma)
     if lam <= 0:
         raise LandscapeError(f"lambda must be > 0, got {lam}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -161,9 +163,11 @@ def cell_composition(face: int, i: int, j: int, resolution: int) -> tuple:
     return tuple(comp)
 
 
-# Rows per K @ theta matvec: OpenBLAS rounds differently for other row counts,
-# so this is part of the result. Kernel blocks of _BLOCK_ROWS stay in cache.
-_CHUNK_ROWS, _BLOCK_ROWS = 8192, 128
+# Rows per K @ theta matvec: OpenBLAS rounds differently for other row counts
+# (and for other thread counts; see README, Determinism), so this is part of
+# the result. Kernel rows are built _BLOCK_ROWS at a time in cache-sized
+# buffers, which does not change them.
+_CHUNK_ROWS, _BLOCK_ROWS = 8192, 32
 
 
 def face_grid(model: KernelModel, face: int,
@@ -173,25 +177,65 @@ def face_grid(model: KernelModel, face: int,
         raise LandscapeError("face must be 0..3")
     if resolution < 2:
         raise LandscapeError(f"resolution must be >= 2, got {resolution}")
-    ax, ay, az = face_axes(face)
+    predictions = _face_predictions(model, face, resolution)
     lat = FaceLattice(face=face, resolution=resolution,
                       values=np.full((resolution, resolution), np.nan))
-    ii, jj = np.nonzero(lat.valid)
-    coords = np.linspace(0.0, 1.0, resolution)
-    Q = np.zeros((len(ii), 4))
-    Q[:, ax], Q[:, ay] = coords[ii], coords[jj]
-    Q[:, az] = 1.0 - Q[:, ax] - Q[:, ay]
-    K = np.empty((_CHUNK_ROWS, len(model.X)))
-    tmp = np.empty((_BLOCK_ROWS, len(model.X)))
-    for s in range(0, len(Q), _CHUNK_ROWS):
-        cells = slice(s, s + _CHUNK_ROWS)
-        chunk = Q[cells]
-        for b in range(0, len(chunk), _BLOCK_ROWS):
-            block = chunk[b:b + _BLOCK_ROWS]
-            _kernel_matrix(block, model.X, model.sigma,
-                           out=K[b:b + len(block)], tmp=tmp[:len(block)])
-        lat.values[ii[cells], jj[cells]] = K[:len(chunk)] @ model.theta
+    lat.values[lat.valid] = predictions
     return lat
+
+
+def _face_predictions(model: KernelModel, face: int, resolution: int) -> np.ndarray:
+    """The model at a face's valid cells, in row-major (i, j) order.
+
+    The bits are those of ``predict_many`` over successive _CHUNK_ROWS-cell
+    chunks of the cell queries. Cell (i, j) queries component ``face`` = 0,
+    X = c_i, Y = c_j and Z = (1 - c_i) - c_j, with c = linspace(0, 1, res).
+    Of the four terms _kernel_matrix sums, in component order, (0 - x_face)^2
+    = x_face^2 is the same for every cell, (c_i - x_X)^2 the same along a
+    lattice row and (c_j - x_Y)^2 a row of a (res, n) table, so only the Z
+    term is built per cell. The grouping of the sum is kept and only operands
+    swap; -d / s is computed as d / -s, which is exact.
+    """
+    ax, ay, az = face_axes(face)
+    X = model.X
+    coords = np.linspace(0.0, 1.0, resolution)
+    face_term = np.square(X[:, face])
+    y_terms = np.square(np.subtract.outer(coords, X[:, ay]))
+    scale = -2.0 * model.sigma * model.sigma
+    K = np.empty((_CHUNK_ROWS, len(X)))
+    # Each operand is a full block: numpy's broadcasting loops run several
+    # times slower than its same-shape ones.
+    d2, z_term, row_terms, x_z, face_terms = np.empty((5, _BLOCK_ROWS, len(X)))
+    x_z[:], face_terms[:] = X[:, az], face_term
+    predictions = np.empty(resolution * (resolution + 1) // 2)
+    filled = done = 0
+    for i, x in enumerate(coords):
+        z = (1.0 - x) - coords[:resolution - i]
+        row = np.square(x - X[:, ax])
+        if face < ay:  # faces 0, 1: ((x_face^2 + X) + Y) + Z
+            row += face_term
+        row_terms[:len(z)] = row
+        j = 0
+        while j < len(z):
+            m = min(_BLOCK_ROWS, len(z) - j, _CHUNK_ROWS - filled)
+            out, t = d2[:m], z_term[:m]
+            np.add(row_terms[:m], y_terms[j:j + m], out=out)
+            if ay < face < az:  # face 2: ((X + Y) + x_face^2) + Z
+                out += face_terms[:m]
+            np.copyto(t, z[j:j + m, None])
+            t -= x_z[:m]
+            out += np.square(t, out=t)
+            if face > az:  # face 3: ((X + Y) + Z) + x_face^2
+                out += face_terms[:m]
+            out /= scale
+            np.exp(out, out=K[filled:filled + m])
+            j += m
+            filled += m
+            if filled == _CHUNK_ROWS or done + filled == len(predictions):
+                predictions[done:done + filled] = K[:filled] @ model.theta
+                done += filled
+                filled = 0
+    return predictions
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +351,9 @@ def landscape_csv(lattices: list[FaceLattice], island_map: IslandMap | None = No
                              for i, j in zip(ii.tolist(), jj.tolist())]
         labels = (island_map.labels[lat.face][ii, jj].tolist()
                   if island_map is not None else [""] * len(ii))
-        parts.extend(f"{lat.face},{prefix}{value!r},{label}\n" for prefix, value, label
-                     in zip(prefixes[res], lat.values[ii, jj].tolist(), labels))
+        # Joined face by face, so only one face's line objects are alive at once.
+        parts.append("".join(f"{lat.face},{prefix}{value!r},{label}\n" for prefix, value, label
+                             in zip(prefixes[res], lat.values[ii, jj].tolist(), labels)))
     return "".join(parts)
 
 

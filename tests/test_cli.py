@@ -330,6 +330,36 @@ def test_landscape_rejects_non_finite_sigma_and_lambda(tmp_path, capsys, option,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("sigma", ["1e-300", "1e-160", "0", "-1"])
+def test_landscape_rejects_sigma_whose_bandwidth_underflows(tmp_path, capsys, sigma):
+    # 2 sigma^2 is 0 at 1e-300 and subnormal at 1e-160: the fit used to end
+    # in NaN (rc 2) or in inf distances that exit 0 with a warning.
+    hist = write_history(tmp_path / "history.csv")
+    out_dir = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["landscape", hist, f"--sigma={sigma}", "--out-dir", str(out_dir)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--sigma" in err
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_landscape_out_of_memory_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    def face_grid(*args):
+        raise MemoryError("Unable to allocate 298. GiB for an array with shape "
+                          "(200000, 200000) and data type float64")
+
+    monkeypatch.setattr(landscape, "face_grid", face_grid)
+    hist = write_history(tmp_path / "history.csv")
+    rc = main(["landscape", hist, "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "298. GiB" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_evolve_rejects_jobs_below_one(tmp_path, capsys, fast_config, jobs):
     out_dir = tmp_path / "o"

@@ -7,6 +7,7 @@ to convergence, sharing no code with dropevo.landscape's region-growing.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,23 @@ def test_fit_validation():
         fit([[0.25] * 4], [1.0], sigma=-1.0)
     with pytest.raises(Exception):
         fit([[0.25] * 4], [1.0], lam=0.0)
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1e-160, 0.0, -1.0, math.nan])
+def test_fit_rejects_sigma_whose_bandwidth_underflows(sigma):
+    # 2 sigma^2 is 0 at 1e-300 and subnormal at 1e-160.
+    X = [[0.25] * 4, [0.5, 0.5, 0.0, 0.0]]
+    with pytest.raises(NonpositiveBandwidth):
+        fit(X, [1.0, 2.0], sigma=sigma)
+    with pytest.raises(NonpositiveBandwidth):
+        rbf_kernel(*X, sigma=sigma)
+
+
+def test_fit_accepts_a_tiny_normal_bandwidth():
+    # 2 sigma^2 = 2e-300 is normal: distinct points get kernel 0, no inf.
+    model = fit([[0.25] * 4, [0.5, 0.5, 0.0, 0.0]], [1.0, 2.0], lam=1.0, sigma=1e-150)
+    assert np.array_equal(model.K, np.eye(2))
+    assert model.theta == pytest.approx([0.5, 1.0])
 
 
 def test_fit_solve_failure_is_reported():
@@ -364,6 +382,41 @@ def test_face_grid_bit_identical_multi_chunk():
     want = np.concatenate([predict_many(model, Q[s:s + 8192])
                            for s in range(0, len(Q), 8192)])
     assert np.array_equal(face_grid(model, 1, resolution=301).values[ii, jj], want)
+
+
+def _random_model(seed, n=675):
+    rng = np.random.default_rng(seed)
+    X = rng.dirichlet(np.ones(4), size=n)
+    return fit(X, rng.normal(size=n))
+
+
+@pytest.mark.parametrize("res", [2, 3, 129, 301])
+def test_face_grid_bit_identical_all_faces(res):
+    # Res 129 has 8,385 cells, so its second 8192-row chunk starts partway
+    # through a lattice row.
+    model = _random_model(13)
+    for face in range(4):
+        ii, jj, Q = _face_queries(face, res)
+        want = np.concatenate([predict_many(model, Q[s:s + 8192])
+                               for s in range(0, len(Q), 8192)])
+        lat = face_grid(model, face, resolution=res)
+        assert np.array_equal(lat.values[ii, jj], want)
+        assert np.isnan(lat.values[~lat.valid]).all()
+
+
+def test_face_grid_peak_memory():
+    # The 8192 x 675 kernel chunk (42.19 MiB) dominates. The per-axis tables
+    # must fit in what the (cells, 4) query matrix took: a 45.75 MiB peak.
+    model = _random_model(14)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        face_grid(model, 1, resolution=301)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 45.75 * 2**20
 
 
 def test_face_grid_rejects_resolution_below_two():
