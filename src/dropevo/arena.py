@@ -150,21 +150,19 @@ def behavior_from_formulation(f: Formulation, oils: list[OilProperties] | None =
     )
 
 
-def unimodal_behavior_map(optimum, width: float = 0.35, peak_speed: float = 5.0):
-    """A behaviour map with a single speed peak at `optimum` on the simplex.
+# Speed above SPEED_FLOOR at the optimum of the unimodal behaviour map.
+UNIMODAL_PEAK_SPEED = 5.0   # px/frame
 
-    Returns a callable usable in place of behavior_from_formulation; used for
-    ground-truth landscape and GA efficacy checks.
-    """
-    opt = np.asarray(optimum, dtype=float)
 
-    def _map(f: Formulation, oils=None) -> BehaviorParams:
-        d2 = float(np.sum((np.asarray(f.proportions, dtype=float) - opt) ** 2))
-        speed = SPEED_FLOOR + peak_speed * math.exp(-d2 / (2.0 * width ** 2))
-        return BehaviorParams(speed=speed, turn_noise=0.5,
-                              split_probability=0.0, shrink_rate=0.0)
-
-    return _map
+def unimodal_behavior(f: Formulation, optimum, width: float) -> BehaviorParams:
+    """Walk parameters of `f` under a behaviour map with a single speed peak
+    at `optimum` on the simplex, in place of behavior_from_formulation; used
+    for ground-truth landscape and GA efficacy checks."""
+    d2 = float(np.sum((np.asarray(f.proportions, dtype=float)
+                       - np.asarray(optimum, dtype=float)) ** 2))
+    speed = SPEED_FLOOR + UNIMODAL_PEAK_SPEED * math.exp(-d2 / (2.0 * width ** 2))
+    return BehaviorParams(speed=speed, turn_noise=0.5,
+                          split_probability=0.0, shrink_rate=0.0)
 
 
 # A droplet's two RNG streams: children TURN and SPLIT of its SeedSequence.

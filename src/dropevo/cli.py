@@ -209,6 +209,8 @@ def cmd_landscape(args) -> int:
     for option, value in (("--sigma", args.sigma), ("--lambda", args.lam)):
         if not math.isfinite(value):
             raise UsageError(f"{option} must be finite, got {value}")
+    if args.lam <= 0:
+        raise UsageError(f"--lambda must be > 0, got {args.lam}")
     parsed = _load_histories(args.history)
     seen = {}
     for hist in parsed:
@@ -374,19 +376,23 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NumericFailure, FloatingPointError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except MemoryError as exc:
-        print(f"numeric failure: out of memory: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (FileFormatError, formats.UnknownFormat, gcode.GcodeError,
-            ValueError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except Exception as exc:
+        # A recipe the GA could not score (ga.EvaluationError, which names
+        # the recipe) exits as its cause would.
+        cause = exc.__cause__ if hasattr(exc, "recipe") else exc
+        if isinstance(cause, UsageError):
+            code, kind = EXIT_USAGE, "usage error"
+        elif isinstance(cause, (NumericFailure, FloatingPointError)):
+            code, kind = EXIT_NUMERIC, "numeric failure"
+        elif isinstance(cause, MemoryError):
+            code, kind = EXIT_NUMERIC, "numeric failure: out of memory"
+        elif isinstance(cause, (FileFormatError, formats.UnknownFormat, gcode.GcodeError,
+                                ValueError, OSError)):
+            code, kind = EXIT_DATA, "data error"
+        else:
+            raise
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ replicate's detections pass from stage to stage as one columnar
 `tracking.TrajectorySet`, so no per-frame objects are built.
 
 `ExperimentSetup` is built once per campaign and checks itself; each GA run
-scores with `dataclasses.replace(setup, run=run)`. A batch evaluator maps
+scores with `dataclasses.replace(setup, run=run)`. A batch evaluator is
+`ga.score_batch` bound to `evaluate_recipe` under a setup; it maps the
 recipes over the process pool it is given, or over none (serially).
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import arena, ga, tracking
-from .formulation import GENOME_LENGTH, Formulation, check_number, check_vector, normalize
+from .formulation import GENOME_LENGTH, Formulation, check_number, check_vector
 
 ANALYTIC_ARENA_SHRINK = 0.95
 
@@ -53,8 +54,7 @@ def run_replicate(setup: ExperimentSetup, proportions, recipe_id: int,
     """Simulate and score a single experiment."""
     f = Formulation(tuple(proportions))
     if setup.behavior_map == "unimodal":
-        behavior = arena.unimodal_behavior_map(
-            setup.unimodal_optimum, setup.unimodal_width)(f)
+        behavior = arena.unimodal_behavior(f, setup.unimodal_optimum, setup.unimodal_width)
     else:
         behavior = arena.behavior_from_formulation(f)
     seed = ga.replicate_seed(setup.master_seed, setup.run, recipe_id, replicate)
@@ -78,12 +78,5 @@ def make_batch_evaluator(setup: ExperimentSetup, pool=None):
     concurrent.futures executor, which the caller owns) the recipes of a
     batch are mapped over it; per-recipe seeding keeps the results equal to
     serial evaluation."""
-    score = partial(evaluate_recipe, setup)
-
-    def evaluate_batch(batch):
-        recipes = [normalize(ind.genome).proportions for ind in batch]
-        ids = [ind.id for ind in batch]
-        results = pool.map(score, recipes, ids) if pool else map(score, recipes, ids)
-        for ind, reps in zip(batch, results):
-            ind.set_fitness(reps, ga.aggregate_fitness(reps))
-    return evaluate_batch
+    return partial(ga.score_batch, evaluator=partial(evaluate_recipe, setup),
+                   map=pool.map if pool else map)

@@ -6,9 +6,10 @@ fitness-proportional parent selection and inverse-fitness culling, both at
 selective pressure 1. With these defaults one run evaluates exactly
 25 + 20 * 10 = 225 distinct recipes.
 
-Order of events each generation is cull-then-birth (cull 25 -> 15 survivors,
-then add 10 evaluated children); birth-then-cull is available behind
-``GAConfig.birth_before_cull`` for comparison.
+Each generation culls, then breeds (cull 25 -> 15 survivors, then add 10
+evaluated children), so a run of more than one generation needs at least two
+carry-overs to breed from. ``score_batch`` is the one path from genomes to
+fitness.
 
 Every recipe is scored from ``REPLICATES`` = 3 replicate experiments and
 every genome has ``formulation.GENOME_LENGTH`` = 4 loci; neither is a knob.
@@ -21,6 +22,7 @@ import csv
 import io
 import statistics
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -69,7 +71,6 @@ class GAConfig:
     selective_pressure: float = 1.0
     runs: int = 3
     rng_seed: int = 0
-    birth_before_cull: bool = False
 
     def __post_init__(self):
         for name in ("generations", "population_size", "carry_overs", "runs"):
@@ -77,11 +78,11 @@ class GAConfig:
         check_number("rng_seed", self.rng_seed, 0, integer=True)
         for name in ("per_locus_mutation_rate", "mutation_sd", "selective_pressure"):
             check_number(name, getattr(self, name), 0)
-        if not isinstance(self.birth_before_cull, bool):
-            raise GAError(f"birth_before_cull must be true or false, "
-                          f"got {self.birth_before_cull!r}")
         if not self.carry_overs < self.population_size:
             raise GAError("carry_overs must satisfy 1 <= carry_overs < population_size")
+        if self.generations > 1 and self.carry_overs < 2:
+            raise GAError("carry_overs must be >= 2 when generations > 1: "
+                          "every child has two distinct parents")
         if self.per_locus_mutation_rate > 1.0:
             raise GAError("per_locus_mutation_rate must lie in [0, 1]")
 
@@ -95,7 +96,6 @@ class GAConfig:
 class Individual:
     genome: np.ndarray
     id: int
-    generation_born: int
     parent_ids: tuple[int, ...] = ()
     fitness: float | None = None
     replicates: tuple[float, ...] = ()
@@ -114,7 +114,6 @@ class GAHistory:
     """Per-generation population snapshots for one GA run."""
 
     run: int
-    config: GAConfig
     generations: list[list[Individual]] = field(default_factory=list)
 
     @property
@@ -126,8 +125,7 @@ def init_population(cfg: GAConfig, rng: np.random.Generator,
                     id_start: int = 0) -> list[Individual]:
     """Uniform random population on [0, 1]^GENOME_LENGTH."""
     return [
-        Individual(genome=rng.uniform(0.0, 1.0, GENOME_LENGTH),
-                   id=id_start + i, generation_born=1)
+        Individual(genome=rng.uniform(0.0, 1.0, GENOME_LENGTH), id=id_start + i)
         for i in range(cfg.population_size)
     ]
 
@@ -197,31 +195,39 @@ def replicate_seed(master_seed: int, run: int, recipe_id: int, replicate: int) -
                                   spawn_key=(run, recipe_id, replicate))
 
 
-def _evaluate(ind: Individual, evaluator) -> None:
-    recipe = normalize(ind.genome).proportions
-    try:
-        reps = evaluator(recipe, ind.id)
-    except Exception as exc:  # noqa: BLE001 - context is attached and re-raised
-        raise EvaluationError(recipe, exc) from exc
-    ind.set_fitness(reps, aggregate_fitness(reps))
+def score_batch(batch: list[Individual], evaluator, map=map) -> None:
+    """Set the fitness of every individual in `batch`.
+
+    evaluator(proportions, individual_id) must return the REPLICATES raw
+    fitness values of that recipe; `map` applies it over the batch in order
+    (an executor's map scores the recipes concurrently). A failure is
+    re-raised as EvaluationError naming the recipe, except MemoryError,
+    which passes through.
+    """
+    recipes = [normalize(ind.genome).proportions for ind in batch]
+    results = map(evaluator, recipes, [ind.id for ind in batch])
+    for ind, recipe in zip(batch, recipes):
+        try:
+            reps = next(results)
+        except MemoryError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - context is attached and re-raised
+            raise EvaluationError(recipe, exc) from exc
+        ind.set_fitness(reps, aggregate_fitness(reps))
 
 
 def run_ga(cfg: GAConfig, evaluator, run: int = 0, evaluate_batch=None) -> GAHistory:
     """Run one GA optimization.
 
-    evaluator(proportions, individual_id) must return the REPLICATES raw
-    fitness values for that recipe.
-    evaluate_batch, if given, receives a list of unevaluated Individuals and
-    may evaluate them concurrently via _evaluate-equivalent semantics; results
-    must not depend on evaluation order.
+    Each batch of new individuals goes to evaluate_batch(batch) if it is
+    given, and to score_batch(batch, evaluator) if not. Results must not
+    depend on evaluation order.
     """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.rng_seed, spawn_key=(run,)))
     if evaluate_batch is None:
-        def evaluate_batch(batch):
-            for ind in batch:
-                _evaluate(ind, evaluator)
+        evaluate_batch = partial(score_batch, evaluator=evaluator)
 
-    history = GAHistory(run=run, config=cfg)
+    history = GAHistory(run=run)
     next_id = run * 10_000_000
     pop = init_population(cfg, rng, id_start=next_id)
     next_id += len(pop)
@@ -229,24 +235,17 @@ def run_ga(cfg: GAConfig, evaluator, run: int = 0, evaluate_batch=None) -> GAHis
     history.generations.append(list(pop))
 
     n_children = cfg.population_size - cfg.carry_overs
-    for gen in range(2, cfg.generations + 1):
-        if cfg.birth_before_cull:
-            parents_pool = list(pop)
-        else:
-            pop = cull(pop, cfg.carry_overs, cfg.selective_pressure, rng)
-            parents_pool = list(pop)
+    for _ in range(cfg.generations - 1):
+        pop = cull(pop, cfg.carry_overs, cfg.selective_pressure, rng)
         children = []
         for _ in range(n_children):
-            p1, p2 = select_parents(parents_pool, cfg.selective_pressure, rng)
+            p1, p2 = select_parents(pop, cfg.selective_pressure, rng)
             genome = crossover(p1.genome, p2.genome, rng)
             genome = mutate(genome, cfg.per_locus_mutation_rate, cfg.mutation_sd, rng)
-            children.append(Individual(genome=genome, id=next_id, generation_born=gen,
-                                       parent_ids=(p1.id, p2.id)))
+            children.append(Individual(genome=genome, id=next_id, parent_ids=(p1.id, p2.id)))
             next_id += 1
         evaluate_batch(children)
         pop = pop + children
-        if cfg.birth_before_cull:
-            pop = cull(pop, cfg.population_size, cfg.selective_pressure, rng)
         history.generations.append(list(pop))
     return history
 
@@ -265,12 +264,10 @@ def history_to_csv(history: GAHistory) -> str:
     writer.writerow(HISTORY_FIELDS)
     for gen_index, gen in enumerate(history.generations, start=1):
         for ind in gen:
-            reps = list(ind.replicates) + [""] * (3 - len(ind.replicates))
             writer.writerow([history.run, gen_index, ind.id,
                              ";".join(str(p) for p in ind.parent_ids),
                              *(repr(float(x)) for x in ind.genome),
-                             *(repr(float(r)) if r != "" else "" for r in reps[:3]),
-                             repr(ind.fitness)])
+                             *map(repr, ind.replicates), repr(ind.fitness)])
     return buf.getvalue()
 
 

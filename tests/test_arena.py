@@ -13,7 +13,7 @@ from dropevo.arena import (
     behavior_from_formulation,
     filter_analytic_arena,
     simulate,
-    unimodal_behavior_map,
+    unimodal_behavior,
 )
 from dropevo.formulation import Formulation, oil_lookup, oils_for_order
 
@@ -67,9 +67,8 @@ def test_behavior_params_reject_negative_rates(field):
 
 def test_unimodal_map_peaks_at_optimum():
     opt = (0.1, 0.6, 0.2, 0.1)
-    bmap = unimodal_behavior_map(opt, width=0.35, peak_speed=5.0)
-    at_peak = bmap(Formulation(opt))
-    away = bmap(Formulation((0.25, 0.25, 0.25, 0.25)))
+    at_peak = unimodal_behavior(Formulation(opt), opt, width=0.35)
+    away = unimodal_behavior(Formulation((0.25, 0.25, 0.25, 0.25)), opt, width=0.35)
     assert at_peak.speed == pytest.approx(0.2 + 5.0)
     assert away.speed < at_peak.speed
 

@@ -318,7 +318,8 @@ def test_landscape_defaults_in_manifest(tmp_path):
 
 
 @pytest.mark.parametrize("option, value", [("--sigma", "inf"), ("--sigma", "nan"),
-                                           ("--lambda", "nan"), ("--lambda", "-inf")])
+                                           ("--lambda", "nan"), ("--lambda", "-inf"),
+                                           ("--lambda", "0"), ("--lambda", "-1")])
 def test_landscape_rejects_non_finite_sigma_and_lambda(tmp_path, capsys, option, value):
     hist = write_history(tmp_path / "history.csv")
     out_dir = tmp_path / "o"
@@ -360,6 +361,35 @@ def test_landscape_out_of_memory_is_a_numeric_failure(tmp_path, capsys, monkeypa
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("error, code, prefix", [
+    (MemoryError("Unable to allocate 41.0 GiB"), EXIT_NUMERIC, "numeric failure: out of memory"),
+    (ValueError("bad walk"), EXIT_DATA, "data error: evaluator failed for recipe"),
+])
+def test_evolve_evaluation_failure_is_one_line(tmp_path, capsys, fast_config, monkeypatch,
+                                               error, code, prefix):
+    def simulate(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(arena, "simulate", simulate)
+    rc = main(["evolve", "--config", fast_config, "--out-dir", str(tmp_path / "o")])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and str(error) in err
+    assert err.count("\n") == 1
+
+
+def test_perfbench_tracer_hooks_exist():
+    # perfbench/tracer.py wraps package attributes by name; run its
+    # instrument() in a fresh interpreter, since it patches them process-wide.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), str(root / "perfbench"), os.environ.get("PYTHONPATH")]))}
+    code = "from tracer import Tracer, instrument; instrument(Tracer('t'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_evolve_rejects_jobs_below_one(tmp_path, capsys, fast_config, jobs):
     out_dir = tmp_path / "o"
@@ -393,7 +423,7 @@ def test_nonfinite_fitness_is_a_data_error(tmp_path, capsys, command, bad):
     ("ga", "rng_seed", 1.5),
     ("ga", "rng_seed", -1),
     ("ga", "mutation_sd", "x"),
-    ("ga", "birth_before_cull", "yes"),
+    ("ga", "birth_before_cull", "yes"),     # no longer a field
     ("arena", "duration", float("nan")),
     ("arena", "injection_positions", [[1.0]]),
     ("evaluation", "behaviour_map", "unimodal"),
@@ -407,6 +437,7 @@ def test_nonfinite_fitness_is_a_data_error(tmp_path, capsys, command, bad):
     ("arena", "injection_positions",       # on the wall of the 200 px arena
      [[0.0, 200.0], [60.0, -60.0], [-60.0, 60.0], [60.0, 60.0]]),
     ("arena", "arena_radius", 1e200),      # its square overflows
+    ("ga", "carry_overs", 1),              # two parents per child, 3 generations
 ])
 def test_evolve_rejects_unsupported_config(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(FAST_CONFIG))

@@ -69,8 +69,7 @@ def test_batch_evaluator_matches_serial():
     setup = ExperimentSetup(objective="movement", arena_config=SHORT_ARENA)
     cfg = ga.GAConfig(generations=1, rng_seed=3)
     pop_a = ga.init_population(cfg, np.random.default_rng(0))
-    pop_b = [type(ind)(genome=ind.genome.copy(), id=ind.id,
-                       generation_born=ind.generation_born) for ind in pop_a]
+    pop_b = [type(ind)(genome=ind.genome.copy(), id=ind.id) for ind in pop_a]
     evaluators.make_batch_evaluator(setup)(pop_a[:6])
     with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
         evaluators.make_batch_evaluator(setup, pool=pool)(pop_b[:6])

@@ -1,7 +1,10 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from dropevo import ga
+from dropevo.formulation import normalize
 from dropevo.ga import (
     GAConfig,
     Individual,
@@ -20,7 +23,7 @@ from dropevo.ga import (
 def _pop(fitnesses):
     out = []
     for k, f in enumerate(fitnesses):
-        ind = Individual(genome=np.zeros(4), id=k, generation_born=1)
+        ind = Individual(genome=np.zeros(4), id=k)
         ind.set_fitness((f, f, f), f)
         out.append(ind)
     return out
@@ -177,7 +180,7 @@ def test_aggregate_fitness():
 
 
 def test_fitness_immutable():
-    ind = Individual(genome=np.zeros(4), id=0, generation_born=1)
+    ind = Individual(genome=np.zeros(4), id=0)
     ind.set_fitness((1, 1, 1), 1.0)
     with pytest.raises(ga.GAError):
         ind.set_fitness((2, 2, 2), 2.0)
@@ -253,8 +256,31 @@ def test_history_csv_round_trip():
     assert len(ids) == hist.distinct_recipes
 
 
-def test_birth_before_cull_switch():
-    cfg = GAConfig(generations=3, rng_seed=8, birth_before_cull=True)
-    hist = run_ga(cfg, flat_evaluator)
-    for gen in hist.generations:
-        assert len(gen) == 25
+def test_single_carry_over_needs_a_single_generation():
+    # Every child has two distinct parents, so a second generation cannot
+    # be bred from one survivor; a one-generation run never breeds.
+    with pytest.raises(ga.GAError, match="carry_overs"):
+        GAConfig(generations=2, population_size=3, carry_overs=1)
+    hist = run_ga(GAConfig(generations=1, carry_overs=1), flat_evaluator)
+    assert hist.distinct_recipes == 25
+
+
+def test_score_batch_over_an_executor_map():
+    def evaluator(proportions, recipe_id):
+        if recipe_id == 2:
+            raise RuntimeError("boom")
+        if recipe_id == 3:
+            raise MemoryError("no room")
+        return (1.0, 2.0, 3.0)
+
+    pop = init_population(GAConfig(), np.random.default_rng(0))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        ga.score_batch(pop[:2], evaluator, map=pool.map)
+        with pytest.raises(ga.EvaluationError) as err:
+            ga.score_batch(pop[2:3], evaluator, map=pool.map)
+        with pytest.raises(MemoryError, match="no room"):
+            ga.score_batch(pop[3:4], evaluator, map=pool.map)
+    assert [ind.fitness for ind in pop[:2]] == [2.0, 2.0]
+    assert err.value.recipe == normalize(pop[2].genome).proportions
+    assert isinstance(err.value.__cause__, RuntimeError)
+    assert pop[2].fitness is None and pop[3].fitness is None
