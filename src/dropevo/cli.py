@@ -223,7 +223,7 @@ def cmd_landscape(args) -> int:
         model = landscape.fit(X, y, lam=args.lam, sigma=args.sigma)
     except landscape.NonpositiveBandwidth as exc:
         raise UsageError(f"--sigma: {exc}") from exc
-    except (landscape.SolveFailure, np.linalg.LinAlgError) as exc:
+    except landscape.SolveFailure as exc:
         raise NumericFailure(exc) from exc
     lattices = [landscape.face_grid(model, face, args.resolution)
                 for face in range(4)]
@@ -242,7 +242,8 @@ def cmd_landscape(args) -> int:
                "face_axes": {face: landscape.face_axes(face) for face in range(4)},
                "history_files": [str(p) for p in args.history]},
               None, outputs,
-              extra={"training_points": int(len(y))})
+              extra={"training_points": int(len(y)),
+                     "landscape_contract": landscape.LANDSCAPE_CONTRACT})
     return EXIT_OK
 
 

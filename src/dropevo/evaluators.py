@@ -17,6 +17,7 @@ recipes over the process pool it is given, or over none (serially).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -44,7 +45,11 @@ class ExperimentSetup:
         if self.behavior_map not in ("oils", "unimodal"):
             raise ValueError(f"behavior_map must be 'oils' or 'unimodal', "
                              f"got {self.behavior_map!r}")
-        check_number("unimodal_width", self.unimodal_width, 0, strict=True)
+        width = check_number("unimodal_width", self.unimodal_width, 0, strict=True)
+        # unimodal_behavior divides by 2 width^2: it must be a finite normal float.
+        if not sys.float_info.min <= 2.0 * width * width <= sys.float_info.max:
+            raise ValueError(f"unimodal_width must have 2*width^2 finite and >= "
+                             f"{sys.float_info.min:.4g}, got {width!r}")
         object.__setattr__(self, "unimodal_optimum", check_vector(
             "unimodal_optimum", self.unimodal_optimum, GENOME_LENGTH))
 

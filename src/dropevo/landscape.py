@@ -3,12 +3,17 @@ grids, local maxima and fitness-island catchment maps.
 
 The model is the dual form only: dual weights solve (K + lambda*I) theta = y
 with K_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)); a prediction is the kernel-
-weighted sum over training points. Each of the four faces of the composition
-simplex (one component held at zero) is rasterized to a resolution x
-resolution triangular lattice, and each valid cell is assigned to the fitness
-island reached by steepest ascent over its 8-neighbourhood, with the ascent
-allowed to cross the shared edges where two faces describe the same
-composition.
+weighted sum over training points. Neither step calls BLAS, whose rounding
+depends on its thread count (landscape contract 2): the solve is a blocked
+Cholesky factorization built from elementwise numpy and non-optimized
+``einsum``, and a prediction is an ``einsum`` row sum, whose bits for one
+row do not depend on the other rows of the call.
+
+Each of the four faces of the composition simplex (one component held at
+zero) is rasterized to a resolution x resolution triangular lattice, and each
+valid cell is assigned to the fitness island reached by steepest ascent over
+its 8-neighbourhood, with the ascent allowed to cross the shared edges where
+two faces describe the same composition.
 
 The catchment is rank-min ascent with pointer jumping, after Vincent & Soille
 (1991) watersheds: each cell gets a global rank (value descending, ties to the
@@ -20,11 +25,15 @@ each cell points at its island's maximum.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+
+# Landscape arithmetic contract, named in the landscape manifest: 2 is the
+# BLAS-free Cholesky solve and einsum row sums.
+LANDSCAPE_CONTRACT = 2
 
 DEFAULT_SIGMA = 0.15
 DEFAULT_LAMBDA = 1e-3
@@ -104,24 +113,62 @@ def fit(X, y, lam: float = DEFAULT_LAMBDA, sigma: float = DEFAULT_SIGMA) -> Kern
     # Symmetrize and pin the diagonal so K is exactly what the kernel defines.
     K = (K + K.T) / 2.0
     np.fill_diagonal(K, 1.0)
-    A = K + lam * np.eye(len(y))
-    try:
-        factor = cho_factor(A, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(
-            f"(K + lambda*I) not positive definite; cond ~ {np.linalg.cond(A):.3e}") from exc
-    theta = cho_solve(factor, y)
+    theta = _cholesky_solve(K + lam * np.eye(len(y)), y)
     return KernelModel(X=X, y=y, theta=theta, lam=lam, sigma=sigma, K=K)
+
+
+_PANEL = 64  # columns factored together before one trailing update
+
+
+def _cholesky_solve(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x with A x = y for symmetric positive definite A, via A = L L^T.
+
+    Right-looking and blocked: within a panel of _PANEL columns each column
+    is scaled by its pivot's root and subtracted from the panel's later
+    columns as an elementwise outer product; the panel P then updates the
+    trailing block by P P^T through einsum, which (without ``optimize``)
+    never calls BLAS. Only the lower triangle of the work array is read.
+    """
+    L = np.array(A, dtype=float)
+    n = len(L)
+    for p in range(0, n, _PANEL):
+        q = min(p + _PANEL, n)
+        for k in range(p, q):
+            pivot = L[k, k]
+            if not pivot > 0:
+                raise SolveFailure(
+                    f"(K + lambda*I) not positive definite: pivot {k} is {float(pivot)}")
+            L[k, k] = d = math.sqrt(pivot)
+            L[k + 1:, k] /= d
+            L[k + 1:, k + 1:q] -= np.multiply.outer(L[k + 1:, k], L[k + 1:q, k])
+        P = L[q:, p:q]
+        L[q:, q:] -= np.einsum("ik,jk->ij", P, P)
+    # L z = y by columns, then L^T x = z by rows of L.
+    x = np.array(y, dtype=float)
+    for k in range(n):
+        x[k] /= L[k, k]
+        x[k + 1:] -= x[k] * L[k + 1:, k]
+    for k in range(n - 1, -1, -1):
+        x[k] /= L[k, k]
+        x[:k] -= x[k] * L[k, :k]
+    return x
+
+
+def _weighted_rows(k: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """k @ theta as einsum row sums: each row's bits depend on that row and
+    theta only, not on how many rows the call has or on BLAS threads."""
+    return np.einsum("ij,j->i", k, theta)
 
 
 def predict(model: KernelModel, x) -> float:
     """Kernel-weighted sum over training points at a single query."""
     k = _kernel_matrix(np.atleast_2d(np.asarray(x, dtype=float)), model.X, model.sigma)
-    return float((k @ model.theta)[0])
+    return float(_weighted_rows(k, model.theta)[0])
 
 
 def predict_many(model: KernelModel, Xq: np.ndarray) -> np.ndarray:
-    return _kernel_matrix(np.asarray(Xq, dtype=float), model.X, model.sigma) @ model.theta
+    k = _kernel_matrix(np.asarray(Xq, dtype=float), model.X, model.sigma)
+    return _weighted_rows(k, model.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +210,9 @@ def cell_composition(face: int, i: int, j: int, resolution: int) -> tuple:
     return tuple(comp)
 
 
-# Rows per K @ theta matvec: OpenBLAS rounds differently for other row counts
-# (and for other thread counts; see README, Determinism), so this is part of
-# the result. Kernel rows are built _BLOCK_ROWS at a time in cache-sized
-# buffers, which does not change them.
-_CHUNK_ROWS, _BLOCK_ROWS = 8192, 32
+# Kernel rows are built and summed _BLOCK_ROWS at a time in cache-sized
+# buffers; a row's bits do not depend on the block it is in.
+_BLOCK_ROWS = 32
 
 
 def face_grid(model: KernelModel, face: int,
@@ -187,14 +232,15 @@ def face_grid(model: KernelModel, face: int,
 def _face_predictions(model: KernelModel, face: int, resolution: int) -> np.ndarray:
     """The model at a face's valid cells, in row-major (i, j) order.
 
-    The bits are those of ``predict_many`` over successive _CHUNK_ROWS-cell
-    chunks of the cell queries. Cell (i, j) queries component ``face`` = 0,
-    X = c_i, Y = c_j and Z = (1 - c_i) - c_j, with c = linspace(0, 1, res).
-    Of the four terms _kernel_matrix sums, in component order, (0 - x_face)^2
-    = x_face^2 is the same for every cell, (c_i - x_X)^2 the same along a
-    lattice row and (c_j - x_Y)^2 a row of a (res, n) table, so only the Z
-    term is built per cell. The grouping of the sum is kept and only operands
-    swap; -d / s is computed as d / -s, which is exact.
+    The bits are those of ``predict_many`` over the cell queries. Cell (i, j)
+    queries component ``face`` = 0, X = c_i, Y = c_j and Z = (1 - c_i) - c_j,
+    with c = linspace(0, 1, res). Of the four terms _kernel_matrix sums, in
+    component order, (0 - x_face)^2 = x_face^2 is the same for every cell,
+    (c_i - x_X)^2 the same along a lattice row and (c_j - x_Y)^2 a row of a
+    (res, n) table, so only the Z term is built per cell. The grouping of the
+    sum is kept and only operands swap; -d / s is computed as d / -s, which is
+    exact. Each block of kernel rows is summed against theta as soon as it is
+    built, while it is still in cache.
     """
     ax, ay, az = face_axes(face)
     X = model.X
@@ -202,22 +248,20 @@ def _face_predictions(model: KernelModel, face: int, resolution: int) -> np.ndar
     face_term = np.square(X[:, face])
     y_terms = np.square(np.subtract.outer(coords, X[:, ay]))
     scale = -2.0 * model.sigma * model.sigma
-    K = np.empty((_CHUNK_ROWS, len(X)))
     # Each operand is a full block: numpy's broadcasting loops run several
     # times slower than its same-shape ones.
     d2, z_term, row_terms, x_z, face_terms = np.empty((5, _BLOCK_ROWS, len(X)))
     x_z[:], face_terms[:] = X[:, az], face_term
     predictions = np.empty(resolution * (resolution + 1) // 2)
-    filled = done = 0
+    done = 0
     for i, x in enumerate(coords):
         z = (1.0 - x) - coords[:resolution - i]
         row = np.square(x - X[:, ax])
         if face < ay:  # faces 0, 1: ((x_face^2 + X) + Y) + Z
             row += face_term
         row_terms[:len(z)] = row
-        j = 0
-        while j < len(z):
-            m = min(_BLOCK_ROWS, len(z) - j, _CHUNK_ROWS - filled)
+        for j in range(0, len(z), _BLOCK_ROWS):
+            m = min(_BLOCK_ROWS, len(z) - j)
             out, t = d2[:m], z_term[:m]
             np.add(row_terms[:m], y_terms[j:j + m], out=out)
             if ay < face < az:  # face 2: ((X + Y) + x_face^2) + Z
@@ -228,13 +272,9 @@ def _face_predictions(model: KernelModel, face: int, resolution: int) -> np.ndar
             if face > az:  # face 3: ((X + Y) + Z) + x_face^2
                 out += face_terms[:m]
             out /= scale
-            np.exp(out, out=K[filled:filled + m])
-            j += m
-            filled += m
-            if filled == _CHUNK_ROWS or done + filled == len(predictions):
-                predictions[done:done + filled] = K[:filled] @ model.theta
-                done += filled
-                filled = 0
+            np.exp(out, out=out)
+            predictions[done:done + m] = _weighted_rows(out, model.theta)
+            done += m
     return predictions
 
 
@@ -346,8 +386,8 @@ def landscape_csv(lattices: list[FaceLattice], island_map: IslandMap | None = No
         ii, jj = np.nonzero(lat.valid)
         if res not in prefixes:
             step = 1.0 / (res - 1)
-            prefixes[res] = [f"{i},{j},{i * step:.10g},{j * step:.10g},"
-                             f"{1.0 - i * step - j * step:.10g},"
+            coord = [f"{k * step:.10g}" for k in range(res)]  # X of row k, Y of column k
+            prefixes[res] = [f"{i},{j},{coord[i]},{coord[j]},{1.0 - i * step - j * step:.10g},"
                              for i, j in zip(ii.tolist(), jj.tolist())]
         labels = (island_map.labels[lat.face][ii, jj].tolist()
                   if island_map is not None else [""] * len(ii))

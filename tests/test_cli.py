@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -361,6 +362,37 @@ def test_landscape_out_of_memory_is_a_numeric_failure(tmp_path, capsys, monkeypa
     assert err.count("\n") == 1
 
 
+def test_landscape_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 150 points: enough for OpenBLAS to thread a Cholesky factorization,
+    # which gave other bits at 1 and 2 threads before the BLAS-free solve.
+    rng = random.Random(15)
+    rows = [f"0,1,{k},," + ",".join(f"{rng.random():.6f}" for _ in range(4))
+            + f",1.0,1.0,1.0,{rng.random():.6f}" for k in range(150)]
+    hist = tmp_path / "history.csv"
+    hist.write_text("\n".join([HISTORY_HEADER, *rows]) + "\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = """
+import sys
+from dropevo.cli import main
+assert main(sys.argv[1:]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    outputs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                           os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code, "landscape", str(hist),
+                               "--resolution", "41", "--out-dir", str(out_dir)],
+                              capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert json.loads((out_dir / "manifest.json").read_text())["landscape_contract"] == 2
+        names = ["landscape.csv", "islands.json", *(f"face_{k}.pgm" for k in range(4))]
+        outputs.append([(out_dir / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("error, code, prefix", [
     (MemoryError("Unable to allocate 41.0 GiB"), EXIT_NUMERIC, "numeric failure: out of memory"),
     (ValueError("bad walk"), EXIT_DATA, "data error: evaluator failed for recipe"),
@@ -438,6 +470,8 @@ def test_nonfinite_fitness_is_a_data_error(tmp_path, capsys, command, bad):
      [[0.0, 200.0], [60.0, -60.0], [-60.0, 60.0], [60.0, 60.0]]),
     ("arena", "arena_radius", 1e200),      # its square overflows
     ("ga", "carry_overs", 1),              # two parents per child, 3 generations
+    ("evaluation", "unimodal_width", 1e-200),  # 2 width^2 underflows to 0
+    ("evaluation", "unimodal_width", 1e200),   # 2 width^2 overflows
 ])
 def test_evolve_rejects_unsupported_config(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(FAST_CONFIG))
