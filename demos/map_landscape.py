@@ -5,6 +5,7 @@ evaluated, rasterizes the four simplex faces, and labels each lattice cell
 with the fitness island its steepest-ascent path converges to.
 """
 
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,7 @@ cfg = ga.GAConfig(generations=5, rng_seed=7, runs=1)
 setup = evaluators.ExperimentSetup(objective="movement",
                                    arena_config=ArenaConfig(duration=4.0),
                                    master_seed=cfg.rng_seed)
-history = ga.run_ga(cfg, evaluator=None, run=0,
-                    evaluate_batch=evaluators.make_batch_evaluator(setup))
+history = ga.run_ga(cfg, partial(evaluators.evaluate_recipe, setup))
 
 seen = {}
 for gen in history.generations:

@@ -6,6 +6,7 @@ fitness) and evolved for a handful of generations. Prints a per-generation
 summary and writes the full history CSV next to this script.
 """
 
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,11 @@ setup = evaluators.ExperimentSetup(
     arena_config=ArenaConfig(duration=6.0),  # short arenas keep this quick
     master_seed=cfg.rng_seed,
 )
-batch = evaluators.make_batch_evaluator(setup)
+evaluator = partial(evaluators.evaluate_recipe, setup)
 
 print(f"objective: {setup.objective}, population {cfg.population_size}, "
       f"carry-overs {cfg.carry_overs}, {cfg.generations} generations")
-history = ga.run_ga(cfg, evaluator=None, run=0, evaluate_batch=batch)
+history = ga.run_ga(cfg, evaluator)
 
 for g, gen in enumerate(history.generations, start=1):
     fits = np.array([ind.fitness for ind in gen])

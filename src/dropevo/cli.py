@@ -4,6 +4,10 @@ Subcommands: evolve, landscape, analyze, gcode. All outputs are machine
 readable (CSV/JSON/PGM); every output directory gets a run manifest with the
 config snapshot and seed needed to reproduce the data files byte for byte.
 
+`evolve --jobs N` (N > 1) scores each GA round, every run's new recipes
+together, in one map over a pool of N worker processes forked from this
+process; `--jobs 1` scores serially and imports no pool machinery.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
@@ -107,13 +111,18 @@ def _build(cls, section: dict, where: str, **fixed):
 
 
 def cmd_evolve(args) -> int:
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     from . import arena, evaluators, ga
 
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.jobs > 1:
+        # Only a pooled campaign loads these (about 20 ms of a cold start).
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise UsageError(f"--jobs {args.jobs} needs forked workers, which this "
+                             f"platform cannot start; use --jobs 1")
     cfg_file = _load_config(args.config)
     unknown = sorted(set(cfg_file) - {"ga", "arena", "evaluation"})
     if unknown:
@@ -130,19 +139,23 @@ def cmd_evolve(args) -> int:
 
     out_dir = Path(args.out_dir)
     outputs = []
-    histories = []
-    # One pool serves the whole campaign. Its workers are spawned, not forked
-    # from a process whose BLAS threads may hold locks.
-    with (ProcessPoolExecutor(max_workers=args.jobs,
-                              mp_context=multiprocessing.get_context("spawn"))
-          if args.jobs > 1 else contextlib.nullcontext()) as pool:
-        for run in range(ga_cfg.runs):
-            batch = evaluators.make_batch_evaluator(dataclasses.replace(setup, run=run), pool=pool)
-            history = ga.run_ga(ga_cfg, evaluator=None, run=run, evaluate_batch=batch)
-            histories.append(history)
-            name = f"history_run{run}.csv"
-            _write(out_dir, name, ga.history_to_csv(history))
-            outputs.append(name)
+    # One pool serves the whole campaign, and each GA round (every run's new
+    # recipes) is one map over it. Its workers are forked from this process,
+    # which has already imported numpy and the layers. That is safe: the only
+    # BLAS calls on this path are the length-4 np.dot calls of
+    # arena.behavior_from_formulation, numpy's OpenBLAS shuts its threads
+    # down in a pthread_atfork handler, and the pool forks all its workers at
+    # its first submit, before it starts its manager thread. As it starts
+    # them all at once, it gets no more than a round has recipes.
+    jobs = min(args.jobs, ga_cfg.runs * ga_cfg.population_size)
+    with (ProcessPoolExecutor(max_workers=jobs, mp_context=multiprocessing.get_context("fork"))
+          if jobs > 1 else contextlib.nullcontext()) as pool:
+        histories = ga.run_lockstep(ga_cfg, range(ga_cfg.runs),
+                                    evaluators.make_batch_evaluator(setup, pool, jobs))
+    for history in histories:
+        name = f"history_run{history.run}.csv"
+        _write(out_dir, name, ga.history_to_csv(history))
+        outputs.append(name)
 
     if args.emit_gcode:
         gdir = out_dir / "gcode"
@@ -251,9 +264,12 @@ def cmd_landscape(args) -> int:
 # analyze
 
 def cmd_analyze(args) -> int:
+    # The histories are read and checked before stats loads scipy: a bad file
+    # fails without that import, and the memory the parse frees is reused by
+    # it rather than added to the command's peak.
+    parsed = _load_histories(args.history)
     from . import stats
 
-    parsed = _load_histories(args.history)
     shims = []
     for hist in parsed:
         gens = [
@@ -332,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="movement")
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="forked worker processes that score each GA round (default 1: serial)")
     p.add_argument("--out-dir", default="out")
     p.add_argument("--emit-gcode", action="store_true",
                    help="also write one experiment G-code script per recipe")

@@ -10,21 +10,28 @@ replicate's detections pass from stage to stage as one columnar
 `tracking.TrajectorySet`, so no per-frame objects are built.
 
 `ExperimentSetup` is built once per campaign and checks itself; each GA run
-scores with `dataclasses.replace(setup, run=run)`. A batch evaluator is
-`ga.score_batch` bound to `evaluate_recipe` under a setup; it maps the
-recipes over the process pool it is given, or over none (serially).
+scores with `dataclasses.replace(setup, run=run)`. The round scorer from
+`make_batch_evaluator` scores one round of a campaign, every run's new
+recipes under its own run's setup, with one `ga.score_batch` call: it maps
+the recipes over the process pool it is given, or over none (serially).
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 from . import arena, ga, tracking
 from .formulation import GENOME_LENGTH, Formulation, check_number, check_vector
 
 ANALYTIC_ARENA_SHRINK = 0.95
+
+# A pooled round goes out as about this many chunks of recipes per worker,
+# which keeps both the round trips and the end-of-round tail short. On the
+# default campaign, 1 to 8 chunks per worker and one recipe per task all
+# measured within noise of each other (2 vCPUs).
+_CHUNKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -78,10 +85,40 @@ def evaluate_recipe(setup: ExperimentSetup, proportions, recipe_id: int) -> list
             for rep in range(ga.REPLICATES)]
 
 
-def make_batch_evaluator(setup: ExperimentSetup, pool=None):
-    """Batch evaluator for ga.run_ga under `setup`. With a pool (a
-    concurrent.futures executor, which the caller owns) the recipes of a
-    batch are mapped over it; per-recipe seeding keeps the results equal to
-    serial evaluation."""
-    return partial(ga.score_batch, evaluator=partial(evaluate_recipe, setup),
-                   map=pool.map if pool else map)
+def _outcome(setup: ExperimentSetup, proportions, recipe_id: int):
+    """evaluate_recipe's replicates, or the exception it raised. A pool runs
+    a chunk of recipes as one task, whose failure would surface at the
+    chunk's first recipe; returned, it surfaces at its own."""
+    try:
+        return evaluate_recipe(setup, proportions, recipe_id)
+    except Exception as exc:  # noqa: BLE001 - raised again by _raise_failures
+        return exc
+
+
+def _raise_failures(outcomes):
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+        yield outcome
+
+
+def make_batch_evaluator(setup: ExperimentSetup, pool=None, jobs: int = 1):
+    """The round scorer for ga.run_lockstep under `setup`.
+
+    score_round(batches) scores every run's batch with one ga.score_batch
+    call, each recipe under dataclasses.replace(setup, run=run). With a pool
+    (a concurrent.futures executor of `jobs` workers, which the caller owns)
+    the recipes are mapped over it in chunks; per-recipe seeding keeps the
+    results equal to serial evaluation.
+    """
+    def score_round(batches: dict) -> None:
+        setups = {run: replace(setup, run=run) for run in batches}
+        recipe_setups = [setups[run] for run, batch in batches.items() for _ in batch]
+        mapper = map if pool is None else partial(
+            pool.map, chunksize=-(-len(recipe_setups) // (_CHUNKS_PER_WORKER * jobs)))
+        # score_batch maps evaluator(proportions, id); each recipe's setup goes first.
+        ga.score_batch([ind for batch in batches.values() for ind in batch], _outcome,
+                       map=lambda evaluator, *columns: _raise_failures(
+                           mapper(evaluator, recipe_setups, *columns)))
+
+    return score_round

@@ -42,14 +42,18 @@ class NegativeComponentError(FormulationError):
 
 def check_number(name: str, value, minimum=None, *, integer=False, strict=False):
     """`value`; ValueError unless it (any JSON value) is a finite number, not
-    a bool, an integer if `integer`, and >= minimum (> if `strict`)."""
-    ok = (isinstance(value, numbers.Integral if integer else numbers.Real)
-          and not isinstance(value, bool) and math.isfinite(value))
+    a bool, an integer if `integer`, and >= minimum (> if `strict`). An
+    integer that does not convert to a float counts as not finite."""
+    try:
+        ok = (isinstance(value, numbers.Integral if integer else numbers.Real)
+              and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an integer too large to convert to a float
+        ok = False
     if ok and minimum is not None:
         ok = value > minimum if strict else value >= minimum
     if not ok:
         bound = "" if minimum is None else f" {'>' if strict else '>='} {minimum}"
-        raise ValueError(f"{name} must be {'an integer' if integer else 'a finite number'}"
+        raise ValueError(f"{name} must be {'a finite integer' if integer else 'a finite number'}"
                          f"{bound}, got {value!r}")
     return value
 

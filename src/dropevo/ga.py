@@ -8,8 +8,11 @@ selective pressure 1. With these defaults one run evaluates exactly
 
 Each generation culls, then breeds (cull 25 -> 15 survivors, then add 10
 evaluated children), so a run of more than one generation needs at least two
-carry-overs to breed from. ``score_batch`` is the one path from genomes to
-fitness.
+carry-overs to breed from. ``evolve`` is the one GA loop, a generator that
+yields each batch of new individuals to be scored; ``run_lockstep`` advances
+several runs together, so that a campaign can score every run's batch of a
+round in one map, and ``run_ga`` drives a single run. ``score_batch`` is the
+one path from genomes to fitness.
 
 Every recipe is scored from ``REPLICATES`` = 3 replicate experiments and
 every genome has ``formulation.GENOME_LENGTH`` = 4 loci; neither is a knob.
@@ -22,7 +25,6 @@ import csv
 import io
 import statistics
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -216,22 +218,17 @@ def score_batch(batch: list[Individual], evaluator, map=map) -> None:
         ind.set_fitness(reps, aggregate_fitness(reps))
 
 
-def run_ga(cfg: GAConfig, evaluator, run: int = 0, evaluate_batch=None) -> GAHistory:
-    """Run one GA optimization.
-
-    Each batch of new individuals goes to evaluate_batch(batch) if it is
-    given, and to score_batch(batch, evaluator) if not. Results must not
-    depend on evaluation order.
-    """
+def evolve(cfg: GAConfig, run: int = 0):
+    """One GA run as a generator. It yields each batch of new individuals,
+    which the caller scores in place before asking for the next, and returns
+    the GAHistory. The draws depend only on `cfg` and `run`, never on how or
+    when the batches are scored."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.rng_seed, spawn_key=(run,)))
-    if evaluate_batch is None:
-        evaluate_batch = partial(score_batch, evaluator=evaluator)
-
     history = GAHistory(run=run)
     next_id = run * 10_000_000
     pop = init_population(cfg, rng, id_start=next_id)
     next_id += len(pop)
-    evaluate_batch(pop)
+    yield pop
     history.generations.append(list(pop))
 
     n_children = cfg.population_size - cfg.carry_overs
@@ -244,9 +241,37 @@ def run_ga(cfg: GAConfig, evaluator, run: int = 0, evaluate_batch=None) -> GAHis
             genome = mutate(genome, cfg.per_locus_mutation_rate, cfg.mutation_sd, rng)
             children.append(Individual(genome=genome, id=next_id, parent_ids=(p1.id, p2.id)))
             next_id += 1
-        evaluate_batch(children)
+        yield children
         pop = pop + children
         history.generations.append(list(pop))
+    return history
+
+
+def run_lockstep(cfg: GAConfig, runs, score_round) -> list[GAHistory]:
+    """Advance one GA run per index in `runs` together, a round at a time.
+
+    Each round, score_round(batches) must score in place the new individuals
+    of every unfinished run; `batches` maps run -> batch, in the order of
+    `runs`. Returns the histories in that order.
+    """
+    steps = {run: evolve(cfg, run) for run in runs}
+    batches = {run: next(step) for run, step in steps.items()}
+    histories = {}
+    while batches:
+        score_round(batches)
+        for run in list(batches):
+            try:
+                batches[run] = next(steps[run])
+            except StopIteration as done:
+                histories[run] = done.value
+                del batches[run]
+    return [histories[run] for run in runs]
+
+
+def run_ga(cfg: GAConfig, evaluator, run: int = 0) -> GAHistory:
+    """Run one GA optimization, scoring each batch with
+    score_batch(batch, evaluator)."""
+    (history,) = run_lockstep(cfg, [run], lambda batches: score_batch(batches[run], evaluator))
     return history
 
 

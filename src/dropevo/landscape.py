@@ -28,6 +28,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -190,8 +191,17 @@ class FaceLattice:
 
     @property
     def valid(self) -> np.ndarray:
-        i, j = np.indices(self.values.shape)
-        return i + j <= self.resolution - 1
+        return _valid_mask(self.resolution)
+
+
+@cache
+def _valid_mask(resolution: int) -> np.ndarray:
+    """The read-only mask of cells with i + j <= resolution - 1, built once
+    per resolution and shared by every lattice."""
+    index = np.arange(resolution)
+    mask = np.add.outer(index, index) <= resolution - 1
+    mask.flags.writeable = False
+    return mask
 
 
 def face_axes(face: int) -> tuple[int, int, int]:

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -325,8 +326,7 @@ def test_ga_efficacy():
             master_seed=seed,
             behavior_map="unimodal",
         )
-        batch = evaluators.make_batch_evaluator(setup)
-        history = ga.run_ga(cfg, evaluator=None, run=0, evaluate_batch=batch)
+        history = ga.run_ga(cfg, partial(evaluators.evaluate_recipe, setup))
         report = stats.trajectory_report([history])
         entry = report["first_vs_last_tophalf"]
         kend = report["fitness_vs_generation"]

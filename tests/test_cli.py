@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropevo import arena, formats, ga, gcode, landscape
+from dropevo import arena, evaluators, formats, ga, gcode, landscape
 from dropevo.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from dropevo.formulation import normalize
 
 FAST_CONFIG = {
     "ga": {"generations": 3, "population_size": 8, "carry_overs": 4,
@@ -472,6 +473,9 @@ def test_nonfinite_fitness_is_a_data_error(tmp_path, capsys, command, bad):
     ("ga", "carry_overs", 1),              # two parents per child, 3 generations
     ("evaluation", "unimodal_width", 1e-200),  # 2 width^2 underflows to 0
     ("evaluation", "unimodal_width", 1e200),   # 2 width^2 overflows
+    *(pytest.param(section, key, 10**400, id=f"{section}-{key}-401-digit-int")
+      for section, key in (("arena", "duration"), ("ga", "rng_seed"),
+                           ("evaluation", "unimodal_width"))),   # too large for a float
 ])
 def test_evolve_rejects_unsupported_config(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(FAST_CONFIG))
@@ -530,14 +534,21 @@ def test_seed_option_rejections(tmp_path, capsys, argv):
 
 
 def test_evolve_opens_one_pool_per_campaign(tmp_path, monkeypatch):
-    pools = []
-    init = ProcessPoolExecutor.__init__
+    # One forked pool, and one map per GA round over both runs' batches.
+    pools, start_methods, maps = [], [], []
+    init, pool_map = ProcessPoolExecutor.__init__, ProcessPoolExecutor.map
 
     def counting_init(self, *args, **kwargs):
         pools.append(self)
+        start_methods.append(kwargs["mp_context"].get_start_method())
         init(self, *args, **kwargs)
 
+    def counting_map(self, *args, **kwargs):
+        maps.append(len(args[1]))
+        return pool_map(self, *args, **kwargs)
+
     monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+    monkeypatch.setattr(ProcessPoolExecutor, "map", counting_map)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
         "ga": {"generations": 3, "population_size": 4, "carry_overs": 2,
@@ -550,9 +561,105 @@ def test_evolve_opens_one_pool_per_campaign(tmp_path, monkeypatch):
         assert main(["evolve", "--config", str(path), "--jobs", jobs,
                      "--out-dir", str(outs[jobs])]) == EXIT_OK
     assert len(pools) == 1
+    assert start_methods == ["fork"]
+    assert maps == [8, 4, 4]
     for run in (0, 1):
         name = f"history_run{run}.csv"
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
+
+def test_evolve_pool_is_no_larger_than_a_round(tmp_path, monkeypatch, fast_config):
+    # FAST_CONFIG's one run draws 8 recipes a round; a fork pool would start
+    # every requested worker at once.
+    workers = []
+    init = ProcessPoolExecutor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        workers.append(kwargs["max_workers"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+    run_evolve(tmp_path, fast_config, extra=["--jobs", "64"])
+    assert workers == [8]
+
+
+def test_evolve_histories_do_not_depend_on_jobs(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**FAST_CONFIG, "ga": {**FAST_CONFIG["ga"], "runs": 3}}))
+    outs = []
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / f"jobs{jobs}"
+        assert main(["evolve", "--config", str(path), "--jobs", jobs,
+                     "--out-dir", str(out_dir)]) == EXIT_OK
+        outs.append([(out_dir / f"history_run{run}.csv").read_bytes() for run in range(3)])
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_evolve_names_the_failed_recipe_of_an_interleaved_round(tmp_path, capsys,
+                                                                monkeypatch, jobs):
+    # Round 1 scores the two runs' 16 recipes as one map, in chunks of 2 at
+    # --jobs 2; the failing recipe is the second of its chunk. The forked
+    # workers inherit the patched run_replicate.
+    cfg = {**FAST_CONFIG, "ga": {**FAST_CONFIG["ga"], "runs": 2}}
+    failing = 10_000_003   # run 1, fourth recipe
+    replicate = evaluators.run_replicate
+
+    def run_replicate(setup, proportions, recipe_id, rep):
+        if setup.run == 1 and recipe_id == failing:
+            raise FloatingPointError("overflow encountered in the walk")
+        return replicate(setup, proportions, recipe_id, rep)
+
+    monkeypatch.setattr(evaluators, "run_replicate", run_replicate)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["evolve", "--config", str(path), "--jobs", jobs,
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_NUMERIC
+    first_batch = next(ga.evolve(ga.GAConfig(**cfg["ga"]), run=1))
+    recipe = normalize(first_batch[failing - 10_000_000].genome).proportions
+    err = capsys.readouterr().err
+    assert err == (f"numeric failure: evaluator failed for recipe {list(recipe)}: "
+                   f"overflow encountered in the walk\n")
+
+
+def test_evolve_without_fork_rejects_jobs_above_one(tmp_path, capsys, fast_config,
+                                                    monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    out_dir = tmp_path / "o"
+    rc = main(["evolve", "--config", fast_config, "--jobs", "2", "--out-dir", str(out_dir)])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--jobs" in err
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def _run_fresh(argv, modules):
+    """[exit code, the `modules` loaded] of dropevo `argv` run in a fresh
+    interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = ("import json, sys; from dropevo.cli import main; rc = main(sys.argv[2:]); "
+            "print(json.dumps([rc, sorted(set(sys.argv[1].split(',')) & set(sys.modules))]))")
+    proc = subprocess.run([sys.executable, "-c", code, ",".join(modules), *argv],
+                          capture_output=True, text=True, env=env)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_serial_evolve_loads_no_process_pool(tmp_path, fast_config):
+    argv = ["evolve", "--config", fast_config, "--jobs", "1", "--out-dir", str(tmp_path / "o")]
+    assert _run_fresh(argv, ["multiprocessing", "concurrent.futures"]) == [EXIT_OK, []]
+
+
+def test_analyze_rejects_a_bad_history_before_loading_scipy(tmp_path):
+    bad = tmp_path / "history.csv"
+    bad.write_text("not,a,history\n")
+    argv = ["analyze", str(bad), "--out-dir", str(tmp_path / "o")]
+    assert _run_fresh(argv, ["scipy"]) == [EXIT_DATA, []]
 
 
 # Config fuzz: a tiny valid evolve config with one or two fields swapped for

@@ -428,8 +428,9 @@ def test_face_grid_bit_identical_all_faces(res):
 
 def test_face_grid_peak_memory():
     # Kernel rows are summed block by block, so no (cells, n) kernel matrix
-    # is built. The 3.2 MiB peak is the lattice with its validity mask,
-    # whose (2, res, res) indices take 1.38 MiB, beside the predictions.
+    # is built. The 3.1 MiB peak is the (res, n) table of Y terms and the
+    # block buffers beside the predictions; the validity mask is built once
+    # per resolution.
     model = _random_model(14)
     tracemalloc.start()
     try:
@@ -440,6 +441,17 @@ def test_face_grid_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("res", [2, 3, 301])
+def test_valid_mask_is_one_read_only_array_per_resolution(res):
+    a = FaceLattice(face=0, resolution=res, values=np.zeros((res, res)))
+    b = FaceLattice(face=3, resolution=res, values=np.ones((res, res)))
+    i, j = np.indices((res, res))
+    assert np.array_equal(a.valid, i + j <= res - 1)
+    assert a.valid is b.valid and a.valid.dtype == bool
+    with pytest.raises(ValueError):
+        a.valid[0, 0] = False
 
 
 def test_face_grid_rejects_resolution_below_two():
