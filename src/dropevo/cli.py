@@ -6,7 +6,12 @@ config snapshot and seed needed to reproduce the data files byte for byte.
 
 `evolve --jobs N` (N > 1) scores each GA round, every run's new recipes
 together, in one map over a pool of N worker processes forked from this
-process; `--jobs 1` scores serially and imports no pool machinery.
+process. `landscape` predicts its four simplex faces, and then writes their
+CSV text, over a pool forked the same way, with one worker per CPU the
+process may run on, up to 4; the bytes do not depend on the worker count.
+With one worker (`--jobs 1`, or one usable CPU) a command maps serially and
+imports no pool machinery. A worker that dies (say, to the OOM killer) ends
+the command as a one-line numeric failure.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -18,6 +23,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -95,6 +101,48 @@ def _manifest(out_dir: Path, command: str, config: dict, seed, outputs: list[str
 
 
 # ---------------------------------------------------------------------------
+# forked worker pools
+
+def _cause(exc: Exception) -> Exception:
+    """The exception that decides how a command fails: a recipe the GA could
+    not score (ga.EvaluationError, which names the recipe) fails as its cause
+    would."""
+    return exc.__cause__ if hasattr(exc, "recipe") else exc
+
+
+def _can_fork() -> bool:
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+@contextlib.contextmanager
+def _fork_pool(workers: int):
+    """A process pool of `workers` workers forked from this process, which has
+    already imported numpy and the layers, so no worker starts an interpreter
+    or imports them again; None (map serially, load no pool machinery) for
+    one worker. A fork-context pool forks all its workers at its first
+    submit, before it starts its manager thread. A worker that dies breaks
+    the pool, which ends the command as a numeric failure.
+    """
+    if workers < 2:
+        yield None
+        return
+    # Only a pooled command loads these (about 20 ms of a cold start).
+    import multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            yield pool
+    except RuntimeError as exc:  # ga.EvaluationError, or the pool's own error
+        if isinstance(_cause(exc), BrokenExecutor):
+            raise NumericFailure(f"a worker process died: {_cause(exc)}") from exc
+        raise
+
+
+# ---------------------------------------------------------------------------
 # evolve
 
 def _build(cls, section: dict, where: str, **fixed):
@@ -115,14 +163,9 @@ def cmd_evolve(args) -> int:
 
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    if args.jobs > 1:
-        # Only a pooled campaign loads these (about 20 ms of a cold start).
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise UsageError(f"--jobs {args.jobs} needs forked workers, which this "
-                             f"platform cannot start; use --jobs 1")
+    if args.jobs > 1 and not _can_fork():
+        raise UsageError(f"--jobs {args.jobs} needs forked workers, which this "
+                         f"platform cannot start; use --jobs 1")
     cfg_file = _load_config(args.config)
     unknown = sorted(set(cfg_file) - {"ga", "arena", "evaluation"})
     if unknown:
@@ -140,16 +183,13 @@ def cmd_evolve(args) -> int:
     out_dir = Path(args.out_dir)
     outputs = []
     # One pool serves the whole campaign, and each GA round (every run's new
-    # recipes) is one map over it. Its workers are forked from this process,
-    # which has already imported numpy and the layers. That is safe: the only
-    # BLAS calls on this path are the length-4 np.dot calls of
-    # arena.behavior_from_formulation, numpy's OpenBLAS shuts its threads
-    # down in a pthread_atfork handler, and the pool forks all its workers at
-    # its first submit, before it starts its manager thread. As it starts
-    # them all at once, it gets no more than a round has recipes.
+    # recipes) is one map over it. Forking is safe: the only BLAS calls on
+    # this path are the length-4 np.dot calls of
+    # arena.behavior_from_formulation, and numpy's OpenBLAS shuts its threads
+    # down in a pthread_atfork handler. As the pool starts every worker at
+    # once, it gets no more than a round has recipes.
     jobs = min(args.jobs, ga_cfg.runs * ga_cfg.population_size)
-    with (ProcessPoolExecutor(max_workers=jobs, mp_context=multiprocessing.get_context("fork"))
-          if jobs > 1 else contextlib.nullcontext()) as pool:
+    with _fork_pool(jobs) as pool:
         histories = ga.run_lockstep(ga_cfg, range(ga_cfg.runs),
                                     evaluators.make_batch_evaluator(setup, pool, jobs))
     for history in histories:
@@ -208,6 +248,15 @@ class FileFormatError(Exception):
         self.violations = violations
 
 
+def _face_grid(model, face: int, resolution: int):
+    # The pool maps this function by name. landscape.face_grid is looked up
+    # when it runs, so a wrapper put on it (perfbench's tracer) need not
+    # pickle.
+    from . import landscape
+
+    return landscape.face_grid(model, face, resolution)
+
+
 def cmd_landscape(args) -> int:
     import numpy as np
 
@@ -238,13 +287,18 @@ def cmd_landscape(args) -> int:
         raise UsageError(f"--sigma: {exc}") from exc
     except landscape.SolveFailure as exc:
         raise NumericFailure(exc) from exc
-    lattices = [landscape.face_grid(model, face, args.resolution)
-                for face in range(4)]
-    islands = landscape.catchment_map(lattices)
+    # The faces are predicted, and their CSV text built, in forked workers,
+    # one per usable CPU (none where the platform cannot list them): landscape
+    # calls no BLAS, and a kernel row's bits do not depend on the process
+    # that computes it. The catchment, which joins the faces, runs here.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    with _fork_pool(min(cpus, 4) if cpus > 1 and _can_fork() else 1) as pool:
+        pool_map = map if pool is None else pool.map
+        lattices = list(pool_map(_face_grid, [model] * 4, range(4), [args.resolution] * 4))
+        islands = landscape.catchment_map(lattices)
+        csv = landscape.landscape_csv(lattices, islands, map=pool_map)
     out_dir = Path(args.out_dir)
-    outputs = []
-    outputs.append(_write(out_dir, "landscape.csv",
-                          landscape.landscape_csv(lattices, islands)).name)
+    outputs = [_write(out_dir, "landscape.csv", csv).name]
     outputs.append(_write(out_dir, "islands.json",
                           landscape.island_summary_json(islands)).name)
     for lat in lattices:
@@ -395,9 +449,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except Exception as exc:
-        # A recipe the GA could not score (ga.EvaluationError, which names
-        # the recipe) exits as its cause would.
-        cause = exc.__cause__ if hasattr(exc, "recipe") else exc
+        cause = _cause(exc)
         if isinstance(cause, UsageError):
             code, kind = EXIT_USAGE, "usage error"
         elif isinstance(cause, (NumericFailure, FloatingPointError)):

@@ -20,6 +20,10 @@ The catchment is rank-min ascent with pointer jumping, after Vincent & Soille
 smallest canonical (face, i, j)), its parent is the lowest rank in its 3x3
 window on every face hosting it, and ``parent = parent[parent]`` repeats until
 each cell points at its island's maximum.
+
+The faces are independent: ``face_grid`` and ``face_csv`` take one face, so a
+caller may map them over worker processes (the ``landscape`` command forks
+one per usable CPU, up to 4), and the bytes do not depend on how many.
 """
 
 from __future__ import annotations
@@ -91,14 +95,29 @@ def _kernel_matrix(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(out, out=out)
 
 
+def _training_kernel(X: np.ndarray, sigma: float) -> np.ndarray:
+    K = _kernel_matrix(X, X, sigma)
+    # Symmetrize and pin the diagonal so K is exactly what the kernel defines.
+    K = (K + K.T) / 2.0
+    np.fill_diagonal(K, 1.0)
+    return K
+
+
 @dataclass
 class KernelModel:
+    """A fitted model. It holds only what a prediction needs, so it pickles
+    small to a worker process; K is rebuilt, with the same bits, on access."""
+
     X: np.ndarray        # (n, 4) training inputs
     y: np.ndarray        # (n,) targets
     theta: np.ndarray    # (n,) dual weights
     lam: float
     sigma: float
-    K: np.ndarray        # (n, n) training kernel matrix
+
+    @property
+    def K(self) -> np.ndarray:
+        """(n, n) training kernel matrix."""
+        return _training_kernel(self.X, self.sigma)
 
 
 def fit(X, y, lam: float = DEFAULT_LAMBDA, sigma: float = DEFAULT_SIGMA) -> KernelModel:
@@ -110,12 +129,8 @@ def fit(X, y, lam: float = DEFAULT_LAMBDA, sigma: float = DEFAULT_SIGMA) -> Kern
     y = np.asarray(y, dtype=float)
     if X.shape[0] != y.shape[0] or X.shape[0] < 1:
         raise DimensionMismatch(f"{X.shape[0]} inputs vs {y.shape[0]} targets")
-    K = _kernel_matrix(X, X, sigma)
-    # Symmetrize and pin the diagonal so K is exactly what the kernel defines.
-    K = (K + K.T) / 2.0
-    np.fill_diagonal(K, 1.0)
-    theta = _cholesky_solve(K + lam * np.eye(len(y)), y)
-    return KernelModel(X=X, y=y, theta=theta, lam=lam, sigma=sigma, K=K)
+    theta = _cholesky_solve(_training_kernel(X, sigma) + lam * np.eye(len(y)), y)
+    return KernelModel(X=X, y=y, theta=theta, lam=lam, sigma=sigma)
 
 
 _PANEL = 64  # columns factored together before one trailing update
@@ -388,23 +403,33 @@ def catchment_map(lattices: list[FaceLattice]) -> IslandMap:
 # ---------------------------------------------------------------------------
 # Export
 
-def landscape_csv(lattices: list[FaceLattice], island_map: IslandMap | None = None) -> str:
-    parts = ["face,i,j,X,Y,Z,fitness,island_label\n"]
-    prefixes = {}  # resolution -> "i,j,X,Y,Z," per valid cell, shared by every face
-    for lat in lattices:
-        res = lat.resolution
-        ii, jj = np.nonzero(lat.valid)
-        if res not in prefixes:
-            step = 1.0 / (res - 1)
-            coord = [f"{k * step:.10g}" for k in range(res)]  # X of row k, Y of column k
-            prefixes[res] = [f"{i},{j},{coord[i]},{coord[j]},{1.0 - i * step - j * step:.10g},"
-                             for i, j in zip(ii.tolist(), jj.tolist())]
-        labels = (island_map.labels[lat.face][ii, jj].tolist()
-                  if island_map is not None else [""] * len(ii))
-        # Joined face by face, so only one face's line objects are alive at once.
-        parts.append("".join(f"{lat.face},{prefix}{value!r},{label}\n" for prefix, value, label
-                             in zip(prefixes[res], lat.values[ii, jj].tolist(), labels)))
-    return "".join(parts)
+@cache
+def _csv_prefixes(resolution: int) -> tuple[str, ...]:
+    """"i,j,X,Y,Z," per valid cell in row-major order, built once per
+    resolution and shared by every face."""
+    ii, jj = np.nonzero(_valid_mask(resolution))
+    step = 1.0 / (resolution - 1)
+    coord = [f"{k * step:.10g}" for k in range(resolution)]  # X of row k, Y of column k
+    return tuple(f"{i},{j},{coord[i]},{coord[j]},{1.0 - i * step - j * step:.10g},"
+                 for i, j in zip(ii.tolist(), jj.tolist()))
+
+
+def face_csv(lat: FaceLattice, labels: np.ndarray | None = None) -> str:
+    """The landscape.csv lines of one face; `labels` is its (res, res) island
+    label grid, or None for empty labels."""
+    valid = lat.valid
+    labels = labels[valid].tolist() if labels is not None else [""] * int(valid.sum())
+    return "".join(f"{lat.face},{prefix}{value!r},{label}\n" for prefix, value, label
+                   in zip(_csv_prefixes(lat.resolution), lat.values[valid].tolist(), labels))
+
+
+def landscape_csv(lattices: list[FaceLattice], island_map: IslandMap | None = None,
+                  map=map) -> str:
+    """The header and every face's lines. `map` applies face_csv to the faces
+    in order (an executor's map writes them concurrently)."""
+    labels = [island_map.labels[lat.face] if island_map is not None else None
+              for lat in lattices]
+    return "".join(["face,i,j,X,Y,Z,fitness,island_label\n", *map(face_csv, lattices, labels)])
 
 
 def island_summary_json(island_map: IslandMap) -> str:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -363,14 +364,21 @@ def test_landscape_out_of_memory_is_a_numeric_failure(tmp_path, capsys, monkeypa
     assert err.count("\n") == 1
 
 
+def write_random_history(path, points=150, seed=15):
+    rng = random.Random(seed)
+    rows = [f"0,1,{k},," + ",".join(f"{rng.random():.6f}" for _ in range(4))
+            + f",1.0,1.0,1.0,{rng.random():.6f}" for k in range(points)]
+    path.write_text("\n".join([HISTORY_HEADER, *rows]) + "\n")
+    return str(path)
+
+
+LANDSCAPE_DATA_FILES = ["landscape.csv", "islands.json", *(f"face_{k}.pgm" for k in range(4))]
+
+
 def test_landscape_bytes_do_not_depend_on_blas_threads(tmp_path):
     # 150 points: enough for OpenBLAS to thread a Cholesky factorization,
     # which gave other bits at 1 and 2 threads before the BLAS-free solve.
-    rng = random.Random(15)
-    rows = [f"0,1,{k},," + ",".join(f"{rng.random():.6f}" for _ in range(4))
-            + f",1.0,1.0,1.0,{rng.random():.6f}" for k in range(150)]
-    hist = tmp_path / "history.csv"
-    hist.write_text("\n".join([HISTORY_HEADER, *rows]) + "\n")
+    hist = write_random_history(tmp_path / "history.csv")
     src = Path(__file__).resolve().parent.parent / "src"
     code = """
 import sys
@@ -389,9 +397,75 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                               capture_output=True, text=True, env=env, check=True)
         assert proc.stdout.splitlines()[-1] == "[]"
         assert json.loads((out_dir / "manifest.json").read_text())["landscape_contract"] == 2
-        names = ["landscape.csv", "islands.json", *(f"face_{k}.pgm" for k in range(4))]
-        outputs.append([(out_dir / name).read_bytes() for name in names])
+        outputs.append([(out_dir / name).read_bytes() for name in LANDSCAPE_DATA_FILES])
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("resolution", ["31", "2"])
+def test_landscape_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, resolution):
+    # One usable CPU maps the faces serially, two fork a pool of two, and
+    # eight a pool of one worker per face. At resolution 2 each face has 3
+    # cells.
+    workers = []
+    init = ProcessPoolExecutor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        workers.append(kwargs["max_workers"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+    hist = write_random_history(tmp_path / "history.csv")
+    outputs = []
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        out_dir = tmp_path / f"cpus{cpus}"
+        assert main(["landscape", hist, "--resolution", resolution,
+                     "--out-dir", str(out_dir)]) == EXIT_OK
+        outputs.append([(out_dir / name).read_bytes() for name in LANDSCAPE_DATA_FILES])
+    assert workers == [2, 4]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("cpus, pool_modules", [
+    (1, []),
+    (2, ["concurrent.futures", "multiprocessing"]),
+])
+def test_landscape_loads_a_pool_only_with_cpus_to_spare_and_never_scipy(tmp_path, cpus,
+                                                                          pool_modules):
+    argv = ["landscape", write_random_history(tmp_path / "history.csv", points=20),
+            "--resolution", "11", "--out-dir", str(tmp_path / "o")]
+    modules = ["concurrent.futures", "multiprocessing", "scipy"]
+    assert _run_fresh(argv, modules, cpus=cpus) == [EXIT_OK, pool_modules]
+
+
+def _kill_in_worker(fn):
+    """fn, except that in any process but this one it kills its process."""
+    parent = os.getpid()
+
+    def kill_in_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fn(*args, **kwargs)
+
+    return kill_in_worker
+
+
+def _assert_a_worker_died(capsys, rc):
+    assert rc == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: a worker process died:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("stage", ["face_grid", "_csv_prefixes"])
+def test_landscape_dead_worker_is_one_line(tmp_path, capsys, monkeypatch, stage):
+    # The faces map (face_grid) and the CSV map (_csv_prefixes) each lose a
+    # worker, as to the OOM killer.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(landscape, stage, _kill_in_worker(getattr(landscape, stage)))
+    hist = write_history(tmp_path / "history.csv")
+    _assert_a_worker_died(capsys, main(["landscape", hist, "--resolution", "11",
+                                        "--out-dir", str(tmp_path / "o")]))
 
 
 @pytest.mark.parametrize("error, code, prefix", [
@@ -421,6 +495,25 @@ def test_perfbench_tracer_hooks_exist():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_perfbench_tracer_runs_a_pooled_landscape(tmp_path):
+    # The tracer replaces landscape.face_grid with a closure, which a pool
+    # could not pickle; the command maps a function that looks it up in the
+    # worker. Two usable CPUs, so the faces go to a forked pool.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), str(root / "perfbench"), os.environ.get("PYTHONPATH")]))}
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "from tracer import main; sys.exit(main(sys.argv[1:]))")
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run([sys.executable, "-c", code, str(spans), "t", "--", "landscape",
+                           write_random_history(tmp_path / "history.csv", points=20),
+                           "--resolution", "11", "--out-dir", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    names = {span["name"] for span in json.loads(spans.read_text())}
+    assert {"landscape.fit", "landscape.catchment", "landscape.csv"} <= names
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -623,6 +716,13 @@ def test_evolve_names_the_failed_recipe_of_an_interleaved_round(tmp_path, capsys
                    f"overflow encountered in the walk\n")
 
 
+def test_evolve_dead_worker_is_one_line(tmp_path, capsys, fast_config, monkeypatch):
+    # A worker killed mid-round, as by the OOM killer, breaks the pool.
+    monkeypatch.setattr(evaluators, "run_replicate", _kill_in_worker(evaluators.run_replicate))
+    _assert_a_worker_died(capsys, main(["evolve", "--config", fast_config, "--jobs", "2",
+                                        "--out-dir", str(tmp_path / "o")]))
+
+
 def test_evolve_without_fork_rejects_jobs_above_one(tmp_path, capsys, fast_config,
                                                     monkeypatch):
     import multiprocessing
@@ -637,14 +737,16 @@ def test_evolve_without_fork_rejects_jobs_above_one(tmp_path, capsys, fast_confi
     assert not out_dir.exists()
 
 
-def _run_fresh(argv, modules):
+def _run_fresh(argv, modules, cpus=None):
     """[exit code, the `modules` loaded] of dropevo `argv` run in a fresh
-    interpreter."""
+    interpreter, which sees `cpus` usable CPUs if given."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     code = ("import json, sys; from dropevo.cli import main; rc = main(sys.argv[2:]); "
             "print(json.dumps([rc, sorted(set(sys.argv[1].split(',')) & set(sys.modules))]))")
+    if cpus is not None:
+        code = f"import os; os.sched_getaffinity = lambda pid: set(range({cpus})); " + code
     proc = subprocess.run([sys.executable, "-c", code, ",".join(modules), *argv],
                           capture_output=True, text=True, env=env)
     return json.loads(proc.stdout.splitlines()[-1])

@@ -7,7 +7,9 @@ to convergence, sharing no code with dropevo.landscape's region-growing.
 """
 
 import math
+import multiprocessing
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -365,6 +367,21 @@ def test_lattice_to_pgm():
     data = lattice_to_pgm(lat)
     assert data.startswith(b"P5\n11 11\n255\n")
     assert len(data) == len(b"P5\n11 11\n255\n") + 121
+
+
+def test_faces_and_csv_are_the_same_over_a_forked_pool():
+    # The landscape command maps the faces, then their CSV text, over forked
+    # workers; at resolution 301 the bits and bytes match the serial path.
+    rng = np.random.default_rng(14)
+    model = fit(rng.dirichlet(np.ones(4), size=40), rng.normal(size=40))
+    lats = [face_grid(model, f, resolution=301) for f in range(4)]
+    imap = catchment_map(lats)
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
+        pooled = list(pool.map(face_grid, [model] * 4, range(4), [301] * 4))
+        text = landscape_csv(lats, imap, map=pool.map)
+    for got, want in zip(pooled, lats):
+        assert np.array_equal(got.values, want.values, equal_nan=True)
+    assert text == landscape_csv(lats, imap)
 
 
 # ------------------------------------------------- array-native equivalence
