@@ -9,7 +9,9 @@ documented so the ground truth of the landscape is auditable.
 
 An experiment's detections travel as one columnar `DetectionRecord`: frame
 offsets plus flat float64 x, y and area arrays. Iterating a record yields one
-`DetectionFrame` per frame for callers that want tuples.
+`DetectionFrame` per frame for callers that want tuples. `simulate` can run
+several replicates of one recipe as one pass, whose record holds them one
+after another with an empty frame between each two.
 """
 
 from __future__ import annotations
@@ -183,9 +185,17 @@ def droplet_stream(seed: np.random.SeedSequence, lineage: tuple,
         seed.entropy, spawn_key=(*seed.spawn_key, *lineage, stream))))
 
 
-def simulate(f: Formulation, cfg: ArenaConfig, seed: np.random.SeedSequence,
+def simulate(f: Formulation, cfg: ArenaConfig, seed,
              behavior: BehaviorParams | None = None) -> DetectionRecord:
     """Run the correlated random walk and record every frame's detections.
+
+    `seed` is one replicate's SeedSequence, or a sequence of them to simulate
+    those replicates in one pass. With F = cfg.total_frames, replicate r's
+    frame t is then frame r * (F + 1) + t of the record: the replicates
+    follow one another in seed order, each but the last followed by one
+    empty frame, so a record of R replicates holds R * (F + 1) - 1 frames
+    and nothing tracks across replicates. One seed gives the record of that
+    replicate alone, and each replicate of a pass is the same as its own.
 
     Each step a live droplet turns by turn_noise * N(0, 1), moves `speed`
     along its new heading and loses `shrink_rate` of area, so a droplet born
@@ -200,7 +210,7 @@ def simulate(f: Formulation, cfg: ArenaConfig, seed: np.random.SeedSequence,
     injection inside the wall, so no detection lies on or beyond it.
 
     RNG contract v2: every droplet draws from its own streams,
-    droplet_stream(seed, lineage, TURN) and (..., SPLIT), where `seed` is the
+    droplet_stream(seed, lineage, TURN) and (..., SPLIT), where `seed` is its
     replicate's SeedSequence and `lineage` is the droplet's injection index
     followed by its child number at each split. An injected droplet's TURN
     stream first gives its heading, uniform on [0, 2 pi); after that the
@@ -211,52 +221,59 @@ def simulate(f: Formulation, cfg: ArenaConfig, seed: np.random.SeedSequence,
     are ordered by lineage, which is the order splits in place give.
 
     The walk is event-driven and runs in lockstep: the droplets born in one
-    frame are walked together, each drawing its steps from its own streams
-    in blocks (one row per droplet), taking its headings, positions and
-    areas as running sums along its row, and stopping at its first event
-    (disappearance, wall contact or split); children are walked the same
-    way from their birth frame.
+    frame, of every replicate of the pass, are walked together, each drawing
+    its steps from its own streams in blocks (one row per droplet), taking
+    its headings, positions and areas as running sums along its row, and
+    stopping at its first event (disappearance, wall contact or split);
+    children are walked the same way from their birth frame.
     """
+    seeds = [seed] if isinstance(seed, np.random.SeedSequence) else list(seed)
+    if not seeds:
+        raise ValueError("simulate needs at least one seed")
     b = behavior if behavior is not None else behavior_from_formulation(f)
     frames = cfg.total_frames
-    lineages = []  # of each droplet walked, by walk number
+    keys = []  # (replicate, lineage) of each droplet walked, by walk number
     runs = []
-    # birth frame -> [(lineage, x, y, heading or None, area)] of the droplets to walk
-    born = {0: [((i,), x, y, None, float(cfg.initial_droplet_area))
-                for i, (x, y) in enumerate(cfg.injection_positions)]}
+    # birth frame -> [(replicate, lineage, x, y, heading or None, area)] of
+    # the droplets to walk
+    born = {0: [(r, (i,), x, y, None, float(cfg.initial_droplet_area))
+                for r in range(len(seeds)) for i, (x, y) in enumerate(cfg.injection_positions)]}
     while born:
         t0 = min(born)
         group = born.pop(t0)
-        group_runs, children = _walk(b, seed, cfg.arena_radius ** 2, frames, t0, group,
-                                     len(lineages))
-        lineages.extend(d[0] for d in group)
+        group_runs, children = _walk(b, seeds, cfg.arena_radius ** 2, frames, t0, group,
+                                     len(keys))
+        keys.extend(d[:2] for d in group)
         runs += group_runs
         for t, child in children:
             born.setdefault(t, []).append(child)
     droplet, first, length, x, y, area = (np.concatenate(c) for c in zip(*runs))
+    first += (frames + 1) * np.array([k[0] for k in keys], dtype=np.int64)[droplet]
     frame = np.arange(len(x)) - np.repeat(np.cumsum(length) - length - first, length)
     # Frames list their detections in lineage order. Each run is sorted by
     # frame already, which the stable sort (a merge of sorted runs) exploits.
-    rank = np.empty(len(lineages), dtype=np.int64)
-    rank[sorted(range(len(lineages)), key=lineages.__getitem__)] = np.arange(len(lineages))
-    order = np.argsort(frame * len(lineages) + np.repeat(rank[droplet], length), kind="stable")
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(frame, minlength=frames))))
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    order = np.argsort(frame * len(keys) + np.repeat(rank[droplet], length), kind="stable")
+    counts = np.bincount(frame, minlength=len(seeds) * (frames + 1) - 1)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
     return DetectionRecord(offsets, x[order], y[order], area[order])
 
 
-def _walk(b: BehaviorParams, seed: np.random.SeedSequence, r2: float, frames: int, t0: int,
-          group: list, first_id: int) -> tuple:
-    """Walk the droplets born in frame t0 in lockstep, one row each. `group`
-    holds their (lineage, x, y, heading or None, area); their walk numbers
+def _walk(b: BehaviorParams, seeds: list, r2: float, frames: int, t0: int, group: list,
+          first_id: int) -> tuple:
+    """Walk the droplets born in frame t0 of their replicates in lockstep,
+    one row each. `group` holds their (replicate, lineage, x, y, heading or
+    None, area), a replicate being an index into `seeds`; their walk numbers
     count from first_id. Returns their runs of detections, each one
-    droplet's detections in consecutive frames as (walk numbers, first
-    frame, lengths, x, y, area), and the (birth frame, droplet to walk) of
-    every child their splits leave inside the wall."""
+    droplet's detections in consecutive frames as (walk numbers, first frame
+    in its replicate, lengths, x, y, area), and the (birth frame, droplet to
+    walk) of every child their splits leave inside the wall."""
     ids = np.arange(first_id, first_id + len(group))
-    turn = [droplet_stream(seed, d[0], TURN) for d in group]
+    turn = [droplet_stream(seeds[d[0]], d[1], TURN) for d in group]
     split = [None] * len(group)
-    x, y, a0 = (np.array([d[c] for d in group], dtype=float) for c in (1, 2, 4))
-    h = np.array([t.uniform(0.0, 2.0 * math.pi) if d[3] is None else d[3]
+    x, y, a0 = (np.array([d[c] for d in group], dtype=float) for c in (2, 3, 5))
+    h = np.array([t.uniform(0.0, 2.0 * math.pi) if d[4] is None else d[4]
                   for t, d in zip(turn, group)])
     a = a0.copy()
     rows = np.arange(len(group))  # the droplets still walking
@@ -277,7 +294,7 @@ def _walk(b: BehaviorParams, seed: np.random.SeedSequence, r2: float, frames: in
             turn[r].standard_normal(out=hb[row, 1:])
             if u is not None and can[row]:
                 if split[r] is None:
-                    split[r] = droplet_stream(seed, group[r][0], SPLIT)
+                    split[r] = droplet_stream(seeds[group[r][0]], group[r][1], SPLIT)
                 split[r].random(out=u[row])
         hb[:, 1:] *= b.turn_noise
         hb = np.cumsum(hb, axis=1)
@@ -303,11 +320,12 @@ def _walk(b: BehaviorParams, seed: np.random.SeedSequence, r2: float, frames: in
             if ca <= 0 or cx * cx + cy * cy >= r2:
                 continue
             px, py = -math.sin(ch), math.cos(ch)
+            replicate, lineage = group[r][:2]
             for child, sign in ((0, 1.0), (1, -1.0)):
                 bx, by = cx + sign * px, cy + sign * py
                 if bx * bx + by * by < r2:
                     children.append((t0 + k + steps_taken,
-                                     ((*group[r][0], child), bx, by, ch, ca / 2.0)))
+                                     (replicate, (*lineage, child), bx, by, ch, ca / 2.0)))
         rows = rows[~event]
         k += m
     # the state at the last frame of the droplets that walked to it

@@ -29,9 +29,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
-# evolve, landscape and analyze import numpy and the layers behind them when
-# they run, so that the gcode commands load neither numpy nor scipy.
-from . import __version__, formats, gcode
+# Each command imports the layers it uses when it runs: the gcode commands
+# load neither numpy nor scipy, and evolve, landscape and analyze do not load
+# (or, without bytecode caches, compile) the gcode module.
+from . import __version__, formats
 from .formulation import normalize
 
 EXIT_OK = 0
@@ -198,6 +199,8 @@ def cmd_evolve(args) -> int:
         outputs.append(name)
 
     if args.emit_gcode:
+        from . import gcode
+
         gdir = out_dir / "gcode"
         layout = gcode.default_layout()
         seen = set()
@@ -346,7 +349,9 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 # gcode
 
-def _layout(args) -> gcode.StageLayout:
+def _layout(args):
+    from . import gcode
+
     if args.layout is None:
         return gcode.default_layout()
     return gcode.StageLayout.from_json(Path(args.layout).read_text())
@@ -355,6 +360,8 @@ def _layout(args) -> gcode.StageLayout:
 def cmd_gcode_compile(args) -> int:
     if not (args.formulation or args.cleaning):
         raise UsageError("gcode compile needs --formulation and/or --cleaning")
+    from . import gcode
+
     layout = _layout(args)
     program = ""
     if args.formulation:
@@ -370,6 +377,8 @@ def cmd_gcode_compile(args) -> int:
 
 
 def cmd_gcode_parse(args) -> int:
+    from . import gcode
+
     failures = 0
     for path in args.files:
         errors = gcode.check_program(Path(path).read_text())
@@ -381,6 +390,8 @@ def cmd_gcode_parse(args) -> int:
 
 
 def cmd_gcode_exec(args) -> int:
+    from . import gcode
+
     robot = gcode.VirtualRobot(layout=_layout(args))
     for path in args.files:
         robot.execute(Path(path).read_text())
@@ -443,6 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _gcode_errors() -> tuple:
+    """GcodeError, if the gcode module is loaded: only then can one be raised."""
+    gcode = sys.modules.get(f"{__package__}.gcode")
+    return (gcode.GcodeError,) if gcode is not None else ()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -456,8 +473,8 @@ def main(argv=None) -> int:
             code, kind = EXIT_NUMERIC, "numeric failure"
         elif isinstance(cause, MemoryError):
             code, kind = EXIT_NUMERIC, "numeric failure: out of memory"
-        elif isinstance(cause, (FileFormatError, formats.UnknownFormat, gcode.GcodeError,
-                                ValueError, OSError)):
+        elif isinstance(cause, (FileFormatError, formats.UnknownFormat, ValueError, OSError,
+                                *_gcode_errors())):
             code, kind = EXIT_DATA, "data error"
         else:
             raise

@@ -4,10 +4,16 @@ analytic-arena filtering -> tracking -> behaviour score.
 Each replicate is seeded by `ga.replicate_seed(master seed, run, recipe id,
 replicate index)`, and `arena.simulate` (RNG contract v2) gives every droplet
 its own streams keyed by that seed and the droplet's lineage, so results are
-independent of evaluation order and safe to compute concurrently. A
-replicate's detections pass from stage to stage as one columnar
-`arena.DetectionRecord`, and its tracks as a column-wise
-`tracking.TrajectorySet`, so no per-frame objects are built.
+independent of evaluation order and safe to compute concurrently.
+
+`evaluate_recipe` scores a recipe's replicates in passes: the replicates of
+one pass are simulated together into one columnar `arena.DetectionRecord`
+(replicate after replicate, an empty frame between them), filtered, tracked
+into one column-wise `tracking.TrajectorySet` and scored by one call that
+gives each replicate's score. A pass holds all REPLICATES replicates unless
+the arena is too large for it (PASS_DROPLET_FRAMES); each score is the same
+as that of the replicate scored alone (`run_replicate`), and no per-frame
+objects are built.
 
 `ExperimentSetup` is built once per campaign and checks itself; each GA run
 scores with `dataclasses.replace(setup, run=run)`. The round scorer from
@@ -27,10 +33,23 @@ from .formulation import GENOME_LENGTH, Formulation, check_number, check_vector
 
 ANALYTIC_ARENA_SHRINK = 0.95
 
+# A recipe's replicates are simulated, tracked and scored in passes that
+# hold at most this many droplet-frames (injections x frames per replicate).
+# The cap bounds a pass's memory: the tracker keeps about 170 B of
+# temporaries per detection, and on the benchmark's evolve-crowded arena (32
+# injections x 600 frames) all three replicates in one pass raised the
+# command's peak RSS from 41.3-41.9 to 49.3-50.8 MB and saved no time (3
+# seeds, 2 vCPUs). The default arena (4 x 1,800) takes all three at once.
+PASS_DROPLET_FRAMES = 2 ** 15
+
 # A pooled round goes out as about this many chunks of recipes per worker,
 # which keeps both the round trips and the end-of-round tail short. On the
 # default campaign, 1 to 8 chunks per worker and one recipe per task all
-# measured within noise of each other (2 vCPUs).
+# measured within noise of each other (2 vCPUs). With a recipe's replicates
+# in one pass, the benchmark's evolve-default (2 generations, --jobs 2,
+# seeds 201-210, 10 s runs, 2 vCPUs) gave a median wall time of 0.624 s at
+# 4 chunks per worker, 0.680 s at 8 and 0.650 s at 16; 8 and 16 beat 4 in
+# only 2 and 3 of the 10 seeds.
 _CHUNKS_PER_WORKER = 4
 
 
@@ -61,28 +80,47 @@ class ExperimentSetup:
             "unimodal_optimum", self.unimodal_optimum, GENOME_LENGTH))
 
 
-def run_replicate(setup: ExperimentSetup, proportions, recipe_id: int,
-                  replicate: int) -> float:
-    """Simulate and score a single experiment."""
+def _pass_size(cfg: arena.ArenaConfig) -> int:
+    """Replicates per pass: as many as fit PASS_DROPLET_FRAMES, at least one
+    and at most REPLICATES."""
+    return min(ga.REPLICATES, max(1, PASS_DROPLET_FRAMES
+                                  // (len(cfg.injection_positions) * cfg.total_frames)))
+
+
+def _score_pass(setup: ExperimentSetup, f: Formulation, behavior: arena.BehaviorParams,
+                seeds: list) -> list[float]:
+    """The scores of the replicates seeded by `seeds`, simulated, filtered,
+    tracked and scored as one record."""
+    cfg = setup.arena_config
+    record = arena.simulate(f, cfg, seeds, behavior=behavior)
+    record = arena.filter_analytic_arena(record, cfg.arena_radius, ANALYTIC_ARENA_SHRINK)
+    ts = tracking.track(record)
+    return tracking.FITNESS_FUNCTIONS[setup.objective](ts, replicates=len(seeds))
+
+
+def _recipe(setup: ExperimentSetup, proportions) -> tuple:
     f = Formulation(tuple(proportions))
     if setup.behavior_map == "unimodal":
-        behavior = arena.unimodal_behavior(f, setup.unimodal_optimum, setup.unimodal_width)
-    else:
-        behavior = arena.behavior_from_formulation(f)
+        return f, arena.unimodal_behavior(f, setup.unimodal_optimum, setup.unimodal_width)
+    return f, arena.behavior_from_formulation(f)
+
+
+def run_replicate(setup: ExperimentSetup, proportions, recipe_id: int,
+                  replicate: int) -> float:
+    """Simulate and score a single experiment, as a pass of one replicate."""
     seed = ga.replicate_seed(setup.master_seed, setup.run, recipe_id, replicate)
-    frames = arena.simulate(f, setup.arena_config, seed, behavior=behavior)
-    frames = arena.filter_analytic_arena(frames, setup.arena_config.arena_radius,
-                                         ANALYTIC_ARENA_SHRINK)
-    ts = tracking.track(frames)
-    try:
-        return float(tracking.FITNESS_FUNCTIONS[setup.objective](ts))
-    except (tracking.NoFramePairs, tracking.NoTriples):
-        return 0.0
+    return _score_pass(setup, *_recipe(setup, proportions), [seed])[0]
 
 
 def evaluate_recipe(setup: ExperimentSetup, proportions, recipe_id: int) -> list[float]:
-    return [run_replicate(setup, proportions, recipe_id, rep)
-            for rep in range(ga.REPLICATES)]
+    """The REPLICATES scores of one recipe, equal to run_replicate's of each
+    replicate, scored in passes of _pass_size replicates."""
+    f, behavior = _recipe(setup, proportions)
+    seeds = [ga.replicate_seed(setup.master_seed, setup.run, recipe_id, rep)
+             for rep in range(ga.REPLICATES)]
+    size = _pass_size(setup.arena_config)
+    return [score for k in range(0, len(seeds), size)
+            for score in _score_pass(setup, f, behavior, seeds[k:k + size])]
 
 
 def _outcome(setup: ExperimentSetup, proportions, recipe_id: int):

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .gcode import GcodeError, StageLayout, check_program
-
 
 class UnknownFormat(KeyError):
     pass
@@ -113,6 +111,8 @@ CSV_FORMATS = {
 
 
 def _validate_layout(text: str) -> list[str]:
+    from .gcode import GcodeError, StageLayout
+
     try:
         layout = StageLayout.from_json(text)
     except GcodeError as exc:
@@ -132,6 +132,8 @@ def validate_text(text: str, format_id: str) -> list[str]:
     if format_id in CSV_FORMATS:
         return CSV_FORMATS[format_id].validate(text)
     if format_id == "gcode":
+        from .gcode import check_program
+
         return check_program(text)
     if format_id == "layout":
         return _validate_layout(text)

@@ -22,6 +22,12 @@ its own gated candidate lists.
 Movement and directionality average per frame pair (respectively frame
 triple) over the droplets contributing to that pair/triple, then over time,
 so the scores stay well defined when the droplet count varies.
+
+An empty frame ends every trajectory, so the record of an arena.simulate
+pass, its replicates joined by empty frames, tracks as each replicate alone
+would, with flat indices and droplet ids offset. Given `replicates`, each
+score takes a TrajectorySet of such a pass and returns one score per
+replicate, the same as that replicate's alone.
 """
 
 from __future__ import annotations
@@ -282,64 +288,103 @@ def track(frames, radius: float = TRACK_RADIUS_PX) -> TrajectorySet:
                                        int(start.sum()))
 
 
-def fitness_division(ts: TrajectorySet, area_threshold: float = DIVISION_AREA_THRESHOLD) -> float:
-    """Droplets alive in the final frame with area strictly above threshold."""
-    if ts.total_frames == 0:
-        raise EmptyExperiment("no frames")
-    last = ts.total_frames - 1
-    return float(np.count_nonzero((ts.frame == last) & (ts.area > area_threshold)))
+def _replicate_period(ts: TrajectorySet, replicates: int) -> int:
+    """F + 1 for a TrajectorySet of `replicates` experiments of F frames each,
+    laid out as one arena.simulate pass: replicate r's frame t is frame
+    r * (F + 1) + t."""
+    if replicates < 1 or (ts.total_frames + 1) % replicates:
+        raise ValueError(f"{ts.total_frames} frames do not hold {replicates} replicates")
+    return (ts.total_frames + 1) // replicates
 
 
-def _mean_of_group_means(values: list, group: np.ndarray, droplet: np.ndarray) -> float:
-    """np.mean over groups of the np.mean of each group's values.
+def fitness_division(ts: TrajectorySet, area_threshold: float = DIVISION_AREA_THRESHOLD,
+                     replicates: int | None = None):
+    """Droplets alive in the final frame with area strictly above threshold.
+    Given `replicates`, the list of each replicate's score."""
+    if replicates is None:
+        if ts.total_frames == 0:
+            raise EmptyExperiment("no frames")
+        return fitness_division(ts, area_threshold, 1)[0]
+    period = _replicate_period(ts, replicates)
+    big = np.bincount(ts.frame[ts.area > area_threshold], minlength=ts.total_frames + 1)
+    return [float(n) for n in big[period - 2::period].tolist()]
+
+
+def _mean_of_group_means(values: list, group: np.ndarray, droplet: np.ndarray,
+                         period: int, replicates: int) -> list[float]:
+    """Per replicate, np.mean over its groups of the np.mean of each group's
+    values; group g belongs to replicate g // period, and a replicate with
+    no values gets 0.0.
 
     Both means see their inputs in the order of a scan over the trajectories
     in droplet order: groups ordered by (lowest contributing droplet, group),
-    values within a group by droplet. Groups of one size are stacked and
-    averaged row-wise, which gives the same bits as np.mean of each group.
+    values within a group by droplet. Droplet ids follow flat order, so each
+    replicate's groups are one slice of that order. Groups of one size are
+    stacked and averaged row-wise, which gives the same bits as np.mean of
+    each group.
     """
-    if not values:
-        return 0.0
+    if not len(values):
+        return [0.0] * replicates
     order = np.lexsort((droplet, group))
     v, g = np.asarray(values)[order], group[order]
     first = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
     sizes = np.diff(np.r_[first, len(g)])
     means = np.empty(len(first))
-    for size in np.unique(sizes).tolist():
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
         rows = np.flatnonzero(sizes == size)
         means[rows] = v[first[rows, None] + np.arange(size)].mean(axis=1)
-    return float(np.mean(means[np.lexsort((g[first], droplet[order][first]))]))
+    by = np.lexsort((g[first], droplet[order][first]))
+    ends = np.searchsorted(g[first][by] // period, np.arange(replicates + 1))
+    return [float(np.mean(means[by[a:b]])) if b > a else 0.0
+            for a, b in zip(ends[:-1].tolist(), ends[1:].tolist())]
 
 
-def fitness_movement(ts: TrajectorySet) -> float:
-    """Mean over frame pairs of the mean per-droplet displacement (px)."""
-    if ts.total_frames < 2:
-        raise NoFramePairs("need at least 2 frames")
+def _steps(ts: TrajectorySet) -> tuple:
+    """The detections k that have a previous one, and the length of each
+    detection's step from it (0.0 where it has none), by math.hypot."""
     k = np.flatnonzero(ts.parent >= 0)
     p = ts.parent[k]
-    steps = list(map(math.hypot, (ts.x[k] - ts.x[p]).tolist(), (ts.y[k] - ts.y[p]).tolist()))
-    return _mean_of_group_means(steps, ts.frame[k], ts.droplet[k])
+    step = np.zeros(len(ts.parent))
+    step[k] = list(map(math.hypot, (ts.x[k] - ts.x[p]).tolist(), (ts.y[k] - ts.y[p]).tolist()))
+    return k, step
 
 
-def fitness_directionality(ts: TrajectorySet) -> float:
+def fitness_movement(ts: TrajectorySet, replicates: int | None = None):
+    """Mean over frame pairs of the mean per-droplet displacement (px).
+    Given `replicates`, the list of each replicate's score, 0.0 for one
+    without a frame pair."""
+    if replicates is None:
+        if ts.total_frames < 2:
+            raise NoFramePairs("need at least 2 frames")
+        return fitness_movement(ts, 1)[0]
+    k, step = _steps(ts)
+    return _mean_of_group_means(step[k], ts.frame[k], ts.droplet[k],
+                                _replicate_period(ts, replicates), replicates)
+
+
+def fitness_directionality(ts: TrajectorySet, replicates: int | None = None):
     """Mean over frame triples of the mean per-droplet turning angle (rad).
 
     The turning angle lies in [0, pi] between consecutive displacement
-    vectors; a triple with a zero-length displacement has none."""
-    c = np.flatnonzero(ts.parent >= 0)
-    c = c[ts.parent[ts.parent[c]] >= 0]
-    if not len(c):
-        raise NoTriples("no droplet has 3 consecutive samples")
+    vectors; a triple with a zero-length displacement has none. Given
+    `replicates`, the list of each replicate's score, 0.0 for one without a
+    frame triple."""
+    if replicates is None:
+        if not (ts.parent[ts.parent[ts.parent >= 0]] >= 0).any():
+            raise NoTriples("no droplet has 3 consecutive samples")
+        return fitness_directionality(ts, 1)[0]
+    period = _replicate_period(ts, replicates)
+    k, step = _steps(ts)
+    c = k[ts.parent[ts.parent[k]] >= 0]
     b = ts.parent[c]
     a = ts.parent[b]
     vx, vy = ts.x[b] - ts.x[a], ts.y[b] - ts.y[a]
     wx, wy = ts.x[c] - ts.x[b], ts.y[c] - ts.y[b]
-    nv = np.array(list(map(math.hypot, vx.tolist(), vy.tolist())))
-    nw = np.array(list(map(math.hypot, wx.tolist(), wy.tolist())))
+    nv, nw = step[b], step[c]
     ok = (nv != 0.0) & (nw != 0.0)
     cos = (vx * wx + vy * wy)[ok] / (nv * nw)[ok]
     angles = [math.acos(max(-1.0, min(1.0, v))) for v in cos.tolist()]
-    return _mean_of_group_means(angles, ts.frame[b][ok], ts.droplet[c][ok])
+    return _mean_of_group_means(angles, ts.frame[b][ok], ts.droplet[c][ok], period, replicates)
 
 
 FITNESS_FUNCTIONS = {

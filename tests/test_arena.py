@@ -381,6 +381,22 @@ def test_filtered_record_digest(case):
     assert h.hexdigest() == FILTERED_RECORD_SHA256[case]
 
 
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_a_pass_of_replicates_joins_their_records(case):
+    # One seed in a list is that replicate's record; three seeds give the
+    # three records one after another, an empty frame between each two.
+    cfg, b = ORACLE_CASES[case]
+    f = Formulation((1, 0, 0, 0))
+    seeds = [ga.replicate_seed(4, 1, case, rep) for rep in range(3)]
+    singles = [list(simulate(f, cfg, seed, behavior=b)) for seed in seeds]
+    assert list(simulate(f, cfg, seeds[:1], behavior=b)) == singles[0]
+    joined = [fr.detections for fr in singles[0]]
+    for frames in singles[1:]:
+        joined += [(), *(fr.detections for fr in frames)]
+    assert list(simulate(f, cfg, seeds, behavior=b)) == [
+        DetectionFrame(t, d) for t, d in enumerate(joined)]
+
+
 def test_simulate_matches_scalar_reference_on_recipes():
     # Full-length default arenas: the splits, shrinking and wall deaths of
     # real recipes.

@@ -693,17 +693,17 @@ def test_evolve_names_the_failed_recipe_of_an_interleaved_round(tmp_path, capsys
                                                                 monkeypatch, jobs):
     # Round 1 scores the two runs' 16 recipes as one map, in chunks of 2 at
     # --jobs 2; the failing recipe is the second of its chunk. The forked
-    # workers inherit the patched run_replicate.
+    # workers inherit the patched evaluate_recipe.
     cfg = {**FAST_CONFIG, "ga": {**FAST_CONFIG["ga"], "runs": 2}}
     failing = 10_000_003   # run 1, fourth recipe
-    replicate = evaluators.run_replicate
+    evaluate = evaluators.evaluate_recipe
 
-    def run_replicate(setup, proportions, recipe_id, rep):
+    def evaluate_recipe(setup, proportions, recipe_id):
         if setup.run == 1 and recipe_id == failing:
             raise FloatingPointError("overflow encountered in the walk")
-        return replicate(setup, proportions, recipe_id, rep)
+        return evaluate(setup, proportions, recipe_id)
 
-    monkeypatch.setattr(evaluators, "run_replicate", run_replicate)
+    monkeypatch.setattr(evaluators, "evaluate_recipe", evaluate_recipe)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     rc = main(["evolve", "--config", str(path), "--jobs", jobs,
@@ -718,7 +718,8 @@ def test_evolve_names_the_failed_recipe_of_an_interleaved_round(tmp_path, capsys
 
 def test_evolve_dead_worker_is_one_line(tmp_path, capsys, fast_config, monkeypatch):
     # A worker killed mid-round, as by the OOM killer, breaks the pool.
-    monkeypatch.setattr(evaluators, "run_replicate", _kill_in_worker(evaluators.run_replicate))
+    monkeypatch.setattr(evaluators, "evaluate_recipe",
+                        _kill_in_worker(evaluators.evaluate_recipe))
     _assert_a_worker_died(capsys, main(["evolve", "--config", fast_config, "--jobs", "2",
                                         "--out-dir", str(tmp_path / "o")]))
 
@@ -755,6 +756,20 @@ def _run_fresh(argv, modules, cpus=None):
 def test_serial_evolve_loads_no_process_pool(tmp_path, fast_config):
     argv = ["evolve", "--config", fast_config, "--jobs", "1", "--out-dir", str(tmp_path / "o")]
     assert _run_fresh(argv, ["multiprocessing", "concurrent.futures"]) == [EXIT_OK, []]
+
+
+def test_serial_evolve_loads_neither_gcode_nor_numpy_ma(tmp_path, fast_config):
+    # numpy.ma takes 15-40 ms to import, in every forked worker when the
+    # parent has not loaded it; gcode is compiled on import without a
+    # bytecode cache.
+    argv = ["evolve", "--config", fast_config, "--jobs", "1", "--out-dir", str(tmp_path / "o")]
+    assert _run_fresh(argv, ["numpy.ma", "dropevo.gcode"]) == [EXIT_OK, []]
+
+
+def test_landscape_does_not_load_gcode(tmp_path):
+    argv = ["landscape", write_history(tmp_path / "history.csv"), "--resolution", "11",
+            "--out-dir", str(tmp_path / "o")]
+    assert _run_fresh(argv, ["dropevo.gcode"], cpus=1) == [EXIT_OK, []]
 
 
 def test_analyze_rejects_a_bad_history_before_loading_scipy(tmp_path):

@@ -56,6 +56,50 @@ def test_evaluate_recipe_returns_replicates():
     assert all(isinstance(r, float) for r in reps)
 
 
+# (arena, recipe, recipe id): a default-arena recipe rich in DEP, whose
+# droplets split (division scores 1, 5 and 0), and an arena so small that
+# droplets leave the analytic arena within a few frames, where replicate 1
+# of recipe 1 has no frame triple.
+PASS_CASES = [(ArenaConfig(), (0.4, 0.0, 0.5, 0.1), 5),
+              (ArenaConfig(duration=2.0, arena_radius=86.0), (0.25, 0.25, 0.25, 0.25), 1)]
+
+
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("behavior_map", ["oils", "unimodal"])
+@pytest.mark.parametrize("objective", sorted(tracking.FITNESS_FUNCTIONS))
+def test_evaluate_recipe_equals_its_replicates_scored_alone(monkeypatch, objective,
+                                                            behavior_map, size):
+    monkeypatch.setattr(evaluators, "_pass_size", lambda cfg: size)
+    for cfg, p, recipe_id in PASS_CASES:
+        setup = ExperimentSetup(objective=objective, arena_config=cfg,
+                                behavior_map=behavior_map)
+        want = [run_replicate(setup, p, recipe_id, rep) for rep in range(3)]
+        assert evaluate_recipe(setup, p, recipe_id) == want
+        assert all(isinstance(v, float) for v in want)
+        if objective == "directionality" and behavior_map == "oils" and cfg.duration == 2.0:
+            assert want[1] == 0.0 < min(want[0], want[2])
+
+
+def test_pass_size_keeps_a_crowded_arena_to_one_replicate(monkeypatch):
+    # The default arena's replicates go in one pass; a 32-droplet, 600-frame
+    # arena's one at a time.
+    crowded = ArenaConfig(arena_radius=1000.0, duration=20.0, injection_count=32,
+                          injection_positions=tuple((20.0 * k - 310.0, 0.0) for k in range(32)))
+    assert evaluators._pass_size(ArenaConfig()) == 3
+    assert evaluators._pass_size(crowded) == 1
+    passes = []
+    simulate = arena.simulate
+
+    def counting_simulate(f, cfg, seeds, behavior=None):
+        passes.append(len(seeds))
+        return simulate(f, cfg, seeds, behavior=behavior)
+
+    monkeypatch.setattr(arena, "simulate", counting_simulate)
+    setup = ExperimentSetup(objective="division", arena_config=crowded)
+    evaluate_recipe(setup, (0.25, 0.25, 0.25, 0.25), 0)
+    assert passes == [1, 1, 1]
+
+
 def test_unimodal_map_rewards_optimum():
     opt = (0.1, 0.6, 0.2, 0.1)
     setup = ExperimentSetup(objective="movement", arena_config=SHORT_ARENA,

@@ -326,22 +326,19 @@ def test_group_means_match_np_mean_for_all_sizes():
         frame = np.repeat([5, 2, 9], size)
         droplet = np.tile(np.arange(size), 3)
         want = float(np.mean([np.mean(values[frame == f].tolist()) for f in (5, 2, 9)]))
-        got = tracking._mean_of_group_means(values.tolist(), frame, droplet)
-        assert got == want, size
+        got = tracking._mean_of_group_means(values.tolist(), frame, droplet, 10, 1)
+        assert got == [want], size
 
 
-grid_frames = st.lists(
-    st.lists(
-        st.tuples(
-            st.integers(min_value=-3, max_value=3).map(lambda v: 10.0 * v),
-            st.integers(min_value=-3, max_value=3).map(lambda v: 10.0 * v),
-            st.sampled_from([5.0, 15.0, 20.0]),
-        ),
-        max_size=8,
+grid_frame = st.lists(
+    st.tuples(
+        st.integers(min_value=-3, max_value=3).map(lambda v: 10.0 * v),
+        st.integers(min_value=-3, max_value=3).map(lambda v: 10.0 * v),
+        st.sampled_from([5.0, 15.0, 20.0]),
     ),
-    min_size=2,
-    max_size=10,
+    max_size=8,
 )
+grid_frames = st.lists(grid_frame, min_size=2, max_size=10)
 
 
 @settings(max_examples=300, deadline=None)
@@ -353,6 +350,33 @@ def test_track_and_scores_on_grid_frames(lists):
     ts = track(frames)
     assert as_tracks(ts) == oracle_track(frames)
     assert scores(ts) == reference_scores(ts)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(min_value=2, max_value=6).flatmap(
+    lambda frames: st.lists(st.lists(grid_frame, min_size=frames, max_size=frames),
+                            min_size=1, max_size=3)))
+def test_records_joined_by_empty_frames_track_and_score_apart(replicates):
+    # An arena pass: replicates of F frames each, joined by empty frames.
+    # Tracked together, each replicate gets the parents and droplet ids it
+    # gets alone, offset by the detections and droplets before it, and each
+    # score gives every replicate its own value (0.0 without a triple).
+    period = len(replicates[0]) + 1
+    joined = track(frames_of(*[d for lists in replicates for d in [[], *lists]][1:]))
+    parent, droplet, frame, alone = [], [], [], []
+    for r, lists in enumerate(replicates):
+        ts = track(frames_of(*lists))
+        parent += [p + len(parent) if p >= 0 else -1 for p in ts.parent.tolist()]
+        droplet += (ts.droplet + (max(droplet) + 1 if droplet else 0)).tolist()
+        frame += (ts.frame + r * period).tolist()
+        division, movement, directionality = reference_scores(ts)
+        alone.append((division, movement, directionality or 0.0))
+    assert joined.parent.tolist() == parent
+    assert joined.droplet.tolist() == droplet
+    assert joined.frame.tolist() == frame
+    together = [score(joined, replicates=len(replicates))
+                for score in (fitness_division, fitness_movement, fitness_directionality)]
+    assert list(zip(*together)) == alone
 
 
 def test_track_split_children_share_nearest_parent():
