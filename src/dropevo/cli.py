@@ -234,15 +234,15 @@ def cmd_evolve(args) -> int:
 # landscape
 
 def _load_histories(paths):
-    from . import ga
-
-    parsed = []
+    """The parsed histories. Every file is checked before ga loads numpy, so
+    a bad one fails without that import."""
     for path in paths:
         violations = formats.validate_file(path, "history")
         if violations:
             raise FileFormatError(path, violations)
-        parsed.append(ga.history_from_csv(Path(path).read_text()))
-    return parsed
+    from . import ga
+
+    return [ga.history_from_csv(Path(path).read_text()) for path in paths]
 
 
 class FileFormatError(Exception):
@@ -261,6 +261,7 @@ def _face_grid(model, face: int, resolution: int):
 
 
 def cmd_landscape(args) -> int:
+    parsed = _load_histories(args.history)
     import numpy as np
 
     from . import landscape
@@ -276,7 +277,6 @@ def cmd_landscape(args) -> int:
             raise UsageError(f"{option} must be finite, got {value}")
     if args.lam <= 0:
         raise UsageError(f"--lambda must be > 0, got {args.lam}")
-    parsed = _load_histories(args.history)
     seen = {}
     for hist in parsed:
         for gen in hist["generations"].values():

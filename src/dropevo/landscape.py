@@ -3,11 +3,19 @@ grids, local maxima and fitness-island catchment maps.
 
 The model is the dual form only: dual weights solve (K + lambda*I) theta = y
 with K_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)); a prediction is the kernel-
-weighted sum over training points. Neither step calls BLAS, whose rounding
-depends on its thread count (landscape contract 2): the solve is a blocked
-Cholesky factorization built from elementwise numpy and non-optimized
-``einsum``, and a prediction is an ``einsum`` row sum, whose bits for one
-row do not depend on the other rows of the call.
+weighted sum over training points. Landscape contract 3 fixes every bit:
+
+- No step calls BLAS, whose rounding depends on its thread count. The solve
+  is a blocked Cholesky factorization built from elementwise numpy and
+  non-optimized ``einsum``, and a prediction is an ``einsum`` row sum, whose
+  bits for one row do not depend on the other rows of the call.
+- No step calls ``np.exp``, whose loop, and so whose last bits, numpy picks
+  by CPU feature. ``dexp`` is fdlibm's exp built from correctly rounded
+  operations only.
+- A prediction factors the kernel per component: with
+  t_k = dexp(-(q_k - x_k)^2 / (2 sigma^2)), the kernel row of query q is
+  (t_0 t_1)(t_2 t_3). The training kernel takes dexp of the summed squared
+  distance.
 
 Each of the four faces of the composition simplex (one component held at
 zero) is rasterized to a resolution x resolution triangular lattice, and each
@@ -36,9 +44,10 @@ from functools import cache
 
 import numpy as np
 
-# Landscape arithmetic contract, named in the landscape manifest: 2 is the
-# BLAS-free Cholesky solve and einsum row sums.
-LANDSCAPE_CONTRACT = 2
+# Landscape arithmetic contract, named in the landscape manifest: 3 is the
+# BLAS-free Cholesky solve, einsum row sums and the per-component kernel
+# factors of dexp (see the module docstring).
+LANDSCAPE_CONTRACT = 3
 
 DEFAULT_SIGMA = 0.15
 DEFAULT_LAMBDA = 1e-3
@@ -69,15 +78,61 @@ def _check_sigma(sigma: float) -> None:
             f"sigma must be > 0 with 2*sigma^2 >= {sys.float_info.min:.4g}, got {sigma}")
 
 
+# fdlibm e_exp.c: ln 2 split so that k * _LN2_HI is exact, 1 / ln 2, and the
+# coefficients of its rational approximation of exp on [-ln2/2, ln2/2].
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_INV_LN2 = 1.44269504088896338700e+00
+_EXP_P = (1.66666666666666019037e-01, -2.77777777770155933842e-03,
+          6.61375632143793436117e-05, -1.65339022054652515390e-06,
+          4.13813679705723846039e-08)
+
+
+# Rows per dexp call: its dozen passes over the array then stay in cache.
+_DEXP_ROWS = 8
+
+
+def dexp(x) -> np.ndarray:
+    """exp(x) elementwise for an array x <= 0, with the same bits on every CPU.
+
+    fdlibm's e_exp.c (after Tang, ACM TOMS 15(2), 1989), vectorized: x =
+    k ln2 + r with |r| <= ln2 / 2, exp(r) from a degree-5 rational form, and
+    2^k applied by ldexp, which rounds once into the subnormal range. Only
+    correctly rounded operations run (+ - * /, rint, ldexp), whereas numpy
+    picks np.exp's loop by CPU feature. Within 1 ulp of math.exp. x is
+    clamped at -746 first, below exp's underflow to 0 at -745.13, so the
+    reduction stays exact and no warning is raised.
+    """
+    x = np.maximum(x, -746.0)
+    k = np.rint(np.multiply(x, _INV_LN2))
+    hi = np.subtract(x, np.multiply(k, _LN2_HI))
+    lo = np.multiply(k, _LN2_LO, out=x)
+    r = hi - lo
+    t = r * r
+    c = t * _EXP_P[4]
+    for p in _EXP_P[3::-1]:
+        c += p
+        c *= t
+    np.subtract(r, c, out=c)  # c = r - t(P1 + t(P2 + ...))
+    # y = 1 - ((lo - r c / (2 - c)) - hi), in place.
+    r *= c
+    r /= np.subtract(2.0, c, out=c)
+    np.subtract(lo, r, out=r)
+    r -= hi
+    y = np.subtract(1.0, r, out=r)
+    return np.ldexp(y, k.astype(np.int32), out=y)
+
+
 def rbf_kernel(a, b, sigma: float) -> float:
-    """exp(-||a-b||^2 / (2 sigma^2)), in (0, 1]."""
+    """exp(-||a-b||^2 / (2 sigma^2)), in (0, 1], with the bits of the
+    training kernel's entry."""
     _check_sigma(sigma)
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return float(np.exp(-np.dot(d, d) / (2.0 * sigma * sigma)))
+    return float(_kernel_matrix(np.atleast_2d(np.asarray(a, dtype=float)),
+                                np.atleast_2d(np.asarray(b, dtype=float)), sigma)[0, 0])
 
 
 def _kernel_matrix(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
-    """K_ij = exp(-||A_i - B_j||^2 / (2 sigma^2)).
+    """K_ij = dexp(-||A_i - B_j||^2 / (2 sigma^2)).
 
     The squared distance is accumulated one component at a time, in the order
     ``((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)`` adds them, so the
@@ -92,7 +147,9 @@ def _kernel_matrix(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
         out += np.square(np.subtract.outer(A[:, k], B[:, k], out=tmp), out=tmp)
     np.negative(out, out=out)
     out /= 2.0 * sigma * sigma
-    return np.exp(out, out=out)
+    for r in range(0, len(out), _DEXP_ROWS):
+        out[r:r + _DEXP_ROWS] = dexp(out[r:r + _DEXP_ROWS])
+    return out
 
 
 def _training_kernel(X: np.ndarray, sigma: float) -> np.ndarray:
@@ -176,15 +233,52 @@ def _weighted_rows(k: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", k, theta)
 
 
+def _factor(coords: np.ndarray, x: np.ndarray, sigma: float,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """(len(coords), n) kernel factors dexp(-(c - x_n)^2 / (2 sigma^2)) of one
+    component at each query coordinate c, in `out` if given. -d / s is
+    computed as d / -s, which is exact."""
+    out = np.empty((len(coords), len(x))) if out is None else out
+    for r in range(0, len(coords), _DEXP_ROWS):
+        d = np.subtract.outer(coords[r:r + _DEXP_ROWS], x)
+        np.square(d, out=d)
+        d /= -2.0 * sigma * sigma
+        out[r:r + _DEXP_ROWS] = dexp(d)
+    return out
+
+
 def predict(model: KernelModel, x) -> float:
-    """Kernel-weighted sum over training points at a single query."""
-    k = _kernel_matrix(np.atleast_2d(np.asarray(x, dtype=float)), model.X, model.sigma)
-    return float(_weighted_rows(k, model.theta)[0])
+    """The model at a single query, with the bits of ``predict_many``."""
+    return float(predict_many(model, [x])[0])
 
 
-def predict_many(model: KernelModel, Xq: np.ndarray) -> np.ndarray:
-    k = _kernel_matrix(np.asarray(Xq, dtype=float), model.X, model.sigma)
-    return _weighted_rows(k, model.theta)
+# Queries per predict_many pass, which bounds its (rows, n) buffers.
+_PREDICT_ROWS = 1024
+
+
+def predict_many(model: KernelModel, Xq) -> np.ndarray:
+    """The model at each row of Xq (m, 4): theta summed against the kernel
+    row (t_0 t_1)(t_2 t_3), where t_k is component k's factor."""
+    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+    if Xq.shape[1] != 4 or model.X.shape[1] != 4:
+        raise DimensionMismatch(f"{Xq.shape[1]} vs {model.X.shape[1]} components, not 4")
+
+    def factor(queries, k):
+        # dexp is elementwise, so a factor is computed once per distinct
+        # coordinate and gathered, with the same bits.
+        coords, inverse = np.unique(queries[:, k], return_inverse=True)
+        return _factor(coords, model.X[:, k], model.sigma)[inverse]
+
+    out = np.empty(len(Xq))
+    for s in range(0, len(Xq), _PREDICT_ROWS):
+        queries = Xq[s:s + _PREDICT_ROWS]
+        rows = factor(queries, 0)
+        rows *= factor(queries, 1)
+        t = factor(queries, 2)
+        t *= factor(queries, 3)
+        rows *= t
+        out[s:s + len(queries)] = _weighted_rows(rows, model.theta)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +288,10 @@ def predict_many(model: KernelModel, Xq: np.ndarray) -> np.ndarray:
 class FaceLattice:
     """Triangular raster of one simplex face.
 
-    ``face`` is the component held at zero. Cell (i, j) has X = i/(res-1),
-    Y = j/(res-1), Z = 1 - X - Y; the remaining three components, in
-    ascending index order, take (X, Y, Z). Cells with i + j > res-1 are
-    invalid (Z < 0).
+    ``face`` is the component held at zero. Cell (i, j) has X = c_i, Y = c_j
+    and Z = c_(res-1-i-j), with c_k = k/(res-1); the remaining three
+    components, in ascending index order, take (X, Y, Z). Cells with
+    i + j > res-1 are invalid (Z < 0).
     """
 
     face: int
@@ -226,12 +320,10 @@ def face_axes(face: int) -> tuple[int, int, int]:
 
 
 def cell_composition(face: int, i: int, j: int, resolution: int) -> tuple:
-    ax, ay, az = face_axes(face)
-    step = 1.0 / (resolution - 1)
+    """The query of cell (i, j), as ``face_grid`` predicts it."""
     comp = [0.0] * 4
-    comp[ax] = i * step
-    comp[ay] = j * step
-    comp[az] = 1.0 - comp[ax] - comp[ay]
+    for axis, k in zip(face_axes(face), (i, j, resolution - 1 - i - j)):
+        comp[axis] = k / (resolution - 1)
     return tuple(comp)
 
 
@@ -242,65 +334,51 @@ _BLOCK_ROWS = 32
 
 def face_grid(model: KernelModel, face: int,
               resolution: int = DEFAULT_RESOLUTION) -> FaceLattice:
-    """Predict the model over one face of the simplex."""
+    """Predict the model over one face of the simplex, with the bits of
+    ``predict_many`` at each cell's ``cell_composition``.
+
+    A cell's kernel row is (t_0 t_1)(t_2 t_3), and one of the two pairs is
+    the same for every cell of a walk w over the lattice: F X along lattice
+    row i on faces 0 and 1 (F is the held component's factor) and Z F along
+    a Z-row on faces 2 and 3. The other pair, Y Z or X Y, is row a of a
+    forward factor table times row b = res-1-w-a of a reversed one, so a
+    block of a walk is one product of two table slices, and no exp runs per
+    cell. Table B is built whole and table A half at a time (the cells with
+    a < ceil(res/2), then the rest), which keeps the tables to 1.5 x (res, n).
+    """
     if face not in (0, 1, 2, 3):
         raise LandscapeError("face must be 0..3")
     if resolution < 2:
         raise LandscapeError(f"resolution must be >= 2, got {resolution}")
-    predictions = _face_predictions(model, face, resolution)
-    lat = FaceLattice(face=face, resolution=resolution,
-                      values=np.full((resolution, resolution), np.nan))
-    lat.values[lat.valid] = predictions
-    return lat
-
-
-def _face_predictions(model: KernelModel, face: int, resolution: int) -> np.ndarray:
-    """The model at a face's valid cells, in row-major (i, j) order.
-
-    The bits are those of ``predict_many`` over the cell queries. Cell (i, j)
-    queries component ``face`` = 0, X = c_i, Y = c_j and Z = (1 - c_i) - c_j,
-    with c = linspace(0, 1, res). Of the four terms _kernel_matrix sums, in
-    component order, (0 - x_face)^2 = x_face^2 is the same for every cell,
-    (c_i - x_X)^2 the same along a lattice row and (c_j - x_Y)^2 a row of a
-    (res, n) table, so only the Z term is built per cell. The grouping of the
-    sum is kept and only operands swap; -d / s is computed as d / -s, which is
-    exact. Each block of kernel rows is summed against theta as soon as it is
-    built, while it is still in cache.
-    """
+    res, X, theta, sigma = resolution, model.X, model.theta, model.sigma
     ax, ay, az = face_axes(face)
-    X = model.X
-    coords = np.linspace(0.0, 1.0, resolution)
-    face_term = np.square(X[:, face])
-    y_terms = np.square(np.subtract.outer(coords, X[:, ay]))
-    scale = -2.0 * model.sigma * model.sigma
-    # Each operand is a full block: numpy's broadcasting loops run several
-    # times slower than its same-shape ones.
-    d2, z_term, row_terms, x_z, face_terms = np.empty((5, _BLOCK_ROWS, len(X)))
-    x_z[:], face_terms[:] = X[:, az], face_term
-    predictions = np.empty(resolution * (resolution + 1) // 2)
-    done = 0
-    for i, x in enumerate(coords):
-        z = (1.0 - x) - coords[:resolution - i]
-        row = np.square(x - X[:, ax])
-        if face < ay:  # faces 0, 1: ((x_face^2 + X) + Y) + Z
-            row += face_term
-        row_terms[:len(z)] = row
-        for j in range(0, len(z), _BLOCK_ROWS):
-            m = min(_BLOCK_ROWS, len(z) - j)
-            out, t = d2[:m], z_term[:m]
-            np.add(row_terms[:m], y_terms[j:j + m], out=out)
-            if ay < face < az:  # face 2: ((X + Y) + x_face^2) + Z
-                out += face_terms[:m]
-            np.copyto(t, z[j:j + m, None])
-            t -= x_z[:m]
-            out += np.square(t, out=t)
-            if face > az:  # face 3: ((X + Y) + Z) + x_face^2
-                out += face_terms[:m]
-            out /= scale
-            np.exp(out, out=out)
-            predictions[done:done + m] = _weighted_rows(out, model.theta)
-            done += m
-    return predictions
+    walk, fwd, rev = (ax, ay, az) if face < 2 else (az, ax, ay)
+    coords = np.arange(res) / (res - 1)
+    lat = FaceLattice(face=face, resolution=res, values=np.full((res, res), np.nan))
+    # A walk's cells are (w, a) on faces 0 and 1 and (a, b) on faces 2 and 3,
+    # so along it the flat index steps by 1 or by res-1.
+    cells, step = lat.values.reshape(-1), 1 if face < 2 else res - 1
+    held = _factor(np.zeros(1), X[:, face], sigma)[0]
+    table_b = _factor(coords, X[:, rev], sigma)
+    half = (res + 1) // 2
+    table_a = np.empty((half, len(X)))
+    kernel = np.empty((_BLOCK_ROWS, len(X)))
+    for lo, hi in ((0, half), (half, res)):
+        _factor(coords[lo:hi], X[:, fwd], sigma, out=table_a[:hi - lo])
+        for w0 in range(0, res - lo, _DEXP_ROWS):  # walks with a cell a >= lo
+            pairs = _factor(coords[w0:min(w0 + _DEXP_ROWS, res - lo)], X[:, walk], sigma)
+            pairs *= held
+            for w, pair in enumerate(pairs, w0):
+                stop = min(hi, res - w)
+                for a in range(lo, stop, _BLOCK_ROWS):
+                    m = min(_BLOCK_ROWS, stop - a)
+                    b = res - 1 - w - a
+                    out = np.multiply(table_a[a - lo:a - lo + m], table_b[b::-1][:m],
+                                      out=kernel[:m])
+                    out *= pair
+                    start = w * res + a if face < 2 else a * res + b
+                    cells[start:start + m * step:step] = _weighted_rows(out, theta)
+    return lat
 
 
 # ---------------------------------------------------------------------------

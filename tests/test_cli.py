@@ -375,11 +375,18 @@ def write_random_history(path, points=150, seed=15):
 LANDSCAPE_DATA_FILES = ["landscape.csv", "islands.json", *(f"face_{k}.pgm" for k in range(4))]
 
 
+def _fresh_env(**extra):
+    """os.environ plus `extra`, for a fresh interpreter that imports this
+    checkout's dropevo."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def test_landscape_bytes_do_not_depend_on_blas_threads(tmp_path):
     # 150 points: enough for OpenBLAS to thread a Cholesky factorization,
     # which gave other bits at 1 and 2 threads before the BLAS-free solve.
     hist = write_random_history(tmp_path / "history.csv")
-    src = Path(__file__).resolve().parent.parent / "src"
     code = """
 import sys
 from dropevo.cli import main
@@ -389,16 +396,45 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     outputs = []
     for threads in ("1", "2"):
         out_dir = tmp_path / f"threads{threads}"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
-                                                           os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-c", code, "landscape", str(hist),
                                "--resolution", "41", "--out-dir", str(out_dir)],
-                              capture_output=True, text=True, env=env, check=True)
+                              capture_output=True, text=True, check=True,
+                              env=_fresh_env(OPENBLAS_NUM_THREADS=threads))
         assert proc.stdout.splitlines()[-1] == "[]"
-        assert json.loads((out_dir / "manifest.json").read_text())["landscape_contract"] == 2
+        assert json.loads((out_dir / "manifest.json").read_text())["landscape_contract"] == 3
         outputs.append([(out_dir / name).read_bytes() for name in LANDSCAPE_DATA_FILES])
     assert outputs[0] == outputs[1]
+
+
+def _cpu_feature_levels():
+    """NPY_DISABLE_CPU_FEATURES values that leave numpy below each of its
+    AVX512 and AVX2 (X86_V3) dispatch levels that this machine runs."""
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    on = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    avx512 = [f for f in on if f.startswith("AVX512") or f == "X86_V4"]
+    avx2 = [f for f in on if f in ("X86_V3", "AVX2", "FMA3")]
+    levels = [" ".join(group) for group in (avx512, avx512 + avx2) if group]
+    if not levels:
+        pytest.skip("numpy dispatches no AVX512 or AVX2 loops on this machine")
+    return list(dict.fromkeys(levels))
+
+
+def _run_with_cpu_features_disabled(argv, disabled):
+    subprocess.run([sys.executable, "-m", "dropevo", *argv], capture_output=True, check=True,
+                   env=_fresh_env(NPY_DISABLE_CPU_FEATURES=disabled))
+
+
+def test_landscape_bytes_do_not_depend_on_cpu_features(tmp_path):
+    # numpy picks np.exp's loop by CPU feature; contract 2's landscape bytes
+    # changed when its AVX512 loops were turned off. dexp uses none of them.
+    hist = write_random_history(tmp_path / "history.csv")
+    outputs = []
+    for k, disabled in enumerate(["", *_cpu_feature_levels()]):
+        out_dir = tmp_path / f"level{k}"
+        _run_with_cpu_features_disabled(
+            ["landscape", hist, "--resolution", "41", "--out-dir", str(out_dir)], disabled)
+        outputs.append([(out_dir / name).read_bytes() for name in LANDSCAPE_DATA_FILES])
+    assert all(out == outputs[0] for out in outputs)
 
 
 @pytest.mark.parametrize("resolution", ["31", "2"])
@@ -608,6 +644,18 @@ def test_evolve_golden_history(tmp_path, jobs):
     assert digest == GOLDEN_HISTORY_SHA256
 
 
+def test_evolve_golden_history_does_not_depend_on_cpu_features(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(GOLDEN_CONFIG))
+    for k, disabled in enumerate(_cpu_feature_levels()):
+        out_dir = tmp_path / f"level{k}"
+        _run_with_cpu_features_disabled(
+            ["evolve", "--config", str(path), "--objective", "directionality",
+             "--out-dir", str(out_dir)], disabled)
+        digest = hashlib.sha256((out_dir / "history_run0.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN_HISTORY_SHA256
+
+
 @pytest.mark.parametrize("argv", [
     ["landscape", "HISTORY", "--seed", "3"],   # seeds only evolve
     ["analyze", "HISTORY", "--seed", "3"],
@@ -741,15 +789,12 @@ def test_evolve_without_fork_rejects_jobs_above_one(tmp_path, capsys, fast_confi
 def _run_fresh(argv, modules, cpus=None):
     """[exit code, the `modules` loaded] of dropevo `argv` run in a fresh
     interpreter, which sees `cpus` usable CPUs if given."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     code = ("import json, sys; from dropevo.cli import main; rc = main(sys.argv[2:]); "
             "print(json.dumps([rc, sorted(set(sys.argv[1].split(',')) & set(sys.modules))]))")
     if cpus is not None:
         code = f"import os; os.sched_getaffinity = lambda pid: set(range({cpus})); " + code
     proc = subprocess.run([sys.executable, "-c", code, ",".join(modules), *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_fresh_env())
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -770,6 +815,19 @@ def test_landscape_does_not_load_gcode(tmp_path):
     argv = ["landscape", write_history(tmp_path / "history.csv"), "--resolution", "11",
             "--out-dir", str(tmp_path / "o")]
     assert _run_fresh(argv, ["dropevo.gcode"], cpus=1) == [EXIT_OK, []]
+
+
+@pytest.mark.parametrize("command", ["landscape", "analyze"])
+def test_a_bad_history_fails_before_numpy_loads(tmp_path, command):
+    bad = tmp_path / "history.csv"
+    bad.write_text("not,a,history\n")
+    code = ("import sys; from dropevo.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, command, str(bad),
+                           "--out-dir", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=_fresh_env())
+    assert proc.stdout.split() == [str(EXIT_DATA), "False"]
+    assert proc.stderr.startswith("data error:") and proc.stderr.count("\n") == 1
 
 
 def test_analyze_rejects_a_bad_history_before_loading_scipy(tmp_path):

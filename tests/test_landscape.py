@@ -8,11 +8,14 @@ to convergence, sharing no code with dropevo.landscape's region-growing.
 
 import math
 import multiprocessing
+import warnings
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dropevo.landscape import (
     DimensionMismatch,
@@ -25,6 +28,7 @@ from dropevo.landscape import (
     _cholesky_solve,
     catchment_map,
     cell_composition,
+    dexp,
     face_axes,
     face_grid,
     fit,
@@ -48,6 +52,45 @@ def test_rbf_kernel_values():
         math.exp(-0.09 / (2 * 0.15 ** 2)))
     with pytest.raises(NonpositiveBandwidth):
         rbf_kernel([0] * 4, [0] * 4, 0.0)
+
+
+def _ulps(a: float, b: float) -> int:
+    return abs(np.array([a]).view(np.int64)[0] - np.array([b]).view(np.int64)[0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(xs=st.lists(st.one_of(st.floats(-750.0, 0.0), st.floats(-745.13, -708.4)),
+                   min_size=1, max_size=64))
+def test_dexp_within_one_ulp_of_math_exp(xs):
+    # Half the draws are in the band where exp is subnormal.
+    for x, got in zip(xs, dexp(np.array(xs)).tolist()):
+        assert _ulps(got, math.exp(x)) <= 1
+
+
+def test_dexp_exact_cases():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dexp(np.array([0.0, -0.0, -745.14, -1e299, -np.inf]))
+    assert got.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
+
+
+def test_rbf_kernel_is_a_training_kernel_entry():
+    rng = np.random.default_rng(3)
+    X = rng.dirichlet(np.ones(4), size=12)
+    model = fit(X, rng.normal(size=12), sigma=0.2)
+    K = model.K
+    for i, j in [(0, 1), (3, 7), (11, 2), (5, 5)]:
+        assert rbf_kernel(X[i], X[j], 0.2) == K[i, j]
+
+
+def test_predict_is_predict_many_of_one_query():
+    rng = np.random.default_rng(4)
+    model = fit(rng.dirichlet(np.ones(4), size=30), rng.normal(size=30))
+    Q = rng.dirichlet(np.ones(4), size=20)
+    many = predict_many(model, Q)
+    for q, want in zip(Q, many):
+        assert predict(model, q) == want
+        assert predict_many(model, [q])[0] == want
 
 
 def test_fit_single_point_closed_form():
@@ -156,7 +199,7 @@ def test_face_axes():
 
 def test_cell_composition():
     comp = cell_composition(0, 3, 4, 11)
-    assert comp == pytest.approx((0.0, 0.3, 0.4, 0.3))
+    assert comp == (0.0, 3 / 10, 4 / 10, 3 / 10)
     assert cell_composition(2, 0, 0, 301) == pytest.approx((0, 0, 0, 1))
 
 
@@ -175,7 +218,7 @@ def test_face_grid_matches_pointwise_prediction():
     lat = face_grid(model, 2, resolution=21)
     for i, j in [(0, 0), (5, 7), (20, 0), (0, 20), (10, 10)]:
         comp = cell_composition(2, i, j, 21)
-        assert lat.values[i, j] == pytest.approx(predict(model, comp), abs=1e-12)
+        assert lat.values[i, j] == predict(model, comp)
 
 
 # ------------------------------------------------------------- catchment
@@ -388,13 +431,13 @@ def test_faces_and_csv_are_the_same_over_a_forked_pool():
 
 
 def _face_queries(face, res):
-    """Valid cells of a face and their query rows, built as face_grid does."""
+    """Valid cells of a face and their contract-3 query rows: X = c_i,
+    Y = c_j and Z = c_(res-1-i-j), with c = arange(res) / (res-1)."""
     ax, ay, az = face_axes(face)
     ii, jj = np.nonzero(np.add.outer(np.arange(res), np.arange(res)) <= res - 1)
-    coords = np.linspace(0.0, 1.0, res)
+    coords = np.arange(res) / (res - 1)
     Q = np.zeros((len(ii), 4))
-    Q[:, ax], Q[:, ay] = coords[ii], coords[jj]
-    Q[:, az] = 1.0 - Q[:, ax] - Q[:, ay]
+    Q[:, ax], Q[:, ay], Q[:, az] = coords[ii], coords[jj], coords[res - 1 - ii - jj]
     return ii, jj, Q
 
 
@@ -406,9 +449,10 @@ def test_face_grid_bit_identical_single_chunk():
         ii, jj, Q = _face_queries(face, 61)
         got = face_grid(model, face, resolution=61).values[ii, jj]
         assert np.array_equal(got, predict_many(model, Q))
-        # The broadcast difference-tensor form gives the same bits.
-        d2 = ((Q[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-        K = np.exp(-d2 / (2.0 * model.sigma * model.sigma))
+        # The per-component factor tensor, multiplied in pairs, gives the
+        # same bits.
+        T = dexp(-(Q[:, None, :] - X[None, :, :]) ** 2 / (2.0 * model.sigma * model.sigma))
+        K = (T[..., 0] * T[..., 1]) * (T[..., 2] * T[..., 3])
         assert np.array_equal(got, np.einsum("ij,j->i", K, model.theta))
 
 
@@ -445,9 +489,9 @@ def test_face_grid_bit_identical_all_faces(res):
 
 def test_face_grid_peak_memory():
     # Kernel rows are summed block by block, so no (cells, n) kernel matrix
-    # is built. The 3.1 MiB peak is the (res, n) table of Y terms and the
-    # block buffers beside the predictions; the validity mask is built once
-    # per resolution.
+    # is built. The 3.5 MiB peak is one whole (res, n) factor table (1.55
+    # MiB), half of another (0.78 MiB), the (res, res) lattice (0.69 MiB),
+    # one 32-row block and the 8-row dexp buffers.
     model = _random_model(14)
     tracemalloc.start()
     try:
