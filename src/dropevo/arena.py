@@ -17,6 +17,7 @@ after another with an empty frame between each two.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -169,20 +170,55 @@ def unimodal_behavior(f: Formulation, optimum, width: float) -> BehaviorParams:
 
 # A droplet's two RNG streams: children TURN and SPLIT of its SeedSequence.
 TURN, SPLIT = 0, 1
-# Steps in a droplet's first block of draws; a droplet with no event in it
-# draws the rest of its walk as a second block. The block only bounds the
-# draws wasted past a droplet's first event: the walk is the same for any
-# block size.
+# Steps in a droplet's first block of draws; a droplet with no event in a
+# block draws a block twice as long next. The blocks only bound the draws
+# wasted past a droplet's first event: the walk is the same for any block
+# sizes. Most default-arena droplets end within a few hundred steps: over
+# 150 default recipes, doubling walked 7,868 steps per recipe for 4,254
+# detections, against 11,512 with one second block for the rest of the walk.
 FIRST_BLOCK = 256
+
+
+def _words(values) -> list[int]:
+    """The little-endian 32-bit words of each non-negative int in `values`,
+    one int after another, as SeedSequence splits its entropy and spawn key."""
+    words = []
+    for value in values:
+        value = operator.index(value)
+        if value < 0:
+            raise ValueError(f"seed words must be non-negative, got {value}")
+        words.append(value & 0xFFFFFFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _seed_words(seed: np.random.SeedSequence) -> list[int]:
+    """The first words of the entropy SeedSequence assembles for any child
+    key of `seed`: its entropy's words, zero-padded to the pool size, then
+    those of its spawn key."""
+    entropy = seed.entropy
+    entropy = _words([entropy] if isinstance(entropy, (int, np.integer)) else entropy)
+    return entropy + [0] * (seed.pool_size - len(entropy)) + _words(seed.spawn_key)
+
+
+def _stream(words: list) -> np.random.Generator:
+    """The generator of SeedSequence(words) for a list of uint32 words."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        np.array(words, dtype=np.uint32))))
 
 
 def droplet_stream(seed: np.random.SeedSequence, lineage: tuple,
                    stream: int) -> np.random.Generator:
     """Stream `stream` (TURN or SPLIT) of the droplet with this lineage in
     the replicate seeded by `seed`: child `stream` of
-    SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, *lineage))."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        seed.entropy, spawn_key=(*seed.spawn_key, *lineage, stream))))
+    SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, *lineage)).
+
+    The stream is built from one uint32 array and no spawn key, the words
+    _seed_words(seed) followed by those of the lineage and `stream`: NumPy
+    assembles a spawned SeedSequence's entropy in exactly this order, so
+    the pool, and every draw, is the same as the spawned sequence's."""
+    return _stream(_seed_words(seed) + _words((*lineage, stream)))
 
 
 def simulate(f: Formulation, cfg: ArenaConfig, seed,
@@ -232,6 +268,7 @@ def simulate(f: Formulation, cfg: ArenaConfig, seed,
         raise ValueError("simulate needs at least one seed")
     b = behavior if behavior is not None else behavior_from_formulation(f)
     frames = cfg.total_frames
+    words = [_seed_words(s) for s in seeds]  # each replicate's, computed once
     keys = []  # (replicate, lineage) of each droplet walked, by walk number
     runs = []
     # birth frame -> [(replicate, lineage, x, y, heading or None, area)] of
@@ -241,7 +278,7 @@ def simulate(f: Formulation, cfg: ArenaConfig, seed,
     while born:
         t0 = min(born)
         group = born.pop(t0)
-        group_runs, children = _walk(b, seeds, cfg.arena_radius ** 2, frames, t0, group,
+        group_runs, children = _walk(b, words, cfg.arena_radius ** 2, frames, t0, group,
                                      len(keys))
         keys.extend(d[:2] for d in group)
         runs += group_runs
@@ -260,17 +297,20 @@ def simulate(f: Formulation, cfg: ArenaConfig, seed,
     return DetectionRecord(offsets, x[order], y[order], area[order])
 
 
-def _walk(b: BehaviorParams, seeds: list, r2: float, frames: int, t0: int, group: list,
+def _walk(b: BehaviorParams, words: list, r2: float, frames: int, t0: int, group: list,
           first_id: int) -> tuple:
     """Walk the droplets born in frame t0 of their replicates in lockstep,
     one row each. `group` holds their (replicate, lineage, x, y, heading or
-    None, area), a replicate being an index into `seeds`; their walk numbers
-    count from first_id. Returns their runs of detections, each one
-    droplet's detections in consecutive frames as (walk numbers, first frame
-    in its replicate, lengths, x, y, area), and the (birth frame, droplet to
-    walk) of every child their splits leave inside the wall."""
+    None, area), a replicate being an index into `words`, which holds each
+    replicate's _seed_words; their walk numbers count from first_id. Returns
+    their runs of detections, each one droplet's detections in consecutive
+    frames as (walk numbers, first frame in its replicate, lengths, x, y,
+    area), and the (birth frame, droplet to walk) of every child their
+    splits leave inside the wall."""
     ids = np.arange(first_id, first_id + len(group))
-    turn = [droplet_stream(seeds[d[0]], d[1], TURN) for d in group]
+    # droplet_stream's words: lineage elements and streams are below 2**32,
+    # one word each.
+    turn = [_stream([*words[d[0]], *d[1], TURN]) for d in group]
     split = [None] * len(group)
     x, y, a0 = (np.array([d[c] for d in group], dtype=float) for c in (2, 3, 5))
     h = np.array([t.uniform(0.0, 2.0 * math.pi) if d[4] is None else d[4]
@@ -282,7 +322,7 @@ def _walk(b: BehaviorParams, seeds: list, r2: float, frames: int, t0: int, group
     k, block = 0, FIRST_BLOCK
     while k < steps and len(rows):
         m = min(block, steps - k)
-        block = steps  # after the first block, draw the rest at once
+        block *= 2
         ab = a0[rows, None] - b.shrink_rate * np.arange(k, k + m + 1)
         hb = np.empty((len(rows), m + 1))
         hb[:, 0] = h[rows]
@@ -294,7 +334,7 @@ def _walk(b: BehaviorParams, seeds: list, r2: float, frames: int, t0: int, group
             turn[r].standard_normal(out=hb[row, 1:])
             if u is not None and can[row]:
                 if split[r] is None:
-                    split[r] = droplet_stream(seeds[group[r][0]], group[r][1], SPLIT)
+                    split[r] = _stream([*words[group[r][0]], *group[r][1], SPLIT])
                 split[r].random(out=u[row])
         hb[:, 1:] *= b.turn_noise
         hb = np.cumsum(hb, axis=1)

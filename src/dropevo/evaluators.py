@@ -82,9 +82,9 @@ class ExperimentSetup:
 
 def _pass_size(cfg: arena.ArenaConfig) -> int:
     """Replicates per pass: as many as fit PASS_DROPLET_FRAMES, at least one
-    and at most REPLICATES."""
-    return min(ga.REPLICATES, max(1, PASS_DROPLET_FRAMES
-                                  // (len(cfg.injection_positions) * cfg.total_frames)))
+    and at most REPLICATES; an arena without injections takes them all."""
+    droplet_frames = max(1, len(cfg.injection_positions) * cfg.total_frames)
+    return min(ga.REPLICATES, max(1, PASS_DROPLET_FRAMES // droplet_frames))
 
 
 def _score_pass(setup: ExperimentSetup, f: Formulation, behavior: arena.BehaviorParams,

@@ -137,6 +137,8 @@ def _kernel_matrix(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
     The squared distance is accumulated one component at a time, in the order
     ``((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)`` adds them, so the
     bits are those of the broadcast form without its (m, n, d) tensor.
+    K(X, X), the training kernel, is exactly symmetric with a unit diagonal:
+    (a - b)^2 == (b - a)^2, and dexp(-0.0) == 1.0.
     """
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatch(f"{A.shape[1]} vs {B.shape[1]} components")
@@ -150,14 +152,6 @@ def _kernel_matrix(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
     for r in range(0, len(out), _DEXP_ROWS):
         out[r:r + _DEXP_ROWS] = dexp(out[r:r + _DEXP_ROWS])
     return out
-
-
-def _training_kernel(X: np.ndarray, sigma: float) -> np.ndarray:
-    K = _kernel_matrix(X, X, sigma)
-    # Symmetrize and pin the diagonal so K is exactly what the kernel defines.
-    K = (K + K.T) / 2.0
-    np.fill_diagonal(K, 1.0)
-    return K
 
 
 @dataclass
@@ -174,7 +168,7 @@ class KernelModel:
     @property
     def K(self) -> np.ndarray:
         """(n, n) training kernel matrix."""
-        return _training_kernel(self.X, self.sigma)
+        return _kernel_matrix(self.X, self.X, self.sigma)
 
 
 def fit(X, y, lam: float = DEFAULT_LAMBDA, sigma: float = DEFAULT_SIGMA) -> KernelModel:
@@ -186,7 +180,7 @@ def fit(X, y, lam: float = DEFAULT_LAMBDA, sigma: float = DEFAULT_SIGMA) -> Kern
     y = np.asarray(y, dtype=float)
     if X.shape[0] != y.shape[0] or X.shape[0] < 1:
         raise DimensionMismatch(f"{X.shape[0]} inputs vs {y.shape[0]} targets")
-    theta = _cholesky_solve(_training_kernel(X, sigma) + lam * np.eye(len(y)), y)
+    theta = _cholesky_solve(_kernel_matrix(X, X, sigma) + lam * np.eye(len(y)), y)
     return KernelModel(X=X, y=y, theta=theta, lam=lam, sigma=sigma)
 
 

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dropevo import arena, evaluators, ga, tracking
 from dropevo.arena import (
@@ -429,6 +431,25 @@ def test_droplet_streams_are_children_of_the_lineage_seed():
         for stream, child in zip((arena.TURN, arena.SPLIT), parent.spawn(2)):
             want = np.random.Generator(np.random.PCG64(child)).random(4).tolist()
             assert arena.droplet_stream(seed, lineage, stream).random(4).tolist() == want
+
+
+_KEY = st.integers(0, 2 ** 33)
+_ENTROPY = st.integers(0, 2 ** 200 + 9)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(entropy=st.one_of(_ENTROPY, st.lists(_ENTROPY, min_size=1, max_size=3)),
+       spawn_key=st.lists(_KEY, max_size=4), lineage=st.lists(_KEY, min_size=1, max_size=8),
+       stream=st.sampled_from([arena.TURN, arena.SPLIT]))
+def test_droplet_stream_is_the_spawned_sequence(entropy, spawn_key, lineage, stream):
+    # droplet_stream builds its SeedSequence from one word array and no
+    # spawn key; the pool, and so every draw, must be the spawned one's.
+    want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy, spawn_key=(*spawn_key, *lineage, stream))))
+    got = arena.droplet_stream(np.random.SeedSequence(entropy, spawn_key=spawn_key),
+                               tuple(lineage), stream)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.standard_normal(3).tolist() == want.standard_normal(3).tolist()
 
 
 def _objective_scores(frames, radius):

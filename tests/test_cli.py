@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -620,40 +621,66 @@ def test_evolve_rejects_unsupported_config(tmp_path, capsys, section, key, value
     assert not out_dir.exists()
 
 
-# sha256 of history_run0.csv for GOLDEN_CONFIG under the directionality
-# objective. It pins the replicate RNG streams and arena RNG contract v2
-# (per-droplet streams keyed by lineage, see arena.simulate): a change to
-# either must update it on purpose, and it is the same for any --jobs.
+# sha256 of history_run0.csv for GOLDEN_CONFIG under each pinned objective.
+# They pin the replicate RNG streams and arena RNG contract v2 (per-droplet
+# streams keyed by lineage, see arena.simulate), and the movement pin also
+# the step lengths of tracking._steps: a change to any must update them on
+# purpose, and they are the same for any --jobs.
 GOLDEN_CONFIG = {
     "ga": {"generations": 2, "population_size": 4, "carry_overs": 2,
            "runs": 1, "rng_seed": 7},
     "arena": {"duration": 2.0},
 }
-GOLDEN_HISTORY_SHA256 = "60d5a831ff0ed23bd6464626d5e673a64cd86ffe934ef19b5f1cc7cee9ae432d"
+GOLDEN_HISTORY_SHA256 = {
+    "directionality": "60d5a831ff0ed23bd6464626d5e673a64cd86ffe934ef19b5f1cc7cee9ae432d",
+    "movement": "9e1f07bebb4de5827b1a93494ecee92e5b794665c489c40e5513adb041191ab3",
+}
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_evolve_golden_history(tmp_path, jobs):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(GOLDEN_CONFIG))
-    out_dir = tmp_path / "o"
-    rc = main(["evolve", "--config", str(path), "--objective", "directionality",
-               "--jobs", jobs, "--out-dir", str(out_dir)])
-    assert rc == EXIT_OK
-    digest = hashlib.sha256((out_dir / "history_run0.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN_HISTORY_SHA256
+    for objective, want in GOLDEN_HISTORY_SHA256.items():
+        out_dir = tmp_path / objective
+        rc = main(["evolve", "--config", str(path), "--objective", objective,
+                   "--jobs", jobs, "--out-dir", str(out_dir)])
+        assert rc == EXIT_OK
+        digest = hashlib.sha256((out_dir / "history_run0.csv").read_bytes()).hexdigest()
+        assert digest == want, objective
 
 
 def test_evolve_golden_history_does_not_depend_on_cpu_features(tmp_path):
+    # The movement pin checks tracking's vector hypot with numpy's AVX512
+    # and X86_V3 loops turned off.
     path = tmp_path / "config.json"
     path.write_text(json.dumps(GOLDEN_CONFIG))
     for k, disabled in enumerate(_cpu_feature_levels()):
-        out_dir = tmp_path / f"level{k}"
-        _run_with_cpu_features_disabled(
-            ["evolve", "--config", str(path), "--objective", "directionality",
-             "--out-dir", str(out_dir)], disabled)
-        digest = hashlib.sha256((out_dir / "history_run0.csv").read_bytes()).hexdigest()
-        assert digest == GOLDEN_HISTORY_SHA256
+        for objective, want in GOLDEN_HISTORY_SHA256.items():
+            out_dir = tmp_path / f"level{k}-{objective}"
+            _run_with_cpu_features_disabled(
+                ["evolve", "--config", str(path), "--objective", objective,
+                 "--out-dir", str(out_dir)], disabled)
+            digest = hashlib.sha256((out_dir / "history_run0.csv").read_bytes()).hexdigest()
+            assert digest == want, objective
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("objective", ["division", "movement", "directionality"])
+def test_evolve_arena_without_droplets_scores_zero(tmp_path, objective, jobs):
+    # An arena with no injections has no droplet-frames; sizing its passes
+    # divided by zero.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**GOLDEN_CONFIG, "arena": {
+        "duration": 2.0, "injection_count": 0, "injection_positions": []}}))
+    out_dir = tmp_path / "o"
+    rc = main(["evolve", "--config", str(path), "--objective", objective,
+               "--jobs", jobs, "--out-dir", str(out_dir)])
+    assert rc == EXIT_OK
+    rows = list(csv.DictReader(io.StringIO((out_dir / "history_run0.csv").read_text())))
+    assert len(rows) == 8
+    assert all(float(row[name]) == 0.0 for row in rows
+               for name in ("replicate1", "replicate2", "replicate3", "fitness"))
 
 
 @pytest.mark.parametrize("argv", [

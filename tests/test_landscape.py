@@ -83,6 +83,17 @@ def test_rbf_kernel_is_a_training_kernel_entry():
         assert rbf_kernel(X[i], X[j], 0.2) == K[i, j]
 
 
+def test_training_kernel_is_symmetric_with_a_unit_diagonal():
+    # fit uses K(X, X) as it comes, neither symmetrized nor with its
+    # diagonal pinned.
+    rng = np.random.default_rng(5)
+    for n, sigma in [(1, 0.3), (40, 0.05), (250, 0.15), (250, 3.0)]:
+        for X in (rng.dirichlet(np.ones(4), size=n), rng.uniform(-5.0, 5.0, size=(n, 4))):
+            K = fit(X, rng.normal(size=n), sigma=sigma).K
+            assert np.array_equal(K, K.T)
+            assert (np.diag(K) == 1.0).all()
+
+
 def test_predict_is_predict_many_of_one_query():
     rng = np.random.default_rng(4)
     model = fit(rng.dirichlet(np.ones(4), size=30), rng.normal(size=30))

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dropevo import tracking
 from dropevo.arena import ArenaConfig, DetectionFrame, filter_analytic_arena, simulate
@@ -493,6 +493,26 @@ def test_scores_match_reference_on_trajectory_lists():
             trajectories.append(Trajectory(droplet_id=did, samples=samples))
         ts = TrajectorySet(trajectories=trajectories, total_frames=total_frames)
         assert scores(ts) == reference_scores(ts)
+
+
+_COMPONENT = st.one_of(st.floats(), st.floats(-100.0, 100.0), st.floats(-1e-300, 1e-300),
+                       st.integers(-40, 40).map(float))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(steps=st.lists(st.tuples(_COMPONENT, _COMPONENT), min_size=1, max_size=40))
+@example(steps=[(0.0, -0.0), (5e-324, 1e-310), (2.0 ** 1023, 1.0), (1.7e308, 1.7e308),
+                (math.inf, math.nan), (math.nan, 2.0), (3.0, 4.0), (-2.5, 2.5)])
+def test_step_lengths_are_math_hypot(steps):
+    # Each droplet steps from the origin by (dx, dy), so its step length is
+    # hypot(dx, dy) exactly as _steps computes it. The draws include 0,
+    # subnormals, infinities and NaN, which _hypot leaves to math.hypot
+    # without a RuntimeWarning (pytest turns those into errors).
+    ts = TrajectorySet([Trajectory(i, [(0, 0.0, 0.0, 9.0), (1, dx, dy, 9.0)])
+                        for i, (dx, dy) in enumerate(steps)], 2)
+    k, step = tracking._steps(ts)
+    assert k.tolist() == list(range(1, 2 * len(steps), 2))
+    np.testing.assert_array_equal(step[k], [math.hypot(dx, dy) for dx, dy in steps])
 
 
 def test_step_lengths_and_angles_are_libm_exact():
