@@ -9,9 +9,10 @@ documented so the ground truth of the landscape is auditable.
 
 An experiment's detections travel as one columnar `DetectionRecord`: frame
 offsets plus flat float64 x, y and area arrays. Iterating a record yields one
-`DetectionFrame` per frame for callers that want tuples. `simulate` can run
-several replicates of one recipe as one pass, whose record holds them one
-after another with an empty frame between each two.
+`DetectionFrame` per frame; only perfbench's tracer counts detections that
+way, and both go once it reads the program's own counters. `simulate` can
+run several replicates of one recipe as one pass, whose record holds them
+one after another with an empty frame between each two.
 """
 
 from __future__ import annotations
@@ -93,22 +94,6 @@ class DetectionRecord:
     x: np.ndarray
     y: np.ndarray
     area: np.ndarray
-
-    @classmethod
-    def of(cls, frames) -> DetectionRecord:
-        """The record itself, or the record of a list of DetectionFrames
-        numbered 0, 1, 2, ..."""
-        if isinstance(frames, cls):
-            return frames
-        counts = [0]
-        cols = []
-        for t, fr in enumerate(frames):
-            if fr.frame_index != t:
-                raise ValueError(f"frame {t} has frame_index {fr.frame_index}")
-            counts.append(len(fr.detections))
-            cols.extend(fr.detections)
-        x, y, area = np.array(cols, dtype=float).reshape(-1, 3).T
-        return cls(np.cumsum(counts), x, y, area)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -374,15 +359,12 @@ def _walk(b: BehaviorParams, words: list, r2: float, frames: int, t0: int, group
     return runs, children
 
 
-def filter_analytic_arena(frames, arena_radius: float,
+def filter_analytic_arena(rec: DetectionRecord, arena_radius: float,
                           shrink: float = 0.95) -> DetectionRecord:
     """Drop detections outside the analytic arena, the open disc of radius
-    shrink * arena_radius. Wall death is not the filter's job: `simulate`
-    emits no detection on or beyond the wall.
-
-    Takes a DetectionRecord or a list of DetectionFrames; the kept detections
-    stay in their frame and order."""
-    rec = DetectionRecord.of(frames)
+    shrink * arena_radius; the kept detections stay in their frame and
+    order. Wall death is not the filter's job: `simulate` emits no detection
+    on or beyond the wall."""
     r2 = (shrink * arena_radius) ** 2
     # The test is x ** 2 + y ** 2 < r2, squared through libm pow as Python's
     # x ** 2 does. x * x differs from pow(x, 2) by at most an ulp (for about

@@ -254,10 +254,15 @@ class FileFormatError(Exception):
 def _face_grid(model, face: int, resolution: int):
     # The pool maps this function by name. landscape.face_grid is looked up
     # when it runs, so a wrapper put on it (perfbench's tracer) need not
-    # pickle.
+    # pickle. Its einsum row sums overflow without a floating-point error.
+    import numpy as np
+
     from . import landscape
 
-    return landscape.face_grid(model, face, resolution)
+    lat = landscape.face_grid(model, face, resolution)
+    if not np.isfinite(lat.values[lat.valid]).all():
+        raise NumericFailure(f"face {face}: a prediction is not finite")
+    return lat
 
 
 def cmd_landscape(args) -> int:
@@ -285,7 +290,8 @@ def cmd_landscape(args) -> int:
     X = np.array([normalize(loci).proportions for loci, _ in seen.values()])
     y = np.array([fitness for _, fitness in seen.values()])
     try:
-        model = landscape.fit(X, y, lam=args.lam, sigma=args.sigma)
+        with np.errstate(over="raise", invalid="raise"):
+            model = landscape.fit(X, y, lam=args.lam, sigma=args.sigma)
     except landscape.NonpositiveBandwidth as exc:
         raise UsageError(f"--sigma: {exc}") from exc
     except landscape.SolveFailure as exc:
@@ -300,13 +306,15 @@ def cmd_landscape(args) -> int:
         lattices = list(pool_map(_face_grid, [model] * 4, range(4), [args.resolution] * 4))
         islands = landscape.catchment_map(lattices)
         csv = landscape.landscape_csv(lattices, islands, map=pool_map)
+    # Grey levels that overflow fail before any file is written.
+    with np.errstate(over="raise", invalid="raise"):
+        pgms = [landscape.lattice_to_pgm(lat) for lat in lattices]
     out_dir = Path(args.out_dir)
     outputs = [_write(out_dir, "landscape.csv", csv).name]
     outputs.append(_write(out_dir, "islands.json",
                           landscape.island_summary_json(islands)).name)
-    for lat in lattices:
-        outputs.append(_write(out_dir, f"face_{lat.face}.pgm",
-                              landscape.lattice_to_pgm(lat)).name)
+    for lat, pgm in zip(lattices, pgms):
+        outputs.append(_write(out_dir, f"face_{lat.face}.pgm", pgm).name)
     _manifest(out_dir, "landscape",
               {"sigma": args.sigma, "lambda": args.lam, "resolution": args.resolution,
                "face_axes": {face: landscape.face_axes(face) for face in range(4)},
@@ -325,6 +333,8 @@ def cmd_analyze(args) -> int:
     # fails without that import, and the memory the parse frees is reused by
     # it rather than added to the command's peak.
     parsed = _load_histories(args.history)
+    import numpy as np
+
     from . import stats
 
     shims = []
@@ -334,7 +344,9 @@ def cmd_analyze(args) -> int:
             for g in sorted(hist["generations"])
         ]
         shims.append(SimpleNamespace(generations=gens))
-    report = stats.trajectory_report(shims)
+    # Statistics that overflow are a numeric failure, not a NaN in the report.
+    with np.errstate(over="raise", invalid="raise"):
+        report = stats.trajectory_report(shims)
     out_dir = Path(args.out_dir)
     outputs = [
         _write(out_dir, "report.json", stats.report_json(report)).name,

@@ -9,11 +9,12 @@ independent of evaluation order and safe to compute concurrently.
 `evaluate_recipe` scores a recipe's replicates in passes: the replicates of
 one pass are simulated together into one columnar `arena.DetectionRecord`
 (replicate after replicate, an empty frame between them), filtered, tracked
-into one column-wise `tracking.TrajectorySet` and scored by one call that
-gives each replicate's score. A pass holds all REPLICATES replicates unless
-the arena is too large for it (PASS_DROPLET_FRAMES); each score is the same
-as that of the replicate scored alone (`run_replicate`), and no per-frame
-objects are built.
+into one columnar `tracking.TrajectorySet` and scored by one call that gives
+each replicate's score. A pass holds all REPLICATES replicates unless the
+arena is too large for it (PASS_DROPLET_FRAMES); each score is the same as
+that of the replicate scored alone, a pass of one (`run_replicate`, which no
+command calls: the tests compare against it, and perfbench's tracer wraps
+it).
 
 `ExperimentSetup` is built once per campaign and checks itself; each GA run
 scores with `dataclasses.replace(setup, run=run)`. The round scorer from

@@ -51,6 +51,7 @@ class CsvFormat:
     format_id: str
     version: int
     columns: tuple
+    rows_required: bool = False  # a file with a header and no rows is invalid
 
     def validate(self, text: str) -> list[str]:
         reader = csv.reader(io.StringIO(text))
@@ -62,6 +63,7 @@ class CsvFormat:
         if header != expected:
             return [f"header {header} != expected {expected}"]
         violations = []
+        row_no = 1
         for row_no, row in enumerate(reader, start=2):
             if len(row) != len(self.columns):
                 violations.append(f"row {row_no}: expected {len(self.columns)} fields")
@@ -70,6 +72,8 @@ class CsvFormat:
                 issue = col.check(raw, row_no)
                 if issue:
                     violations.append(issue)
+        if self.rows_required and row_no == 1:
+            violations.append("no rows after the header")
         return violations
 
 
@@ -84,7 +88,7 @@ CSV_FORMATS = {
         *(ColumnSpec(f"replicate{k}", "float", "raw fitness", minimum=0,
                      allow_empty=True) for k in range(1, 4)),
         ColumnSpec("fitness", "float", "aggregated fitness", minimum=0),
-    )),
+    ), rows_required=True),
     "landscape": CsvFormat("landscape", 1, (
         ColumnSpec("face", "int", "held-at-zero component", minimum=0, maximum=3),
         ColumnSpec("i", "int", "", minimum=0),

@@ -241,11 +241,6 @@ def _factor(coords: np.ndarray, x: np.ndarray, sigma: float,
     return out
 
 
-def predict(model: KernelModel, x) -> float:
-    """The model at a single query, with the bits of ``predict_many``."""
-    return float(predict_many(model, [x])[0])
-
-
 # Queries per predict_many pass, which bounds its (rows, n) buffers.
 _PREDICT_ROWS = 1024
 

@@ -25,9 +25,10 @@ so the scores stay well defined when the droplet count varies.
 
 An empty frame ends every trajectory, so the record of an arena.simulate
 pass, its replicates joined by empty frames, tracks as each replicate alone
-would, with flat indices and droplet ids offset. Given `replicates`, each
-score takes a TrajectorySet of such a pass and returns one score per
-replicate, the same as that replicate's alone.
+would, with flat indices and droplet ids offset. Each score takes a
+TrajectorySet of such a pass of `replicates` replicates (one by default) and
+returns one score per replicate, the same as that replicate's alone; a
+replicate without a frame pair (respectively triple) scores 0.0.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,71 +46,43 @@ TRACK_RADIUS_PX = 30.0
 DIVISION_AREA_THRESHOLD = 15.0
 
 
-class TrackingError(ValueError):
-    pass
-
-
-class EmptyExperiment(TrackingError):
-    pass
-
-
-class NoFramePairs(TrackingError):
-    pass
-
-
-class NoTriples(TrackingError):
-    pass
-
-
 @dataclass
 class Trajectory:
     droplet_id: int
     samples: list  # of (frame, x, y, area), frames contiguous
 
 
+@dataclass(frozen=True, eq=False)
 class TrajectorySet:
     """The tracked droplets of one experiment, column-wise.
 
     Per detection: `frame`, `x`, `y`, `area`, `parent` (index of the same
     droplet's previous detection, -1 where a trajectory starts) and `droplet`
-    (the position of its trajectory in `trajectories`, which for `track`'s
-    output is the droplet id). Built by `track`, or from a list of
-    Trajectory objects; `trajectories` is built on first use.
+    (its trajectory's id, numbering the trajectories 0, 1, 2, ...).
+    `trajectories` serves only perfbench's tracer, until the tracer reads
+    the program's own counters.
     """
 
-    def __init__(self, trajectories: list[Trajectory], total_frames: int):
-        self.total_frames = total_frames
-        self._trajectories = list(trajectories)
-        lengths = [len(tr.samples) for tr in self._trajectories]
-        samples = [s for tr in self._trajectories for s in tr.samples]
-        frame, x, y, area = zip(*samples) if samples else ((),) * 4
-        self.frame = np.array(frame, dtype=np.int64)
-        self.x, self.y, self.area = (np.array(c, dtype=float) for c in (x, y, area))
-        self.droplet = np.repeat(np.arange(len(lengths)), lengths)
-        same = np.r_[False, self.droplet[1:] == self.droplet[:-1]]
-        self.parent = np.where(same, np.arange(len(samples)) - 1, -1)
-        self.droplet_count = len(lengths)
-
-    @classmethod
-    def _from_columns(cls, total_frames, frame, rec: DetectionRecord, parent,
-                      droplet, droplet_count) -> TrajectorySet:
-        ts = cls.__new__(cls)
-        ts.total_frames = total_frames
-        ts._trajectories = None
-        ts.frame, ts.x, ts.y, ts.area = frame, rec.x, rec.y, rec.area
-        ts.parent, ts.droplet, ts.droplet_count = parent, droplet, droplet_count
-        return ts
+    total_frames: int
+    frame: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    area: np.ndarray
+    parent: np.ndarray
+    droplet: np.ndarray
 
     @property
+    def droplet_count(self) -> int:
+        return int(self.droplet.max(initial=-1)) + 1
+
+    @cached_property
     def trajectories(self) -> list[Trajectory]:
-        if self._trajectories is None:
-            order = np.lexsort((self.frame, self.droplet))
-            rows = list(zip(self.frame[order].tolist(), self.x[order].tolist(),
-                            self.y[order].tolist(), self.area[order].tolist()))
-            ends = [0, *np.cumsum(np.bincount(self.droplet, minlength=self.droplet_count))]
-            self._trajectories = [Trajectory(droplet_id=i, samples=rows[ends[i]:ends[i + 1]])
-                                  for i in range(self.droplet_count)]
-        return self._trajectories
+        order = np.lexsort((self.frame, self.droplet))
+        rows = list(zip(self.frame[order].tolist(), self.x[order].tolist(),
+                        self.y[order].tolist(), self.area[order].tolist()))
+        ends = [0, *np.cumsum(np.bincount(self.droplet, minlength=self.droplet_count))]
+        return [Trajectory(droplet_id=i, samples=rows[ends[i]:ends[i + 1]])
+                for i in range(self.droplet_count)]
 
 
 def _grow(keys: np.ndarray, pos: np.ndarray, bound: np.ndarray, step: int) -> np.ndarray:
@@ -200,11 +174,9 @@ def _replay(i: np.ndarray, j: np.ndarray, d2: np.ndarray, frame: np.ndarray,
                 roots[det] = roots[best]
 
 
-def track(frames, radius: float = TRACK_RADIUS_PX) -> TrajectorySet:
+def track(rec: DetectionRecord, radius: float = TRACK_RADIUS_PX) -> TrajectorySet:
     """Greedy nearest-neighbour association, detections processed in input
-    order; distance ties break toward the lower previous-frame droplet id.
-    Takes a DetectionRecord or a list of DetectionFrames."""
-    rec = DetectionRecord.of(frames)
+    order; distance ties break toward the lower previous-frame droplet id."""
     n = np.diff(rec.offsets)
     frame = np.repeat(np.arange(len(rec)), n)
     parent = np.full(len(rec.x), -1, dtype=np.int64)
@@ -283,10 +255,8 @@ def track(frames, radius: float = TRACK_RADIUS_PX) -> TrajectorySet:
     root = np.where(parent < 0, np.arange(len(parent)), parent)
     for _ in range(max(len(rec) - 1, 0).bit_length()):
         root = root[root]
-    start = parent < 0
-    droplet = (np.cumsum(start) - 1)[root]
-    return TrajectorySet._from_columns(len(rec), frame, rec, parent, droplet,
-                                       int(start.sum()))
+    droplet = (np.cumsum(parent < 0) - 1)[root]
+    return TrajectorySet(len(rec), frame, rec.x, rec.y, rec.area, parent, droplet)
 
 
 def _replicate_period(ts: TrajectorySet, replicates: int) -> int:
@@ -299,13 +269,9 @@ def _replicate_period(ts: TrajectorySet, replicates: int) -> int:
 
 
 def fitness_division(ts: TrajectorySet, area_threshold: float = DIVISION_AREA_THRESHOLD,
-                     replicates: int | None = None):
-    """Droplets alive in the final frame with area strictly above threshold.
-    Given `replicates`, the list of each replicate's score."""
-    if replicates is None:
-        if ts.total_frames == 0:
-            raise EmptyExperiment("no frames")
-        return fitness_division(ts, area_threshold, 1)[0]
+                     replicates: int = 1) -> list[float]:
+    """Per replicate, the droplets alive in its final frame with area
+    strictly above threshold."""
     period = _replicate_period(ts, replicates)
     big = np.bincount(ts.frame[ts.area > area_threshold], minlength=ts.total_frames + 1)
     return [float(n) for n in big[period - 2::period].tolist()]
@@ -406,30 +372,20 @@ def _steps(ts: TrajectorySet) -> tuple:
     return k, step
 
 
-def fitness_movement(ts: TrajectorySet, replicates: int | None = None):
-    """Mean over frame pairs of the mean per-droplet displacement (px).
-    Given `replicates`, the list of each replicate's score, 0.0 for one
-    without a frame pair."""
-    if replicates is None:
-        if ts.total_frames < 2:
-            raise NoFramePairs("need at least 2 frames")
-        return fitness_movement(ts, 1)[0]
+def fitness_movement(ts: TrajectorySet, replicates: int = 1) -> list[float]:
+    """Per replicate, the mean over frame pairs of the mean per-droplet
+    displacement (px)."""
     k, step = _steps(ts)
     return _mean_of_group_means(step[k], ts.frame[k], ts.droplet[k],
                                 _replicate_period(ts, replicates), replicates)
 
 
-def fitness_directionality(ts: TrajectorySet, replicates: int | None = None):
-    """Mean over frame triples of the mean per-droplet turning angle (rad).
+def fitness_directionality(ts: TrajectorySet, replicates: int = 1) -> list[float]:
+    """Per replicate, the mean over frame triples of the mean per-droplet
+    turning angle (rad).
 
     The turning angle lies in [0, pi] between consecutive displacement
-    vectors; a triple with a zero-length displacement has none. Given
-    `replicates`, the list of each replicate's score, 0.0 for one without a
-    frame triple."""
-    if replicates is None:
-        if not (ts.parent[ts.parent[ts.parent >= 0]] >= 0).any():
-            raise NoTriples("no droplet has 3 consecutive samples")
-        return fitness_directionality(ts, 1)[0]
+    vectors; a triple with a zero-length displacement has none."""
     period = _replicate_period(ts, replicates)
     k, step = _steps(ts)
     c = k[ts.parent[ts.parent[k]] >= 0]

@@ -27,7 +27,7 @@ from dropevo.gcode import (
     parse_line,
     parse_program,
 )
-from dropevo.tracking import Trajectory, TrajectorySet
+from dropevo.tracking import TrajectorySet
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -84,13 +84,12 @@ def test_carry_over_identity(full_run):
 # ---------------------------------------------------------------------------
 # Fitness-oracle equivalence on randomized small trajectory sets.
 
-def _oracle_scores(ts: TrajectorySet):
-    last = ts.total_frames - 1
-    division = float(sum(1 for tr in ts.trajectories
-                         if tr.samples[-1][0] == last and tr.samples[-1][3] > 15.0))
+def _oracle_scores(trajectories, total_frames):
+    last = total_frames - 1
+    division = float(sum(1 for s in trajectories
+                         if s[-1][0] == last and s[-1][3] > 15.0))
     pair_disp, triple_ang = {}, {}
-    for tr in ts.trajectories:
-        s = tr.samples
+    for s in trajectories:
         for a, b in zip(s, s[1:]):
             pair_disp.setdefault(b[0], []).append(
                 math.hypot(b[1] - a[1], b[2] - a[2]))
@@ -109,10 +108,12 @@ def _oracle_scores(ts: TrajectorySet):
     return division, movement, directionality
 
 
-def _random_trajectory_set(rng) -> TrajectorySet:
+def _random_trajectories(rng) -> tuple:
+    """(trajectories, total_frames): droplet i's samples (frame, x, y, area)
+    in consecutive frames."""
     total_frames = int(rng.integers(3, 11))
     trajectories = []
-    for did in range(int(rng.integers(1, 5))):
+    for _ in range(int(rng.integers(1, 5))):
         start = int(rng.integers(0, total_frames - 1))
         length = int(rng.integers(2, total_frames - start + 1))
         samples = []
@@ -124,39 +125,44 @@ def _random_trajectory_set(rng) -> TrajectorySet:
                 x, y = x + rng.uniform(-5, 5), y + rng.uniform(-5, 5)
             area = float(rng.uniform(5.0, 25.0))
             samples.append((start + k, float(x), float(y), area))
-        trajectories.append(Trajectory(droplet_id=did, samples=samples))
-    return TrajectorySet(trajectories=trajectories, total_frames=total_frames)
+        trajectories.append(samples)
+    return trajectories, total_frames
+
+
+def _trajectory_set(trajectories, total_frames) -> TrajectorySet:
+    """The TrajectorySet whose droplet i has the samples trajectories[i]."""
+    samples = np.array([s for tr in trajectories for s in tr], dtype=float).reshape(-1, 4)
+    droplet = np.repeat(np.arange(len(trajectories)), [len(tr) for tr in trajectories])
+    parent = np.where(np.r_[False, droplet[1:] == droplet[:-1]],
+                      np.arange(len(droplet)) - 1, -1)
+    return TrajectorySet(total_frames, samples[:, 0].astype(np.int64), *samples[:, 1:].T,
+                         parent, droplet)
 
 
 def test_fitness_oracle_equivalence():
+    # Every score on every set, directionality included: the oracle gives
+    # 0.0 where no triple has an angle, as the scores do.
     rng = np.random.default_rng(2024)
     worst = 0.0
     ok = True
     for _ in range(200):
-        ts = _random_trajectory_set(rng)
-        div_o, mov_o, dir_o = _oracle_scores(ts)
-        div = tracking.fitness_division(ts)
-        mov = tracking.fitness_movement(ts)
-        try:
-            drc = tracking.fitness_directionality(ts)
-        except tracking.NoTriples:
-            drc = None
-            if any(len(t.samples) >= 3 for t in ts.trajectories):
+        trajectories, total_frames = _random_trajectories(rng)
+        ts = _trajectory_set(trajectories, total_frames)
+        scores = [score(ts) for score in (tracking.fitness_division, tracking.fitness_movement,
+                                          tracking.fitness_directionality)]
+        for got, want in zip(scores, _oracle_scores(trajectories, total_frames)):
+            if len(got) != 1 or not abs(got[0] - want) <= 1e-9:
                 ok = False
-        for got, want in ((div, div_o), (mov, mov_o),
-                          *(((drc, dir_o),) if drc is not None else ())):
-            worst = max(worst, abs(got - want))
-            if abs(got - want) > 1e-9:
-                ok = False
+            worst = max(worst, abs(got[0] - want))
     _report("fitness-oracle equivalence (200 random trajectory sets)",
             ok, f"max deviation {worst:.2e}")
 
 
 def test_tracker_boundary():
     def count(dx):
-        frames = [arena.DetectionFrame(0, ((0.0, 0.0, 9.0),)),
-                  arena.DetectionFrame(1, ((dx, 0.0, 9.0),))]
-        return tracking.track(frames).droplet_count
+        record = arena.DetectionRecord(np.array([0, 1, 2]), np.array([0.0, dx]),
+                                       np.zeros(2), np.full(2, 9.0))
+        return tracking.track(record).droplet_count
 
     ok = count(29.9) == 1 and count(30.1) == 2
     _report("tracker gate boundary (29.9 px keeps id, 30.1 px new id)", ok)
@@ -169,7 +175,7 @@ def test_krr_correctness():
     ok = True
     # Single-point closed form.
     model = landscape.fit([[0.25, 0.25, 0.25, 0.25]], [3.0], lam=1e-3)
-    closed = abs(landscape.predict(model, [0.25, 0.25, 0.25, 0.25]) - 3.0 / 1.001)
+    closed = abs(landscape.predict_many(model, [[0.25, 0.25, 0.25, 0.25]])[0] - 3.0 / 1.001)
     ok &= closed < 1e-12
 
     rng = np.random.default_rng(7)

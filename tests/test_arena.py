@@ -11,7 +11,7 @@ from dropevo import arena, evaluators, ga, tracking
 from dropevo.arena import (
     ArenaConfig,
     BehaviorParams,
-    DetectionFrame,
+    DetectionRecord,
     behavior_from_formulation,
     filter_analytic_arena,
     simulate,
@@ -21,6 +21,19 @@ from dropevo.formulation import Formulation, oil_lookup, oils_for_order
 
 
 SHORT = ArenaConfig(duration=2.0)
+
+
+def record_of(*frames):
+    """The DetectionRecord of frames 0, 1, 2, ..., each a list of (x, y, area)."""
+    x, y, area = np.array([d for fr in frames for d in fr], dtype=float).reshape(-1, 3).T
+    return DetectionRecord(np.cumsum([0, *map(len, frames)]), x, y, area)
+
+
+def frames_of(record):
+    """Each frame of a DetectionRecord as a list of (x, y, area)."""
+    rows = list(zip(record.x.tolist(), record.y.tolist(), record.area.tolist()))
+    o = record.offsets.tolist()
+    return [rows[a:b] for a, b in zip(o, o[1:])]
 
 
 def test_config_frame_count():
@@ -76,30 +89,29 @@ def test_unimodal_map_peaks_at_optimum():
 
 
 def test_simulate_frame_structure():
-    frames = list(simulate(Formulation((0.25, 0.25, 0.25, 0.25)), SHORT,
-                           np.random.SeedSequence(0)))
+    frames = frames_of(simulate(Formulation((0.25, 0.25, 0.25, 0.25)), SHORT,
+                                np.random.SeedSequence(0)))
     assert len(frames) == SHORT.total_frames
-    assert [f.frame_index for f in frames] == list(range(60))
-    assert len(frames[0].detections) == 4
-    assert {d[:2] for d in frames[0].detections} == set(SHORT.injection_positions)
-    assert all(d[2] == 400.0 for d in frames[0].detections)
+    assert len(frames[0]) == 4
+    assert {d[:2] for d in frames[0]} == set(SHORT.injection_positions)
+    assert all(d[2] == 400.0 for d in frames[0])
 
 
 def test_simulate_deterministic():
     f = Formulation((0.25, 0.25, 0.25, 0.25))
     a = simulate(f, SHORT, np.random.SeedSequence(42))
     b = simulate(f, SHORT, np.random.SeedSequence(42))
-    assert list(a) == list(b)
+    assert frames_of(a) == frames_of(b)
 
 
 def test_simulate_zero_speed_stays_put():
     b = BehaviorParams(speed=0.0, turn_noise=0.5, split_probability=0.0,
                        shrink_rate=0.0)
-    frames = simulate(Formulation((1, 0, 0, 0)), SHORT,
-                      np.random.SeedSequence(1), behavior=b)
+    frames = frames_of(simulate(Formulation((1, 0, 0, 0)), SHORT,
+                                np.random.SeedSequence(1), behavior=b))
     for fr in frames:
-        assert {d[:2] for d in fr.detections} == set(SHORT.injection_positions)
-        assert all(d[2] == 400.0 for d in fr.detections)
+        assert {d[:2] for d in fr} == set(SHORT.injection_positions)
+        assert all(d[2] == 400.0 for d in fr)
 
 
 def test_simulate_step_length_equals_speed():
@@ -146,11 +158,11 @@ def test_simulate_wall_contact_does_not_split():
                        shrink_rate=0.0)
     outcomes = set()
     for seed in range(20):
-        frames = list(simulate(Formulation((1, 0, 0, 0)), cfg,
-                               np.random.SeedSequence(seed), behavior=b))
+        frames = frames_of(simulate(Formulation((1, 0, 0, 0)), cfg,
+                                    np.random.SeedSequence(seed), behavior=b))
         # No detection (wall death) or the children of a split, less a child
         # born beyond the wall.
-        first = frames[1].detections
+        first = frames[1]
         assert all(math.hypot(x, y) < 100.0 and area == 200.0 for x, y, area in first)
         outcomes.add(len(first))
     assert outcomes == {0, 1, 2}
@@ -159,22 +171,22 @@ def test_simulate_wall_contact_does_not_split():
 def test_simulate_shrink_and_disappear():
     b = BehaviorParams(speed=0.0, turn_noise=0.0, split_probability=0.0,
                        shrink_rate=10.0)
-    frames = list(simulate(Formulation((1, 0, 0, 0)), SHORT,
-                           np.random.SeedSequence(4), behavior=b))
-    assert frames[1].detections[0][2] == pytest.approx(390.0)
-    assert frames[40].detections == ()  # 400 px^2 gone after 40 frames
+    frames = frames_of(simulate(Formulation((1, 0, 0, 0)), SHORT,
+                                np.random.SeedSequence(4), behavior=b))
+    assert frames[1][0][2] == pytest.approx(390.0)
+    assert frames[40] == []  # 400 px^2 gone after 40 frames
 
 
 def test_simulate_split_halves_area():
     cfg = ArenaConfig(duration=1.0)
     b = BehaviorParams(speed=0.0, turn_noise=0.0, split_probability=1.0,
                        shrink_rate=0.0)
-    frames = list(simulate(Formulation((1, 0, 0, 0)), cfg,
-                           np.random.SeedSequence(5), behavior=b))
-    assert len(frames[1].detections) == 8
-    assert all(d[2] == 200.0 for d in frames[1].detections)
-    total0 = sum(d[2] for d in frames[0].detections)
-    total1 = sum(d[2] for d in frames[1].detections)
+    frames = frames_of(simulate(Formulation((1, 0, 0, 0)), cfg,
+                                np.random.SeedSequence(5), behavior=b))
+    assert len(frames[1]) == 8
+    assert all(d[2] == 200.0 for d in frames[1])
+    total0 = sum(d[2] for d in frames[0])
+    total1 = sum(d[2] for d in frames[1])
     assert total1 == pytest.approx(total0)
 
 
@@ -182,18 +194,17 @@ def test_simulate_split_floor():
     cfg = ArenaConfig(duration=3.0)
     b = BehaviorParams(speed=0.0, turn_noise=0.0, split_probability=1.0,
                        shrink_rate=0.0)
-    frames = list(simulate(Formulation((1, 0, 0, 0)), cfg,
-                           np.random.SeedSequence(6), behavior=b))
+    frames = frames_of(simulate(Formulation((1, 0, 0, 0)), cfg,
+                                np.random.SeedSequence(6), behavior=b))
     # 400 -> 200 -> 100 -> 50 -> 25: splitting stops below 30 px^2.
-    areas = {d[2] for d in frames[-1].detections}
+    areas = {d[2] for d in frames[-1]}
     assert areas == {25.0}
-    assert len(frames[-1].detections) == 64
+    assert len(frames[-1]) == 64
 
 
 def test_filter_analytic_arena_boundary():
-    frames = [DetectionFrame(0, ((0.0, 189.9, 10.0), (0.0, 190.1, 10.0)))]
-    kept = list(filter_analytic_arena(frames, arena_radius=200.0))
-    assert kept[0].detections == ((0.0, 189.9, 10.0),)
+    rec = record_of([(0.0, 189.9, 10.0), (0.0, 190.1, 10.0)])
+    assert frames_of(filter_analytic_arena(rec, arena_radius=200.0)) == [[(0.0, 189.9, 10.0)]]
 
 
 def test_filter_analytic_arena_squares_like_pow():
@@ -201,9 +212,8 @@ def test_filter_analytic_arena_squares_like_pow():
     # x ** 2 < x ** 2 is false, so the detection is outside.
     rng = np.random.default_rng(0)
     x = next(v for v in rng.uniform(100.0, 300.0, 100_000).tolist() if v * v < v ** 2)
-    kept = list(filter_analytic_arena([DetectionFrame(0, ((x, 0.0, 9.0),))],
-                                      arena_radius=x, shrink=1.0))
-    assert kept[0].detections == ()
+    kept = filter_analytic_arena(record_of([(x, 0.0, 9.0)]), arena_radius=x, shrink=1.0)
+    assert frames_of(kept) == [[]]
 
 
 def test_min_split_area_constant():
@@ -224,7 +234,7 @@ def simulate_v1(f, cfg, rng, behavior):
                  float(cfg.initial_droplet_area), False]
                 for x, y in cfg.injection_positions]
     r2 = cfg.arena_radius ** 2
-    frames = [DetectionFrame(0, tuple((d[0], d[1], d[3]) for d in droplets))]
+    frames = [[(d[0], d[1], d[3]) for d in droplets]]
     for t in range(1, cfg.total_frames):
         new_droplets = []
         for d in droplets:
@@ -252,7 +262,7 @@ def simulate_v1(f, cfg, rng, behavior):
                     continue
             new_droplets.append(d)
         droplets = new_droplets
-        frames.append(DetectionFrame(t, tuple((d[0], d[1], d[3]) for d in droplets)))
+        frames.append([(d[0], d[1], d[3]) for d in droplets])
     return frames
 
 
@@ -273,7 +283,7 @@ def reference_simulate(f, cfg, seed, behavior):
         d = droplet((i,), x, y, float(cfg.initial_droplet_area))
         d["heading"] = d["turn"].uniform(0.0, 2.0 * math.pi)
         droplets.append(d)
-    frames = [DetectionFrame(0, tuple((d["x"], d["y"], d["area"]) for d in droplets))]
+    frames = [[(d["x"], d["y"], d["area"]) for d in droplets]]
     for t in range(1, cfg.total_frames):
         new_droplets = []
         for d in droplets:
@@ -302,15 +312,13 @@ def reference_simulate(f, cfg, seed, behavior):
                     continue
             new_droplets.append(d)
         droplets = new_droplets
-        frames.append(DetectionFrame(t, tuple((d["x"], d["y"], d["area"]) for d in droplets)))
+        frames.append([(d["x"], d["y"], d["area"]) for d in droplets])
     return frames
 
 
 def reference_filter(frames, arena_radius, shrink=0.95):
     r2 = (shrink * arena_radius) ** 2
-    return [DetectionFrame(fr.frame_index,
-                           tuple(d for d in fr.detections if d[0] ** 2 + d[1] ** 2 < r2))
-            for fr in frames]
+    return [[d for d in fr if d[0] ** 2 + d[1] ** 2 < r2] for fr in frames]
 
 
 # 32 droplets 19.6 px apart on a ring, walked together from frame 0; some
@@ -346,9 +354,9 @@ def test_simulate_matches_scalar_reference(case, seed):
     f = Formulation((1, 0, 0, 0))
     got = simulate(f, cfg, np.random.SeedSequence(seed), behavior=b)
     want = reference_simulate(f, cfg, np.random.SeedSequence(seed), b)
-    assert list(got) == want
+    assert frames_of(got) == want
     assert np.all(got.x * got.x + got.y * got.y < cfg.arena_radius ** 2)
-    assert list(filter_analytic_arena(got, cfg.arena_radius)) == reference_filter(
+    assert frames_of(filter_analytic_arena(got, cfg.arena_radius)) == reference_filter(
         want, cfg.arena_radius)
 
 
@@ -390,13 +398,12 @@ def test_a_pass_of_replicates_joins_their_records(case):
     cfg, b = ORACLE_CASES[case]
     f = Formulation((1, 0, 0, 0))
     seeds = [ga.replicate_seed(4, 1, case, rep) for rep in range(3)]
-    singles = [list(simulate(f, cfg, seed, behavior=b)) for seed in seeds]
-    assert list(simulate(f, cfg, seeds[:1], behavior=b)) == singles[0]
-    joined = [fr.detections for fr in singles[0]]
+    singles = [frames_of(simulate(f, cfg, seed, behavior=b)) for seed in seeds]
+    assert frames_of(simulate(f, cfg, seeds[:1], behavior=b)) == singles[0]
+    joined = singles[0]
     for frames in singles[1:]:
-        joined += [(), *(fr.detections for fr in frames)]
-    assert list(simulate(f, cfg, seeds, behavior=b)) == [
-        DetectionFrame(t, d) for t, d in enumerate(joined)]
+        joined = [*joined, [], *frames]
+    assert frames_of(simulate(f, cfg, seeds, behavior=b)) == joined
 
 
 def test_simulate_matches_scalar_reference_on_recipes():
@@ -409,8 +416,8 @@ def test_simulate_matches_scalar_reference_on_recipes():
         b = behavior_from_formulation(f)
         got = simulate(f, cfg, np.random.SeedSequence(seed), behavior=b)
         want = reference_simulate(f, cfg, np.random.SeedSequence(seed), b)
-        assert list(got) == want
-        assert list(filter_analytic_arena(got, 200.0)) == reference_filter(want, 200.0)
+        assert frames_of(got) == want
+        assert frames_of(filter_analytic_arena(got, 200.0)) == reference_filter(want, 200.0)
 
 
 @pytest.mark.parametrize("block", [1, 7, 100_000])
@@ -418,10 +425,10 @@ def test_simulate_walk_does_not_depend_on_block_size(monkeypatch, block):
     f = Formulation((1, 0, 0, 0))
     for cfg, b in ORACLE_CASES:
         seed = np.random.SeedSequence(9)
-        want = list(simulate(f, cfg, seed, behavior=b))
+        want = frames_of(simulate(f, cfg, seed, behavior=b))
         with monkeypatch.context() as m:
             m.setattr(arena, "FIRST_BLOCK", block)
-            assert list(simulate(f, cfg, seed, behavior=b)) == want
+            assert frames_of(simulate(f, cfg, seed, behavior=b)) == want
 
 
 def test_droplet_streams_are_children_of_the_lineage_seed():
@@ -452,16 +459,11 @@ def test_droplet_stream_is_the_spawned_sequence(entropy, spawn_key, lineage, str
     assert got.standard_normal(3).tolist() == want.standard_normal(3).tolist()
 
 
-def _objective_scores(frames, radius):
-    ts = tracking.track(filter_analytic_arena(frames, radius,
+def _objective_scores(record, radius):
+    ts = tracking.track(filter_analytic_arena(record, radius,
                                               evaluators.ANALYTIC_ARENA_SHRINK))
-    scores = []
-    for objective in sorted(tracking.FITNESS_FUNCTIONS):
-        try:
-            scores.append(float(tracking.FITNESS_FUNCTIONS[objective](ts)))
-        except (tracking.NoFramePairs, tracking.NoTriples):
-            scores.append(0.0)
-    return scores
+    return [tracking.FITNESS_FUNCTIONS[objective](ts)[0]
+            for objective in sorted(tracking.FITNESS_FUNCTIONS)]
 
 
 def test_v1_and_v2_score_distributions_agree():
@@ -479,8 +481,9 @@ def test_v1_and_v2_score_distributions_agree():
         b = behavior_from_formulation(f)
         for rep in range(replicates):
             seed = ga.replicate_seed(0, 0, recipe, rep)
-            v1.append(_objective_scores(simulate_v1(f, cfg, np.random.default_rng(seed), b),
-                                        cfg.arena_radius))
+            v1.append(_objective_scores(
+                record_of(*simulate_v1(f, cfg, np.random.default_rng(seed), b)),
+                cfg.arena_radius))
             v2.append(_objective_scores(simulate(f, cfg, seed, behavior=b), cfg.arena_radius))
     v1 = np.array(v1).reshape(recipes, replicates, -1)
     v2 = np.array(v2).reshape(recipes, replicates, -1)
@@ -491,7 +494,3 @@ def test_v1_and_v2_score_distributions_agree():
         assert abs(c.mean() - a.mean()) <= 4 * se, objective
         assert scipy.stats.ks_2samp(a.ravel(), c.ravel()).pvalue >= 1e-3, objective
 
-
-def test_record_rejects_unnumbered_frames():
-    with pytest.raises(ValueError):
-        filter_analytic_arena([DetectionFrame(1, ((0.0, 0.0, 1.0),))], 200.0)

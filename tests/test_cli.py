@@ -534,6 +534,40 @@ def test_perfbench_tracer_hooks_exist():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_perfbench_tracer_counts_a_serial_evolve_and_a_landscape(tmp_path):
+    # perfbench/tracer.py counts detections and identities through names
+    # the program keeps for it alone: DetectionRecord iteration and
+    # TrajectorySet.trajectories. Run it as the benchmark does, on a tiny
+    # serial evolve and a resolution-5 landscape.
+    root = Path(__file__).resolve().parent.parent
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"ga": {"runs": 1, "generations": 2, "population_size": 4,
+                                         "carry_overs": 2}, "arena": {"duration": 2.0}}))
+    commands = {
+        "evolve": ["evolve", "--config", str(config), "--jobs", "1",
+                   "--out-dir", str(tmp_path / "e")],
+        "landscape": ["landscape", write_random_history(tmp_path / "history.csv", points=20),
+                      "--resolution", "5", "--out-dir", str(tmp_path / "l")],
+    }
+    spans = {}
+    for name, argv in commands.items():
+        path = tmp_path / f"{name}_spans.json"
+        proc = subprocess.run([sys.executable, str(root / "perfbench" / "tracer.py"),
+                               str(path), "t", "--", *argv],
+                              capture_output=True, text=True, env=_fresh_env())
+        assert proc.returncode == 0, proc.stderr
+        spans[name] = json.loads(path.read_text())
+    counts = {}
+    for span in spans["evolve"]:
+        for key, n in span.get("counts", {}).items():
+            counts.setdefault((span["name"], key), []).append(n)
+    # 6 recipes (4, then 2 new ones beside the 2 carried over), each one
+    # pass of 3 replicates.
+    for layer, key in (("arena.simulate", "detections"), ("tracking.track", "identities")):
+        assert len(counts[layer, key]) == 6 and min(counts[layer, key]) > 0, (layer, key)
+    assert {"landscape.fit", "landscape.catchment"} <= {s["name"] for s in spans["landscape"]}
+
+
 def test_perfbench_tracer_runs_a_pooled_landscape(tmp_path):
     # The tracer replaces landscape.face_grid with a closure, which a pool
     # could not pickle; the command maps a function that looks it up in the
@@ -573,6 +607,62 @@ def test_nonfinite_fitness_is_a_data_error(tmp_path, capsys, command, bad):
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
     assert "row 3: fitness=" in err and "not finite" in err
+    assert not out_dir.exists()
+
+
+def write_overflowing_history(path, big):
+    """3 generations of 6 recipes with random loci, their fitness alternating
+    between `big` and 1.0."""
+    rng = random.Random(18)
+    rows = [f"0,{k // 6 + 1},{k},," + ",".join(f"{rng.random():.6f}" for _ in range(4))
+            + f",,,,{big if k % 2 == 0 else 1.0!r}" for k in range(18)]
+    path.write_text("\n".join([HISTORY_HEADER, *rows]) + "\n")
+    return str(path)
+
+
+def _cli_fresh(argv, cpus):
+    """(exit code, stderr) of dropevo `argv` in a fresh interpreter that sees
+    `cpus` usable CPUs, where numpy's warnings print as they do for a user."""
+    code = (f"import os, sys; os.sched_getaffinity = lambda pid: set(range({cpus})); "
+            "from dropevo.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=_fresh_env())
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("big", [1e307, 1e308])
+def test_analyze_overflow_is_a_numeric_failure(tmp_path, big):
+    # The statistics overflowed: 1e307 wrote "F": NaN into report.json with
+    # exit code 0, and 1e308 ended as "p-values must lie in [0, 1]".
+    out_dir = tmp_path / "o"
+    rc, err = _cli_fresh(["analyze", write_overflowing_history(tmp_path / "h.csv", big),
+                          "--out-dir", str(out_dir)], cpus=1)
+    assert rc == EXIT_NUMERIC
+    assert err.startswith("numeric failure:") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("case", ["fit", "face", "graymap"])
+def test_landscape_overflow_is_a_numeric_failure(tmp_path, case, cpus):
+    # Overflow in the fit (fitness 1e308), in a face's predictions (two
+    # nearby points of fitness 1.79e308, which wrote an inf row and an
+    # island of "max_value": Infinity with exit code 0), or in the graymaps'
+    # grey levels (fitness 1e307). One CPU predicts the faces serially, two
+    # in forked workers.
+    path = tmp_path / "h.csv"
+    if case == "face":
+        path.write_text("\n".join([HISTORY_HEADER, "0,1,0,,0.57,0.18,0.25,0.0,,,,1.79e308",
+                                   "0,1,1,,0.43,0.32,0.25,0.0,,,,1.79e308"]) + "\n")
+    else:
+        write_overflowing_history(path, 1e308 if case == "fit" else 1e307)
+    out_dir = tmp_path / "o"
+    rc, err = _cli_fresh(["landscape", str(path), "--resolution", "5",
+                          "--out-dir", str(out_dir)], cpus)
+    assert rc == EXIT_NUMERIC
+    assert err.startswith("numeric failure:") and err.count("\n") == 1
+    if case == "face":
+        assert err == "numeric failure: face 3: a prediction is not finite\n"
     assert not out_dir.exists()
 
 
@@ -844,17 +934,34 @@ def test_landscape_does_not_load_gcode(tmp_path):
     assert _run_fresh(argv, ["dropevo.gcode"], cpus=1) == [EXIT_OK, []]
 
 
-@pytest.mark.parametrize("command", ["landscape", "analyze"])
-def test_a_bad_history_fails_before_numpy_loads(tmp_path, command):
-    bad = tmp_path / "history.csv"
-    bad.write_text("not,a,history\n")
+def _history_check(tmp_path, command, text):
+    """(stdout words: exit code and whether numpy loaded, stderr) of `command`
+    on a history file holding `text`, in a fresh interpreter."""
+    path = tmp_path / "history.csv"
+    path.write_text(text)
     code = ("import sys; from dropevo.cli import main; rc = main(sys.argv[1:]); "
             "print(rc, 'numpy' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code, command, str(bad),
+    proc = subprocess.run([sys.executable, "-c", code, command, str(path),
                            "--out-dir", str(tmp_path / "o")],
                           capture_output=True, text=True, env=_fresh_env())
-    assert proc.stdout.split() == [str(EXIT_DATA), "False"]
-    assert proc.stderr.startswith("data error:") and proc.stderr.count("\n") == 1
+    return proc.stdout.split(), proc.stderr
+
+
+@pytest.mark.parametrize("command", ["landscape", "analyze"])
+def test_a_bad_history_fails_before_numpy_loads(tmp_path, command):
+    out, err = _history_check(tmp_path, command, "not,a,history\n")
+    assert out == [str(EXIT_DATA), "False"]
+    assert err.startswith("data error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["landscape", "analyze"])
+def test_a_history_without_rows_fails_before_numpy_loads(tmp_path, command):
+    # A header and no rows: analyze ended in an IndexError traceback, and
+    # landscape in "1 inputs vs 0 targets".
+    out, err = _history_check(tmp_path, command, HISTORY_HEADER + "\n")
+    assert out == [str(EXIT_DATA), "False"]
+    assert err == f"data error: {tmp_path / 'history.csv'}: no rows after the header\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_analyze_rejects_a_bad_history_before_loading_scipy(tmp_path):

@@ -36,7 +36,6 @@ from dropevo.landscape import (
     landscape_csv,
     lattice_to_pgm,
     local_maxima,
-    predict,
     predict_many,
     rbf_kernel,
 )
@@ -94,13 +93,12 @@ def test_training_kernel_is_symmetric_with_a_unit_diagonal():
             assert (np.diag(K) == 1.0).all()
 
 
-def test_predict_is_predict_many_of_one_query():
+def test_a_prediction_does_not_depend_on_its_batch():
     rng = np.random.default_rng(4)
     model = fit(rng.dirichlet(np.ones(4), size=30), rng.normal(size=30))
     Q = rng.dirichlet(np.ones(4), size=20)
     many = predict_many(model, Q)
     for q, want in zip(Q, many):
-        assert predict(model, q) == want
         assert predict_many(model, [q])[0] == want
 
 
@@ -109,7 +107,7 @@ def test_fit_single_point_closed_form():
     # is y / (1 + lambda).
     model = fit([[0.25, 0.25, 0.25, 0.25]], [2.0], lam=1e-3)
     assert model.theta[0] == pytest.approx(2.0 / 1.001, rel=1e-12)
-    assert predict(model, [0.25, 0.25, 0.25, 0.25]) == pytest.approx(2.0 / 1.001)
+    assert predict_many(model, [[0.25, 0.25, 0.25, 0.25]])[0] == pytest.approx(2.0 / 1.001)
 
 
 def test_fit_duplicated_point_closed_form():
@@ -143,7 +141,7 @@ def test_fit_matches_direct_solve():
         assert model.theta == pytest.approx(theta, abs=1e-8)
         q = rng.dirichlet(np.ones(4))
         k = np.exp(-((q - X) ** 2).sum(axis=1) / (2 * sigma ** 2))
-        assert predict(model, q) == pytest.approx(float(k @ theta), abs=1e-8)
+        assert predict_many(model, [q])[0] == pytest.approx(float(k @ theta), abs=1e-8)
 
 
 def test_fit_validation():
@@ -229,7 +227,7 @@ def test_face_grid_matches_pointwise_prediction():
     lat = face_grid(model, 2, resolution=21)
     for i, j in [(0, 0), (5, 7), (20, 0), (0, 20), (10, 10)]:
         comp = cell_composition(2, i, j, 21)
-        assert lat.values[i, j] == predict(model, comp)
+        assert lat.values[i, j] == predict_many(model, [comp])[0]
 
 
 # ------------------------------------------------------------- catchment

@@ -4,6 +4,8 @@ The oracles below re-derive the tracker assignment and all three fitness
 scores from first principles using only dict/list arithmetic, deliberately
 sharing no code with dropevo.tracking. The reference scores are the scalar
 per-trajectory implementations that the array scores must match bit for bit.
+Frames are lists of (x, y, area) detections; `record_of` joins them into the
+DetectionRecord the tracker takes.
 """
 
 import math
@@ -13,13 +15,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dropevo import tracking
-from dropevo.arena import ArenaConfig, DetectionFrame, filter_analytic_arena, simulate
+from dropevo.arena import ArenaConfig, DetectionRecord, filter_analytic_arena, simulate
 from dropevo.formulation import Formulation
 from dropevo.tracking import (
-    EmptyExperiment,
-    NoFramePairs,
-    NoTriples,
-    Trajectory,
     TrajectorySet,
     fitness_directionality,
     fitness_division,
@@ -28,8 +26,28 @@ from dropevo.tracking import (
 )
 
 
-def frames_of(*detection_lists):
-    return [DetectionFrame(t, tuple(d)) for t, d in enumerate(detection_lists)]
+def record_of(*frames):
+    """The DetectionRecord of frames 0, 1, 2, ..., each a list of (x, y, area)."""
+    x, y, area = np.array([d for fr in frames for d in fr], dtype=float).reshape(-1, 3).T
+    return DetectionRecord(np.cumsum([0, *map(len, frames)]), x, y, area)
+
+
+def frames_of(record):
+    """Each frame of a DetectionRecord as a list of (x, y, area)."""
+    rows = list(zip(record.x.tolist(), record.y.tolist(), record.area.tolist()))
+    o = record.offsets.tolist()
+    return [rows[a:b] for a, b in zip(o, o[1:])]
+
+
+def trajectory_set(trajectories, total_frames):
+    """The TrajectorySet whose droplet i has the samples trajectories[i],
+    (frame, x, y, area) in consecutive frames."""
+    samples = np.array([s for tr in trajectories for s in tr], dtype=float).reshape(-1, 4)
+    droplet = np.repeat(np.arange(len(trajectories)), [len(tr) for tr in trajectories])
+    parent = np.where(np.r_[False, droplet[1:] == droplet[:-1]],
+                      np.arange(len(droplet)) - 1, -1)
+    return TrajectorySet(total_frames, samples[:, 0].astype(np.int64), *samples[:, 1:].T,
+                         parent, droplet)
 
 
 # ---------------------------------------------------------------- oracles
@@ -40,10 +58,10 @@ def oracle_track(frames, radius=30.0):
     tracks = {}
     next_id = 0
     prev = []  # (id, x, y) for previous frame
-    for fr in frames:
+    for t, detections in enumerate(frames):
         taken = set()
         cur = []
-        for x, y, area in fr.detections:
+        for x, y, area in detections:
             candidates = []
             for did, px, py in prev:
                 if did in taken:
@@ -58,7 +76,7 @@ def oracle_track(frames, radius=30.0):
                 did = next_id
                 next_id += 1
                 tracks[did] = []
-            tracks[did].append((fr.frame_index, x, y, area))
+            tracks[did].append((t, x, y, area))
             cur.append((did, x, y))
         prev = cur
     return tracks
@@ -97,51 +115,57 @@ def oracle_directionality(tracks):
 
 
 def as_tracks(ts: TrajectorySet):
-    return {tr.droplet_id: list(tr.samples) for tr in ts.trajectories}
+    """{droplet_id: [(frame, x, y, area), ...]}, in droplet id order."""
+    tracks = {}
+    for did, *sample in sorted(zip(ts.droplet.tolist(), ts.frame.tolist(), ts.x.tolist(),
+                                   ts.y.tolist(), ts.area.tolist()), key=lambda r: r[:2]):
+        tracks.setdefault(did, []).append(tuple(sample))
+    return tracks
 
 
 # ---------------------------------------------------------------- tracker
 
 
 def test_track_single_stationary():
-    ts = track(frames_of([(0, 0, 9)], [(0, 0, 9)], [(0, 0, 9)]))
+    ts = track(record_of([(0, 0, 9)], [(0, 0, 9)], [(0, 0, 9)]))
     assert ts.droplet_count == 1
-    assert len(ts.trajectories[0].samples) == 3
+    assert len(as_tracks(ts)[0]) == 3
 
 
 def test_track_gate_boundary():
     # 29.9 px link is kept; 30.1 px becomes a new identity.
-    near = track(frames_of([(0.0, 0.0, 9)], [(29.9, 0.0, 9)]))
-    far = track(frames_of([(0.0, 0.0, 9)], [(30.1, 0.0, 9)]))
+    near = track(record_of([(0.0, 0.0, 9)], [(29.9, 0.0, 9)]))
+    far = track(record_of([(0.0, 0.0, 9)], [(30.1, 0.0, 9)]))
     assert near.droplet_count == 1
     assert far.droplet_count == 2
 
 
 def test_track_gate_exact():
-    ts = track(frames_of([(0.0, 0.0, 9)], [(30.0, 0.0, 9)]))
+    ts = track(record_of([(0.0, 0.0, 9)], [(30.0, 0.0, 9)]))
     assert ts.droplet_count == 1  # the gate is inclusive
 
 
 def test_track_tie_prefers_lower_id():
     # Two previous droplets equidistant from one detection.
-    ts = track(frames_of([(-5.0, 0.0, 9), (5.0, 0.0, 9)], [(0.0, 0.0, 9)]))
-    assert [s[0] for s in ts.trajectories[0].samples] == [0, 1]
-    assert [s[0] for s in ts.trajectories[1].samples] == [0]
+    ts = track(record_of([(-5.0, 0.0, 9), (5.0, 0.0, 9)], [(0.0, 0.0, 9)]))
+    assert [s[0] for s in as_tracks(ts)[0]] == [0, 1]
+    assert [s[0] for s in as_tracks(ts)[1]] == [0]
 
 
 def test_track_claimed_droplet_unavailable():
     # First detection claims droplet 0; the second must take droplet 1 even
     # though droplet 0 is nearer to it as well.
-    ts = track(frames_of([(0.0, 0.0, 9), (20.0, 0.0, 9)],
+    ts = track(record_of([(0.0, 0.0, 9), (20.0, 0.0, 9)],
                          [(1.0, 0.0, 9), (2.0, 0.0, 9)]))
     assert ts.droplet_count == 2
-    assert len(ts.trajectories[0].samples) == 2
-    assert len(ts.trajectories[1].samples) == 2
-    assert ts.trajectories[1].samples[1][1] == 2.0
+    tracks = as_tracks(ts)
+    assert len(tracks[0]) == 2
+    assert len(tracks[1]) == 2
+    assert tracks[1][1][1] == 2.0
 
 
 def test_track_split_creates_new_id():
-    ts = track(frames_of([(0.0, 0.0, 20)], [(0.0, 1.0, 10), (0.0, -1.0, 10)]))
+    ts = track(record_of([(0.0, 0.0, 20)], [(0.0, 1.0, 10), (0.0, -1.0, 10)]))
     assert ts.droplet_count == 2
 
 
@@ -150,7 +174,7 @@ def test_track_matches_oracle_on_simulations():
     for seed in range(10):
         frames = simulate(Formulation((0.25, 0.25, 0.25, 0.25)), cfg,
                           np.random.SeedSequence(seed))
-        assert as_tracks(track(frames)) == oracle_track(frames)
+        assert as_tracks(track(frames)) == oracle_track(frames_of(frames))
 
 
 detection_frames = st.lists(
@@ -170,56 +194,54 @@ detection_frames = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(detection_frames)
 def test_track_matches_oracle_randomized(lists):
-    frames = frames_of(*lists)
-    assert as_tracks(track(frames)) == oracle_track(frames)
+    assert as_tracks(track(record_of(*lists))) == oracle_track(lists)
 
 
 # ---------------------------------------------------------------- fitness
 
 
 def test_division_strict_threshold():
-    ts = track(frames_of([(0, 0, 400)], [(0, 0, 15.0)]))
-    assert fitness_division(ts) == 0.0
-    ts = track(frames_of([(0, 0, 400)], [(0, 0, 15.0001)]))
-    assert fitness_division(ts) == 1.0
+    ts = track(record_of([(0, 0, 400)], [(0, 0, 15.0)]))
+    assert fitness_division(ts) == [0.0]
+    ts = track(record_of([(0, 0, 400)], [(0, 0, 15.0001)]))
+    assert fitness_division(ts) == [1.0]
 
 
 def test_division_counts_only_final_frame():
     # Second droplet vanishes before the last frame.
-    ts = track(frames_of([(0, 0, 100), (50, 50, 100)], [(0, 0, 100)]))
-    assert fitness_division(ts) == 1.0
+    ts = track(record_of([(0, 0, 100), (50, 50, 100)], [(0, 0, 100)]))
+    assert fitness_division(ts) == [1.0]
 
 
 def test_division_empty():
-    with pytest.raises(EmptyExperiment):
-        fitness_division(track([]))
+    assert fitness_division(track(record_of())) == [0.0]
 
 
 def test_movement_straight_line():
-    ts = track(frames_of([(0, 0, 9)], [(3, 4, 9)], [(6, 8, 9)]))
-    assert fitness_movement(ts) == pytest.approx(5.0)
+    ts = track(record_of([(0, 0, 9)], [(3, 4, 9)], [(6, 8, 9)]))
+    assert fitness_movement(ts) == pytest.approx([5.0])
 
 
 def test_movement_unequal_pair_sizes():
     # Pair 1: droplets move 1 and 3 px (mean 2). Pair 2: one droplet moves
     # 10 px (mean 10). Mean over pairs = 6, not the grand mean 14/3.
-    ts = track(frames_of([(0, 0, 9), (50, 0, 9)],
+    ts = track(record_of([(0, 0, 9), (50, 0, 9)],
                          [(1, 0, 9), (53, 0, 9)],
                          [(11, 0, 9)]))
-    assert fitness_movement(ts) == pytest.approx(6.0)
+    assert fitness_movement(ts) == pytest.approx([6.0])
 
 
 def test_movement_needs_two_frames():
-    with pytest.raises(NoFramePairs):
-        fitness_movement(track(frames_of([(0, 0, 9)])))
+    assert fitness_movement(track(record_of([(0, 0, 9)]))) == [0.0]
 
 
 def test_directionality_turn_angle_cases():
     def angle(v, w):
         points = [(0.0, 0.0), v, (v[0] + w[0], v[1] + w[1])]
-        ts = TrajectorySet([Trajectory(0, [(t, float(x), float(y), 9.0)
-                                           for t, (x, y) in enumerate(points)])], 3)
-        return fitness_directionality(ts)
+        ts = trajectory_set([[(t, float(x), float(y), 9.0)
+                              for t, (x, y) in enumerate(points)]], 3)
+        [score] = fitness_directionality(ts)
+        return score
 
     assert angle((1, 0), (0, 1)) == pytest.approx(math.pi / 2)
     assert angle((1, 0), (-1, 0)) == pytest.approx(math.pi)
@@ -230,20 +252,19 @@ def test_directionality_turn_angle_cases():
 
 
 def test_directionality_right_angles():
-    ts = track(frames_of([(0, 0, 9)], [(1, 0, 9)], [(1, 1, 9)], [(0, 1, 9)]))
-    assert fitness_directionality(ts) == pytest.approx(math.pi / 2)
+    ts = track(record_of([(0, 0, 9)], [(1, 0, 9)], [(1, 1, 9)], [(0, 1, 9)]))
+    assert fitness_directionality(ts) == pytest.approx([math.pi / 2])
 
 
 def test_directionality_needs_triples():
-    with pytest.raises(NoTriples):
-        fitness_directionality(track(frames_of([(0, 0, 9)], [(1, 0, 9)])))
+    assert fitness_directionality(track(record_of([(0, 0, 9)], [(1, 0, 9)]))) == [0.0]
 
 
 def test_directionality_skips_zero_vectors():
     # Stationary middle step contributes no angle; remaining triple is 90 deg.
-    ts = track(frames_of([(0, 0, 9)], [(1, 0, 9)], [(1, 0, 9)],
+    ts = track(record_of([(0, 0, 9)], [(1, 0, 9)], [(1, 0, 9)],
                          [(2, 0, 9)], [(2, 1, 9)]))
-    assert fitness_directionality(ts) == pytest.approx(math.pi / 2)
+    assert fitness_directionality(ts) == pytest.approx([math.pi / 2])
 
 
 def test_fitness_matches_oracles_on_simulations():
@@ -252,12 +273,12 @@ def test_fitness_matches_oracles_on_simulations():
         frames = simulate(Formulation((0.1, 0.3, 0.4, 0.2)), cfg,
                           np.random.SeedSequence(seed))
         ts = track(frames)
-        tracks = oracle_track(frames)
-        assert fitness_division(ts) == oracle_division(tracks, len(frames))
+        tracks = oracle_track(frames_of(frames))
+        assert fitness_division(ts) == [oracle_division(tracks, len(frames))]
         assert fitness_movement(ts) == pytest.approx(
-            oracle_movement(tracks), abs=1e-9)
+            [oracle_movement(tracks)], abs=1e-9)
         assert fitness_directionality(ts) == pytest.approx(
-            oracle_directionality(tracks), abs=1e-9)
+            [oracle_directionality(tracks)], abs=1e-9)
 
 
 # ------------------------------------------ scalar reference scores, exact
@@ -275,13 +296,12 @@ def reference_turn_angle(v, w):
 def reference_scores(ts: TrajectorySet):
     """The per-trajectory scalar scores: dicts filled in trajectory order,
     np.mean per frame, then np.mean over frames. Division, movement and
-    directionality (None where there is no triple)."""
+    directionality, 0.0 without a frame pair or an angle."""
     last = ts.total_frames - 1
-    division = float(sum(1 for tr in ts.trajectories
-                         if tr.samples[-1][0] == last and tr.samples[-1][3] > 15.0))
+    trajectories = as_tracks(ts).values()
+    division = float(sum(1 for s in trajectories if s[-1][0] == last and s[-1][3] > 15.0))
     pairs, triples = {}, {}
-    for tr in ts.trajectories:
-        s = tr.samples
+    for s in trajectories:
         for k in range(1, len(s)):
             pairs.setdefault(s[k][0], []).append(
                 math.hypot(s[k][1] - s[k - 1][1], s[k][2] - s[k - 1][2]))
@@ -292,19 +312,15 @@ def reference_scores(ts: TrajectorySet):
             if alpha is not None:
                 triples.setdefault(b[0], []).append(alpha)
     movement = float(np.mean([np.mean(d) for d in pairs.values()])) if pairs else 0.0
-    directionality = None
-    if any(len(tr.samples) >= 3 for tr in ts.trajectories):
-        directionality = (float(np.mean([np.mean(a) for a in triples.values()]))
-                          if triples else 0.0)
+    directionality = float(np.mean([np.mean(a) for a in triples.values()])) if triples else 0.0
     return division, movement, directionality
 
 
 def scores(ts: TrajectorySet):
-    try:
-        directionality = fitness_directionality(ts)
-    except NoTriples:
-        directionality = None
-    return fitness_division(ts), fitness_movement(ts), directionality
+    """The three scores of a TrajectorySet of one replicate."""
+    [division], [movement], [directionality] = (
+        score(ts) for score in (fitness_division, fitness_movement, fitness_directionality))
+    return division, movement, directionality
 
 
 def test_scores_match_reference_on_pipeline():
@@ -346,9 +362,8 @@ grid_frames = st.lists(grid_frame, min_size=2, max_size=10)
 def test_track_and_scores_on_grid_frames(lists):
     # Coordinates on a 10 px grid: exact distance ties, shared nearest
     # droplets and zero-length steps are common.
-    frames = frames_of(*lists)
-    ts = track(frames)
-    assert as_tracks(ts) == oracle_track(frames)
+    ts = track(record_of(*lists))
+    assert as_tracks(ts) == oracle_track(lists)
     assert scores(ts) == reference_scores(ts)
 
 
@@ -362,15 +377,14 @@ def test_records_joined_by_empty_frames_track_and_score_apart(replicates):
     # gets alone, offset by the detections and droplets before it, and each
     # score gives every replicate its own value (0.0 without a triple).
     period = len(replicates[0]) + 1
-    joined = track(frames_of(*[d for lists in replicates for d in [[], *lists]][1:]))
+    joined = track(record_of(*[d for lists in replicates for d in [[], *lists]][1:]))
     parent, droplet, frame, alone = [], [], [], []
     for r, lists in enumerate(replicates):
-        ts = track(frames_of(*lists))
+        ts = track(record_of(*lists))
         parent += [p + len(parent) if p >= 0 else -1 for p in ts.parent.tolist()]
         droplet += (ts.droplet + (max(droplet) + 1 if droplet else 0)).tolist()
         frame += (ts.frame + r * period).tolist()
-        division, movement, directionality = reference_scores(ts)
-        alone.append((division, movement, directionality or 0.0))
+        alone.append(reference_scores(ts))
     assert joined.parent.tolist() == parent
     assert joined.droplet.tolist() == droplet
     assert joined.frame.tolist() == frame
@@ -380,24 +394,24 @@ def test_records_joined_by_empty_frames_track_and_score_apart(replicates):
 
 
 def test_track_split_children_share_nearest_parent():
-    frames = frames_of([(0.0, 0.0, 20), (40.0, 0.0, 20)],
-                       [(0.0, 1.0, 10), (0.0, -1.0, 10), (40.0, 1.0, 10), (40.0, -1.0, 10)])
-    ts = track(frames)
-    assert as_tracks(ts) == oracle_track(frames)
+    frames = [[(0.0, 0.0, 20), (40.0, 0.0, 20)],
+              [(0.0, 1.0, 10), (0.0, -1.0, 10), (40.0, 1.0, 10), (40.0, -1.0, 10)]]
+    tracks = as_tracks(track(record_of(*frames)))
+    assert tracks == oracle_track(frames)
     # The first child of each parent keeps its id; the second is new.
-    assert [len(tr.samples) for tr in ts.trajectories] == [2, 2, 1, 1]
-    assert ts.trajectories[2].samples[0][2] == -1.0
+    assert [len(s) for s in tracks.values()] == [2, 2, 1, 1]
+    assert tracks[2][0][2] == -1.0
 
 
 def test_track_tie_lower_id_at_higher_position():
     # Frame 1 lists the new droplet 1 before droplet 0; the frame-2 detection
     # is equidistant from both and must join droplet 0, the lower id.
-    frames = frames_of([(50.0, 0.0, 9)],
-                       [(0.0, 0.0, 9), (50.0, 0.0, 9)],
-                       [(25.0, 0.0, 9)])
-    ts = track(frames)
-    assert as_tracks(ts) == oracle_track(frames)
-    assert [s[0] for s in ts.trajectories[0].samples] == [0, 1, 2]
+    frames = [[(50.0, 0.0, 9)],
+              [(0.0, 0.0, 9), (50.0, 0.0, 9)],
+              [(25.0, 0.0, 9)]]
+    tracks = as_tracks(track(record_of(*frames)))
+    assert tracks == oracle_track(frames)
+    assert [s[0] for s in tracks[0]] == [0, 1, 2]
 
 
 def test_track_dirty_frames_among_clean_ones():
@@ -412,9 +426,8 @@ def test_track_dirty_frames_among_clean_ones():
         if t % 7 == 3:
             rows[5] = rows[4]  # a collision: two detections at one place
         lists.append(rows)
-    frames = frames_of(*lists)
-    ts = track(frames)
-    assert as_tracks(ts) == oracle_track(frames)
+    ts = track(record_of(*lists))
+    assert as_tracks(ts) == oracle_track(lists)
     assert scores(ts) == reference_scores(ts)
 
 
@@ -424,19 +437,17 @@ def test_track_coincident_static_pair_every_frame():
     lists = [[(0.0, 0.0, 9.0), (0.0, 0.0, 9.0),
               (80.0 + 20.0 * math.cos(t / 50), 20.0 * math.sin(t / 50), 9.0)]
              for t in range(1800)]
-    frames = frames_of(*lists)
-    assert as_tracks(track(frames)) == oracle_track(frames)
+    assert as_tracks(track(record_of(*lists))) == oracle_track(lists)
 
 
 def test_track_nan_coordinates_link_nothing():
     # A NaN coordinate is within no gate; it must not disturb the x order the
     # other detections are searched in.
     nan = float("nan")
-    frames = frames_of([(0.0, 0.0, 9), (nan, 5.0, 9), (40.0, 0.0, 9)],
-                       [(41.0, 0.0, 9), (nan, nan, 9), (1.0, 0.0, 9)],
-                       [(2.0, 0.0, 9), (42.0, 0.0, 9)])
-    ts = track(frames)
-    assert [len(tr.samples) for tr in ts.trajectories] == [3, 1, 3, 1]
+    ts = track(record_of([(0.0, 0.0, 9), (nan, 5.0, 9), (40.0, 0.0, 9)],
+                         [(41.0, 0.0, 9), (nan, nan, 9), (1.0, 0.0, 9)],
+                         [(2.0, 0.0, 9), (42.0, 0.0, 9)]))
+    assert [len(s) for s in as_tracks(ts).values()] == [3, 1, 3, 1]
     assert ts.parent.tolist() == [-1, -1, -1, 2, -1, 0, 5, 3]
 
 
@@ -470,8 +481,7 @@ def crowded_frames(draw):
 @settings(max_examples=100, deadline=None)
 @given(crowded_frames())
 def test_track_matches_oracle_on_crowded_frames(lists):
-    frames = frames_of(*lists)
-    assert as_tracks(track(frames)) == oracle_track(frames)
+    assert as_tracks(track(record_of(*lists))) == oracle_track(lists)
 
 
 def test_scores_match_reference_on_trajectory_lists():
@@ -481,7 +491,7 @@ def test_scores_match_reference_on_trajectory_lists():
     for _ in range(200):
         total_frames = int(rng.integers(3, 12))
         trajectories = []
-        for did in range(int(rng.integers(1, 7))):
+        for _droplet in range(int(rng.integers(1, 7))):
             start = int(rng.integers(0, total_frames - 1))
             length = int(rng.integers(1, total_frames - start + 1))
             x, y = rng.uniform(-50, 50, size=2)
@@ -490,8 +500,8 @@ def test_scores_match_reference_on_trajectory_lists():
                 if rng.random() < 0.7:
                     x, y = x + rng.uniform(-5, 5), y + rng.uniform(-5, 5)
                 samples.append((t, float(x), float(y), float(rng.uniform(5, 25))))
-            trajectories.append(Trajectory(droplet_id=did, samples=samples))
-        ts = TrajectorySet(trajectories=trajectories, total_frames=total_frames)
+            trajectories.append(samples)
+        ts = trajectory_set(trajectories, total_frames)
         assert scores(ts) == reference_scores(ts)
 
 
@@ -508,8 +518,7 @@ def test_step_lengths_are_math_hypot(steps):
     # hypot(dx, dy) exactly as _steps computes it. The draws include 0,
     # subnormals, infinities and NaN, which _hypot leaves to math.hypot
     # without a RuntimeWarning (pytest turns those into errors).
-    ts = TrajectorySet([Trajectory(i, [(0, 0.0, 0.0, 9.0), (1, dx, dy, 9.0)])
-                        for i, (dx, dy) in enumerate(steps)], 2)
+    ts = trajectory_set([[(0, 0.0, 0.0, 9.0), (1, dx, dy, 9.0)] for dx, dy in steps], 2)
     k, step = tracking._steps(ts)
     assert k.tolist() == list(range(1, 2 * len(steps), 2))
     np.testing.assert_array_equal(step[k], [math.hypot(dx, dy) for dx, dy in steps])
@@ -522,5 +531,5 @@ def test_step_lengths_and_angles_are_libm_exact():
     rng = np.random.default_rng(12)
     for _ in range(1000):
         xy = np.cumsum(rng.uniform(-20, 20, size=(3, 2)), axis=0).tolist()
-        ts = TrajectorySet([Trajectory(0, [(t, x, y, 9.0) for t, (x, y) in enumerate(xy)])], 3)
+        ts = trajectory_set([[(t, x, y, 9.0) for t, (x, y) in enumerate(xy)]], 3)
         assert scores(ts) == reference_scores(ts)
