@@ -1,8 +1,10 @@
 """File format specifications and validators.
 
-Every data file the package reads or writes has a versioned format here:
-column names, units and value ranges. validate_file checks a file against its
-declared format and returns a list of violations (empty means ok).
+Every CSV file the package reads or writes has a versioned format here:
+column names, units and value ranges. validate_file checks a file against
+one of these, or a G-code program against the dialect, and returns a list of
+violations (empty means ok). A stage layout is checked where it is parsed,
+by gcode.StageLayout.from_json.
 """
 
 from __future__ import annotations
@@ -114,24 +116,6 @@ CSV_FORMATS = {
 }
 
 
-def _validate_layout(text: str) -> list[str]:
-    from .gcode import GcodeError, StageLayout
-
-    try:
-        layout = StageLayout.from_json(text)
-    except GcodeError as exc:
-        return [f"not a layout config: {exc}"]
-    violations = []
-    xmax, ymax = layout.bounds_mm
-    for name, (x, y) in layout.locations.items():
-        if not (0 <= x <= xmax and 0 <= y <= ymax):
-            violations.append(f"location {name} ({x}, {y}) outside stage bounds")
-    return violations
-
-
-FORMAT_IDS = sorted([*CSV_FORMATS, "gcode", "layout"])
-
-
 def validate_text(text: str, format_id: str) -> list[str]:
     if format_id in CSV_FORMATS:
         return CSV_FORMATS[format_id].validate(text)
@@ -139,8 +123,6 @@ def validate_text(text: str, format_id: str) -> list[str]:
         from .gcode import check_program
 
         return check_program(text)
-    if format_id == "layout":
-        return _validate_layout(text)
     raise UnknownFormat(format_id)
 
 
@@ -148,20 +130,3 @@ def validate_file(path, format_id: str) -> list[str]:
     """Validate a file against a named format; returns violations."""
     return validate_text(Path(path).read_text(), format_id)
 
-
-def format_spec_text() -> str:
-    """Human-readable summary of every registered format."""
-    out = []
-    for fmt in CSV_FORMATS.values():
-        out.append(f"{fmt.format_id} (CSV, v{fmt.version})")
-        for col in fmt.columns:
-            bounds = []
-            if col.minimum is not None:
-                bounds.append(f">= {col.minimum}")
-            if col.maximum is not None:
-                bounds.append(f"<= {col.maximum}")
-            unit = f" [{col.unit}]" if col.unit else ""
-            out.append(f"  {col.name}: {col.kind}{unit} {' and '.join(bounds)}".rstrip())
-    out.append("gcode (text, v1): see dropevo.gcode module docstring")
-    out.append("layout (JSON, v1): stage geometry, named mm coordinates, pump plumbing")
-    return "\n".join(out) + "\n"

@@ -148,6 +148,10 @@ class StageLayout:
     vessel_initial_ul: dict = field(default_factory=dict)  # vessel -> {liquid: uL}
     vessel_retained_ul: dict = field(default_factory=dict)  # vessel -> {liquid: uL}
 
+    def on_stage(self, x: float, y: float) -> bool:
+        xmax, ymax = self.bounds_mm
+        return 0.0 <= x <= xmax and 0.0 <= y <= ymax
+
     def pump_calibration_ul_per_step(self, pump: int) -> float:
         barrel_ml = self.pump_syringe_ml[pump]
         return barrel_ml * 1000.0 / PUMP_MAX_STEPS
@@ -166,7 +170,8 @@ class StageLayout:
         a name that programs or the firmware use: a location or apparatus of
         LAYOUT_LOCATIONS and LAYOUT_APPARATUS, the ports and barrel of each
         pump, the vessel of each location, or the initial contents of a
-        vessel that a location or pump port names."""
+        vessel that a location or pump port names; or of one that puts a
+        location off the stage."""
         def string(value):
             if not isinstance(value, str):
                 raise ValueError(f"{value!r} is not a name")
@@ -215,9 +220,13 @@ class StageLayout:
                 missing = sorted(set(names) - set(present), key=str)
                 if missing:
                     raise ValueError(f"missing {missing}")
+            layout, name = cls(**d), "locations"
+            off = [k for k, point in layout.locations.items() if not layout.on_stage(*point)]
+            if off:
+                raise ValueError(f"{off} outside stage bounds {layout.bounds_mm}")
         except (AttributeError, TypeError, ValueError) as exc:
             raise GcodeError(f"layout {name}: {exc}") from exc
-        return cls(**d)
+        return layout
 
 
 def default_layout() -> StageLayout:
@@ -328,7 +337,7 @@ def compile_ops(ops, layout: StageLayout) -> str:
                 raise UnknownApparatus(op.apparatus)
             ox, oy = layout.apparatus_offsets[op.apparatus]
             x, y = _quantize(op.x - ox), _quantize(op.y - oy)
-            if not (0.0 <= x <= layout.bounds_mm[0] and 0.0 <= y <= layout.bounds_mm[1]):
+            if not layout.on_stage(x, y):
                 raise OutOfBounds(f"carriage target ({x:.1f}, {y:.1f}) mm "
                                   f"outside stage {layout.bounds_mm}")
             lines.append(f"G1 X{x:.1f} Y{y:.1f}")
@@ -603,6 +612,9 @@ class VirtualRobot:
     # -- instruction semantics, one method per ParsedLine.kind ----------------
 
     def _exec_move(self, pc, x, y):
+        if not self.layout.on_stage(x, y):
+            raise StateFault(f"carriage target ({x:.1f}, {y:.1f}) mm "
+                             f"outside stage {self.layout.bounds_mm}", pc)
         cx, cy = self.state.carriage
         self.state.time_ms += math.hypot(x - cx, y - cy) * CARRIAGE_MS_PER_MM
         self.state.carriage = (x, y)

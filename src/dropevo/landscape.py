@@ -1,5 +1,5 @@
 """Gaussian-RBF kernel ridge regression over formulation space, simplex-face
-grids, local maxima and fitness-island catchment maps.
+grids and fitness-island catchment maps.
 
 The model is the dual form only: dual weights solve (K + lambda*I) theta = y
 with K_ij = exp(-||x_i - x_j||^2 / (2 sigma^2)); a prediction is the kernel-
@@ -16,6 +16,10 @@ weighted sum over training points. Landscape contract 3 fixes every bit:
   t_k = dexp(-(q_k - x_k)^2 / (2 sigma^2)), the kernel row of query q is
   (t_0 t_1)(t_2 t_3). The training kernel takes dexp of the summed squared
   distance.
+
+A prediction that is not finite, as when a row sum overflows (einsum raises
+no floating-point error), is a FloatingPointError from ``predict_many`` and
+``face_grid``.
 
 Each of the four faces of the composition simplex (one component held at
 zero) is rasterized to a resolution x resolution triangular lattice, and each
@@ -70,14 +74,6 @@ class SolveFailure(LandscapeError):
     pass
 
 
-def _check_sigma(sigma: float) -> None:
-    # Below the smallest normal float, 2 sigma^2 is 0 or subnormal and the
-    # kernel's d / (2 sigma^2) overflows to inf (NaN at d = 0 when it is 0).
-    if not (sigma > 0 and 2.0 * sigma * sigma >= sys.float_info.min):
-        raise NonpositiveBandwidth(
-            f"sigma must be > 0 with 2*sigma^2 >= {sys.float_info.min:.4g}, got {sigma}")
-
-
 # fdlibm e_exp.c: ln 2 split so that k * _LN2_HI is exact, 1 / ln 2, and the
 # coefficients of its rational approximation of exp on [-ln2/2, ln2/2].
 _LN2_HI = 6.93147180369123816490e-01
@@ -123,14 +119,6 @@ def dexp(x) -> np.ndarray:
     return np.ldexp(y, k.astype(np.int32), out=y)
 
 
-def rbf_kernel(a, b, sigma: float) -> float:
-    """exp(-||a-b||^2 / (2 sigma^2)), in (0, 1], with the bits of the
-    training kernel's entry."""
-    _check_sigma(sigma)
-    return float(_kernel_matrix(np.atleast_2d(np.asarray(a, dtype=float)),
-                                np.atleast_2d(np.asarray(b, dtype=float)), sigma)[0, 0])
-
-
 def _kernel_matrix(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
     """K_ij = dexp(-||A_i - B_j||^2 / (2 sigma^2)).
 
@@ -173,7 +161,11 @@ class KernelModel:
 
 def fit(X, y, lam: float = DEFAULT_LAMBDA, sigma: float = DEFAULT_SIGMA) -> KernelModel:
     """Solve (K + lam*I) theta = y by Cholesky factorization."""
-    _check_sigma(sigma)
+    # Below the smallest normal float, 2 sigma^2 is 0 or subnormal and the
+    # kernel's d / (2 sigma^2) overflows to inf (NaN at d = 0 when it is 0).
+    if not (sigma > 0 and 2.0 * sigma * sigma >= sys.float_info.min):
+        raise NonpositiveBandwidth(
+            f"sigma must be > 0 with 2*sigma^2 >= {sys.float_info.min:.4g}, got {sigma}")
     if lam <= 0:
         raise LandscapeError(f"lambda must be > 0, got {lam}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -267,6 +259,8 @@ def predict_many(model: KernelModel, Xq) -> np.ndarray:
         t *= factor(queries, 3)
         rows *= t
         out[s:s + len(queries)] = _weighted_rows(rows, model.theta)
+    if not np.isfinite(out).all():
+        raise FloatingPointError("a prediction is not finite")
     return out
 
 
@@ -367,6 +361,8 @@ def face_grid(model: KernelModel, face: int,
                     out *= pair
                     start = w * res + a if face < 2 else a * res + b
                     cells[start:start + m * step:step] = _weighted_rows(out, theta)
+    if not np.isfinite(lat.values[lat.valid]).all():
+        raise FloatingPointError(f"face {face}: a prediction is not finite")
     return lat
 
 
@@ -436,14 +432,6 @@ def _decode(code: int, res: int) -> tuple[int, int, int]:
     return (face, *divmod(rest, res))
 
 
-def local_maxima(lat: FaceLattice) -> list[tuple[int, int]]:
-    """Cells that are fixed points of the steepest-ascent step (one
-    representative per connected plateau)."""
-    _, _, _, _, canon, parent, _ = _ascent([lat])
-    fixed = canon[parent == np.arange(len(parent))]
-    return sorted(_decode(code, lat.resolution)[1:] for code in fixed)
-
-
 def catchment_map(lattices: list[FaceLattice]) -> IslandMap:
     """Label every valid cell with the island whose maximum its steepest
     ascent converges to, resolving roots by pointer jumping."""
@@ -481,21 +469,19 @@ def _csv_prefixes(resolution: int) -> tuple[str, ...]:
                  for i, j in zip(ii.tolist(), jj.tolist()))
 
 
-def face_csv(lat: FaceLattice, labels: np.ndarray | None = None) -> str:
+def face_csv(lat: FaceLattice, labels: np.ndarray) -> str:
     """The landscape.csv lines of one face; `labels` is its (res, res) island
-    label grid, or None for empty labels."""
+    label grid."""
     valid = lat.valid
-    labels = labels[valid].tolist() if labels is not None else [""] * int(valid.sum())
     return "".join(f"{lat.face},{prefix}{value!r},{label}\n" for prefix, value, label
-                   in zip(_csv_prefixes(lat.resolution), lat.values[valid].tolist(), labels))
+                   in zip(_csv_prefixes(lat.resolution), lat.values[valid].tolist(),
+                          labels[valid].tolist()))
 
 
-def landscape_csv(lattices: list[FaceLattice], island_map: IslandMap | None = None,
-                  map=map) -> str:
+def landscape_csv(lattices: list[FaceLattice], island_map: IslandMap, map=map) -> str:
     """The header and every face's lines. `map` applies face_csv to the faces
     in order (an executor's map writes them concurrently)."""
-    labels = [island_map.labels[lat.face] if island_map is not None else None
-              for lat in lattices]
+    labels = [island_map.labels[lat.face] for lat in lattices]
     return "".join(["face,i,j,X,Y,Z,fitness,island_label\n", *map(face_csv, lattices, labels)])
 
 

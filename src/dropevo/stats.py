@@ -47,10 +47,6 @@ class GenerationSample:
         if self.generation < 1:
             raise StatsError("generation must be >= 1")
 
-    @property
-    def degenerate(self) -> bool:
-        return not self.fitnesses
-
 
 def top_half(sample: GenerationSample) -> GenerationSample:
     """Values strictly greater than the sample median. With heavy ties this

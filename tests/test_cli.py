@@ -238,6 +238,33 @@ def test_gcode_layout_missing_a_name_is_a_data_error(tmp_path, capsys, field, na
     assert err == f"data error: {problem}\n"
 
 
+@pytest.mark.parametrize("command", ["compile", "exec"])
+def test_gcode_layout_location_off_the_stage_is_a_data_error(tmp_path, capsys, command):
+    program = tmp_path / "ok.gcode"
+    assert main(["gcode", "compile", "--cleaning", "-o", str(program)]) == EXIT_OK
+    path = tmp_path / "bad.json"
+    path.write_text(edited_layout([900.0, 200.0], "locations", "waste"))
+    argv = {"compile": ["gcode", "compile", "--cleaning", "--layout", str(path)],
+            "exec": ["gcode", "exec", str(program), "--layout", str(path)]}[command]
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("data error: layout locations: ['waste'] outside stage bounds "
+                            "(500.0, 400.0)\n")
+
+
+def test_gcode_exec_move_off_the_stage_is_a_data_error(tmp_path, capsys):
+    far = tmp_path / "far.gcode"
+    far.write_text("G1 X9999.0 Y-50.0\n")
+    out_dir = tmp_path / "ev"
+    assert main(["gcode", "exec", str(far), "--out-dir", str(out_dir)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("data error: instruction 0: carriage target (9999.0, -50.0) mm "
+                            "outside stage (500.0, 400.0)\n")
+    assert not out_dir.exists()
+
+
 def test_gcode_commands_load_no_scipy(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ,

@@ -1,24 +1,24 @@
+import json
+
 import pytest
 
 from dropevo import ga, stats
-from dropevo.formats import (
-    CSV_FORMATS,
-    FORMAT_IDS,
-    UnknownFormat,
-    format_spec_text,
-    validate_file,
-    validate_text,
-)
+from dropevo.formats import CSV_FORMATS, UnknownFormat, validate_file, validate_text
 from dropevo.formulation import Formulation
-from dropevo.gcode import VirtualRobot, compile_experiment, default_layout
+from dropevo.gcode import (GcodeError, StageLayout, VirtualRobot, compile_experiment,
+                           default_layout)
 
 BANDS_HEADER = "generation,median,p25,p75,p10,p90"
 
 
 def test_format_registry():
-    assert set(FORMAT_IDS) == {"history", "landscape", "events", "bands", "gcode", "layout"}
-    with pytest.raises(UnknownFormat):
-        validate_text("", "telemetry")
+    # The CSV formats and the G-code dialect; StageLayout.from_json checks a
+    # layout where it is read.
+    assert set(CSV_FORMATS) == {"history", "landscape", "events", "bands"}
+    assert validate_text("", "gcode") == []
+    for unknown in ("telemetry", "layout"):
+        with pytest.raises(UnknownFormat):
+            validate_text("", unknown)
 
 
 def test_bands_valid_and_invalid():
@@ -52,7 +52,7 @@ def test_real_outputs_validate():
     robot.execute(compile_experiment(Formulation((0.4, 0.3, 0.2, 0.1))))
     assert validate_text(robot.events_csv(), "events") == []
     assert validate_text(compile_experiment(Formulation((1, 0, 0, 0))), "gcode") == []
-    assert validate_text(default_layout().to_json(), "layout") == []
+    assert StageLayout.from_json(default_layout().to_json()) == default_layout()
 
 
 def test_history_rejects_out_of_range_locus():
@@ -70,28 +70,25 @@ def test_gcode_validation_reports_lines():
 
 def test_layout_validation():
     layout = default_layout()
-    assert validate_text(layout.to_json(), "layout") == []
-    assert validate_text("{}", "layout") != []
-    import json
+    assert StageLayout.from_json(layout.to_json()) == layout
+    with pytest.raises(GcodeError, match="missing fields"):
+        StageLayout.from_json("{}")
     d = json.loads(layout.to_json())
     d["locations"]["rogue"] = [9999.0, 0.0]
-    issues = validate_text(json.dumps(d), "layout")
-    assert any("rogue" in v for v in issues)
+    d["location_vessel"]["rogue"] = "dish"
+    with pytest.raises(GcodeError) as err:
+        StageLayout.from_json(json.dumps(d))
+    assert str(err.value) == ("layout locations: ['rogue'] outside stage bounds "
+                              "(500.0, 400.0)")
+    # The stage's edges are on it.
+    d["locations"]["rogue"] = [500.0, 0.0]
+    assert StageLayout.from_json(json.dumps(d)).locations["rogue"] == (500.0, 0.0)
 
 
 def test_validate_file(tmp_path):
     p = tmp_path / "bands.csv"
     p.write_text(f"{BANDS_HEADER}\n1,1.0,0.5,1.5,0.2,1.8\n")
     assert validate_file(p, "bands") == []
-
-
-def test_format_spec_text_mentions_every_format():
-    text = format_spec_text()
-    for fid in FORMAT_IDS:
-        assert fid in text
-    for fmt in CSV_FORMATS.values():
-        for col in fmt.columns:
-            assert col.name in text
 
 
 @pytest.mark.parametrize("bad", ["nan", "NaN", "inf", "-inf", "Infinity"])

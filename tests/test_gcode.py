@@ -139,6 +139,19 @@ def test_compile_bounds_check():
         compile_ops([MoveTo(10.0, -5.0)], layout)
 
 
+def test_firmware_faults_on_a_move_off_the_stage():
+    # The firmware holds a program to the stage that compile_ops holds its
+    # moves to; the stage's edges are on it.
+    robot = VirtualRobot()
+    robot.execute("G1 X500.0 Y0.0\n")
+    for move in ("G1 X500.1 Y0.0", "G1 X9999.0 Y-50.0", "G1 X10.0 Y400.1"):
+        with pytest.raises(StateFault, match=r"instruction 0: carriage target .* mm "
+                                             r"outside stage \(500\.0, 400\.0\)"):
+            robot.execute(move + "\n")
+    assert robot.state.carriage == (500.0, 0.0)
+    assert len(robot.events) == 1
+
+
 def test_compile_pump_transfer_calibration():
     layout = default_layout()
     # Pump 4 (5 mL barrel): 1 step = 0.1 uL, so 1 mL = 10000 steps.

@@ -35,9 +35,7 @@ from dropevo.landscape import (
     island_summary_json,
     landscape_csv,
     lattice_to_pgm,
-    local_maxima,
     predict_many,
-    rbf_kernel,
 )
 
 
@@ -45,12 +43,11 @@ from dropevo.landscape import (
 
 
 def test_rbf_kernel_values():
-    assert rbf_kernel([0, 0, 0, 0], [0, 0, 0, 0], 0.15) == 1.0
-    d = [0.3, 0, 0, 0]
-    assert rbf_kernel([0, 0, 0, 0], d, 0.15) == pytest.approx(
-        math.exp(-0.09 / (2 * 0.15 ** 2)))
+    K = fit([[0, 0, 0, 0], [0.3, 0, 0, 0]], [1.0, 2.0], sigma=0.15).K
+    assert K[0, 0] == K[1, 1] == 1.0
+    assert K[0, 1] == K[1, 0] == pytest.approx(math.exp(-0.09 / (2 * 0.15 ** 2)))
     with pytest.raises(NonpositiveBandwidth):
-        rbf_kernel([0] * 4, [0] * 4, 0.0)
+        fit([[0] * 4], [1.0], sigma=0.0)
 
 
 def _ulps(a: float, b: float) -> int:
@@ -71,15 +68,6 @@ def test_dexp_exact_cases():
         warnings.simplefilter("error")
         got = dexp(np.array([0.0, -0.0, -745.14, -1e299, -np.inf]))
     assert got.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
-
-
-def test_rbf_kernel_is_a_training_kernel_entry():
-    rng = np.random.default_rng(3)
-    X = rng.dirichlet(np.ones(4), size=12)
-    model = fit(X, rng.normal(size=12), sigma=0.2)
-    K = model.K
-    for i, j in [(0, 1), (3, 7), (11, 2), (5, 5)]:
-        assert rbf_kernel(X[i], X[j], 0.2) == K[i, j]
 
 
 def test_training_kernel_is_symmetric_with_a_unit_diagonal():
@@ -159,8 +147,19 @@ def test_fit_rejects_sigma_whose_bandwidth_underflows(sigma):
     X = [[0.25] * 4, [0.5, 0.5, 0.0, 0.0]]
     with pytest.raises(NonpositiveBandwidth):
         fit(X, [1.0, 2.0], sigma=sigma)
-    with pytest.raises(NonpositiveBandwidth):
-        rbf_kernel(*X, sigma=sigma)
+
+
+def test_a_prediction_that_overflows_raises():
+    # The row sum 1.79e308 + 1.79e308 overflows to inf, and einsum raises no
+    # floating-point error of its own.
+    q = [0.0, 0.5, 0.5, 0.0]  # on face 0, at cell (2, 2) of a res-5 lattice
+    model = KernelModel(X=np.array([q, q]), y=np.zeros(2), theta=np.array([1.79e308] * 2),
+                        lam=1e-3, sigma=0.15)
+    with pytest.raises(FloatingPointError, match="^a prediction is not finite$"):
+        predict_many(model, [[0.25] * 4, q])
+    with pytest.raises(FloatingPointError, match="^face 0: a prediction is not finite$"):
+        face_grid(model, 0, resolution=5)
+    assert np.isfinite(predict_many(model, [[0.25] * 4])).all()
 
 
 def test_fit_accepts_a_tiny_normal_bandwidth():
@@ -313,14 +312,20 @@ def island_labels_to_roots(lattices, imap: IslandMap):
     return out
 
 
+def island_peaks(lat: FaceLattice) -> list[tuple[int, int]]:
+    """The (i, j) of each island's maximum on one face: the fixed points of
+    the steepest-ascent step, one per connected plateau."""
+    return sorted(isl.max_cell[1:] for isl in catchment_map([lat]).islands)
+
+
 def test_local_maxima_single_peak():
     lat = lattice_from_fn(0, 31, lambda a, b, c, d: -((b - 0.3) ** 2 + (c - 0.3) ** 2))
-    assert local_maxima(lat) == [(9, 9)]
+    assert island_peaks(lat) == [(9, 9)]
 
 
 def test_local_maxima_plateau_single_representative():
     lat = lattice_from_fn(0, 15, lambda *c: 1.0)
-    assert len(local_maxima(lat)) == 1
+    assert len(island_peaks(lat)) == 1
 
 
 def test_catchment_two_peaks():
@@ -565,4 +570,4 @@ def test_local_maxima_match_oracle_fixed_points_with_ties():
         lat = _quantized_lattice(face, res, rng, levels=3)
         g = OracleGraph([lat])
         fixed = sorted(g.reps[key][0][1:] for key in g.reps if g.step(key) == key)
-        assert local_maxima(lat) == fixed
+        assert island_peaks(lat) == fixed

@@ -53,7 +53,6 @@ def test_top_half_heavy_ties():
 def test_top_half_all_tied_is_degenerate():
     kept = top_half(gs(1, [2, 2, 2, 2]))
     assert kept.fitnesses == []
-    assert kept.degenerate
 
 
 def test_top_half_too_few():
