@@ -8,7 +8,7 @@ Library layers:
 - tracking: droplet identity tracking and behaviour fitness scores
 - landscape: RBF kernel ridge regression, face grids, fitness islands
 - stats / som: trajectory statistics and self-organizing maps
-- gcode: lab-operation compiler, pump dialect, virtual firmware
+- gcode: line emitters and compilers, pump dialect, virtual firmware
 - formats: file format specifications and validators
 - evaluators: the formulation -> simulate -> track -> score pipeline
 - cli: the `dropevo` command (evolve / landscape / analyze / gcode)

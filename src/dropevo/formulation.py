@@ -154,6 +154,9 @@ def normalize(raw) -> Formulation:
     if any(v < 0 for v in r):
         raise NegativeComponentError(f"negative component in {r}")
     total = _total(r)
+    if math.isinf(total):  # the finite parts' sum overflowed; x * 0.25 is exact for normal x
+        r = [v * 0.25 for v in r]
+        total = _total(r)
     if total == 0:
         raise AllZeroError("all components are zero")
     # Inputs already on the simplex (to within a few ulps) pass through

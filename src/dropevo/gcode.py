@@ -1,6 +1,6 @@
-"""Robot controller layer: lab operations -> G-code, the pump instruction
-dialect, and a virtual firmware that executes programs against modeled
-pumps, syringes and vessels.
+"""Robot controller layer: line emitters and compilers that write G-code,
+the pump instruction dialect, and a virtual firmware that executes programs
+against modeled pumps, syringes and vessels.
 
 Dialect (one instruction per line, '#' starts a comment):
 
@@ -275,111 +275,60 @@ def default_layout() -> StageLayout:
 
 
 # ---------------------------------------------------------------------------
-# Lab operations and compilation
-
-@dataclass(frozen=True)
-class MoveTo:
-    x: float
-    y: float
-    apparatus: str = "syringe"
-
-
-@dataclass(frozen=True)
-class Aspirate:
-    syringe: int
-    volume_ul: float
-
-
-@dataclass(frozen=True)
-class Dispense:
-    syringe: int
-    volume_ul: float
-
-
-@dataclass(frozen=True)
-class LowerSyringe:
-    syringe: int
-
-
-@dataclass(frozen=True)
-class RaiseSyringe:
-    syringe: int
-
-
-@dataclass(frozen=True)
-class PumpTransfer:
-    pump: int
-    volume_ml: float
-    direction: int          # 0 draw through current port, 1 expel
-
-
-@dataclass(frozen=True)
-class Valve:
-    pump: int
-    port: int
-
-
-@dataclass(frozen=True)
-class Stir:
-    on: bool
-
+# Line emitters and compilers
 
 def _quantize(v: float) -> float:
     return round(v / COORD_STEP_MM) * COORD_STEP_MM
 
 
-def compile_ops(ops, layout: StageLayout) -> str:
-    """Compile a lab-operation sequence to G-code text."""
-    lines = []
-    for op in ops:
-        if isinstance(op, MoveTo):
-            if op.apparatus not in layout.apparatus_offsets:
-                raise UnknownApparatus(op.apparatus)
-            ox, oy = layout.apparatus_offsets[op.apparatus]
-            x, y = _quantize(op.x - ox), _quantize(op.y - oy)
-            if not layout.on_stage(x, y):
-                raise OutOfBounds(f"carriage target ({x:.1f}, {y:.1f}) mm "
-                                  f"outside stage {layout.bounds_mm}")
-            lines.append(f"G1 X{x:.1f} Y{y:.1f}")
-        elif isinstance(op, LowerSyringe):
-            lines.append(f"M10 S{op.syringe}")
-        elif isinstance(op, RaiseSyringe):
-            lines.append(f"M11 S{op.syringe}")
-        elif isinstance(op, (Aspirate, Dispense)):
-            code, verb = (12, "aspirate") if isinstance(op, Aspirate) else (13, "dispense")
-            if not op.volume_ul >= 0:
-                raise GcodeError(f"{verb} volume must be >= 0, got {op.volume_ul}")
-            if op.volume_ul > 0:
-                lines.append(f"M{code} S{op.syringe} V{op.volume_ul:.1f}")
-        elif isinstance(op, Stir):
-            lines.append("M15" if op.on else "M16")
-        elif isinstance(op, Valve):
-            lines.append(PumpInstruction(op.pump, 1, op.port, VALVE_SPEED_MS,
-                                         VALVE_TURN_STEPS).serialize())
-        elif isinstance(op, PumpTransfer):
-            if not op.volume_ml >= 0:
-                raise GcodeError(f"pump transfer volume must be >= 0, got {op.volume_ml}")
-            cal = layout.pump_calibration_ul_per_step(op.pump)
-            steps = int(round(op.volume_ml * 1000.0 / cal))
-            if steps > PUMP_MAX_STEPS:
-                raise PumpRangeError(f"E={steps}: {op.volume_ml} mL exceeds one barrel stroke")
-            if steps > 0:
-                lines.append(PumpInstruction(op.pump, 0, op.direction,
-                                             PUMP_SPEED_MS, steps).serialize())
-        else:
-            raise GcodeError(f"unknown lab operation {op!r}")
-    return "".join(line + "\n" for line in lines)
+def move(layout: StageLayout, x: float, y: float, apparatus: str = "syringe") -> list:
+    """The carriage move that puts `apparatus` over (x, y) mm."""
+    if apparatus not in layout.apparatus_offsets:
+        raise UnknownApparatus(apparatus)
+    ox, oy = layout.apparatus_offsets[apparatus]
+    x, y = _quantize(x - ox), _quantize(y - oy)
+    if not layout.on_stage(x, y):
+        raise OutOfBounds(f"carriage target ({x:.1f}, {y:.1f}) mm "
+                          f"outside stage {layout.bounds_mm}")
+    return [f"G1 X{x:.1f} Y{y:.1f}"]
 
 
-def _transfer(pump: int, volume_ml: float) -> list:
+def plunger(verb: str, volume_ul: float) -> list:
+    """M12 ('aspirate') or M13 ('dispense') of `volume_ul` with syringe 0;
+    no line for 0 uL."""
+    if not volume_ul >= 0:
+        raise GcodeError(f"{verb} volume must be >= 0, got {volume_ul}")
+    code = {"aspirate": 12, "dispense": 13}[verb]
+    return [f"M{code} S0 V{volume_ul:.1f}"] if volume_ul > 0 else []
+
+
+def stroke(layout: StageLayout, pump: int, volume_ml: float, direction: int) -> list:
+    """Pump `volume_ml` in one plunger stroke: direction 0 draws through the
+    current valve port, 1 expels; no line for 0 steps."""
+    if not volume_ml >= 0:
+        raise GcodeError(f"pump transfer volume must be >= 0, got {volume_ml}")
+    steps = int(round(volume_ml * 1000.0 / layout.pump_calibration_ul_per_step(pump)))
+    if steps > PUMP_MAX_STEPS:
+        raise PumpRangeError(f"E={steps}: {volume_ml} mL exceeds one barrel stroke")
+    if steps == 0:
+        return []
+    return [PumpInstruction(pump, 0, direction, PUMP_SPEED_MS, steps).serialize()]
+
+
+def valve(pump: int, port: int) -> list:
+    """Turn `pump`'s valve to `port`."""
+    return [PumpInstruction(pump, 1, port, VALVE_SPEED_MS, VALVE_TURN_STEPS).serialize()]
+
+
+def _transfer(layout: StageLayout, pump: int, volume_ml: float) -> list:
     """Draw `volume_ml` through valve port 0 and push it out through port 1."""
-    return [Valve(pump, 0), PumpTransfer(pump, volume_ml, 0),
-            Valve(pump, 1), PumpTransfer(pump, volume_ml, 1)]
+    return [*valve(pump, 0), *stroke(layout, pump, volume_ml, 0),
+            *valve(pump, 1), *stroke(layout, pump, volume_ml, 1)]
 
 
-def _syringe_at(point, *actions) -> list:
+def _syringe_at(layout: StageLayout, point, *actions: str) -> list:
     """Move the syringe over `point`, lower it, do `actions`, raise it."""
-    return [MoveTo(*point), LowerSyringe(0), *actions, RaiseSyringe(0)]
+    return [*move(layout, *point), "M10 S0", *actions, "M11 S0"]
 
 
 def compile_experiment(f: Formulation, layout: StageLayout | None = None) -> str:
@@ -388,17 +337,17 @@ def compile_experiment(f: Formulation, layout: StageLayout | None = None) -> str
     if layout is None:
         layout = default_layout()
     at = layout.locations
-    ops = [MoveTo(*at["mixing_well"], apparatus="pump_tube")]
+    lines = move(layout, *at["mixing_well"], apparatus="pump_tube")
     for pump, vol in enumerate(well_volumes(f)):
         if vol > 0:
-            ops += _transfer(pump, vol / 1000.0)
-    ops += [Stir(True), Stir(False)]
-    ops += _syringe_at(at["mixing_well"], Aspirate(0, EXPERIMENT_ASPIRATE_UL))
+            lines += _transfer(layout, pump, vol / 1000.0)
+    lines += ["M15", "M16"]
+    lines += _syringe_at(layout, at["mixing_well"], *plunger("aspirate", EXPERIMENT_ASPIRATE_UL))
     for k in range(1, 5):
-        ops += _syringe_at(at[f"drop_{k}"], Dispense(0, DROPLET_UL))
+        lines += _syringe_at(layout, at[f"drop_{k}"], *plunger("dispense", DROPLET_UL))
     leftover = EXPERIMENT_ASPIRATE_UL - 4 * DROPLET_UL
-    ops += _syringe_at(at["waste"], Dispense(0, leftover))
-    return compile_ops(ops, layout)
+    lines += _syringe_at(layout, at["waste"], *plunger("dispense", leftover))
+    return "".join(line + "\n" for line in lines)
 
 
 def compile_cleaning_cycle(layout: StageLayout | None = None) -> str:
@@ -408,15 +357,15 @@ def compile_cleaning_cycle(layout: StageLayout | None = None) -> str:
     if layout is None:
         layout = default_layout()
     dish = layout.locations["dish_center"]
-    dip = _syringe_at(dish, Aspirate(0, NEEDLE_DIP_UL), Dispense(0, NEEDLE_DIP_UL))
     washes = [(5, vol) for vol in ACETONE_WASHES_ML] + [(4, vol) for vol in AQUEOUS_WASHES_ML]
-    ops = []
+    lines = []
     for k, (pump, vol) in enumerate(washes):
-        ops += [MoveTo(*dish, apparatus="pump_tube"), *_transfer(pump, vol)]
-        if k < 2:
-            ops += dip
-        ops += _transfer(6, DRAIN_DISPLACEMENT_ML)
-    return compile_ops(ops, layout)
+        lines += move(layout, *dish, apparatus="pump_tube") + _transfer(layout, pump, vol)
+        if k < 2:  # built in program order: a failing wash move is reported first
+            lines += _syringe_at(layout, dish, *plunger("aspirate", NEEDLE_DIP_UL),
+                                 *plunger("dispense", NEEDLE_DIP_UL))
+        lines += _transfer(layout, 6, DRAIN_DISPLACEMENT_ML)
+    return "".join(line + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -628,20 +577,22 @@ class VirtualRobot:
         self.state.stirring = False
         self._log(pc, "stir_off", "", 0.0)
 
-    def _servo(self, syringe: int) -> SyringeState:
+    def _servo(self, pc, syringe: int) -> SyringeState:
+        if syringe not in self.state.syringes:
+            raise StateFault(f"no syringe {syringe} on the carriage", pc)
         self.state.time_ms += SERVO_ACTION_MS
-        return self.state.syringes.setdefault(syringe, SyringeState())
+        return self.state.syringes[syringe]
 
     def _exec_lower(self, pc, syringe):
-        self._servo(syringe).lowered = True
+        self._servo(pc, syringe).lowered = True
         self._log(pc, "lower", "", 0.0)
 
     def _exec_raise(self, pc, syringe):
-        self._servo(syringe).lowered = False
+        self._servo(pc, syringe).lowered = False
         self._log(pc, "raise", "", 0.0)
 
     def _exec_aspirate(self, pc, syringe, volume):
-        held = self._servo(syringe)
+        held = self._servo(pc, syringe)
         if not held.lowered:
             raise StateFault("aspirate with syringe raised", pc)
         if held.volume_ul + volume > SYRINGE_CAPACITY_UL + 1e-9:
@@ -649,7 +600,7 @@ class VirtualRobot:
         self._draw(pc, "aspirate", self._vessel_at_carriage(pc), volume, held.contents)
 
     def _exec_dispense(self, pc, syringe, volume):
-        held = self._servo(syringe)
+        held = self._servo(pc, syringe)
         if not held.lowered:
             raise StateFault("dispense with syringe raised", pc)
         if held.volume_ul + 1e-9 < volume:

@@ -429,10 +429,10 @@ def test_gcode_round_trip_and_fuzz():
     program = (compile_experiment(Formulation((0.4, 0.3, 0.2, 0.1)), layout)
                + compile_cleaning_cycle(layout))
     # compile -> parse -> execute.
-    reserialized = "\n".join(
-        p.args[0].serialize() if p.kind == "pump" else ""
-        for p in parse_program(program) if p.kind == "pump")
-    assert reserialized  # the parse stage saw the pump instructions
+    reserialized = "\n".join(p.args[0].serialize()
+                             for p in parse_program(program) if p.kind == "pump")
+    assert reserialized == "\n".join(line for line in program.splitlines()
+                                     if line.startswith("P"))
     robot.execute(program)
     # One-step calibration bound: coarsest pump moves 0.1 uL per step.
     conserve = abs(robot.state.total_liquid_ul() - before)

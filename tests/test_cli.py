@@ -294,6 +294,22 @@ def test_gcode_non_finite_formulation_is_a_data_error(capsys, formulation):
     assert captured.err.startswith("data error: non-finite") and captured.err.count("\n") == 1
 
 
+def test_gcode_compile_formulation_whose_sum_overflows(capsys):
+    assert main(["gcode", "compile", "--formulation", "1e308,1e308,1,1"]) == EXIT_OK
+    recipe = normalize([1e308, 1e308, 1, 1])
+    assert recipe.proportions == pytest.approx((0.5, 0.5, 0.0, 0.0), abs=1e-300)
+    assert capsys.readouterr().out == gcode.compile_experiment(recipe)
+
+
+def test_gcode_exec_syringe_not_on_the_carriage_is_a_data_error(tmp_path, capsys):
+    program = tmp_path / "s3.gcode"
+    program.write_text("M10 S3\n")
+    assert main(["gcode", "exec", str(program)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "data error: instruction 0: no syringe 3 on the carriage\n"
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "dropevo", "--help"],
                           capture_output=True, text=True)

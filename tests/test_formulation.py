@@ -41,6 +41,12 @@ def test_non_finite_components_rejected(bad):
         Formulation((bad, 0.0, 0.0, 1.0))
 
 
+def test_normalize_a_sum_that_overflows():
+    # The total of these finite components is inf; dividing by it gave 0s.
+    f = normalize([1e308, 1e308, 1, 1])
+    assert f.proportions == pytest.approx((0.5, 0.5, 0.0, 0.0), abs=1e-300)
+
+
 positive_raws = st.lists(
     st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=4, max_size=4
 ).filter(lambda r: sum(r) > 1e-9)

@@ -1,34 +1,33 @@
+import dataclasses
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dropevo.formulation import Formulation, normalize
 from dropevo.gcode import (
-    Aspirate,
-    Dispense,
     GcodeError,
-    LowerSyringe,
-    MoveTo,
     OutOfBounds,
     PumpInstruction,
     PumpRangeError,
     PumpSyntaxError,
-    PumpTransfer,
     StageLayout,
     StateFault,
     UnknownApparatus,
-    Valve,
     VirtualRobot,
     VirtualState,
     check_program,
     compile_cleaning_cycle,
     compile_experiment,
-    compile_ops,
     default_layout,
+    move,
     parse_line,
     parse_program,
     parse_pump_line,
+    plunger,
+    stroke,
+    valve,
 )
 
 
@@ -118,30 +117,28 @@ def test_check_program_collects_errors():
 
 def test_compile_quantizes_coordinates():
     layout = default_layout()
-    text = compile_ops([MoveTo(10.04, 20.06)], layout)
-    assert text == "G1 X10.0 Y20.1\n"
+    assert move(layout, 10.04, 20.06) == ["G1 X10.0 Y20.1"]
 
 
 def test_compile_apparatus_offset():
     layout = default_layout()
     # Needle offset (15, 0): carriage goes 15 mm left of the target.
-    text = compile_ops([MoveTo(100.0, 50.0, apparatus="needle")], layout)
-    assert text == "G1 X85.0 Y50.0\n"
+    assert move(layout, 100.0, 50.0, apparatus="needle") == ["G1 X85.0 Y50.0"]
     with pytest.raises(UnknownApparatus):
-        compile_ops([MoveTo(1, 1, apparatus="laser")], layout)
+        move(layout, 1, 1, apparatus="laser")
 
 
 def test_compile_bounds_check():
     layout = default_layout()
     with pytest.raises(OutOfBounds):
-        compile_ops([MoveTo(600.0, 10.0)], layout)
+        move(layout, 600.0, 10.0)
     with pytest.raises(OutOfBounds):
-        compile_ops([MoveTo(10.0, -5.0)], layout)
+        move(layout, 10.0, -5.0)
 
 
 def test_firmware_faults_on_a_move_off_the_stage():
-    # The firmware holds a program to the stage that compile_ops holds its
-    # moves to; the stage's edges are on it.
+    # The firmware holds a program to the stage that the move emitter holds
+    # its lines to; the stage's edges are on it.
     robot = VirtualRobot()
     robot.execute("G1 X500.0 Y0.0\n")
     for move in ("G1 X500.1 Y0.0", "G1 X9999.0 Y-50.0", "G1 X10.0 Y400.1"):
@@ -155,21 +152,22 @@ def test_firmware_faults_on_a_move_off_the_stage():
 def test_compile_pump_transfer_calibration():
     layout = default_layout()
     # Pump 4 (5 mL barrel): 1 step = 0.1 uL, so 1 mL = 10000 steps.
-    assert compile_ops([PumpTransfer(4, 1.0, 0)], layout) == "P4 M0 D0 S2 E10000\n"
+    assert stroke(layout, 4, 1.0, 0) == ["P4 M0 D0 S2 E10000"]
     # Pump 0 (1 mL barrel): 1 step = 0.02 uL, so 0.5 mL = 25000 steps.
-    assert compile_ops([PumpTransfer(0, 0.5, 1)], layout) == "P0 M0 D1 S2 E25000\n"
+    assert stroke(layout, 0, 0.5, 1) == ["P0 M0 D1 S2 E25000"]
     with pytest.raises(PumpRangeError):
-        compile_ops([PumpTransfer(4, 5.1, 0)], layout)  # > one barrel stroke
+        stroke(layout, 4, 5.1, 0)  # > one barrel stroke
 
 
 def test_compile_zero_volume_elided():
     layout = default_layout()
-    assert compile_ops([Aspirate(0, 0.0), Dispense(0, 0.0),
-                        PumpTransfer(0, 0.0, 0)], layout) == ""
-    for op in (Aspirate(0, -1.0), Dispense(0, -1.0), PumpTransfer(4, -1.0, 0),
-               PumpTransfer(4, float("nan"), 1), Aspirate(0, float("nan"))):
+    assert [*plunger("aspirate", 0.0), *plunger("dispense", 0.0),
+            *stroke(layout, 0, 0.0, 0)] == []
+    for emit in (lambda: plunger("aspirate", -1.0), lambda: plunger("dispense", -1.0),
+                 lambda: stroke(layout, 4, -1.0, 0), lambda: stroke(layout, 4, float("nan"), 1),
+                 lambda: plunger("aspirate", float("nan"))):
         with pytest.raises(GcodeError, match="volume must be >= 0"):
-            compile_ops([op], layout)
+            emit()
 
 
 def test_compiled_programs_parse_cleanly():
@@ -194,12 +192,98 @@ def test_compile_experiment_skips_zero_components():
     assert pumps == {"P0"}
 
 
+# sha256 of compile_experiment over pinned_formulations(), then
+# compile_cleaning_cycle, all on the default layout. It pins the compilers'
+# bytes: a change to any program line must update the digest on purpose.
+COMPILED_PROGRAMS_SHA256 = "0cfda2c84dfe1da8afafa9d719694717788c5cccb1ccf8b20226ed04e14ceb67"
+
+
+def pinned_formulations():
+    """The four corners, the equal mix and seeded recipes, a fifth of whose
+    components are zero: 303 formulations."""
+    rng = random.Random(21)
+    raws = [[float(i == k) for i in range(4)] for k in range(4)] + [[1, 1, 1, 1]]
+    while len(raws) < 303:
+        raw = [rng.random() if rng.random() < 0.8 else 0.0 for _ in range(4)]
+        if any(raw):
+            raws.append(raw)
+    return [normalize(raw) for raw in raws]
+
+
+def test_compiled_program_bytes_pinned():
+    layout = default_layout()
+    digest = hashlib.sha256()
+    for f in pinned_formulations():
+        digest.update(compile_experiment(f, layout).encode())
+    digest.update(compile_cleaning_cycle(layout).encode())
+    assert digest.hexdigest() == COMPILED_PROGRAMS_SHA256
+
+
+BASE = default_layout()
+
+
+def moved(layout=BASE, **points):
+    return dataclasses.replace(layout, locations={**layout.locations, **points})
+
+
+def barrels(ml: dict, layout=BASE):
+    return dataclasses.replace(layout, pump_syringe_ml={**layout.pump_syringe_ml, **ml})
+
+
+def off_stage(x, y):
+    return OutOfBounds, f"carriage target ({x:.1f}, {y:.1f}) mm outside stage (500.0, 400.0)"
+
+
+def over_stroke(steps, ml):
+    return PumpRangeError, f"E={steps}: {ml} mL exceeds one barrel stroke"
+
+
+@pytest.mark.parametrize("layout, experiment, cleaning", [
+    pytest.param(moved(mixing_well=(490.0, 200.0)), off_stage(510, 200), None,
+                 id="well-off-for-the-pump-tube"),
+    pytest.param(moved(mixing_well=(600.0, 200.0)), off_stage(620, 200), None,
+                 id="well-off-for-both-first-move-reported"),
+    pytest.param(dataclasses.replace(BASE, apparatus_offsets={
+        **BASE.apparatus_offsets, "syringe": (0.0, -210.0)}),
+                 off_stage(250, 410), off_stage(120, 410), id="off-for-the-syringe"),
+    pytest.param(moved(drop_3=(105.0, 399.0), drop_4=(135.0, 500.0)),
+                 off_stage(135, 500), None, id="drop-off"),
+    pytest.param(moved(waste=(-1.0, 200.0)), off_stage(-1, 200), None, id="waste-off"),
+    pytest.param(barrels({0: 0.1}, moved(waste=(-1.0, 200.0))),
+                 over_stroke(180000, 0.36), None, id="oil-stroke-before-waste-move"),
+    pytest.param(dataclasses.replace(BASE, apparatus_offsets={"syringe": (0.0, 0.0)}),
+                 (UnknownApparatus, "pump_tube"), (UnknownApparatus, "pump_tube"),
+                 id="no-pump-tube"),
+    pytest.param(dataclasses.replace(BASE, apparatus_offsets={"pump_tube": (-20.0, 0.0)}),
+                 (UnknownApparatus, "syringe"), (UnknownApparatus, "syringe"),
+                 id="no-syringe"),
+    pytest.param(moved(dish_center=(600.0, 200.0)), None, off_stage(620, 200),
+                 id="dish-off-for-both-wash-move-before-dip"),
+    pytest.param(barrels({6: 4.0}, moved(dish_center=(-10.0, 200.0))),
+                 None, off_stage(-10, 200), id="dip-move-before-drain-stroke"),
+    pytest.param(barrels({5: 3.0}), None, over_stroke(66667, 4.0), id="acetone-barrel"),
+    pytest.param(barrels({4: 1.2}), None, over_stroke(62500, 1.5), id="aqueous-barrel"),
+    pytest.param(barrels({6: 4.0}), None, over_stroke(57500, 4.6), id="drain-barrel"),
+])
+def test_compile_errors_keep_their_type_message_and_order(layout, experiment, cleaning):
+    # The first failing check in program order is the one reported.
+    for compile_program, expected in (
+            (lambda: compile_experiment(normalize([1, 0, 0, 0]), layout), experiment),
+            (lambda: compile_cleaning_cycle(layout), cleaning)):
+        if expected is None:
+            assert check_program(compile_program()) == []
+            continue
+        with pytest.raises(GcodeError) as err:
+            compile_program()
+        assert (type(err.value), str(err.value)) == expected
+
+
 # -------------------------------------------------------- virtual robot
 
 
-def run_ops(ops, layout, state=None):
-    """Compile `ops` and run them on a robot with a fresh (or the given) state."""
-    return VirtualRobot(layout, state).execute(compile_ops(ops, layout))
+def run_lines(lines, layout, state=None):
+    """Run program `lines` on a robot with a fresh (or the given) state."""
+    return VirtualRobot(layout, state).execute("".join(line + "\n" for line in lines))
 
 
 def test_layout_json_round_trip():
@@ -252,31 +336,43 @@ def test_state_faults():
     wx, wy = layout.locations["mixing_well"]
     # Aspirating with the syringe raised.
     with pytest.raises(StateFault):
-        run_ops([MoveTo(wx, wy), Aspirate(0, 10.0)], layout)
+        run_lines([*move(layout, wx, wy), *plunger("aspirate", 10.0)], layout)
     # Dispensing more than the syringe holds.
     with pytest.raises(StateFault):
-        run_ops([MoveTo(wx, wy), LowerSyringe(0), Dispense(0, 10.0)], layout)
+        run_lines([*move(layout, wx, wy), "M10 S0", *plunger("dispense", 10.0)], layout)
     # Syringe over-capacity (100 uL barrel) from a non-empty well.
     state = VirtualState.initial(layout)
     state.vessels["well"]["aqueous"] = 500.0
     with pytest.raises(StateFault):
-        run_ops([MoveTo(wx, wy), LowerSyringe(0), Aspirate(0, 80.0),
-                 Aspirate(0, 30.0)], layout, state=state)
+        run_lines([*move(layout, wx, wy), "M10 S0", *plunger("aspirate", 80.0),
+                   *plunger("aspirate", 30.0)], layout, state=state)
     # Aspirating from an empty vessel.
     with pytest.raises(StateFault):
-        run_ops([MoveTo(wx, wy), LowerSyringe(0), Aspirate(0, 10.0)], layout)
+        run_lines([*move(layout, wx, wy), "M10 S0", *plunger("aspirate", 10.0)], layout)
     # Pump plunger over-travel, at the dish so the port reaches a vessel:
     # expel from an empty barrel, and draw past a full one.
-    at_dish = MoveTo(*layout.locations["dish_center"], apparatus="pump_tube")
+    at_dish = move(layout, *layout.locations["dish_center"], apparatus="pump_tube")
     with pytest.raises(StateFault, match="plunger over-travel"):
-        run_ops([at_dish, Valve(4, 1), PumpTransfer(4, 1.0, 1)], layout)
+        run_lines([*at_dish, *valve(4, 1), *stroke(layout, 4, 1.0, 1)], layout)
     with pytest.raises(StateFault, match="plunger over-travel"):
-        run_ops([at_dish, Valve(4, 0), PumpTransfer(4, 5.0, 0), PumpTransfer(4, 0.1, 0)],
-                layout)
+        run_lines([*at_dish, *valve(4, 0), *stroke(layout, 4, 5.0, 0),
+                   *stroke(layout, 4, 0.1, 0)], layout)
     # Nowhere vessel: pump port 'carriage' with the carriage parked at origin.
     with pytest.raises(StateFault) as err:
-        run_ops([Valve(4, 1), PumpTransfer(4, 1.0, 0)], layout)
+        run_lines([*valve(4, 1), *stroke(layout, 4, 1.0, 0)], layout)
     assert err.value.pc == 1
+
+
+@pytest.mark.parametrize("line", ["M10 S3", "M11 S1", "M12 S3 V10.0", "M13 S2 V5.0"])
+def test_firmware_faults_on_a_syringe_the_carriage_does_not_hold(line):
+    # The carriage holds one syringe, S0; the firmware makes up no other.
+    robot = VirtualRobot()
+    before = robot.state.to_json()
+    with pytest.raises(StateFault) as err:
+        robot.execute(line + "\n")
+    syringe = line.split()[1][1:]
+    assert str(err.value) == f"instruction 0: no syringe {syringe} on the carriage"
+    assert robot.state.to_json() == before and robot.events == []
 
 
 def test_retained_dead_volume_drawn_last():
@@ -286,9 +382,9 @@ def test_retained_dead_volume_drawn_last():
     cx, cy = layout.locations["dish_center"]
     ox, oy = layout.apparatus_offsets["pump_tube"]
     # Drain 250 uL: all 200 uL acetone out first, then 50 uL aqueous.
-    ops = [MoveTo(cx, cy, apparatus="pump_tube"),
-           Valve(6, 0), PumpTransfer(6, 0.25, 0)]
-    robot.execute(compile_ops(ops, layout))
+    lines = [*move(layout, cx, cy, apparatus="pump_tube"),
+             *valve(6, 0), *stroke(layout, 6, 0.25, 0)]
+    robot.execute("".join(line + "\n" for line in lines))
     dish = robot.state.vessels["dish"]
     assert "acetone" not in dish
     assert dish["aqueous"] == pytest.approx(2950.0)
