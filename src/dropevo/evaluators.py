@@ -9,12 +9,12 @@ independent of evaluation order and safe to compute concurrently.
 `evaluate_recipe` scores a recipe's replicates in passes: the replicates of
 one pass are simulated together into one columnar `arena.DetectionRecord`
 (replicate after replicate, an empty frame between them), filtered, tracked
-into one columnar `tracking.TrajectorySet` and scored by one call that gives
-each replicate's score. A pass holds all REPLICATES replicates unless the
-arena is too large for it (PASS_DROPLET_FRAMES); each score is the same as
-that of the replicate scored alone, a pass of one (`run_replicate`, which no
-command calls: the tests compare against it, and perfbench's tracer wraps
-it).
+into one columnar `tracking.TrajectorySet` (but for division) and scored by
+one call that gives each replicate's score. A pass holds all REPLICATES
+replicates unless the arena is too large for it (PASS_DROPLET_FRAMES); each
+score is the same as that of the replicate scored alone, a pass of one
+(`run_replicate`, which no command calls: the tests compare against it, and
+perfbench's tracer wraps it).
 
 `ExperimentSetup` is built once per campaign and checks itself; each GA run
 scores with `dataclasses.replace(setup, run=run)`. The round scorer from
@@ -34,12 +34,12 @@ from .formulation import GENOME_LENGTH, Formulation, check_number, check_vector
 
 ANALYTIC_ARENA_SHRINK = 0.95
 
-# A recipe's replicates are simulated, tracked and scored in passes that
+# A recipe's replicates are simulated, filtered and scored in passes that
 # hold at most this many droplet-frames (injections x frames per replicate).
-# The cap bounds a pass's memory: the tracker keeps about 170 B of
-# temporaries per detection, and on the benchmark's evolve-crowded arena (32
-# injections x 600 frames) all three replicates in one pass raised the
-# command's peak RSS from 41.3-41.9 to 49.3-50.8 MB and saved no time (3
+# The cap bounds a tracked (movement or directionality) pass's memory: the
+# tracker keeps about 170 B of temporaries per detection, and on an arena of
+# 32 injections x 600 frames all three replicates in one tracked pass raised
+# the command's peak RSS from 41.3-41.9 to 49.3-50.8 MB and saved no time (3
 # seeds, 2 vCPUs). The default arena (4 x 1,800) takes all three at once.
 PASS_DROPLET_FRAMES = 2 ** 15
 
@@ -91,12 +91,12 @@ def _pass_size(cfg: arena.ArenaConfig) -> int:
 def _score_pass(setup: ExperimentSetup, f: Formulation, behavior: arena.BehaviorParams,
                 seeds: list) -> list[float]:
     """The scores of the replicates seeded by `seeds`, simulated, filtered,
-    tracked and scored as one record."""
+    tracked (but for division) and scored as one record."""
     cfg = setup.arena_config
     record = arena.simulate(f, cfg, seeds, behavior=behavior)
     record = arena.filter_analytic_arena(record, cfg.arena_radius, ANALYTIC_ARENA_SHRINK)
-    ts = tracking.track(record)
-    return tracking.FITNESS_FUNCTIONS[setup.objective](ts, replicates=len(seeds))
+    scored = record if setup.objective == "division" else tracking.track(record)
+    return tracking.FITNESS_FUNCTIONS[setup.objective](scored, replicates=len(seeds))
 
 
 def _recipe(setup: ExperimentSetup, proportions) -> tuple:

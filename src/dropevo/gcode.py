@@ -321,9 +321,10 @@ def valve(pump: int, port: int) -> list:
 
 
 def _transfer(layout: StageLayout, pump: int, volume_ml: float) -> list:
-    """Draw `volume_ml` through valve port 0 and push it out through port 1."""
-    return [*valve(pump, 0), *stroke(layout, pump, volume_ml, 0),
-            *valve(pump, 1), *stroke(layout, pump, volume_ml, 1)]
+    """Draw `volume_ml` through valve port 0 and push it out through port 1;
+    no lines, not even the valve turns, for a stroke of 0 steps."""
+    draw = stroke(layout, pump, volume_ml, 0)
+    return draw and [*valve(pump, 0), *draw, *valve(pump, 1), *stroke(layout, pump, volume_ml, 1)]
 
 
 def _syringe_at(layout: StageLayout, point, *actions: str) -> list:
@@ -339,8 +340,7 @@ def compile_experiment(f: Formulation, layout: StageLayout | None = None) -> str
     at = layout.locations
     lines = move(layout, *at["mixing_well"], apparatus="pump_tube")
     for pump, vol in enumerate(well_volumes(f)):
-        if vol > 0:
-            lines += _transfer(layout, pump, vol / 1000.0)
+        lines += _transfer(layout, pump, vol / 1000.0)
     lines += ["M15", "M16"]
     lines += _syringe_at(layout, at["mixing_well"], *plunger("aspirate", EXPERIMENT_ASPIRATE_UL))
     for k in range(1, 5):

@@ -23,12 +23,12 @@ Movement and directionality average per frame pair (respectively frame
 triple) over the droplets contributing to that pair/triple, then over time,
 so the scores stay well defined when the droplet count varies.
 
-An empty frame ends every trajectory, so the record of an arena.simulate
-pass, its replicates joined by empty frames, tracks as each replicate alone
-would, with flat indices and droplet ids offset. Each score takes a
-TrajectorySet of such a pass of `replicates` replicates (one by default) and
-returns one score per replicate, the same as that replicate's alone; a
-replicate without a frame pair (respectively triple) scores 0.0.
+An empty frame ends every trajectory, so the record of an arena.simulate pass,
+its replicates joined by empty frames, tracks as each replicate alone would,
+with flat indices and droplet ids offset. Each score takes such a pass of
+`replicates` replicates (one by default), as a TrajectorySet or, for division,
+the record, and returns one score per replicate, the same as that replicate's
+alone; a replicate without a frame pair (respectively triple) scores 0.0.
 """
 
 from __future__ import annotations
@@ -259,22 +259,22 @@ def track(rec: DetectionRecord, radius: float = TRACK_RADIUS_PX) -> TrajectorySe
     return TrajectorySet(len(rec), frame, rec.x, rec.y, rec.area, parent, droplet)
 
 
-def _replicate_period(ts: TrajectorySet, replicates: int) -> int:
-    """F + 1 for a TrajectorySet of `replicates` experiments of F frames each,
+def _replicate_period(frames: int, replicates: int) -> int:
+    """F + 1 for `frames` frames of `replicates` experiments of F frames each,
     laid out as one arena.simulate pass: replicate r's frame t is frame
     r * (F + 1) + t."""
-    if replicates < 1 or (ts.total_frames + 1) % replicates:
-        raise ValueError(f"{ts.total_frames} frames do not hold {replicates} replicates")
-    return (ts.total_frames + 1) // replicates
+    if replicates < 1 or (frames + 1) % replicates:
+        raise ValueError(f"{frames} frames do not hold {replicates} replicates")
+    return (frames + 1) // replicates
 
 
-def fitness_division(ts: TrajectorySet, area_threshold: float = DIVISION_AREA_THRESHOLD,
+def fitness_division(rec: DetectionRecord, area_threshold: float = DIVISION_AREA_THRESHOLD,
                      replicates: int = 1) -> list[float]:
     """Per replicate, the droplets alive in its final frame with area
     strictly above threshold."""
-    period = _replicate_period(ts, replicates)
-    big = np.bincount(ts.frame[ts.area > area_threshold], minlength=ts.total_frames + 1)
-    return [float(n) for n in big[period - 2::period].tolist()]
+    period, o = _replicate_period(len(rec), replicates), rec.offsets
+    return [float(np.count_nonzero(rec.area[o[t]:o[t + 1]] > area_threshold))
+            for t in range(period - 2, len(rec), period)]
 
 
 def _mean_of_group_means(values: list, group: np.ndarray, droplet: np.ndarray,
@@ -377,7 +377,7 @@ def fitness_movement(ts: TrajectorySet, replicates: int = 1) -> list[float]:
     displacement (px)."""
     k, step = _steps(ts)
     return _mean_of_group_means(step[k], ts.frame[k], ts.droplet[k],
-                                _replicate_period(ts, replicates), replicates)
+                                _replicate_period(ts.total_frames, replicates), replicates)
 
 
 def fitness_directionality(ts: TrajectorySet, replicates: int = 1) -> list[float]:
@@ -386,7 +386,7 @@ def fitness_directionality(ts: TrajectorySet, replicates: int = 1) -> list[float
 
     The turning angle lies in [0, pi] between consecutive displacement
     vectors; a triple with a zero-length displacement has none."""
-    period = _replicate_period(ts, replicates)
+    period = _replicate_period(ts.total_frames, replicates)
     k, step = _steps(ts)
     c = k[ts.parent[ts.parent[k]] >= 0]
     b = ts.parent[c]

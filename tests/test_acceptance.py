@@ -139,17 +139,28 @@ def _trajectory_set(trajectories, total_frames) -> TrajectorySet:
                          parent, droplet)
 
 
+def _detection_record(trajectories, total_frames) -> arena.DetectionRecord:
+    """The DetectionRecord holding the trajectories' samples, frame by frame."""
+    frames = [[] for _ in range(total_frames)]
+    for samples in trajectories:
+        for t, x, y, area in samples:
+            frames[t].append((x, y, area))
+    rows = np.array([d for fr in frames for d in fr], dtype=float).reshape(-1, 3)
+    return arena.DetectionRecord(np.cumsum([0, *map(len, frames)]), *rows.T)
+
+
 def test_fitness_oracle_equivalence():
     # Every score on every set, directionality included: the oracle gives
-    # 0.0 where no triple has an angle, as the scores do.
+    # 0.0 where no triple has an angle, as the scores do. Division takes the
+    # set's detections as a DetectionRecord, the others the TrajectorySet.
     rng = np.random.default_rng(2024)
     worst = 0.0
     ok = True
     for _ in range(200):
         trajectories, total_frames = _random_trajectories(rng)
         ts = _trajectory_set(trajectories, total_frames)
-        scores = [score(ts) for score in (tracking.fitness_division, tracking.fitness_movement,
-                                          tracking.fitness_directionality)]
+        scores = [tracking.fitness_division(_detection_record(trajectories, total_frames)),
+                  tracking.fitness_movement(ts), tracking.fitness_directionality(ts)]
         for got, want in zip(scores, _oracle_scores(trajectories, total_frames)):
             if len(got) != 1 or not abs(got[0] - want) <= 1e-9:
                 ok = False

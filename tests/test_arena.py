@@ -460,9 +460,9 @@ def test_droplet_stream_is_the_spawned_sequence(entropy, spawn_key, lineage, str
 
 
 def _objective_scores(record, radius):
-    ts = tracking.track(filter_analytic_arena(record, radius,
-                                              evaluators.ANALYTIC_ARENA_SHRINK))
-    return [tracking.FITNESS_FUNCTIONS[objective](ts)[0]
+    record = filter_analytic_arena(record, radius, evaluators.ANALYTIC_ARENA_SHRINK)
+    ts = tracking.track(record)
+    return [tracking.FITNESS_FUNCTIONS[objective](record if objective == "division" else ts)[0]
             for objective in sorted(tracking.FITNESS_FUNCTIONS)]
 
 

@@ -301,6 +301,18 @@ def test_gcode_compile_formulation_whose_sum_overflows(capsys):
     assert capsys.readouterr().out == gcode.compile_experiment(recipe)
 
 
+def test_gcode_compile_elides_a_transfer_of_zero_steps(tmp_path, capsys):
+    # Oils 3 and 4 get about 1e-308 of the well, which rounds to 0 pump
+    # steps: their pumps (P2, P3) must not turn a valve twice and move nothing.
+    assert main(["gcode", "compile", "--formulation", "1e308,1e308,1,1"]) == EXIT_OK
+    program = capsys.readouterr().out
+    pumps = {line.split()[0] for line in program.splitlines() if line.startswith("P")}
+    assert pumps == {"P0", "P1"}
+    path = tmp_path / "tiny.gcode"
+    path.write_text(program)
+    assert main(["gcode", "exec", str(path)]) == EXIT_OK
+
+
 def test_gcode_exec_syringe_not_on_the_carriage_is_a_data_error(tmp_path, capsys):
     program = tmp_path / "s3.gcode"
     program.write_text("M10 S3\n")

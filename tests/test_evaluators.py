@@ -9,6 +9,10 @@ from dropevo.arena import ArenaConfig
 from dropevo.evaluators import ExperimentSetup, evaluate_recipe, run_replicate
 
 SHORT_ARENA = ArenaConfig(duration=2.0)
+# 32 droplets in a row for 600 frames: one replicate per pass.
+CROWDED_ARENA = ArenaConfig(arena_radius=1000.0, duration=20.0, injection_count=32,
+                            injection_positions=tuple((20.0 * k - 310.0, 0.0)
+                                                      for k in range(32)))
 
 
 def test_setup_rejects_unknown_objective():
@@ -83,10 +87,8 @@ def test_evaluate_recipe_equals_its_replicates_scored_alone(monkeypatch, objecti
 def test_pass_size_keeps_a_crowded_arena_to_one_replicate(monkeypatch):
     # The default arena's replicates go in one pass; a 32-droplet, 600-frame
     # arena's one at a time.
-    crowded = ArenaConfig(arena_radius=1000.0, duration=20.0, injection_count=32,
-                          injection_positions=tuple((20.0 * k - 310.0, 0.0) for k in range(32)))
     assert evaluators._pass_size(ArenaConfig()) == 3
-    assert evaluators._pass_size(crowded) == 1
+    assert evaluators._pass_size(CROWDED_ARENA) == 1
     passes = []
     simulate = arena.simulate
 
@@ -95,9 +97,27 @@ def test_pass_size_keeps_a_crowded_arena_to_one_replicate(monkeypatch):
         return simulate(f, cfg, seeds, behavior=behavior)
 
     monkeypatch.setattr(arena, "simulate", counting_simulate)
-    setup = ExperimentSetup(objective="division", arena_config=crowded)
+    setup = ExperimentSetup(objective="division", arena_config=CROWDED_ARENA)
     evaluate_recipe(setup, (0.25, 0.25, 0.25, 0.25), 0)
     assert passes == [1, 1, 1]
+
+
+# The scores were taken when every division pass was tracked.
+@pytest.mark.parametrize("cfg, size, p, recipe_id, want", [
+    (ArenaConfig(), 3, (0.4, 0.0, 0.5, 0.1), 5, [1.0, 5.0, 0.0]),
+    (CROWDED_ARENA, 1, (0.25, 0.25, 0.25, 0.25), 0, [44.0, 52.0, 43.0]),
+    (CROWDED_ARENA, 1, (0.4, 0.0, 0.5, 0.1), 3, [60.0, 53.0, 48.0]),
+])
+def test_division_never_tracks(monkeypatch, cfg, size, p, recipe_id, want):
+    # Division counts the filtered record's final-frame detections, so its
+    # passes, of three replicates or of one, must not call the tracker.
+    def no_tracking(*args, **kwargs):
+        raise AssertionError("a division pass called tracking.track")
+
+    monkeypatch.setattr(tracking, "track", no_tracking)
+    assert evaluators._pass_size(cfg) == size
+    setup = ExperimentSetup(objective="division", arena_config=cfg)
+    assert evaluate_recipe(setup, p, recipe_id) == want
 
 
 def test_unimodal_map_rewards_optimum():

@@ -5,7 +5,7 @@ scores from first principles using only dict/list arithmetic, deliberately
 sharing no code with dropevo.tracking. The reference scores are the scalar
 per-trajectory implementations that the array scores must match bit for bit.
 Frames are lists of (x, y, area) detections; `record_of` joins them into the
-DetectionRecord the tracker takes.
+DetectionRecord that the tracker and the division score take.
 """
 
 import math
@@ -37,6 +37,14 @@ def frames_of(record):
     rows = list(zip(record.x.tolist(), record.y.tolist(), record.area.tolist()))
     o = record.offsets.tolist()
     return [rows[a:b] for a, b in zip(o, o[1:])]
+
+
+def record_of_set(ts):
+    """The DetectionRecord holding a TrajectorySet's detections, frame by
+    frame (in flat order within a frame)."""
+    order = np.argsort(ts.frame, kind="stable")
+    offsets = np.r_[0, np.cumsum(np.bincount(ts.frame, minlength=ts.total_frames))]
+    return DetectionRecord(offsets, ts.x[order], ts.y[order], ts.area[order])
 
 
 def trajectory_set(trajectories, total_frames):
@@ -201,20 +209,42 @@ def test_track_matches_oracle_randomized(lists):
 
 
 def test_division_strict_threshold():
-    ts = track(record_of([(0, 0, 400)], [(0, 0, 15.0)]))
-    assert fitness_division(ts) == [0.0]
-    ts = track(record_of([(0, 0, 400)], [(0, 0, 15.0001)]))
-    assert fitness_division(ts) == [1.0]
+    assert fitness_division(record_of([(0, 0, 400)], [(0, 0, 15.0)])) == [0.0]
+    assert fitness_division(record_of([(0, 0, 400)], [(0, 0, 15.0001)])) == [1.0]
 
 
 def test_division_counts_only_final_frame():
     # Second droplet vanishes before the last frame.
-    ts = track(record_of([(0, 0, 100), (50, 50, 100)], [(0, 0, 100)]))
-    assert fitness_division(ts) == [1.0]
+    assert fitness_division(record_of([(0, 0, 100), (50, 50, 100)], [(0, 0, 100)])) == [1.0]
 
 
 def test_division_empty():
-    assert fitness_division(track(record_of())) == [0.0]
+    assert fitness_division(record_of()) == [0.0]
+
+
+division_frame = st.lists(
+    st.tuples(
+        st.integers(min_value=-3, max_value=3).map(lambda v: 10.0 * v),
+        st.integers(min_value=-3, max_value=3).map(lambda v: 10.0 * v),
+        st.sampled_from([5.0, 15.0, 15.000001, 20.0, math.nan]),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda frames: st.lists(st.lists(division_frame, min_size=frames, max_size=frames),
+                            min_size=1, max_size=4)))
+@example([[[(0.0, 0.0, 20.0)], []], [[(0.0, 0.0, 15.0)], [(0.0, 0.0, math.nan)]]])
+def test_division_of_a_pass_counts_what_tracking_counted(replicates):
+    # Division reads the record. Per replicate of a pass it must give what it
+    # gave on the tracked record: the oracle tracker's droplets alive in the
+    # replicate's final frame with area above 15 (empty final frames, areas
+    # of exactly 15.0 and NaN areas included).
+    rec = record_of(*[d for lists in replicates for d in [[], *lists]][1:])
+    want = [float(oracle_division(oracle_track(lists), len(lists))) for lists in replicates]
+    assert fitness_division(rec, replicates=len(replicates)) == want
 
 
 def test_movement_straight_line():
@@ -274,7 +304,7 @@ def test_fitness_matches_oracles_on_simulations():
                           np.random.SeedSequence(seed))
         ts = track(frames)
         tracks = oracle_track(frames_of(frames))
-        assert fitness_division(ts) == [oracle_division(tracks, len(frames))]
+        assert fitness_division(frames) == [oracle_division(tracks, len(frames))]
         assert fitness_movement(ts) == pytest.approx(
             [oracle_movement(tracks)], abs=1e-9)
         assert fitness_directionality(ts) == pytest.approx(
@@ -316,10 +346,11 @@ def reference_scores(ts: TrajectorySet):
     return division, movement, directionality
 
 
-def scores(ts: TrajectorySet):
-    """The three scores of a TrajectorySet of one replicate."""
+def scores(rec: DetectionRecord, ts: TrajectorySet):
+    """The three scores of one replicate: division from its record, movement
+    and directionality from its TrajectorySet."""
     [division], [movement], [directionality] = (
-        score(ts) for score in (fitness_division, fitness_movement, fitness_directionality))
+        fitness_division(rec), fitness_movement(ts), fitness_directionality(ts))
     return division, movement, directionality
 
 
@@ -330,8 +361,9 @@ def test_scores_match_reference_on_pipeline():
     for seed in range(12):
         p = tuple(rng.dirichlet(np.ones(4)))
         frames = simulate(Formulation(p), cfg, np.random.SeedSequence(seed))
-        ts = track(filter_analytic_arena(frames, cfg.arena_radius))
-        assert scores(ts) == reference_scores(ts)
+        rec = filter_analytic_arena(frames, cfg.arena_radius)
+        ts = track(rec)
+        assert scores(rec, ts) == reference_scores(ts)
 
 
 def test_group_means_match_np_mean_for_all_sizes():
@@ -362,9 +394,10 @@ grid_frames = st.lists(grid_frame, min_size=2, max_size=10)
 def test_track_and_scores_on_grid_frames(lists):
     # Coordinates on a 10 px grid: exact distance ties, shared nearest
     # droplets and zero-length steps are common.
-    ts = track(record_of(*lists))
+    rec = record_of(*lists)
+    ts = track(rec)
     assert as_tracks(ts) == oracle_track(lists)
-    assert scores(ts) == reference_scores(ts)
+    assert scores(rec, ts) == reference_scores(ts)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -377,7 +410,8 @@ def test_records_joined_by_empty_frames_track_and_score_apart(replicates):
     # gets alone, offset by the detections and droplets before it, and each
     # score gives every replicate its own value (0.0 without a triple).
     period = len(replicates[0]) + 1
-    joined = track(record_of(*[d for lists in replicates for d in [[], *lists]][1:]))
+    joined_rec = record_of(*[d for lists in replicates for d in [[], *lists]][1:])
+    joined = track(joined_rec)
     parent, droplet, frame, alone = [], [], [], []
     for r, lists in enumerate(replicates):
         ts = track(record_of(*lists))
@@ -388,8 +422,9 @@ def test_records_joined_by_empty_frames_track_and_score_apart(replicates):
     assert joined.parent.tolist() == parent
     assert joined.droplet.tolist() == droplet
     assert joined.frame.tolist() == frame
-    together = [score(joined, replicates=len(replicates))
-                for score in (fitness_division, fitness_movement, fitness_directionality)]
+    together = [fitness_division(joined_rec, replicates=len(replicates)),
+                *(score(joined, replicates=len(replicates))
+                  for score in (fitness_movement, fitness_directionality))]
     assert list(zip(*together)) == alone
 
 
@@ -426,9 +461,10 @@ def test_track_dirty_frames_among_clean_ones():
         if t % 7 == 3:
             rows[5] = rows[4]  # a collision: two detections at one place
         lists.append(rows)
-    ts = track(record_of(*lists))
+    rec = record_of(*lists)
+    ts = track(rec)
     assert as_tracks(ts) == oracle_track(lists)
-    assert scores(ts) == reference_scores(ts)
+    assert scores(rec, ts) == reference_scores(ts)
 
 
 def test_track_coincident_static_pair_every_frame():
@@ -502,7 +538,7 @@ def test_scores_match_reference_on_trajectory_lists():
                 samples.append((t, float(x), float(y), float(rng.uniform(5, 25))))
             trajectories.append(samples)
         ts = trajectory_set(trajectories, total_frames)
-        assert scores(ts) == reference_scores(ts)
+        assert scores(record_of_set(ts), ts) == reference_scores(ts)
 
 
 _COMPONENT = st.one_of(st.floats(), st.floats(-100.0, 100.0), st.floats(-1e-300, 1e-300),
@@ -532,4 +568,4 @@ def test_step_lengths_and_angles_are_libm_exact():
     for _ in range(1000):
         xy = np.cumsum(rng.uniform(-20, 20, size=(3, 2)), axis=0).tolist()
         ts = trajectory_set([[(t, x, y, 9.0) for t, (x, y) in enumerate(xy)]], 3)
-        assert scores(ts) == reference_scores(ts)
+        assert scores(record_of_set(ts), ts) == reference_scores(ts)
