@@ -234,21 +234,22 @@ def cmd_evolve(args) -> int:
 # landscape
 
 def _load_histories(paths):
-    """The parsed histories. Every file is checked before ga loads numpy, so
-    a bad one fails without that import."""
+    """Each history file's typed rows by generation, first appearance first,
+    in file order. Every file is read and checked before the caller loads
+    numpy, so a bad one fails without that import."""
+    histories = []
     for path in paths:
-        violations = formats.validate_file(path, "history")
+        violations, generations = [], {}
+        for row in formats.CSV_FORMATS["history"].rows(Path(path).read_text(), violations):
+            generations.setdefault(row[1], []).append(row)
         if violations:
-            raise FileFormatError(path, violations)
-    from . import ga
-
-    return [ga.history_from_csv(Path(path).read_text()) for path in paths]
+            raise FileFormatError(f"{path}: " + "; ".join(violations[:5]))
+        histories.append(generations)
+    return histories
 
 
 class FileFormatError(Exception):
-    def __init__(self, path, violations):
-        super().__init__(f"{path}: " + "; ".join(violations[:5]))
-        self.violations = violations
+    pass
 
 
 def _face_grid(model, face: int, resolution: int):
@@ -261,7 +262,7 @@ def _face_grid(model, face: int, resolution: int):
 
 
 def cmd_landscape(args) -> int:
-    parsed = _load_histories(args.history)
+    histories = _load_histories(args.history)
     import numpy as np
 
     from . import landscape
@@ -277,13 +278,16 @@ def cmd_landscape(args) -> int:
             raise UsageError(f"{option} must be finite, got {value}")
     if args.lam <= 0:
         raise UsageError(f"--lambda must be > 0, got {args.lam}")
+    # One training point per (run, individual_id), a file's run being its
+    # first row's; the last row of a repeated one gives its loci and fitness.
     seen = {}
-    for hist in parsed:
-        for gen in hist["generations"].values():
-            for ind_id, loci, fitness in gen:
-                seen[(hist["run"], ind_id)] = (loci, fitness)
-    X = np.array([normalize(loci).proportions for loci, _ in seen.values()])
-    y = np.array([fitness for _, fitness in seen.values()])
+    for generations in histories:
+        run = next(iter(generations.values()))[0][0]
+        for gen in generations.values():
+            for row in gen:
+                seen[run, row[2]] = row
+    X = np.array([normalize(row[4:8]).proportions for row in seen.values()])
+    y = np.array([row[-1] for row in seen.values()])
     try:
         with np.errstate(over="raise", invalid="raise"):
             model = landscape.fit(X, y, lam=args.lam, sigma=args.sigma)
@@ -327,18 +331,14 @@ def cmd_analyze(args) -> int:
     # The histories are read and checked before stats loads scipy: a bad file
     # fails without that import, and the memory the parse frees is reused by
     # it rather than added to the command's peak.
-    parsed = _load_histories(args.history)
+    histories = _load_histories(args.history)
     import numpy as np
 
     from . import stats
 
-    shims = []
-    for hist in parsed:
-        gens = [
-            [SimpleNamespace(fitness=fitness) for _, _, fitness in hist["generations"][g]]
-            for g in sorted(hist["generations"])
-        ]
-        shims.append(SimpleNamespace(generations=gens))
+    shims = [SimpleNamespace(generations=[[SimpleNamespace(fitness=row[-1]) for row in gens[g]]
+                                          for g in sorted(gens)])
+             for gens in histories]
     # Statistics that overflow are a numeric failure, not a NaN in the report.
     with np.errstate(over="raise", invalid="raise"):
         report = stats.trajectory_report(shims)

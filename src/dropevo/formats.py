@@ -3,8 +3,9 @@
 Every CSV file the package reads or writes has a versioned format here:
 column names, units and value ranges. validate_file checks a file against
 one of these, or a G-code program against the dialect, and returns a list of
-violations (empty means ok). A stage layout is checked where it is parsed,
-by gcode.StageLayout.from_json.
+violations (empty means ok); CsvFormat.rows, the one parser of the CSV
+files, also yields each row's typed fields. A stage layout is checked where
+it is parsed, by gcode.StageLayout.from_json.
 """
 
 from __future__ import annotations
@@ -29,23 +30,25 @@ class ColumnSpec:
     maximum: float | None = None
     allow_empty: bool = False
 
-    def check(self, raw: str, row: int) -> str | None:
+    def convert(self, raw: str, row: int):
+        """The field as a value of its kind, None when it is empty and may
+        be; a violation raises ValueError with its message."""
         if raw == "":
-            return None if self.allow_empty else f"row {row}: {self.name} is empty"
+            if self.allow_empty:
+                return None
+            raise ValueError(f"row {row}: {self.name} is empty")
         try:
             value = int(raw) if self.kind == "int" else (
                 float(raw) if self.kind == "float" else raw)
         except ValueError:
-            return f"row {row}: {self.name}={raw!r} is not a {self.kind}"
-        if self.kind == "str":
-            return None
+            raise ValueError(f"row {row}: {self.name}={raw!r} is not a {self.kind}") from None
         if self.kind == "float" and not math.isfinite(value):
-            return f"row {row}: {self.name}={raw!r} is not finite"
+            raise ValueError(f"row {row}: {self.name}={raw!r} is not finite")
         if self.minimum is not None and value < self.minimum:
-            return f"row {row}: {self.name}={raw} violates {self.name} >= {self.minimum}"
+            raise ValueError(f"row {row}: {self.name}={raw} violates {self.name} >= {self.minimum}")
         if self.maximum is not None and value > self.maximum:
-            return f"row {row}: {self.name}={raw} violates {self.name} <= {self.maximum}"
-        return None
+            raise ValueError(f"row {row}: {self.name}={raw} violates {self.name} <= {self.maximum}")
+        return value
 
 
 @dataclass(frozen=True)
@@ -55,27 +58,39 @@ class CsvFormat:
     columns: tuple
     rows_required: bool = False  # a file with a header and no rows is invalid
 
-    def validate(self, text: str) -> list[str]:
+    def rows(self, text: str, violations: list):
+        """Yield each row without a violation as a tuple of its converted
+        fields, in file order; every violation goes on `violations`."""
         reader = csv.reader(io.StringIO(text))
         try:
             header = next(reader)
         except StopIteration:
-            return ["empty file"]
+            violations.append("empty file")
+            return
         expected = [c.name for c in self.columns]
         if header != expected:
-            return [f"header {header} != expected {expected}"]
-        violations = []
+            violations.append(f"header {header} != expected {expected}")
+            return
         row_no = 1
         for row_no, row in enumerate(reader, start=2):
             if len(row) != len(self.columns):
                 violations.append(f"row {row_no}: expected {len(self.columns)} fields")
                 continue
+            values = []
             for col, raw in zip(self.columns, row):
-                issue = col.check(raw, row_no)
-                if issue:
-                    violations.append(issue)
+                try:
+                    values.append(col.convert(raw, row_no))
+                except ValueError as exc:
+                    violations.append(str(exc))
+            if len(values) == len(row):
+                yield tuple(values)
         if self.rows_required and row_no == 1:
             violations.append("no rows after the header")
+
+    def validate(self, text: str) -> list[str]:
+        violations = []
+        for _ in self.rows(text, violations):
+            pass
         return violations
 
 

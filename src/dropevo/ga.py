@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import formats
 from .formulation import GENOME_LENGTH, check_number, normalize
 
 # The manifest's `rng` field: the bit generator, and the arena's RNG contract
@@ -278,15 +279,10 @@ def run_ga(cfg: GAConfig, evaluator, run: int = 0) -> GAHistory:
 # ---------------------------------------------------------------------------
 # Serialization
 
-HISTORY_FIELDS = ["run", "generation", "individual_id", "parent_ids",
-                  "locus1", "locus2", "locus3", "locus4",
-                  "replicate1", "replicate2", "replicate3", "fitness"]
-
-
 def history_to_csv(history: GAHistory) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(HISTORY_FIELDS)
+    writer.writerow(c.name for c in formats.CSV_FORMATS["history"].columns)
     for gen_index, gen in enumerate(history.generations, start=1):
         for ind in gen:
             writer.writerow([history.run, gen_index, ind.id,
@@ -295,17 +291,3 @@ def history_to_csv(history: GAHistory) -> str:
                              *map(repr, ind.replicates), repr(ind.fitness)])
     return buf.getvalue()
 
-
-def history_from_csv(text: str) -> dict:
-    """Parse a history CSV into {generation: [(id, loci, fitness)]} plus run id.
-
-    Round-trips enough structure for landscape fitting and trajectory
-    statistics; Individual objects are not reconstructed.
-    """
-    rows = list(csv.DictReader(io.StringIO(text)))
-    generations: dict[int, list] = {}
-    for row in rows:
-        loci = tuple(float(row[f"locus{k}"]) for k in range(1, 5))
-        generations.setdefault(int(row["generation"]), []).append(
-            (int(row["individual_id"]), loci, float(row["fitness"])))
-    return {"run": int(rows[0]["run"]) if rows else 0, "generations": generations}

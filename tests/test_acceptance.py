@@ -4,6 +4,8 @@ Each test prints exactly one ACCEPTANCE PASS/FAIL line naming its criterion.
 Oracles in this file are coded independently of the library internals.
 """
 
+import csv
+import io
 import itertools
 import json
 import math
@@ -51,6 +53,14 @@ def full_run(tmp_path_factory):
     return out_dir, elapsed
 
 
+def _history_ids(path):
+    """{generation: [individual_id, ...]} of a history CSV, in file order."""
+    generations = {}
+    for row in csv.DictReader(io.StringIO(path.read_text())):
+        generations.setdefault(int(row["generation"]), []).append(int(row["individual_id"]))
+    return generations
+
+
 def test_bookkeeping_exactness(full_run):
     out_dir, elapsed = full_run
     manifest = json.loads((out_dir / "manifest.json").read_text())
@@ -59,9 +69,9 @@ def test_bookkeeping_exactness(full_run):
                  and bk["experiments"] == 2025 and bk["droplets"] == 8100)
     distinct = set()
     for run in range(3):
-        hist = ga.history_from_csv((out_dir / f"history_run{run}.csv").read_text())
-        for gen in hist["generations"].values():
-            distinct.update((run, ind_id) for ind_id, _, _ in gen)
+        generations = _history_ids(out_dir / f"history_run{run}.csv")
+        for gen in generations.values():
+            distinct.update((run, ind_id) for ind_id in gen)
     _report("bookkeeping exactness + runtime",
             counts_ok and len(distinct) == 675 and elapsed < 300.0,
             f"225/675/2025/8100, {len(distinct)} distinct recipes, {elapsed:.1f}s")
@@ -71,11 +81,11 @@ def test_carry_over_identity(full_run):
     out_dir, _ = full_run
     ok = True
     for run in range(3):
-        hist = ga.history_from_csv((out_dir / f"history_run{run}.csv").read_text())
-        gens = sorted(hist["generations"])
+        generations = _history_ids(out_dir / f"history_run{run}.csv")
+        gens = sorted(generations)
         for prev, cur in zip(gens, gens[1:]):
-            prev_ids = {i for i, _, _ in hist["generations"][prev]}
-            cur_ids = {i for i, _, _ in hist["generations"][cur]}
+            prev_ids = set(generations[prev])
+            cur_ids = set(generations[cur])
             if len(prev_ids & cur_ids) != 15:
                 ok = False
     _report("carry-over identity (15 ids persist per generation)", ok)

@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import csv
 import dataclasses
@@ -139,6 +140,80 @@ def test_analyze_pipeline(tmp_path, fast_config):
     assert formats.validate_file(an_dir / "bands.csv", "bands") == []
     assert len(report["percentile_bands"]) == 3
     assert json.loads((an_dir / "manifest.json").read_text())["seed"] is None
+
+
+# Two histories whose rows test how landscape and analyze group them. The
+# first has generation blocks 1, 2, 1; repeats (run 0, id 3) and, after its
+# run column changes to 5, (run 0, id 0) with other loci and fitness (a
+# file's run is its first row's, and the last row of a repeated (run, id)
+# is the landscape's point). The second lists generation 2 before 1.
+GROUPING_HISTORIES = (
+    ["0,1,0,,0.9,0.1,0.2,0.3,1.0,1.2,1.1,1.1",
+     "0,1,1,,0.1,0.8,0.2,0.1,2.0,2.2,2.1,2.1",
+     "0,1,2,,0.2,0.2,0.7,0.1,0.5,0.4,0.6,0.5",
+     "0,1,3,,0.3,0.1,0.1,0.9,3.0,3.1,2.9,3.0",
+     "0,2,2,0;1,0.2,0.2,0.7,0.1,0.5,0.4,0.6,0.5",
+     "0,2,3,1;2,0.6,0.3,0.5,0.2,1.7,1.9,1.8,1.8",
+     "0,2,4,0;3,0.5,0.5,0.1,0.4,2.5,2.4,2.6,2.5",
+     "0,1,5,,0.4,0.6,0.6,0.2,0.9,1.0,0.8,0.9",
+     "5,2,6,1;3,0.7,0.2,0.4,0.6,1.4,1.5,1.3,1.4",
+     "5,2,0,4;6,0.8,0.9,0.3,0.1,2.8,2.6,2.7,2.7"],
+    ["1,2,7,8;9,0.3,0.7,0.9,0.5,1.6,,,1.6",
+     "1,2,8,,0.6,0.4,0.2,0.8,0.7,0.8,0.6,0.7",
+     "1,1,8,,0.6,0.4,0.2,0.8,0.7,0.8,0.6,0.7",
+     "1,1,9,,0.1,0.3,0.8,0.7,2.2,2.0,2.1,2.1",
+     "1,1,10,,0.9,0.6,0.5,0.3,1.2,1.3,1.1,1.2"],
+)
+GROUPING_SHA256 = {
+    "landscape/face_0.pgm": "b8aa4499fe8098ba7966b14e455e396acbf963d8b9c5287d18aad1c73f81c20a",
+    "landscape/face_1.pgm": "113e1bbf13aa4fad488ada48f19ebd690f875c62f99513b1f9bf1d0869b66f41",
+    "landscape/face_2.pgm": "6862d1105eb9f2fc1e150d9bd4d0359624960c86e2ab0d1149b337815ef7bbfb",
+    "landscape/face_3.pgm": "5a6e5b00b16107ce8ef63f3b7857b7543d6eb8800ead5d1bb3c7c716b389044c",
+    "landscape/islands.json": "f5683fadf570642b31d8f5c9a08d87610cbb6ae01d464e62913fd4a435f30e74",
+    "landscape/landscape.csv": "0d34010a63457cbcde8524e4be5b20cb7b4f8923285a06be37b26302c6b6baad",
+    "analyze/bands.csv": "216bd553873e3f9a9bc209531ecf3787f98403b1e69fa40edad71703f6b6d60c",
+    "analyze/report.json": "e3e0a18e2bb0cf543c6f8c9b4b9d7107e1106ba91a77d13e25c4b05eaaa2fa5d",
+}
+
+
+def test_landscape_and_analyze_group_history_rows(tmp_path):
+    paths = []
+    for k, rows in enumerate(GROUPING_HISTORIES):
+        paths.append(tmp_path / f"history{k}.csv")
+        paths[-1].write_text("\n".join([HISTORY_HEADER, *rows]) + "\n")
+    argv = {"landscape": ["landscape", *map(str, paths), "--resolution", "5"],
+            "analyze": ["analyze", *map(str, paths)]}
+    digests = {}
+    for command, args in argv.items():
+        out_dir = tmp_path / command
+        assert main([*args, "--out-dir", str(out_dir)]) == EXIT_OK
+        for path in sorted(out_dir.iterdir()):
+            if path.name != "manifest.json":
+                digests[f"{command}/{path.name}"] = hashlib.sha256(
+                    path.read_bytes()).hexdigest()
+    assert json.loads((tmp_path / "landscape" / "manifest.json").read_text())[
+        "training_points"] == 11
+    assert digests == GROUPING_SHA256
+
+
+@pytest.mark.parametrize("command", ["landscape", "analyze"])
+def test_each_history_file_is_read_once(tmp_path, monkeypatch, command):
+    paths = [write_random_history(tmp_path / f"history{k}.csv", points=20, seed=k)
+             for k in range(2)]
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    argv = [command, *paths, "--out-dir", str(tmp_path / "o")]
+    if command == "landscape":
+        argv += ["--resolution", "5"]
+    assert main(argv) == EXIT_OK
+    assert [opened.count(path) for path in paths] == [1, 1]
 
 
 def test_gcode_compile_parse_exec(tmp_path, capsys):

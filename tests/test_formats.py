@@ -104,3 +104,42 @@ def test_float_columns_reject_non_finite(bad):
     issues = validate_text("\n".join([header, *rows]) + "\n", "history")
     assert len(issues) == 1
     assert issues[0].startswith("row 3: fitness=") and "not finite" in issues[0]
+
+
+def test_rows_are_typed_and_validate_reports_their_violations():
+    header = ("run,generation,individual_id,parent_ids,locus1,locus2,locus3,"
+              "locus4,replicate1,replicate2,replicate3,fitness")
+    text = "\n".join([header,
+                      "0,1,4,,0.25,0.5,0.5,1,1.5,,,1.5",
+                      "0,2,5,4;2,x,0.5,0.5,2,1.0,1.0,1.0,-1",
+                      "0,2",
+                      "3,2,6,4,0.0,1e-3,0.5,0.5,2.0,2.0,2.0,2.0"]) + "\n"
+    violations = []
+    rows = list(CSV_FORMATS["history"].rows(text, violations))
+    assert rows == [(0, 1, 4, None, 0.25, 0.5, 0.5, 1.0, 1.5, None, None, 1.5),
+                    (3, 2, 6, "4", 0.0, 1e-3, 0.5, 0.5, 2.0, 2.0, 2.0, 2.0)]
+    assert [type(v) for v in rows[1]] == [int, int, int, str] + [float] * 8
+    assert violations == ["row 3: locus1='x' is not a float",
+                          "row 3: locus4=2 violates locus4 <= 1",
+                          "row 3: fitness=-1 violates fitness >= 0",
+                          "row 4: expected 12 fields"]
+    assert validate_text(text, "history") == violations
+
+
+def test_validation_holds_no_rows():
+    # A landscape CSV of ~180k rows, the size of one at resolution 301.
+    # io.StringIO keeps the text at 4 bytes per character, so the pass peaks
+    # at about 4x the text; keeping the rows would take it to about 8x.
+    import tracemalloc
+
+    rows = (f"{face},{i},{j},{i / 300!r},{j / 300!r},{1 - (i + j) / 300!r},"
+            f"{(i * j) % 97 / 7!r},{(i + j) % 5 or ''}"
+            for face in range(4) for i in range(301) for j in range(151))
+    text = "face,i,j,X,Y,Z,fitness,island_label\n" + "\n".join(rows) + "\n"
+    tracemalloc.start()
+    try:
+        assert validate_text(text, "landscape") == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * len(text)

@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from dropevo import ga
+from dropevo import formats, ga
 from dropevo.formulation import normalize
 from dropevo.ga import (
     GAConfig,
@@ -250,9 +250,11 @@ def test_history_csv_round_trip():
     cfg = GAConfig(generations=3, rng_seed=8)
     hist = run_ga(cfg, flat_evaluator)
     text = ga.history_to_csv(hist)
-    parsed = ga.history_from_csv(text)
-    assert sorted(parsed["generations"]) == [1, 2, 3]
-    ids = {i for g in parsed["generations"].values() for i, _, _ in g}
+    violations = []
+    rows = list(formats.CSV_FORMATS["history"].rows(text, violations))
+    assert violations == []
+    assert sorted({row[1] for row in rows}) == [1, 2, 3]
+    ids = {row[2] for row in rows}
     assert len(ids) == hist.distinct_recipes
 
 
