@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .formulation import (Formulation, OilProperties, check_number, check_vector,
+from .formulation import (Formulation, OilProperties, _total, check_number, check_vector,
                           oils_for_order)
 
 
@@ -125,10 +125,13 @@ def behavior_from_formulation(f: Formulation, oils: list[OilProperties] | None =
         oils = oils_for_order()
     if len(oils) != 4:
         raise ValueError("need exactly 4 oils")
-    p = np.asarray(f.proportions, dtype=float)
-    solubility = float(np.dot(p, [o.effective_solubility for o in oils]))
-    inv_viscosity = float(np.dot(p, [1.0 / o.viscosity for o in oils]))
-    tension = float(np.dot(p, [o.surface_tension for o in oils]))
+    # Each weighted sum is ((p0*v0 + p1*v1) + p2*v2) + p3*v3, whose bits do
+    # not depend on the machine (np.dot's BLAS kernel, chosen by CPU, rounds
+    # differently on some).
+    p = [float(v) for v in f.proportions]
+    solubility = _total([pk * o.effective_solubility for pk, o in zip(p, oils)])
+    inv_viscosity = _total([pk * (1.0 / o.viscosity) for pk, o in zip(p, oils)])
+    tension = _total([pk * o.surface_tension for pk, o in zip(p, oils)])
     deficit = max(0.0, SURFACE_TENSION_REF - tension)
     return BehaviorParams(
         speed=SPEED_FLOOR + SPEED_PER_SOLUBILITY * solubility,

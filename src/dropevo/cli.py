@@ -184,11 +184,9 @@ def cmd_evolve(args) -> int:
     out_dir = Path(args.out_dir)
     outputs = []
     # One pool serves the whole campaign, and each GA round (every run's new
-    # recipes) is one map over it. Forking is safe: the only BLAS calls on
-    # this path are the length-4 np.dot calls of
-    # arena.behavior_from_formulation, and numpy's OpenBLAS shuts its threads
-    # down in a pthread_atfork handler. As the pool starts every worker at
-    # once, it gets no more than a round has recipes.
+    # recipes) is one map over it. Forking is safe: numpy's OpenBLAS shuts
+    # its threads down in a pthread_atfork handler. As the pool starts every
+    # worker at once, it gets no more than a round has recipes.
     jobs = min(args.jobs, ga_cfg.runs * ga_cfg.population_size)
     with _fork_pool(jobs) as pool:
         histories = ga.run_lockstep(ga_cfg, range(ga_cfg.runs),

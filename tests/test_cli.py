@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import random
 import signal
 import subprocess
@@ -852,8 +853,8 @@ GOLDEN_CONFIG = {
     "arena": {"duration": 2.0},
 }
 GOLDEN_HISTORY_SHA256 = {
-    "directionality": "60d5a831ff0ed23bd6464626d5e673a64cd86ffe934ef19b5f1cc7cee9ae432d",
-    "movement": "9e1f07bebb4de5827b1a93494ecee92e5b794665c489c40e5513adb041191ab3",
+    "directionality": "68bf2f1cba93e69e95f74ec16a26beb3857d39c46b54b6ad922b150f34624eb0",
+    "movement": "e28e1a780f9a25639806cf59ef9f1656b262ce9042f661e3371f2d9921fd740d",
 }
 
 
@@ -861,13 +862,53 @@ GOLDEN_HISTORY_SHA256 = {
 def test_evolve_golden_history(tmp_path, jobs):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(GOLDEN_CONFIG))
-    for objective, want in GOLDEN_HISTORY_SHA256.items():
+    digests = {}
+    for objective in GOLDEN_HISTORY_SHA256:
         out_dir = tmp_path / objective
         rc = main(["evolve", "--config", str(path), "--objective", objective,
                    "--jobs", jobs, "--out-dir", str(out_dir)])
         assert rc == EXIT_OK
-        digest = hashlib.sha256((out_dir / "history_run0.csv").read_bytes()).hexdigest()
-        assert digest == want, objective
+        digests[objective] = hashlib.sha256(
+            (out_dir / "history_run0.csv").read_bytes()).hexdigest()
+    # Compared together, so that a change shows every pin it moves.
+    assert digests == GOLDEN_HISTORY_SHA256
+
+
+def _openblas_core_types():
+    """The OPENBLAS_CORETYPE kernels this x86-64 CPU can run."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OPENBLAS_CORETYPE names x86-64 kernels")
+    try:
+        flags = set(Path("/proc/cpuinfo").read_text().split())
+    except OSError:
+        pytest.skip("no /proc/cpuinfo to read the CPU's features from")
+    needs = {"Prescott": "pni", "Haswell": "avx2", "SkylakeX": "avx512f"}
+    return [core for core, flag in needs.items() if flag in flags]
+
+
+def test_evolve_golden_history_does_not_depend_on_the_blas_kernel(tmp_path):
+    # A DYNAMIC_ARCH OpenBLAS picks its kernels by CPU, and its ddot rounds
+    # differently under SkylakeX, Haswell and Prescott. The behaviour
+    # parameters, once three length-4 np.dot calls, now call no BLAS.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(GOLDEN_CONFIG))
+    code = """
+import sys
+from dropevo.cli import main
+for objective in sys.argv[2:]:
+    assert main(["evolve", "--config", sys.argv[1], "--objective", objective,
+                 "--out-dir", objective]) == 0
+"""
+    for core in _openblas_core_types():
+        cwd = tmp_path / core
+        cwd.mkdir()
+        subprocess.run([sys.executable, "-c", code, str(path), *GOLDEN_HISTORY_SHA256],
+                       cwd=cwd, capture_output=True, check=True,
+                       env=_fresh_env(OPENBLAS_CORETYPE=core))
+        digests = {objective: hashlib.sha256(
+            (cwd / objective / "history_run0.csv").read_bytes()).hexdigest()
+            for objective in GOLDEN_HISTORY_SHA256}
+        assert digests == GOLDEN_HISTORY_SHA256, core
 
 
 def test_evolve_golden_history_does_not_depend_on_cpu_features(tmp_path):
