@@ -125,9 +125,8 @@ def behavior_from_formulation(f: Formulation, oils: list[OilProperties] | None =
         oils = oils_for_order()
     if len(oils) != 4:
         raise ValueError("need exactly 4 oils")
-    # Each weighted sum is ((p0*v0 + p1*v1) + p2*v2) + p3*v3, whose bits do
-    # not depend on the machine (np.dot's BLAS kernel, chosen by CPU, rounds
-    # differently on some).
+    # ((p0*v0 + p1*v1) + p2*v2) + p3*v3: np.dot's result depends on the BLAS
+    # kernel that OpenBLAS picks by CPU.
     p = [float(v) for v in f.proportions]
     solubility = _total([pk * o.effective_solubility for pk, o in zip(p, oils)])
     inv_viscosity = _total([pk * (1.0 / o.viscosity) for pk, o in zip(p, oils)])

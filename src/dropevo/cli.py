@@ -241,13 +241,9 @@ def _load_histories(paths):
         for row in formats.CSV_FORMATS["history"].rows(Path(path).read_text(), violations):
             generations.setdefault(row[1], []).append(row)
         if violations:
-            raise FileFormatError(f"{path}: " + "; ".join(violations[:5]))
+            raise ValueError(f"{path}: " + "; ".join(violations[:5]))
         histories.append(generations)
     return histories
-
-
-class FileFormatError(Exception):
-    pass
 
 
 def _face_grid(model, face: int, resolution: int):
@@ -334,9 +330,10 @@ def cmd_analyze(args) -> int:
 
     from . import stats
 
-    shims = [SimpleNamespace(generations=[[SimpleNamespace(fitness=row[-1]) for row in gens[g]]
-                                          for g in sorted(gens)])
-             for gens in histories]
+    shims = []
+    for gens in histories:
+        shims.append(SimpleNamespace(generations=[
+            [SimpleNamespace(fitness=row[-1]) for row in gens[g]] for g in sorted(gens)]))
     # Statistics that overflow are a numeric failure, not a NaN in the report.
     with np.errstate(over="raise", invalid="raise"):
         report = stats.trajectory_report(shims)
@@ -478,8 +475,7 @@ def main(argv=None) -> int:
             code, kind = EXIT_NUMERIC, "numeric failure"
         elif isinstance(cause, MemoryError):
             code, kind = EXIT_NUMERIC, "numeric failure: out of memory"
-        elif isinstance(cause, (FileFormatError, formats.UnknownFormat, ValueError, OSError,
-                                *_gcode_errors())):
+        elif isinstance(cause, (ValueError, OSError, *_gcode_errors())):
             code, kind = EXIT_DATA, "data error"
         else:
             raise

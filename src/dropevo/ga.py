@@ -290,4 +290,3 @@ def history_to_csv(history: GAHistory) -> str:
                              *(repr(float(x)) for x in ind.genome),
                              *map(repr, ind.replicates), repr(ind.fitness)])
     return buf.getvalue()
-

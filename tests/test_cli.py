@@ -888,8 +888,7 @@ def _openblas_core_types():
 
 def test_evolve_golden_history_does_not_depend_on_the_blas_kernel(tmp_path):
     # A DYNAMIC_ARCH OpenBLAS picks its kernels by CPU, and its ddot rounds
-    # differently under SkylakeX, Haswell and Prescott. The behaviour
-    # parameters, once three length-4 np.dot calls, now call no BLAS.
+    # differently under SkylakeX, Haswell and Prescott; evolve calls no BLAS.
     path = tmp_path / "config.json"
     path.write_text(json.dumps(GOLDEN_CONFIG))
     code = """
