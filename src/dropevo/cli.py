@@ -35,6 +35,10 @@ from types import SimpleNamespace
 from . import __version__, formats
 from .formulation import normalize
 
+# The manifest's `rng` field: the bit generator, and the arena's RNG contract
+# (see arena.simulate).
+RNG_ALGORITHM = "numpy.random.Generator(PCG64); arena RNG contract v2 (per-droplet streams)"
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -85,13 +89,11 @@ def _write(out_dir: Path, name: str, data) -> Path:
 
 def _manifest(out_dir: Path, command: str, config: dict, seed, outputs: list[str],
               extra: dict | None = None) -> None:
-    from . import ga
-
     manifest = {
         "command": command,
         "config": config,
         "seed": seed,
-        "rng": ga.RNG_ALGORITHM,
+        "rng": RNG_ALGORITHM,
         "version": __version__,
         "outputs": sorted(outputs),
         "timestamp": datetime.now(timezone.utc).isoformat(),

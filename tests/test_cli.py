@@ -1104,6 +1104,16 @@ def test_landscape_does_not_load_gcode(tmp_path):
     assert _run_fresh(argv, ["dropevo.gcode"], cpus=1) == [EXIT_OK, []]
 
 
+@pytest.mark.parametrize("command", ["landscape", "analyze"])
+def test_history_commands_do_not_load_ga(tmp_path, command):
+    # ga (and the statistics module it imports) would load after the
+    # analysis, at the command's memory peak, and add to it.
+    argv = [command, write_history(tmp_path / "history.csv"), "--out-dir", str(tmp_path / "o")]
+    if command == "landscape":
+        argv += ["--resolution", "11"]
+    assert _run_fresh(argv, ["dropevo.ga", "statistics"], cpus=1) == [EXIT_OK, []]
+
+
 def _history_check(tmp_path, command, text):
     """(stdout words: exit code and whether numpy loaded, stderr) of `command`
     on a history file holding `text`, in a fresh interpreter."""
