@@ -13,7 +13,11 @@ With one worker (`--jobs 1`, or one usable CPU) a command maps serially and
 imports no pool machinery. A worker that dies (say, to the OOM killer) ends
 the command as a one-line numeric failure.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure. A
+failed write to stdout is a data error. The `dropevo` command (and `python -m
+dropevo`) ends through `entry`, which ends the process once main's outputs
+are flushed, without interpreter finalization; every pool has shut down by
+then.
 """
 
 from __future__ import annotations
@@ -25,14 +29,13 @@ import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
 # Each command imports the layers it uses when it runs: the gcode commands
-# load neither numpy nor scipy, and evolve, landscape and analyze do not load
-# (or, without bytecode caches, compile) the gcode module.
-from . import __version__, formats
+# load neither numpy, scipy, formats nor datetime, and evolve, landscape and
+# analyze do not load (or, without bytecode caches, compile) the gcode module.
+from . import __version__
 from .formulation import normalize
 
 # The manifest's `rng` field: the bit generator, and the arena's RNG contract
@@ -89,6 +92,8 @@ def _write(out_dir: Path, name: str, data) -> Path:
 
 def _manifest(out_dir: Path, command: str, config: dict, seed, outputs: list[str],
               extra: dict | None = None) -> None:
+    from datetime import datetime, timezone
+
     manifest = {
         "command": command,
         "config": config,
@@ -237,6 +242,8 @@ def _load_histories(paths):
     """Each history file's typed rows by generation, first appearance first,
     in file order. Every file is read and checked before the caller loads
     numpy, so a bad one fails without that import."""
+    from . import formats
+
     histories = []
     for path in paths:
         violations, generations = [], {}
@@ -468,7 +475,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # A write to stdout that fails (a closed pipe, a full disk) is a data
+        # error here, not an error while the interpreter exits.
+        sys.stdout.flush()
+        return code
     except Exception as exc:
         cause = _cause(exc)
         if isinstance(cause, UsageError):
@@ -485,5 +496,20 @@ def main(argv=None) -> int:
         return code
 
 
+def entry() -> None:
+    """The `dropevo` command: main's exit code, ending the process once its
+    outputs are flushed. It skips interpreter finalization (module teardown
+    and its full GC passes), tens of milliseconds of each command. Every forked
+    worker has been joined when main returns, and an exception main
+    re-raises, or argparse's SystemExit, ends the process as usual."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        # After a failure main has already reported, what is still buffered
+        # may not flush either.
+        with contextlib.suppress(OSError):
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

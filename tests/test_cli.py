@@ -399,11 +399,132 @@ def test_gcode_exec_syringe_not_on_the_carriage_is_a_data_error(tmp_path, capsys
 
 
 def test_console_entry_point():
+    # argparse's SystemExit passes through cli.entry.
     proc = subprocess.run([sys.executable, "-m", "dropevo", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     for sub in ("evolve", "landscape", "analyze", "gcode"):
         assert sub in proc.stdout
+    # An installed `dropevo` ends through the same entry as `python -m dropevo`.
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert project["scripts"]["dropevo"] == "dropevo.cli:entry"
+    assert "entry()" in (root / "src" / "dropevo" / "__main__.py").read_text()
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["gcode", "exec", "exp.gcode", "--out-dir", "ev"], EXIT_OK),
+    (["gcode", "compile"], EXIT_USAGE),
+    (["gcode", "parse", "bad.gcode"], EXIT_DATA),
+    (["gcode", "exec", "exp.gcode", "--out-dir", "exp.gcode"], EXIT_DATA),
+    (["analyze", "big.csv", "--out-dir", "o"], EXIT_NUMERIC),
+])
+def test_entry_keeps_the_exit_contract(tmp_path, capsys, monkeypatch, argv, code):
+    # `python -m dropevo` ends with os._exit once its outputs are flushed: the
+    # same exit code, streams and files as main in process, with stdout
+    # buffered as it is for a user. (exec writes the robot state to stdout
+    # before it fails to make its out dir.)
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    runs = {}
+    for side in ("entry", "main"):
+        work = tmp_path / side
+        work.mkdir()
+        (work / "exp.gcode").write_text(gcode.compile_experiment(normalize([1, 2, 3, 4])))
+        (work / "bad.gcode").write_text("G1 X1.0 Y1.0\nwat\n")
+        write_overflowing_history(work / "big.csv", 1e307)
+        if side == "entry":
+            proc = subprocess.run([sys.executable, "-m", "dropevo", *argv], cwd=work,
+                                  capture_output=True, text=True, env=env)
+            runs[side] = [proc.returncode, proc.stdout, proc.stderr]
+        else:
+            monkeypatch.chdir(work)
+            rc = main(argv)
+            captured = capsys.readouterr()
+            runs[side] = [rc, captured.out, captured.err]
+        runs[side].append(_tree(work))
+    assert runs["entry"] == runs["main"]
+    assert runs["entry"][0] == code
+
+
+def _gcode_argv(tmp_path, command):
+    """argv of a `gcode command` that writes to stdout."""
+    program = tmp_path / "exp.gcode"
+    program.write_text(gcode.compile_experiment(normalize([1, 2, 3, 4])))
+    if command == "compile":
+        return ["gcode", "compile", "--formulation", "1,2,3,4"]
+    return ["gcode", command, str(program)]
+
+
+@pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+@pytest.mark.parametrize("command", ["compile", "parse", "exec"])
+def test_a_failed_stdout_write_is_a_data_error(tmp_path, command, sink):
+    # With stdout buffered (PYTHONUNBUFFERED unset), the write failed only as
+    # the interpreter exited: exit code 120 and a two-line "Exception ignored
+    # in: <_io.TextIOWrapper name='<stdout>' ...>" message.
+    if sink == "/dev/full" and not os.path.exists(sink):
+        pytest.skip("no /dev/full")
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    with contextlib.ExitStack() as stack:
+        if sink == "/dev/full":
+            out = stack.enter_context(open(sink, "wb"))
+        else:
+            read, write = os.pipe()
+            os.close(read)
+            out = stack.enter_context(os.fdopen(write, "wb"))
+        proc = subprocess.run([sys.executable, "-m", "dropevo", *_gcode_argv(tmp_path, command)],
+                              stdout=out, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == EXIT_DATA
+    assert proc.stderr.startswith("data error:") and proc.stderr.count("\n") == 1
+
+
+_KILL_IN_WORKER = """
+import os, signal
+from dropevo import {module}
+parent, fn = os.getpid(), {module}.{name}
+def kill_in_worker(*args, **kwargs):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return fn(*args, **kwargs)
+{module}.{name} = kill_in_worker
+"""
+
+
+@pytest.mark.parametrize("command, kill", [
+    ("evolve", None),
+    ("evolve", "evaluators.evaluate_recipe"),
+    ("landscape", None),
+    ("landscape", "landscape.face_grid"),
+    ("landscape", "landscape._csv_prefixes"),
+])
+def test_no_process_outlives_a_command(tmp_path, fast_config, command, kill):
+    # cli.entry ends with os._exit, which skips multiprocessing's atexit
+    # reaping: every forked worker must be gone when main returns, also after
+    # one of them died (as in the *_dead_worker_is_one_line tests).
+    if command == "evolve":
+        argv = ["evolve", "--config", fast_config, "--jobs", "2"]
+    else:
+        argv = ["landscape", write_history(tmp_path / "history.csv"), "--resolution", "11"]
+    code = "import os; os.sched_getaffinity = lambda pid: {0, 1}\n"
+    if kill is not None:
+        module, name = kill.split(".")
+        code += _KILL_IN_WORKER.format(module=module, name=name)
+    code += "from dropevo.cli import entry; entry()"
+    with subprocess.Popen([sys.executable, "-c", code, *argv, "--out-dir", str(tmp_path / "o")],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env=_fresh_env(), start_new_session=True) as proc:
+        # A worker left running would hold the pipes open past the timeout.
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == (EXIT_OK if kill is None else EXIT_NUMERIC), err
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 HISTORY_HEADER = ("run,generation,individual_id,parent_ids,locus1,locus2,locus3,"
@@ -1112,6 +1233,13 @@ def test_history_commands_do_not_load_ga(tmp_path, command):
     if command == "landscape":
         argv += ["--resolution", "11"]
     assert _run_fresh(argv, ["dropevo.ga", "statistics"], cpus=1) == [EXIT_OK, []]
+
+
+@pytest.mark.parametrize("command", ["compile", "parse", "exec"])
+def test_gcode_commands_load_neither_formats_nor_datetime(tmp_path, command):
+    # formats parses the histories, and datetime stamps the manifests.
+    argv = _gcode_argv(tmp_path, command)
+    assert _run_fresh(argv, ["dropevo.formats", "datetime"]) == [EXIT_OK, []]
 
 
 def _history_check(tmp_path, command, text):
