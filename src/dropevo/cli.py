@@ -14,10 +14,9 @@ imports no pool machinery. A worker that dies (say, to the OOM killer) ends
 the command as a one-line numeric failure.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure. A
-failed write to stdout is a data error. The `dropevo` command (and `python -m
-dropevo`) ends through `entry`, which ends the process once main's outputs
-are flushed, without interpreter finalization; every pool has shut down by
-then.
+failed write to stdout is a data error. `dropevo` and `python -m dropevo` run
+`entry`, which ends the process once main's outputs are flushed, without
+interpreter finalization.
 """
 
 from __future__ import annotations
@@ -497,10 +496,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    """The `dropevo` command: main's exit code, ending the process once its
-    outputs are flushed. It skips interpreter finalization (module teardown
-    and its full GC passes), tens of milliseconds of each command. Every forked
-    worker has been joined when main returns, and an exception main
+    """The `dropevo` command: end the process with main's exit code once its
+    outputs are flushed, skipping interpreter finalization (module teardown
+    and its full GC passes: tens of milliseconds a command). Every forked
+    worker has been joined when main returns. An exception that main
     re-raises, or argparse's SystemExit, ends the process as usual."""
     code = main()
     for stream in (sys.stdout, sys.stderr):
