@@ -7,7 +7,7 @@ Library layers:
 - arena: the synthetic droplet arena (detection streams)
 - tracking: droplet identity tracking and behaviour fitness scores
 - landscape: RBF kernel ridge regression, face grids, fitness islands
-- stats / som: trajectory statistics and self-organizing maps
+- stats: trajectory statistics
 - gcode: line emitters and compilers, pump dialect, virtual firmware
 - formats: file format specifications and validators
 - evaluators: the formulation -> simulate -> track -> score pipeline

@@ -464,12 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _gcode_errors() -> tuple:
-    """GcodeError, if the gcode module is loaded: only then can one be raised."""
-    gcode = sys.modules.get(f"{__package__}.gcode")
-    return (gcode.GcodeError,) if gcode is not None else ()
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -487,7 +481,7 @@ def main(argv=None) -> int:
             code, kind = EXIT_NUMERIC, "numeric failure"
         elif isinstance(cause, MemoryError):
             code, kind = EXIT_NUMERIC, "numeric failure: out of memory"
-        elif isinstance(cause, (ValueError, OSError, *_gcode_errors())):
+        elif isinstance(cause, (ValueError, OSError)):
             code, kind = EXIT_DATA, "data error"
         else:
             raise

@@ -53,9 +53,9 @@ DRAIN_DISPLACEMENT_ML = 4.6       # per drain stroke; covers wash + residue
 DISH_AQUEOUS_RETAINED_UL = 100.0  # drain dead volume, aqueous phase only
 
 
-class GcodeError(Exception):
-    """A stage, compile or parse error; a known `line_no` prefixes the
-    message as 'line N: '."""
+class GcodeError(ValueError):
+    """A stage, compile or parse error, so a data error to the command line;
+    a known `line_no` prefixes the message as 'line N: '."""
 
     def __init__(self, message, line_no=None):
         super().__init__(message if line_no is None else f"line {line_no}: {message}")

@@ -174,13 +174,13 @@ def _replay(i: np.ndarray, j: np.ndarray, d2: np.ndarray, frame: np.ndarray,
                 roots[det] = roots[best]
 
 
-def track(rec: DetectionRecord, radius: float = TRACK_RADIUS_PX) -> TrajectorySet:
+def track(rec: DetectionRecord) -> TrajectorySet:
     """Greedy nearest-neighbour association, detections processed in input
     order; distance ties break toward the lower previous-frame droplet id."""
     n = np.diff(rec.offsets)
     frame = np.repeat(np.arange(len(rec)), n)
     parent = np.full(len(rec.x), -1, dtype=np.int64)
-    r2 = radius * radius
+    r2 = TRACK_RADIUS_PX * TRACK_RADIUS_PX
     # Sort detections by (frame, x) on the key frame + x / scale. x / scale
     # stays below a quarter and a band's half-width below a half, so no band
     # reaches another frame's keys; `margin` widens every band past the
@@ -268,12 +268,11 @@ def _replicate_period(frames: int, replicates: int) -> int:
     return (frames + 1) // replicates
 
 
-def fitness_division(rec: DetectionRecord, area_threshold: float = DIVISION_AREA_THRESHOLD,
-                     replicates: int = 1) -> list[float]:
+def fitness_division(rec: DetectionRecord, replicates: int = 1) -> list[float]:
     """Per replicate, the droplets alive in its final frame with area
-    strictly above threshold."""
+    strictly above DIVISION_AREA_THRESHOLD."""
     period, o = _replicate_period(len(rec), replicates), rec.offsets
-    return [float(np.count_nonzero(rec.area[o[t]:o[t + 1]] > area_threshold))
+    return [float(np.count_nonzero(rec.area[o[t]:o[t + 1]] > DIVISION_AREA_THRESHOLD))
             for t in range(period - 2, len(rec), period)]
 
 
