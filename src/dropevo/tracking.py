@@ -186,7 +186,7 @@ def track(rec: DetectionRecord) -> TrajectorySet:
     # reaches another frame's keys; `margin` widens every band past the
     # rounding of the keys. A non-finite x, which links to nothing, sorts as 0.
     x = np.nan_to_num(rec.x, nan=0.0, posinf=0.0, neginf=0.0)
-    scale = 4.0 * float(np.max(np.abs(x), initial=0.0)) + 2.0 * math.sqrt(r2) + 1.0
+    scale = 4.0 * float(np.max(np.abs(x), initial=0.0)) + 2.0 * TRACK_RADIUS_PX + 1.0
     key = frame + x / scale
     order = np.argsort(key)
     rank = np.empty_like(order)
