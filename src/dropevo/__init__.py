@@ -16,4 +16,4 @@ Library layers:
 
 __version__ = "0.1.0"
 
-from .formulation import Formulation, normalize, oil_table, well_volumes  # noqa: F401
+from .formulation import Formulation, normalize, well_volumes  # noqa: F401

@@ -361,13 +361,15 @@ def _walk(b: BehaviorParams, words: list, r2: float, frames: int, t0: int, group
     return runs, children
 
 
-def filter_analytic_arena(rec: DetectionRecord, arena_radius: float,
-                          shrink: float = 0.95) -> DetectionRecord:
+ANALYTIC_ARENA_SHRINK = 0.95
+
+
+def filter_analytic_arena(rec: DetectionRecord, arena_radius: float) -> DetectionRecord:
     """Drop detections outside the analytic arena, the open disc of radius
-    shrink * arena_radius; the kept detections stay in their frame and
-    order. Wall death is not the filter's job: `simulate` emits no detection
-    on or beyond the wall."""
-    r2 = (shrink * arena_radius) ** 2
+    ANALYTIC_ARENA_SHRINK * arena_radius; the kept ones stay in their frame
+    and order. Wall death is `simulate`'s job: it emits no detection on or
+    beyond the wall."""
+    r2 = (ANALYTIC_ARENA_SHRINK * arena_radius) ** 2
     # The test is x ** 2 + y ** 2 < r2, squared through libm pow as Python's
     # x ** 2 does. x * x differs from pow(x, 2) by at most an ulp (for about
     # one value in a thousand), so pow decides only the sums within a hair

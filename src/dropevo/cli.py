@@ -295,8 +295,6 @@ def cmd_landscape(args) -> int:
             model = landscape.fit(X, y, lam=args.lam, sigma=args.sigma)
     except landscape.NonpositiveBandwidth as exc:
         raise UsageError(f"--sigma: {exc}") from exc
-    except landscape.SolveFailure as exc:
-        raise NumericFailure(exc) from exc
     # The faces are predicted, and their CSV text built, in forked workers,
     # one per usable CPU (none where the platform cannot list them): landscape
     # calls no BLAS, and a kernel row's bits do not depend on the process

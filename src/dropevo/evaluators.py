@@ -32,8 +32,6 @@ from functools import partial
 from . import arena, ga, tracking
 from .formulation import GENOME_LENGTH, Formulation, check_number, check_vector
 
-ANALYTIC_ARENA_SHRINK = 0.95
-
 # A recipe's replicates are simulated, filtered and scored in passes that
 # hold at most this many droplet-frames (injections x frames per replicate).
 # The cap bounds a tracked (movement or directionality) pass's memory: the
@@ -94,7 +92,7 @@ def _score_pass(setup: ExperimentSetup, f: Formulation, behavior: arena.Behavior
     tracked (but for division) and scored as one record."""
     cfg = setup.arena_config
     record = arena.simulate(f, cfg, seeds, behavior=behavior)
-    record = arena.filter_analytic_arena(record, cfg.arena_radius, ANALYTIC_ARENA_SHRINK)
+    record = arena.filter_analytic_arena(record, cfg.arena_radius)
     scored = record if setup.objective == "division" else tracking.track(record)
     return tracking.FITNESS_FUNCTIONS[setup.objective](scored, replicates=len(seeds))
 

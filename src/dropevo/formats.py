@@ -17,10 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 
-class UnknownFormat(KeyError):
-    pass
-
-
 @dataclass(frozen=True)
 class ColumnSpec:
     name: str
@@ -138,7 +134,7 @@ def validate_text(text: str, format_id: str) -> list[str]:
         from .gcode import check_program
 
         return check_program(text)
-    raise UnknownFormat(format_id)
+    raise KeyError(format_id)
 
 
 def validate_file(path, format_id: str) -> list[str]:

@@ -32,14 +32,6 @@ class FormulationError(ValueError):
     pass
 
 
-class AllZeroError(FormulationError):
-    """Every raw component is zero; no direction on the simplex."""
-
-
-class NegativeComponentError(FormulationError):
-    """A raw component is negative."""
-
-
 def check_number(name: str, value, minimum=None, *, integer=False, strict=False):
     """`value`; ValueError unless it (any JSON value) is a finite number, not
     a bool, an integer if `integer`, and >= minimum (> if `strict`). An
@@ -100,11 +92,6 @@ def _oils() -> tuple[OilProperties, ...]:
     return tuple(OilProperties(**row) for row in raw["oils"])
 
 
-def oil_table() -> list[OilProperties]:
-    """The five stock oils, loaded from the versioned data file."""
-    return list(_oils())
-
-
 def oil_lookup(name: str) -> OilProperties:
     for oil in _oils():
         if oil.name == name:
@@ -142,9 +129,8 @@ class Formulation:
 def normalize(raw) -> Formulation:
     """Scale four nonnegative components so they sum to 1.
 
-    Raises AllZeroError if every component is 0, NegativeComponentError
-    if any component is negative and FormulationError if any is NaN or
-    infinite.
+    Raises FormulationError if every component is 0, or if any is
+    negative, NaN or infinite.
     """
     r = [float(v) for v in raw]
     if len(r) != GENOME_LENGTH:
@@ -152,13 +138,13 @@ def normalize(raw) -> Formulation:
     if not all(math.isfinite(v) for v in r):
         raise FormulationError(f"non-finite component in {r}")
     if any(v < 0 for v in r):
-        raise NegativeComponentError(f"negative component in {r}")
+        raise FormulationError(f"negative component in {r}")
     total = _total(r)
     if math.isinf(total):  # the finite parts' sum overflowed; x * 0.25 is exact for normal x
         r = [v * 0.25 for v in r]
         total = _total(r)
     if total == 0:
-        raise AllZeroError("all components are zero")
+        raise FormulationError("all components are zero")
     # Inputs already on the simplex (to within a few ulps) pass through
     # unchanged; dividing by a total this close to 1 could only churn the
     # last bit, and passing through makes normalize exactly idempotent.

@@ -43,14 +43,6 @@ class GAError(ValueError):
     pass
 
 
-class PopulationTooSmall(GAError):
-    pass
-
-
-class WrongReplicateCount(GAError):
-    pass
-
-
 class EvaluationError(RuntimeError):
     """Wraps an evaluator failure with the offending recipe attached."""
 
@@ -159,7 +151,7 @@ def select_parents(pop: list[Individual], pressure: float,
     """Two distinct parents, drawn without replacement with probability
     proportional to (fitness + eps)^pressure."""
     if len(pop) < 2:
-        raise PopulationTooSmall("need at least 2 individuals to breed")
+        raise GAError("need at least 2 individuals to breed")
     first = rng.choice(len(pop), p=_weights(pop, pressure, inverse=False))
     rest = [ind for i, ind in enumerate(pop) if i != first]
     second = rng.choice(len(rest), p=_weights(rest, pressure, inverse=False))
@@ -182,7 +174,7 @@ def aggregate_fitness(replicates) -> float:
     fitnesses."""
     reps = [float(r) for r in replicates]
     if len(reps) != REPLICATES:
-        raise WrongReplicateCount(f"expected {REPLICATES} replicates, got {len(reps)}")
+        raise GAError(f"expected {REPLICATES} replicates, got {len(reps)}")
     if any(r < 0 for r in reps):
         raise GAError("replicate fitnesses must be >= 0")
     return min(statistics.fmean(reps), statistics.median(reps))

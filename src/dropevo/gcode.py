@@ -62,19 +62,7 @@ class GcodeError(ValueError):
         self.line_no = line_no
 
 
-class PumpSyntaxError(GcodeError):
-    pass
-
-
 class PumpRangeError(GcodeError):
-    pass
-
-
-class OutOfBounds(GcodeError):
-    pass
-
-
-class UnknownApparatus(GcodeError):
     pass
 
 
@@ -117,8 +105,7 @@ def parse_pump_line(line: str, line_no: int | None = None) -> PumpInstruction:
     """Parse one 'PX MY DZ SA EB' line; tokens are required, in order."""
     m = _PUMP_RE.match(line.strip())
     if not m:
-        raise PumpSyntaxError(
-            f"expected 'PX MY DZ SA EB', got {line.strip()!r}", line_no)
+        raise GcodeError(f"expected 'PX MY DZ SA EB', got {line.strip()!r}", line_no)
     try:
         return PumpInstruction(*(int(g) for g in m.groups()))
     except PumpRangeError as exc:
@@ -284,12 +271,12 @@ def _quantize(v: float) -> float:
 def move(layout: StageLayout, x: float, y: float, apparatus: str = "syringe") -> list:
     """The carriage move that puts `apparatus` over (x, y) mm."""
     if apparatus not in layout.apparatus_offsets:
-        raise UnknownApparatus(apparatus)
+        raise GcodeError(apparatus)
     ox, oy = layout.apparatus_offsets[apparatus]
     x, y = _quantize(x - ox), _quantize(y - oy)
     if not layout.on_stage(x, y):
-        raise OutOfBounds(f"carriage target ({x:.1f}, {y:.1f}) mm "
-                          f"outside stage {layout.bounds_mm}")
+        raise GcodeError(f"carriage target ({x:.1f}, {y:.1f}) mm "
+                         f"outside stage {layout.bounds_mm}")
     return [f"G1 X{x:.1f} Y{y:.1f}"]
 
 
@@ -377,7 +364,6 @@ _SERVO_RE = re.compile(r"^M1([0-3]) S(\d+)(?: V(\d+(?:\.\d+)?))?$")
 
 @dataclass(frozen=True)
 class ParsedLine:
-    line_no: int
     kind: str        # 'move' | 'lower' | 'raise' | 'aspirate' | 'dispense'
                      # | 'stir_on' | 'stir_off' | 'pump'
     args: tuple = ()
@@ -389,24 +375,24 @@ def parse_line(line: str, line_no: int = 0) -> ParsedLine | None:
     if not body:
         return None
     if body.startswith("P"):
-        return ParsedLine(line_no, "pump", (parse_pump_line(body, line_no),))
+        return ParsedLine("pump", (parse_pump_line(body, line_no),))
     if body in ("M15", "M16"):
-        return ParsedLine(line_no, "stir_on" if body == "M15" else "stir_off")
+        return ParsedLine("stir_on" if body == "M15" else "stir_off")
     m = _G1_RE.match(body)
     if m:
-        return ParsedLine(line_no, "move", (float(m.group(1)), float(m.group(2))))
+        return ParsedLine("move", (float(m.group(1)), float(m.group(2))))
     m = _SERVO_RE.match(body)
     if m:
         code, syringe = m.group(1), int(m.group(2))
         kind = {"0": "lower", "1": "raise", "2": "aspirate", "3": "dispense"}[code]
         if kind in ("aspirate", "dispense"):
             if m.group(3) is None:
-                raise PumpSyntaxError(f"M1{code} requires a V volume", line_no)
-            return ParsedLine(line_no, kind, (syringe, float(m.group(3))))
+                raise GcodeError(f"M1{code} requires a V volume", line_no)
+            return ParsedLine(kind, (syringe, float(m.group(3))))
         if m.group(3) is not None:
-            raise PumpSyntaxError(f"M1{code} takes no V argument", line_no)
-        return ParsedLine(line_no, kind, (syringe,))
-    raise PumpSyntaxError(f"unrecognized instruction {body!r}", line_no)
+            raise GcodeError(f"M1{code} takes no V argument", line_no)
+        return ParsedLine(kind, (syringe,))
+    raise GcodeError(f"unrecognized instruction {body!r}", line_no)
 
 
 def parse_program(text: str) -> list[ParsedLine]:

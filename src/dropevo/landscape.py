@@ -66,14 +66,6 @@ class NonpositiveBandwidth(LandscapeError):
     pass
 
 
-class DimensionMismatch(LandscapeError):
-    pass
-
-
-class SolveFailure(LandscapeError):
-    pass
-
-
 # fdlibm e_exp.c: ln 2 split so that k * _LN2_HI is exact, 1 / ln 2, and the
 # coefficients of its rational approximation of exp on [-ln2/2, ln2/2].
 _LN2_HI = 6.93147180369123816490e-01
@@ -129,7 +121,7 @@ def _kernel_matrix(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
     (a - b)^2 == (b - a)^2, and dexp(-0.0) == 1.0.
     """
     if A.shape[1] != B.shape[1]:
-        raise DimensionMismatch(f"{A.shape[1]} vs {B.shape[1]} components")
+        raise LandscapeError(f"{A.shape[1]} vs {B.shape[1]} components")
     out = np.empty((len(A), len(B)))
     tmp = np.empty_like(out)
     np.square(np.subtract.outer(A[:, 0], B[:, 0], out=out), out=out)
@@ -160,7 +152,8 @@ class KernelModel:
 
 
 def fit(X, y, lam: float = DEFAULT_LAMBDA, sigma: float = DEFAULT_SIGMA) -> KernelModel:
-    """Solve (K + lam*I) theta = y by Cholesky factorization."""
+    """Solve (K + lam*I) theta = y by Cholesky factorization; a matrix that is
+    not numerically positive definite is a FloatingPointError."""
     # Below the smallest normal float, 2 sigma^2 is 0 or subnormal and the
     # kernel's d / (2 sigma^2) overflows to inf (NaN at d = 0 when it is 0).
     if not (sigma > 0 and 2.0 * sigma * sigma >= sys.float_info.min):
@@ -171,7 +164,7 @@ def fit(X, y, lam: float = DEFAULT_LAMBDA, sigma: float = DEFAULT_SIGMA) -> Kern
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     if X.shape[0] != y.shape[0] or X.shape[0] < 1:
-        raise DimensionMismatch(f"{X.shape[0]} inputs vs {y.shape[0]} targets")
+        raise LandscapeError(f"{X.shape[0]} inputs vs {y.shape[0]} targets")
     theta = _cholesky_solve(_kernel_matrix(X, X, sigma) + lam * np.eye(len(y)), y)
     return KernelModel(X=X, y=y, theta=theta, lam=lam, sigma=sigma)
 
@@ -195,7 +188,7 @@ def _cholesky_solve(A: np.ndarray, y: np.ndarray) -> np.ndarray:
         for k in range(p, q):
             pivot = L[k, k]
             if not pivot > 0:
-                raise SolveFailure(
+                raise FloatingPointError(
                     f"(K + lambda*I) not positive definite: pivot {k} is {float(pivot)}")
             L[k, k] = d = math.sqrt(pivot)
             L[k + 1:, k] /= d
@@ -242,7 +235,7 @@ def predict_many(model: KernelModel, Xq) -> np.ndarray:
     row (t_0 t_1)(t_2 t_3), where t_k is component k's factor."""
     Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
     if Xq.shape[1] != 4 or model.X.shape[1] != 4:
-        raise DimensionMismatch(f"{Xq.shape[1]} vs {model.X.shape[1]} components, not 4")
+        raise LandscapeError(f"{Xq.shape[1]} vs {model.X.shape[1]} components, not 4")
 
     def factor(queries, k):
         # dexp is elementwise, so a factor is computed once per distinct

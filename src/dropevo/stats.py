@@ -19,20 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import fdtrc, ndtr
 
+# Family-wise significance level of the Holm correction.
+ALPHA = 0.05
+
 
 class StatsError(ValueError):
-    pass
-
-
-class TooFew(StatsError):
-    pass
-
-
-class DegenerateVariance(StatsError):
-    pass
-
-
-class AllTied(StatsError):
     pass
 
 
@@ -52,7 +43,7 @@ def top_half(sample: GenerationSample) -> GenerationSample:
     """Values strictly greater than the sample median. With heavy ties this
     can retain fewer than half the values, or none (degenerate)."""
     if len(sample.fitnesses) < 2:
-        raise TooFew("need at least 2 values")
+        raise StatsError("need at least 2 values")
     med = float(np.median(sample.fitnesses))
     return GenerationSample(sample.generation,
                             [v for v in sample.fitnesses if v > med])
@@ -74,7 +65,7 @@ def anova_oneway(groups: list[GenerationSample]) -> tuple[float, float]:
     if ss_within == 0.0:
         if ss_between == 0.0:
             return 0.0, 1.0
-        raise DegenerateVariance("zero within-group variance (F = inf)")
+        raise StatsError("zero within-group variance (F = inf)")
     F = (ss_between / df_between) / (ss_within / df_within)
     p = float(fdtrc(df_between, df_within, F))
     return float(F), p
@@ -93,7 +84,7 @@ def kendall_tau(x, y) -> tuple[float, float, float]:
     if any(math.isnan(v) for v in x + y):
         raise StatsError("x and y must not hold NaN")
     if len(set(x)) == 1 or len(set(y)) == 1:
-        raise AllTied("a variable is constant; tau undefined")
+        raise StatsError("a variable is constant; tau undefined")
     # C - D, exactly: row i adds the sum over j > i of
     # sign(x[j] - x[i]) * sign(y[j] - y[i]), taken on integer ranks.
     rx = np.unique(x, return_inverse=True)[1]
@@ -121,8 +112,8 @@ def kendall_tau(x, y) -> tuple[float, float, float]:
     return float(tau), float(z), p
 
 
-def holm_bonferroni(pvals, alpha: float = 0.05) -> list[bool]:
-    """Step-down Holm correction; True marks a rejected null."""
+def holm_bonferroni(pvals) -> list[bool]:
+    """Step-down Holm correction at level ALPHA; True marks a rejected null."""
     p = list(map(float, pvals))
     if any(not 0.0 <= v <= 1.0 for v in p):
         raise StatsError("p-values must lie in [0, 1]")
@@ -130,7 +121,7 @@ def holm_bonferroni(pvals, alpha: float = 0.05) -> list[bool]:
     order = sorted(range(m), key=lambda i: p[i])
     reject = [False] * m
     for k, idx in enumerate(order):
-        if p[idx] < alpha / (m - k):
+        if p[idx] < ALPHA / (m - k):
             reject[idx] = True
         else:
             break  # step-down stops at the first acceptance
@@ -162,7 +153,7 @@ def _tophalf_anova(a: GenerationSample, b: GenerationSample):
     return anova_oneway([top_half(a), top_half(b)])
 
 
-def trajectory_report(histories, alpha: float = 0.05) -> dict:
+def trajectory_report(histories) -> dict:
     """The four trajectory analyses plus per-generation percentile bands.
 
     histories: one or more GAHistory objects (repeats are amalgamated).
@@ -186,7 +177,7 @@ def trajectory_report(histories, alpha: float = 0.05) -> dict:
     anova_ps = [report["first_vs_last_tophalf"], report["mid_vs_last_tophalf"]]
     testable = [e for e in anova_ps if not e["degenerate"]]
     if testable:
-        rejects = holm_bonferroni([e["p"] for e in testable], alpha)
+        rejects = holm_bonferroni([e["p"] for e in testable])
         for entry, rej in zip(testable, rejects):
             entry["holm_reject"] = rej
 

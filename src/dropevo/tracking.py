@@ -395,7 +395,7 @@ def fitness_directionality(ts: TrajectorySet, replicates: int = 1) -> list[float
     nv, nw = step[b], step[c]
     ok = (nv != 0.0) & (nw != 0.0)
     cos = (vx * wx + vy * wy)[ok] / (nv * nw)[ok]
-    angles = [math.acos(max(-1.0, min(1.0, v))) for v in cos.tolist()]
+    angles = list(map(math.acos, np.fmax(np.fmin(cos, 1.0), -1.0).tolist()))
     return _mean_of_group_means(angles, ts.frame[b][ok], ts.droplet[c][ok], period, replicates)
 
 

@@ -7,7 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropevo import arena, evaluators, ga, tracking
+from dropevo import arena, ga, tracking
 from dropevo.arena import (
     ArenaConfig,
     BehaviorParams,
@@ -208,11 +208,15 @@ def test_filter_analytic_arena_boundary():
 
 
 def test_filter_analytic_arena_squares_like_pow():
-    # A coordinate whose x * x rounds below x ** 2, in an arena of radius x:
-    # x ** 2 < x ** 2 is false, so the detection is outside.
+    # A coordinate x = ANALYTIC_ARENA_SHRINK * R whose x * x rounds below
+    # x ** 2, in an arena of radius R: x ** 2 < x ** 2 is false, so the
+    # detection is outside.
     rng = np.random.default_rng(0)
-    x = next(v for v in rng.uniform(100.0, 300.0, 100_000).tolist() if v * v < v ** 2)
-    kept = filter_analytic_arena(record_of([(x, 0.0, 9.0)]), arena_radius=x, shrink=1.0)
+    shrink = arena.ANALYTIC_ARENA_SHRINK
+    radius = next(r for r in rng.uniform(100.0, 300.0, 100_000).tolist()
+                  if (shrink * r) * (shrink * r) < (shrink * r) ** 2)
+    x = shrink * radius
+    kept = filter_analytic_arena(record_of([(x, 0.0, 9.0)]), arena_radius=radius)
     assert frames_of(kept) == [[]]
 
 
@@ -460,7 +464,7 @@ def test_droplet_stream_is_the_spawned_sequence(entropy, spawn_key, lineage, str
 
 
 def _objective_scores(record, radius):
-    record = filter_analytic_arena(record, radius, evaluators.ANALYTIC_ARENA_SHRINK)
+    record = filter_analytic_arena(record, radius)
     ts = tracking.track(record)
     return [tracking.FITNESS_FUNCTIONS[objective](record if objective == "division" else ts)[0]
             for objective in sorted(tracking.FITNESS_FUNCTIONS)]

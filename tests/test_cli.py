@@ -129,6 +129,20 @@ def test_landscape_numeric_failure_exit_code(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_landscape_singular_solve_is_one_numeric_failure_line(tmp_path, capsys):
+    # The factorization's own error, a FloatingPointError, reaches main as is.
+    rows = [f"0,1,{i},,0.5,0.2,0.2,0.1,1.0,1.0,1.0,1.0" for i in (0, 1)]
+    hist = tmp_path / "history_run0.csv"
+    hist.write_text("\n".join([HISTORY_HEADER, *rows]) + "\n")
+    out_dir = tmp_path / "o"
+    rc = main(["landscape", str(hist), "--lambda", "1e-300", "--resolution", "3",
+               "--out-dir", str(out_dir)])
+    assert rc == EXIT_NUMERIC
+    assert capsys.readouterr().err == ("numeric failure: (K + lambda*I) not positive "
+                                       "definite: pivot 1 is 0.0\n")
+    assert not out_dir.exists()
+
+
 def test_analyze_pipeline(tmp_path, fast_config):
     out_dir = run_evolve(tmp_path, fast_config)
     an_dir = tmp_path / "an"

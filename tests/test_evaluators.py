@@ -49,7 +49,7 @@ def test_run_replicate_matches_manual_pipeline():
     behavior = arena.behavior_from_formulation(f, oils_for_order())
     record = arena.simulate(f, SHORT_ARENA, ga.replicate_seed(11, 2, 42, 1),
                             behavior=behavior)
-    record = arena.filter_analytic_arena(record, SHORT_ARENA.arena_radius, 0.95)
+    record = arena.filter_analytic_arena(record, SHORT_ARENA.arena_radius)
     assert [got] == tracking.fitness_directionality(tracking.track(record))
 
 

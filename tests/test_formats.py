@@ -3,7 +3,7 @@ import json
 import pytest
 
 from dropevo import ga, stats
-from dropevo.formats import CSV_FORMATS, UnknownFormat, validate_file, validate_text
+from dropevo.formats import CSV_FORMATS, validate_file, validate_text
 from dropevo.formulation import Formulation
 from dropevo.gcode import (GcodeError, StageLayout, VirtualRobot, compile_experiment,
                            default_layout)
@@ -17,8 +17,9 @@ def test_format_registry():
     assert set(CSV_FORMATS) == {"history", "landscape", "events", "bands"}
     assert validate_text("", "gcode") == []
     for unknown in ("telemetry", "layout"):
-        with pytest.raises(UnknownFormat):
+        with pytest.raises(KeyError) as err:
             validate_text("", unknown)
+        assert (type(err.value), err.value.args) == (KeyError, (unknown,))
 
 
 def test_bands_valid_and_invalid():

@@ -8,8 +8,6 @@ from dropevo.formulation import normalize
 from dropevo.ga import (
     GAConfig,
     Individual,
-    PopulationTooSmall,
-    WrongReplicateCount,
     aggregate_fitness,
     crossover,
     cull,
@@ -121,7 +119,7 @@ def test_select_parents_distinct():
     for _ in range(50):
         a, b = select_parents(pop, 1.0, rng)
         assert a.id != b.id
-    with pytest.raises(PopulationTooSmall):
+    with pytest.raises(ga.GAError, match=r"^need at least 2 individuals to breed$"):
         select_parents(pop[:1], 1.0, rng)
 
 
@@ -175,7 +173,7 @@ def test_aggregate_fitness():
     assert aggregate_fitness((2, 2, 2)) == 2
     assert aggregate_fitness((1, 2, 3)) == 2
     assert aggregate_fitness((0, 0, 9)) == 0  # mean 3, median 0
-    with pytest.raises(WrongReplicateCount):
+    with pytest.raises(ga.GAError, match=r"^expected 3 replicates, got 2$"):
         aggregate_fitness((1, 2))
 
 

@@ -8,13 +8,10 @@ from hypothesis import given, settings, strategies as st
 from dropevo.formulation import Formulation, normalize
 from dropevo.gcode import (
     GcodeError,
-    OutOfBounds,
     PumpInstruction,
     PumpRangeError,
-    PumpSyntaxError,
     StageLayout,
     StateFault,
-    UnknownApparatus,
     VirtualRobot,
     VirtualState,
     check_program,
@@ -60,9 +57,10 @@ def test_pump_range_validation():
 
 
 def test_pump_syntax_errors_positioned():
-    with pytest.raises(PumpSyntaxError) as err:
+    with pytest.raises(GcodeError, match=r"^line 7: expected 'PX MY DZ SA EB', "
+                                         r"got 'P0 M0 D0 S1'$") as err:
         parse_pump_line("P0 M0 D0 S1", line_no=7)
-    assert "line 7" in str(err.value)
+    assert type(err.value) is GcodeError
     with pytest.raises(PumpRangeError) as err:
         parse_pump_line("P0 M0 D0 S1 E99999", line_no=9)
     assert err.value.line_no == 9
@@ -99,9 +97,16 @@ def test_parse_line_servo_codes():
 
 
 def test_parse_line_rejects_malformed():
-    for bad in ["G1 X10", "M12 S0", "M10 S0 V5", "M99", "bogus", "P1 M0"]:
-        with pytest.raises(PumpSyntaxError):
+    for bad, message in [
+            ("G1 X10", "unrecognized instruction 'G1 X10'"),
+            ("M12 S0", "M12 requires a V volume"),
+            ("M10 S0 V5", "M10 takes no V argument"),
+            ("M99", "unrecognized instruction 'M99'"),
+            ("bogus", "unrecognized instruction 'bogus'"),
+            ("P1 M0", "expected 'PX MY DZ SA EB', got 'P1 M0'")]:
+        with pytest.raises(GcodeError) as err:
             parse_line(bad)
+        assert (type(err.value), str(err.value)) == (GcodeError, f"line 0: {message}")
 
 
 def test_check_program_collects_errors():
@@ -124,16 +129,18 @@ def test_compile_apparatus_offset():
     layout = default_layout()
     # Needle offset (15, 0): carriage goes 15 mm left of the target.
     assert move(layout, 100.0, 50.0, apparatus="needle") == ["G1 X85.0 Y50.0"]
-    with pytest.raises(UnknownApparatus):
+    with pytest.raises(GcodeError, match=r"^laser$") as err:
         move(layout, 1, 1, apparatus="laser")
+    assert type(err.value) is GcodeError
 
 
 def test_compile_bounds_check():
     layout = default_layout()
-    with pytest.raises(OutOfBounds):
-        move(layout, 600.0, 10.0)
-    with pytest.raises(OutOfBounds):
-        move(layout, 10.0, -5.0)
+    for x, y in ((600.0, 10.0), (10.0, -5.0)):
+        with pytest.raises(GcodeError) as err:
+            move(layout, x, y)
+        assert (type(err.value), str(err.value)) == (
+            GcodeError, f"carriage target ({x:.1f}, {y:.1f}) mm outside stage (500.0, 400.0)")
 
 
 def test_firmware_faults_on_a_move_off_the_stage():
@@ -231,7 +238,7 @@ def barrels(ml: dict, layout=BASE):
 
 
 def off_stage(x, y):
-    return OutOfBounds, f"carriage target ({x:.1f}, {y:.1f}) mm outside stage (500.0, 400.0)"
+    return GcodeError, f"carriage target ({x:.1f}, {y:.1f}) mm outside stage (500.0, 400.0)"
 
 
 def over_stroke(steps, ml):
@@ -252,10 +259,10 @@ def over_stroke(steps, ml):
     pytest.param(barrels({0: 0.1}, moved(waste=(-1.0, 200.0))),
                  over_stroke(180000, 0.36), None, id="oil-stroke-before-waste-move"),
     pytest.param(dataclasses.replace(BASE, apparatus_offsets={"syringe": (0.0, 0.0)}),
-                 (UnknownApparatus, "pump_tube"), (UnknownApparatus, "pump_tube"),
+                 (GcodeError, "pump_tube"), (GcodeError, "pump_tube"),
                  id="no-pump-tube"),
     pytest.param(dataclasses.replace(BASE, apparatus_offsets={"pump_tube": (-20.0, 0.0)}),
-                 (UnknownApparatus, "syringe"), (UnknownApparatus, "syringe"),
+                 (GcodeError, "syringe"), (GcodeError, "syringe"),
                  id="no-syringe"),
     pytest.param(moved(dish_center=(600.0, 200.0)), None, off_stage(620, 200),
                  id="dish-off-for-both-wash-move-before-dip"),

@@ -3,7 +3,8 @@
 A function, class or constant that only tests reach is surface to keep in
 step for nothing. A name counts as used when some module in src/, demos/ or
 perfbench/ refers to it in code (a name, an attribute or an import, not a
-string or a comment).
+string or a comment). The package's __init__ does not count: a re-export
+there is not a use.
 """
 
 import ast
@@ -43,7 +44,8 @@ def _referenced(tree: ast.Module):
 
 
 def _program_references() -> set:
-    paths = [p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    paths = [p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py")
+             if p != ROOT / "src" / "dropevo" / "__init__.py"]
     return {name for path in paths for name in _referenced(_parse(path))}
 
 

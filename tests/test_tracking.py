@@ -279,6 +279,10 @@ def test_directionality_turn_angle_cases():
     assert angle((0, 0), (1, 0)) == 0.0  # a zero vector has no angle
     # Near-parallel vectors can push the cosine just past 1; must not raise.
     assert angle((1e8, 1), (1e8, 1)) == pytest.approx(0.0, abs=1e-6)
+    # Steps of 1e-200 px: nv * nw underflows to 0 and the cosine 0 / 0 is
+    # NaN, which clamps to 1 as min/max clamp it (np.clip would keep the NaN).
+    with np.errstate(invalid="ignore"):
+        assert angle((1e-200, 0), (1e-200, 0)) == 0.0
 
 
 def test_directionality_right_angles():
