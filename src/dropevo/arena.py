@@ -50,10 +50,10 @@ class ArenaConfig:
                              f"{self.injection_count} [x, y] pairs, got {positions!r}")
         object.__setattr__(self, "injection_positions", tuple(
             check_vector("injection_positions item", xy, 2) for xy in positions))
-        try:
-            r2 = self.arena_radius ** 2  # as simulate squares it
-        except OverflowError:
-            raise ValueError(f"arena_radius = {self.arena_radius} is too large") from None
+        r = float(self.arena_radius)  # so that an integer's square, too, overflows to inf
+        r2 = r * r  # as simulate squares it
+        if not math.isfinite(r2):
+            raise ValueError(f"arena_radius = {self.arena_radius} is too large")
         for x, y in self.injection_positions:
             if x * x + y * y >= r2:
                 raise ValueError(f"injection_positions item {[x, y]} must lie inside "
@@ -265,8 +265,8 @@ def simulate(f: Formulation, cfg: ArenaConfig, seed,
     while born:
         t0 = min(born)
         group = born.pop(t0)
-        group_runs, children = _walk(b, words, cfg.arena_radius ** 2, frames, t0, group,
-                                     len(keys))
+        group_runs, children = _walk(b, words, cfg.arena_radius * cfg.arena_radius, frames,
+                                     t0, group, len(keys))
         keys.extend(d[:2] for d in group)
         runs += group_runs
         for t, child in children:
@@ -369,14 +369,7 @@ def filter_analytic_arena(rec: DetectionRecord, arena_radius: float) -> Detectio
     ANALYTIC_ARENA_SHRINK * arena_radius; the kept ones stay in their frame
     and order. Wall death is `simulate`'s job: it emits no detection on or
     beyond the wall."""
-    r2 = (ANALYTIC_ARENA_SHRINK * arena_radius) ** 2
-    # The test is x ** 2 + y ** 2 < r2, squared through libm pow as Python's
-    # x ** 2 does. x * x differs from pow(x, 2) by at most an ulp (for about
-    # one value in a thousand), so pow decides only the sums within a hair
-    # of r2.
-    q = rec.x * rec.x + rec.y * rec.y
-    keep = q < r2
-    near = np.flatnonzero(np.abs(q - r2) <= 1e-9 * r2)
-    keep[near] = np.float_power(rec.x[near], 2) + np.float_power(rec.y[near], 2) < r2
+    r = ANALYTIC_ARENA_SHRINK * arena_radius
+    keep = rec.x * rec.x + rec.y * rec.y < r * r
     offsets = np.concatenate(([0], np.cumsum(keep)))[rec.offsets]
     return DetectionRecord(offsets, rec.x[keep], rec.y[keep], rec.area[keep])

@@ -59,7 +59,6 @@ class GcodeError(ValueError):
 
     def __init__(self, message, line_no=None):
         super().__init__(message if line_no is None else f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class PumpRangeError(GcodeError):
@@ -69,7 +68,6 @@ class PumpRangeError(GcodeError):
 class StateFault(GcodeError):
     def __init__(self, message, pc):
         super().__init__(f"instruction {pc}: {message}")
-        self.pc = pc
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +367,7 @@ class ParsedLine:
     args: tuple = ()
 
 
-def parse_line(line: str, line_no: int = 0) -> ParsedLine | None:
+def parse_line(line: str, line_no: int | None = None) -> ParsedLine | None:
     """Parse one program line; None for blanks and comments."""
     body = line.split("#", 1)[0].strip()
     if not body:

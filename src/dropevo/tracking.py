@@ -34,7 +34,6 @@ alone; a replicate without a frame pair (respectively triple) scores 0.0.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -100,8 +99,9 @@ def _grow(keys: np.ndarray, pos: np.ndarray, bound: np.ndarray, step: int) -> np
     return pos
 
 
-def _squared_distance(rec: DetectionRecord, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """dx * dx + dy * dy of each pair of detections (i, j)."""
+def _squared_distance(rec: DetectionRecord | TrajectorySet, i: np.ndarray,
+                      j: np.ndarray) -> np.ndarray:
+    """dx * dx + dy * dy of each pair of detections (i, j), dx = x[i] - x[j]."""
     dx = rec.x[i] - rec.x[j]
     dy = rec.y[i] - rec.y[j]
     return dx * dx + dy * dy
@@ -305,69 +305,13 @@ def _mean_of_group_means(values: list, group: np.ndarray, droplet: np.ndarray,
             for a, b in zip(ends[:-1].tolist(), ends[1:].tolist())]
 
 
-# Veltkamp's splitter 2**27 + 1: x * _SPLIT splits x into two halves of at
-# most 26 significant bits, whose products are exact (Dekker 1971).
-_SPLIT = 134217729.0
-
-
-def _split(x: np.ndarray) -> tuple:
-    t = x * _SPLIT
-    hi = t - (t - x)
-    return hi, x - hi
-
-
-def _two_sum(total: np.ndarray, x: np.ndarray, op=np.add) -> tuple:
-    """op(total, x), adding or subtracting x, and that result's exact
-    rounding error (|total| >= |x|)."""
-    s = op(total, x)
-    return s, op(total - s, x)
-
-
-def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """math.hypot of each (dx, dy), bit for bit: a vector port of CPython
-    3.11's two-argument vector_norm, from correctly rounded operations only
-    (numpy picks np.hypot's loop by CPU feature, and it differs from
-    math.hypot).
-
-    Both components are scaled by a power of two that puts the larger in
-    [0.5, 1), split, squared exactly and added to 1.0 with compensated sums,
-    their three rounding errors kept apart; the square root then gets one
-    differential correction. A pair whose larger component is 0, subnormal,
-    at least 2**1023 or not finite is left to math.hypot, so no step here
-    can overflow, underflow or warn."""
-    a, b = np.abs(dx), np.abs(dy)
-    m = np.maximum(a, b)
-    other = np.flatnonzero(~((m >= sys.float_info.min) & (m < 2.0 ** 1023)))
-    if len(other):
-        a[other] = b[other] = m[other] = 1.0
-    scale = np.ldexp(1.0, -np.frexp(m)[1])
-    csum, errs = 1.0, []
-    for v in (a, b):
-        hi, lo = _split(v * scale)
-        csum, e1 = _two_sum(csum, hi * hi)
-        csum, e2 = _two_sum(csum, 2.0 * hi * lo)
-        errs.append((e1, e2, lo * lo))
-    # C adds each error to a 0.0 first, which changes only a zero's sign.
-    f1, f2, f3 = (ea + eb for ea, eb in zip(*errs))
-    h = np.sqrt(csum - 1.0 + (f1 + f2 + f3))
-    hi, lo = _split(h)
-    csum, e1 = _two_sum(csum, hi * hi, np.subtract)
-    csum, e2 = _two_sum(csum, 2.0 * hi * lo, np.subtract)
-    csum, e3 = _two_sum(csum, lo * lo, np.subtract)
-    h = (h + (csum - 1.0 + ((f1 + e1) + (f2 + e2) + (f3 + e3))) / (2.0 * h)) / scale
-    if len(other):
-        h[other] = list(map(math.hypot, dx[other].tolist(), dy[other].tolist()))
-    return h
-
-
 def _steps(ts: TrajectorySet) -> tuple:
     """The detections k that have a previous one, and the length of each
-    detection's step from it (0.0 where it has none): math.hypot's bits,
-    computed for all steps at once by _hypot."""
+    detection's step from it (0.0 where it has none): the square root of
+    the dx * dx + dy * dy that the tracker gated."""
     k = np.flatnonzero(ts.parent >= 0)
-    p = ts.parent[k]
     step = np.zeros(len(ts.parent))
-    step[k] = _hypot(ts.x[k] - ts.x[p], ts.y[k] - ts.y[p])
+    step[k] = np.sqrt(_squared_distance(ts, k, ts.parent[k]))
     return k, step
 
 
@@ -384,7 +328,8 @@ def fitness_directionality(ts: TrajectorySet, replicates: int = 1) -> list[float
     turning angle (rad).
 
     The turning angle lies in [0, pi] between consecutive displacement
-    vectors; a triple with a zero-length displacement has none."""
+    vectors; a triple with a zero-length displacement (one whose square
+    underflows to 0 included) has none."""
     period = _replicate_period(ts.total_frames, replicates)
     k, step = _steps(ts)
     c = k[ts.parent[ts.parent[k]] >= 0]

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,17 +208,29 @@ def test_filter_analytic_arena_boundary():
     assert frames_of(filter_analytic_arena(rec, arena_radius=200.0)) == [[(0.0, 189.9, 10.0)]]
 
 
-def test_filter_analytic_arena_squares_like_pow():
-    # A coordinate x = ANALYTIC_ARENA_SHRINK * R whose x * x rounds below
-    # x ** 2, in an arena of radius R: x ** 2 < x ** 2 is false, so the
-    # detection is outside.
+@pytest.mark.parametrize("below", [True, False], ids=["below", "above"])
+def test_filter_analytic_arena_is_the_open_disc(below):
+    # A detection at exactly r = ANALYTIC_ARENA_SHRINK * R lies on the edge,
+    # outside the open disc, for a radius R whose r * r rounds below
+    # (respectively above) libm's r ** 2: both sides of x * x + y * y < r * r
+    # are squared alike.
+    def rounds_apart(radius):
+        r = arena.ANALYTIC_ARENA_SHRINK * radius
+        return r * r < r ** 2 if below else r * r > r ** 2
+
     rng = np.random.default_rng(0)
-    shrink = arena.ANALYTIC_ARENA_SHRINK
-    radius = next(r for r in rng.uniform(100.0, 300.0, 100_000).tolist()
-                  if (shrink * r) * (shrink * r) < (shrink * r) ** 2)
-    x = shrink * radius
-    kept = filter_analytic_arena(record_of([(x, 0.0, 9.0)]), arena_radius=radius)
+    radius = next(filter(rounds_apart, rng.uniform(100.0, 300.0, 100_000).tolist()))
+    r = arena.ANALYTIC_ARENA_SHRINK * radius
+    kept = filter_analytic_arena(record_of([(r, 0.0, 9.0), (0.0, -r, 9.0)]),
+                                 arena_radius=radius)
     assert frames_of(kept) == [[]]
+
+
+@pytest.mark.parametrize("radius", [1e200, 10**200], ids=["float", "int"])
+def test_config_rejects_a_radius_whose_square_overflows(radius):
+    message = f"arena_radius = {radius} is too large"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ArenaConfig(arena_radius=radius)
 
 
 def test_min_split_area_constant():

@@ -979,17 +979,18 @@ def test_evolve_rejects_unsupported_config(tmp_path, capsys, section, key, value
 
 # sha256 of history_run0.csv for GOLDEN_CONFIG under each pinned objective.
 # They pin the replicate RNG streams and arena RNG contract v2 (per-droplet
-# streams keyed by lineage, see arena.simulate), and the movement pin also
-# the step lengths of tracking._steps: a change to any must update them on
-# purpose, and they are the same for any --jobs.
+# streams keyed by lineage, see arena.simulate), and both the movement and
+# the directionality pin also the step lengths of tracking._steps
+# (sqrt(dx * dx + dy * dy)): a change to any must update them on purpose,
+# and they are the same for any --jobs.
 GOLDEN_CONFIG = {
     "ga": {"generations": 2, "population_size": 4, "carry_overs": 2,
            "runs": 1, "rng_seed": 7},
     "arena": {"duration": 2.0},
 }
 GOLDEN_HISTORY_SHA256 = {
-    "directionality": "68bf2f1cba93e69e95f74ec16a26beb3857d39c46b54b6ad922b150f34624eb0",
-    "movement": "e28e1a780f9a25639806cf59ef9f1656b262ce9042f661e3371f2d9921fd740d",
+    "directionality": "4d46169fe102c448b67a4858def04e851111da575b8041ff7da057ca8922ef66",
+    "movement": "b7c9fde9092250ba5e5d8ff1cb877c380fbb82aac03dc1d6bcd1fc3c3aeb9c4a",
 }
 
 
@@ -1045,9 +1046,36 @@ for objective in sys.argv[2:]:
         assert digests == GOLDEN_HISTORY_SHA256, core
 
 
+def test_evolve_golden_history_takes_no_libm_square_or_hypot(tmp_path):
+    # Step lengths are sqrt(dx * dx + dy * dy) and the arena squares its
+    # radii as r * r, so evolve gives the pinned bits with math.hypot and
+    # numpy.float_power stubbed out.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(GOLDEN_CONFIG))
+    code = """
+import math, sys
+import numpy
+def forbidden(*args, **kwargs):
+    raise AssertionError("math.hypot or numpy.float_power called")
+math.hypot = numpy.float_power = forbidden
+from dropevo.cli import main
+for jobs in ("1", "2"):
+    for objective in sys.argv[2:]:
+        assert main(["evolve", "--config", sys.argv[1], "--objective", objective,
+                     "--jobs", jobs, "--out-dir", objective + jobs]) == 0
+"""
+    subprocess.run([sys.executable, "-c", code, str(path), *GOLDEN_HISTORY_SHA256],
+                   cwd=tmp_path, capture_output=True, check=True, env=_fresh_env())
+    for jobs in ("1", "2"):
+        digests = {objective: hashlib.sha256(
+            (tmp_path / (objective + jobs) / "history_run0.csv").read_bytes()).hexdigest()
+            for objective in GOLDEN_HISTORY_SHA256}
+        assert digests == GOLDEN_HISTORY_SHA256, jobs
+
+
 def test_evolve_golden_history_does_not_depend_on_cpu_features(tmp_path):
-    # The movement pin checks tracking's vector hypot with numpy's AVX512
-    # and X86_V3 loops turned off.
+    # The movement and directionality pins check tracking's step lengths
+    # with numpy's AVX512 and X86_V3 loops turned off.
     path = tmp_path / "config.json"
     path.write_text(json.dumps(GOLDEN_CONFIG))
     for k, disabled in enumerate(_cpu_feature_levels()):
