@@ -28,21 +28,23 @@ from .formulation import (Formulation, OilProperties, _total, check_number, chec
                           oils_for_order)
 
 
+FRAME_RATE = 30.0              # Hz; the CV pipeline's native rate
+INITIAL_DROPLET_AREA = 400.0   # px^2 of every injected droplet
+
+
 @dataclass(frozen=True)
 class ArenaConfig:
-    frame_rate: float = 30.0          # Hz; the CV pipeline's native rate
     duration: float = 60.0            # s
     arena_radius: float = 200.0       # px
     injection_count: int = 4
     injection_positions: tuple = ((-60.0, -60.0), (60.0, -60.0),
                                   (-60.0, 60.0), (60.0, 60.0))
-    initial_droplet_area: float = 400.0   # px^2
 
     def __post_init__(self):
-        for name in ("frame_rate", "duration", "arena_radius", "initial_droplet_area"):
+        for name in ("duration", "arena_radius"):
             check_number(name, getattr(self, name), 0, strict=True)
-        if not math.isfinite(self.frame_rate * self.duration) or self.total_frames < 2:
-            raise ValueError("frame_rate * duration must give at least 2 frames")
+        if not math.isfinite(FRAME_RATE * self.duration) or self.total_frames < 2:
+            raise ValueError(f"duration must give at least 2 frames at {FRAME_RATE} Hz")
         check_number("injection_count", self.injection_count, 0, integer=True)
         positions = self.injection_positions
         if not (isinstance(positions, (list, tuple)) and len(positions) == self.injection_count):
@@ -61,7 +63,7 @@ class ArenaConfig:
 
     @property
     def total_frames(self) -> int:
-        return int(round(self.frame_rate * self.duration))
+        return int(round(FRAME_RATE * self.duration))
 
 
 @dataclass(frozen=True)
@@ -140,17 +142,21 @@ def behavior_from_formulation(f: Formulation, oils: list[OilProperties] | None =
     )
 
 
-# Speed above SPEED_FLOOR at the optimum of the unimodal behaviour map.
+# The unimodal map's speed above SPEED_FLOOR: a Gaussian bump of SD
+# UNIMODAL_WIDTH around UNIMODAL_OPTIMUM on the simplex.
 UNIMODAL_PEAK_SPEED = 5.0   # px/frame
+UNIMODAL_OPTIMUM = (0.1, 0.6, 0.2, 0.1)
+UNIMODAL_WIDTH = 0.35
 
 
-def unimodal_behavior(f: Formulation, optimum, width: float) -> BehaviorParams:
-    """Walk parameters of `f` under a behaviour map with a single speed peak
-    at `optimum` on the simplex, in place of behavior_from_formulation; used
-    for ground-truth landscape and GA efficacy checks."""
+def unimodal_behavior(f: Formulation) -> BehaviorParams:
+    """Walk parameters of `f` under the unimodal behaviour map, in place of
+    behavior_from_formulation; used for ground-truth landscape and GA
+    efficacy checks."""
     d2 = float(np.sum((np.asarray(f.proportions, dtype=float)
-                       - np.asarray(optimum, dtype=float)) ** 2))
-    speed = SPEED_FLOOR + UNIMODAL_PEAK_SPEED * math.exp(-d2 / (2.0 * width ** 2))
+                       - np.asarray(UNIMODAL_OPTIMUM, dtype=float)) ** 2))
+    speed = SPEED_FLOOR + UNIMODAL_PEAK_SPEED * math.exp(
+        -d2 / (2.0 * UNIMODAL_WIDTH * UNIMODAL_WIDTH))
     return BehaviorParams(speed=speed, turn_noise=0.5,
                           split_probability=0.0, shrink_rate=0.0)
 
@@ -260,7 +266,7 @@ def simulate(f: Formulation, cfg: ArenaConfig, seed,
     runs = []
     # birth frame -> [(replicate, lineage, x, y, heading or None, area)] of
     # the droplets to walk
-    born = {0: [(r, (i,), x, y, None, float(cfg.initial_droplet_area))
+    born = {0: [(r, (i,), x, y, None, INITIAL_DROPLET_AREA)
                 for r in range(len(seeds)) for i, (x, y) in enumerate(cfg.injection_positions)]}
     while born:
         t0 = min(born)

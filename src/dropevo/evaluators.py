@@ -25,12 +25,11 @@ the recipes over the process pool it is given, or over none (serially).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 from . import arena, ga, tracking
-from .formulation import GENOME_LENGTH, Formulation, check_number, check_vector
+from .formulation import Formulation
 
 # A recipe's replicates are simulated, filtered and scored in passes that
 # hold at most this many droplet-frames (injections x frames per replicate).
@@ -61,8 +60,6 @@ class ExperimentSetup:
     master_seed: int = 0
     run: int = 0
     behavior_map: str = "oils"          # 'oils' or 'unimodal'
-    unimodal_optimum: tuple = (0.1, 0.6, 0.2, 0.1)
-    unimodal_width: float = 0.35
 
     def __post_init__(self):
         if self.objective not in tracking.FITNESS_FUNCTIONS:
@@ -70,13 +67,6 @@ class ExperimentSetup:
         if self.behavior_map not in ("oils", "unimodal"):
             raise ValueError(f"behavior_map must be 'oils' or 'unimodal', "
                              f"got {self.behavior_map!r}")
-        width = check_number("unimodal_width", self.unimodal_width, 0, strict=True)
-        # unimodal_behavior divides by 2 width^2: it must be a finite normal float.
-        if not sys.float_info.min <= 2.0 * width * width <= sys.float_info.max:
-            raise ValueError(f"unimodal_width must have 2*width^2 finite and >= "
-                             f"{sys.float_info.min:.4g}, got {width!r}")
-        object.__setattr__(self, "unimodal_optimum", check_vector(
-            "unimodal_optimum", self.unimodal_optimum, GENOME_LENGTH))
 
 
 def _pass_size(cfg: arena.ArenaConfig) -> int:
@@ -100,7 +90,7 @@ def _score_pass(setup: ExperimentSetup, f: Formulation, behavior: arena.Behavior
 def _recipe(setup: ExperimentSetup, proportions) -> tuple:
     f = Formulation(tuple(proportions))
     if setup.behavior_map == "unimodal":
-        return f, arena.unimodal_behavior(f, setup.unimodal_optimum, setup.unimodal_width)
+        return f, arena.unimodal_behavior(f)
     return f, arena.behavior_from_formulation(f)
 
 

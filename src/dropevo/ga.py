@@ -1,10 +1,10 @@
 """Generational genetic algorithm over 4-locus real genomes.
 
-Default parameters: 21 generations, population 25, 15 carry-overs, per-locus
-mutation rate 0.3 with N(0, 0.1^2) additive noise, single-point crossover,
-fitness-proportional parent selection and inverse-fitness culling, both at
-selective pressure 1. With these defaults one run evaluates exactly
-25 + 20 * 10 = 225 distinct recipes.
+Default parameters: 21 generations, population 25, 15 carry-overs. Breeding
+is fixed: per-locus mutation rate MUTATION_RATE = 0.3 with N(0, MUTATION_SD^2
+= 0.1^2) additive noise, single-point crossover, fitness-proportional parent
+selection and inverse-fitness culling. With these defaults one run evaluates
+exactly 25 + 20 * 10 = 225 distinct recipes.
 
 Each generation culls, then breeds (cull 25 -> 15 survivors, then add 10
 evaluated children), so a run of more than one generation needs at least two
@@ -34,9 +34,12 @@ from .formulation import GENOME_LENGTH, check_number, normalize
 # Replicate experiments per recipe: the history format has three columns.
 REPLICATES = 3
 
-# Added to fitness before exponentiation so zero-fitness individuals keep
-# finite selection and death weights.
+# Added to fitness before weighting so zero-fitness individuals keep finite
+# selection and death weights.
 FITNESS_EPS = 1e-9
+
+MUTATION_RATE = 0.3
+MUTATION_SD = 0.1
 
 
 class GAError(ValueError):
@@ -57,9 +60,6 @@ class GAConfig:
     generations: int = 21
     population_size: int = 25
     carry_overs: int = 15
-    per_locus_mutation_rate: float = 0.3
-    mutation_sd: float = 0.1
-    selective_pressure: float = 1.0
     runs: int = 3
     rng_seed: int = 0
 
@@ -67,15 +67,11 @@ class GAConfig:
         for name in ("generations", "population_size", "carry_overs", "runs"):
             check_number(name, getattr(self, name), 1, integer=True)
         check_number("rng_seed", self.rng_seed, 0, integer=True)
-        for name in ("per_locus_mutation_rate", "mutation_sd", "selective_pressure"):
-            check_number(name, getattr(self, name), 0)
         if not self.carry_overs < self.population_size:
             raise GAError("carry_overs must satisfy 1 <= carry_overs < population_size")
         if self.generations > 1 and self.carry_overs < 2:
             raise GAError("carry_overs must be >= 2 when generations > 1: "
                           "every child has two distinct parents")
-        if self.per_locus_mutation_rate > 1.0:
-            raise GAError("per_locus_mutation_rate must lie in [0, 1]")
 
     @property
     def recipes_per_run(self) -> int:
@@ -121,13 +117,12 @@ def init_population(cfg: GAConfig, rng: np.random.Generator,
     ]
 
 
-def mutate(genome: np.ndarray, rate: float, sd: float,
-           rng: np.random.Generator) -> np.ndarray:
-    """Per-locus Bernoulli(rate) selection, additive N(0, sd^2) noise,
-    clamped back to [0, 1]."""
+def mutate(genome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Per-locus Bernoulli(MUTATION_RATE) selection, additive
+    N(0, MUTATION_SD^2) noise, clamped back to [0, 1]."""
     g = np.array(genome, dtype=float, copy=True)
-    hit = rng.random(g.shape) < rate
-    g[hit] += rng.normal(0.0, sd, int(hit.sum()))
+    hit = rng.random(g.shape) < MUTATION_RATE
+    g[hit] += rng.normal(0.0, MUTATION_SD, int(hit.sum()))
     return np.clip(g, 0.0, 1.0)
 
 
@@ -139,32 +134,29 @@ def crossover(p1: np.ndarray, p2: np.ndarray, rng: np.random.Generator) -> np.nd
     return np.concatenate([p1[:cut], p2[cut:]])
 
 
-def _weights(pop, pressure: float, inverse: bool) -> np.ndarray:
+def _weights(pop, inverse: bool) -> np.ndarray:
     f = np.array([ind.fitness for ind in pop], dtype=float) + FITNESS_EPS
-    exponent = -pressure if inverse else pressure
-    w = f ** exponent
+    w = 1.0 / f if inverse else f
     return w / w.sum()
 
 
-def select_parents(pop: list[Individual], pressure: float,
-                   rng: np.random.Generator) -> tuple[Individual, Individual]:
+def select_parents(pop: list[Individual], rng: np.random.Generator) -> tuple[Individual, Individual]:
     """Two distinct parents, drawn without replacement with probability
-    proportional to (fitness + eps)^pressure."""
+    proportional to fitness + eps."""
     if len(pop) < 2:
         raise GAError("need at least 2 individuals to breed")
-    first = rng.choice(len(pop), p=_weights(pop, pressure, inverse=False))
+    first = rng.choice(len(pop), p=_weights(pop, inverse=False))
     rest = [ind for i, ind in enumerate(pop) if i != first]
-    second = rng.choice(len(rest), p=_weights(rest, pressure, inverse=False))
+    second = rng.choice(len(rest), p=_weights(rest, inverse=False))
     return pop[int(first)], rest[int(second)]
 
 
-def cull(pop: list[Individual], survivors: int, pressure: float,
-         rng: np.random.Generator) -> list[Individual]:
+def cull(pop: list[Individual], survivors: int, rng: np.random.Generator) -> list[Individual]:
     """Remove individuals one at a time with probability proportional to
-    (fitness + eps)^(-pressure) until `survivors` remain."""
+    1 / (fitness + eps) until `survivors` remain."""
     alive = list(pop)
     while len(alive) > survivors:
-        victim = int(rng.choice(len(alive), p=_weights(alive, pressure, inverse=True)))
+        victim = int(rng.choice(len(alive), p=_weights(alive, inverse=True)))
         del alive[victim]
     return alive
 
@@ -222,12 +214,12 @@ def evolve(cfg: GAConfig, run: int = 0):
 
     n_children = cfg.population_size - cfg.carry_overs
     for _ in range(cfg.generations - 1):
-        pop = cull(pop, cfg.carry_overs, cfg.selective_pressure, rng)
+        pop = cull(pop, cfg.carry_overs, rng)
         children = []
         for _ in range(n_children):
-            p1, p2 = select_parents(pop, cfg.selective_pressure, rng)
+            p1, p2 = select_parents(pop, rng)
             genome = crossover(p1.genome, p2.genome, rng)
-            genome = mutate(genome, cfg.per_locus_mutation_rate, cfg.mutation_sd, rng)
+            genome = mutate(genome, rng)
             children.append(Individual(genome=genome, id=next_id, parent_ids=(p1.id, p2.id)))
             next_id += 1
         yield children

@@ -136,8 +136,9 @@ def _kernel_matrix(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
 
 @dataclass
 class KernelModel:
-    """A fitted model. It holds only what a prediction needs, so it pickles
-    small to a worker process; K is rebuilt, with the same bits, on access."""
+    """A fitted model: its training inputs and targets, dual weights and
+    parameters. It holds no n x n matrix, so it pickles small to a worker
+    process; K is rebuilt, with the same bits, on access."""
 
     X: np.ndarray        # (n, 4) training inputs
     y: np.ndarray        # (n,) targets

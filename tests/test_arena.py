@@ -82,9 +82,8 @@ def test_behavior_params_reject_negative_rates(field):
 
 
 def test_unimodal_map_peaks_at_optimum():
-    opt = (0.1, 0.6, 0.2, 0.1)
-    at_peak = unimodal_behavior(Formulation(opt), opt, width=0.35)
-    away = unimodal_behavior(Formulation((0.25, 0.25, 0.25, 0.25)), opt, width=0.35)
+    at_peak = unimodal_behavior(Formulation(arena.UNIMODAL_OPTIMUM))
+    away = unimodal_behavior(Formulation((0.25, 0.25, 0.25, 0.25)))
     assert at_peak.speed == pytest.approx(0.2 + 5.0)
     assert away.speed < at_peak.speed
 
@@ -248,9 +247,9 @@ def simulate_v1(f, cfg, rng, behavior):
     interior position and could still split there."""
     b = behavior
     droplets = [[float(x), float(y), float(rng.uniform(0.0, 2.0 * math.pi)),
-                 float(cfg.initial_droplet_area), False]
+                 arena.INITIAL_DROPLET_AREA, False]
                 for x, y in cfg.injection_positions]
-    r2 = cfg.arena_radius ** 2
+    r2 = cfg.arena_radius * cfg.arena_radius
     frames = [[(d[0], d[1], d[3]) for d in droplets]]
     for t in range(1, cfg.total_frames):
         new_droplets = []
@@ -288,7 +287,7 @@ def reference_simulate(f, cfg, seed, behavior):
     value at a time from each droplet's own streams: the reference that the
     event-driven simulate must match exactly."""
     b = behavior
-    r2 = cfg.arena_radius ** 2
+    r2 = cfg.arena_radius * cfg.arena_radius
 
     def droplet(lineage, x, y, area):
         return {"lineage": lineage, "x": x, "y": y, "born_area": area, "age": 0,
@@ -297,7 +296,7 @@ def reference_simulate(f, cfg, seed, behavior):
 
     droplets = []
     for i, (x, y) in enumerate(cfg.injection_positions):
-        d = droplet((i,), x, y, float(cfg.initial_droplet_area))
+        d = droplet((i,), x, y, arena.INITIAL_DROPLET_AREA)
         d["heading"] = d["turn"].uniform(0.0, 2.0 * math.pi)
         droplets.append(d)
     frames = [[(d["x"], d["y"], d["area"]) for d in droplets]]
@@ -333,9 +332,9 @@ def reference_simulate(f, cfg, seed, behavior):
     return frames
 
 
-def reference_filter(frames, arena_radius, shrink=0.95):
-    r2 = (shrink * arena_radius) ** 2
-    return [[d for d in fr if d[0] ** 2 + d[1] ** 2 < r2] for fr in frames]
+def reference_filter(frames, arena_radius):
+    r = arena.ANALYTIC_ARENA_SHRINK * arena_radius
+    return [[d for d in fr if d[0] * d[0] + d[1] * d[1] < r * r] for fr in frames]
 
 
 # 32 droplets 19.6 px apart on a ring, walked together from frame 0; some
@@ -372,7 +371,7 @@ def test_simulate_matches_scalar_reference(case, seed):
     got = simulate(f, cfg, np.random.SeedSequence(seed), behavior=b)
     want = reference_simulate(f, cfg, np.random.SeedSequence(seed), b)
     assert frames_of(got) == want
-    assert np.all(got.x * got.x + got.y * got.y < cfg.arena_radius ** 2)
+    assert np.all(got.x * got.x + got.y * got.y < cfg.arena_radius * cfg.arena_radius)
     assert frames_of(filter_analytic_arena(got, cfg.arena_radius)) == reference_filter(
         want, cfg.arena_radius)
 

@@ -941,15 +941,15 @@ def test_landscape_overflow_is_a_numeric_failure(tmp_path, case, cpus):
     ("ga", "generations", 2.5),
     ("ga", "rng_seed", 1.5),
     ("ga", "rng_seed", -1),
-    ("ga", "mutation_sd", "x"),
+    ("ga", "mutation_sd", "x"),             # no longer a field
     ("ga", "birth_before_cull", "yes"),     # no longer a field
     ("arena", "duration", float("nan")),
     ("arena", "injection_positions", [[1.0]]),
     ("evaluation", "behaviour_map", "unimodal"),
     ("evaluation", "bogus", 1),
     ("evaluation", "behavior_map", "unimodl"),
-    ("evaluation", "unimodal_width", 0),
-    ("evaluation", "unimodal_optimum", [0.5, 0.5]),
+    ("evaluation", "unimodal_width", 0),    # no longer a field
+    ("evaluation", "unimodal_optimum", [0.5, 0.5]),   # no longer a field
     ("evaluation", "run", 1),              # set by the command, not the config
     ("evaluation", "master_seed", 1),
     ("evaluation", "objective", "division"),
@@ -957,11 +957,12 @@ def test_landscape_overflow_is_a_numeric_failure(tmp_path, case, cpus):
      [[0.0, 200.0], [60.0, -60.0], [-60.0, 60.0], [60.0, 60.0]]),
     ("arena", "arena_radius", 1e200),      # its square overflows
     ("ga", "carry_overs", 1),              # two parents per child, 3 generations
-    ("evaluation", "unimodal_width", 1e-200),  # 2 width^2 underflows to 0
-    ("evaluation", "unimodal_width", 1e200),   # 2 width^2 overflows
     *(pytest.param(section, key, 10**400, id=f"{section}-{key}-401-digit-int")
-      for section, key in (("arena", "duration"), ("ga", "rng_seed"),
-                           ("evaluation", "unimodal_width"))),   # too large for a float
+      for section, key in (("arena", "duration"), ("ga", "rng_seed"))),  # too large for a float
+    ("ga", "per_locus_mutation_rate", 0.3),   # no longer a field
+    ("ga", "selective_pressure", 1.0),        # no longer a field
+    ("arena", "frame_rate", 30.0),            # no longer a field
+    ("arena", "initial_droplet_area", 400.0),   # no longer a field
 ])
 def test_evolve_rejects_unsupported_config(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(FAST_CONFIG))
@@ -992,22 +993,32 @@ GOLDEN_HISTORY_SHA256 = {
     "directionality": "4d46169fe102c448b67a4858def04e851111da575b8041ff7da057ca8922ef66",
     "movement": "b7c9fde9092250ba5e5d8ff1cb877c380fbb82aac03dc1d6bcd1fc3c3aeb9c4a",
 }
+# The same for GOLDEN_CONFIG under the unimodal behaviour map: division is
+# the path of perfbench's evolve-crowded, and movement scores the map's speeds.
+GOLDEN_UNIMODAL_CONFIG = {**GOLDEN_CONFIG, "evaluation": {"behavior_map": "unimodal"}}
+GOLDEN_UNIMODAL_SHA256 = {
+    "division": "eff8006f9435d1d6d9958991cbf8495da26fa32f033f1311d406868b0c498b21",
+    "movement": "1979423e272d5f43c052bf1b6b6f2f238bbefd4e05868ddbe07a97f6765bf165",
+}
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_evolve_golden_history(tmp_path, jobs):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(GOLDEN_CONFIG))
     digests = {}
-    for objective in GOLDEN_HISTORY_SHA256:
-        out_dir = tmp_path / objective
-        rc = main(["evolve", "--config", str(path), "--objective", objective,
-                   "--jobs", jobs, "--out-dir", str(out_dir)])
-        assert rc == EXIT_OK
-        digests[objective] = hashlib.sha256(
-            (out_dir / "history_run0.csv").read_bytes()).hexdigest()
+    for name, config, pins in (("oils", GOLDEN_CONFIG, GOLDEN_HISTORY_SHA256),
+                               ("unimodal", GOLDEN_UNIMODAL_CONFIG, GOLDEN_UNIMODAL_SHA256)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        for objective in pins:
+            out_dir = tmp_path / name / objective
+            rc = main(["evolve", "--config", str(path), "--objective", objective,
+                       "--jobs", jobs, "--out-dir", str(out_dir)])
+            assert rc == EXIT_OK
+            digests[name, objective] = hashlib.sha256(
+                (out_dir / "history_run0.csv").read_bytes()).hexdigest()
     # Compared together, so that a change shows every pin it moves.
-    assert digests == GOLDEN_HISTORY_SHA256
+    assert digests == {**{("oils", k): v for k, v in GOLDEN_HISTORY_SHA256.items()},
+                       **{("unimodal", k): v for k, v in GOLDEN_UNIMODAL_SHA256.items()}}
 
 
 def _openblas_core_types():
@@ -1333,7 +1344,7 @@ FUZZ_BASE = {
 FUZZ_FIELDS = ([("ga", f.name) for f in dataclasses.fields(ga.GAConfig)]
                + [("arena", f.name) for f in dataclasses.fields(arena.ArenaConfig)]
                + [("evaluation", name) for name in
-                  ("behavior_map", "unimodal_optimum", "unimodal_width", "bogus")])
+                  ("behavior_map", "bogus")])
 ADVERSARIAL = [None, True, False, 0, -1, -2.5, 0.5, "nan", "NaN", "-inf", "x", "3",
                [], {}, [1, 2], [[1.0, 2.0]], float("nan"), float("inf")]
 

@@ -121,10 +121,9 @@ def test_division_never_tracks(monkeypatch, cfg, size, p, recipe_id, want):
 
 
 def test_unimodal_map_rewards_optimum():
-    opt = (0.1, 0.6, 0.2, 0.1)
     setup = ExperimentSetup(objective="movement", arena_config=SHORT_ARENA,
-                            behavior_map="unimodal", unimodal_optimum=opt)
-    at_opt = run_replicate(setup, opt, 0, 0)
+                            behavior_map="unimodal")
+    at_opt = run_replicate(setup, arena.UNIMODAL_OPTIMUM, 0, 0)
     far = run_replicate(setup, (0.7, 0.1, 0.1, 0.1), 1, 0)
     assert at_opt > far
 
@@ -143,11 +142,10 @@ def test_batch_evaluator_matches_serial():
 
 def test_wall_dead_droplets_score_zero_movement():
     # An arena so small that every droplet starts outside the analytic arena
-    # and dies at the wall within 2 s: the score is still a number >= 0.
+    # and dies at the wall within 2 s: the score is still a number >= 0. At
+    # the unimodal optimum droplets walk at the peak speed, 5.2 px/frame.
     tiny = ArenaConfig(duration=2.0, arena_radius=86.0)
     setup = ExperimentSetup(objective="movement", arena_config=tiny,
-                            behavior_map="unimodal",
-                            unimodal_optimum=(0.25, 0.25, 0.25, 0.25),
-                            unimodal_width=10.0)
-    got = run_replicate(setup, (0.25, 0.25, 0.25, 0.25), 0, 0)
+                            behavior_map="unimodal")
+    got = run_replicate(setup, arena.UNIMODAL_OPTIMUM, 0, 0)
     assert got >= 0.0

@@ -74,7 +74,8 @@ def oracle_track(frames, radius=30.0):
             for did, px, py in prev:
                 if did in taken:
                     continue
-                d2 = (x - px) ** 2 + (y - py) ** 2
+                dx, dy = x - px, y - py
+                d2 = dx * dx + dy * dy
                 if d2 <= radius * radius:
                     candidates.append((d2, did))
             if candidates:
