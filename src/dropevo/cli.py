@@ -6,9 +6,9 @@ config snapshot and seed needed to reproduce the data files byte for byte.
 
 `evolve --jobs N` (N > 1) scores each GA round, every run's new recipes
 together, in one map over a pool of N worker processes forked from this
-process. `landscape` predicts its four simplex faces, and then writes their
-CSV text, over a pool forked the same way, with one worker per CPU the
-process may run on, up to 4; the bytes do not depend on the worker count.
+process. `landscape` predicts its four simplex faces in two pairs over a pool
+forked the same way, one worker per CPU the process may run on, up to 2; the
+bytes do not depend on the worker count.
 With one worker (`--jobs 1`, or one usable CPU) a command maps serially and
 imports no pool machinery. A worker that dies (say, to the OOM killer) ends
 the command as a one-line numeric failure.
@@ -254,13 +254,13 @@ def _load_histories(paths):
     return histories
 
 
-def _face_grid(model, face: int, resolution: int):
-    # The pool maps this function by name. landscape.face_grid is looked up
-    # when it runs, so a wrapper put on it (perfbench's tracer) need not
-    # pickle.
+def _face_pair(model, faces: tuple[int, ...], resolution: int):
+    # The pool maps this function by name; it looks landscape.face_grids up
+    # when it runs, so a test's patch reaches it.
     from . import landscape
 
-    return landscape.face_grid(model, face, resolution)
+    lats = landscape.face_grids(model, faces, resolution)
+    return lats, [landscape.face_values_text(lat) for lat in lats]
 
 
 def cmd_landscape(args) -> int:
@@ -295,16 +295,18 @@ def cmd_landscape(args) -> int:
             model = landscape.fit(X, y, lam=args.lam, sigma=args.sigma)
     except landscape.NonpositiveBandwidth as exc:
         raise UsageError(f"--sigma: {exc}") from exc
-    # The faces are predicted, and their CSV text built, in forked workers,
-    # one per usable CPU (none where the platform cannot list them): landscape
-    # calls no BLAS, and a kernel row's bits do not depend on the process
-    # that computes it. The catchment, which joins the faces, runs here.
+    # Forked workers (no BLAS runs, so the bits do not depend on the process)
+    # predict the face pairs while this process builds the CSV's cell prefixes.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    with _fork_pool(min(cpus, 4) if cpus > 1 and _can_fork() else 1) as pool:
-        pool_map = map if pool is None else pool.map
-        lattices = list(pool_map(_face_grid, [model] * 4, range(4), [args.resolution] * 4))
-        islands = landscape.catchment_map(lattices)
-        csv = landscape.landscape_csv(lattices, islands, map=pool_map)
+    with _fork_pool(2 if cpus > 1 and _can_fork() else 1) as pool:
+        tasks = (map if pool is None else pool.map)(
+            _face_pair, [model] * 2, ((0, 1), (2, 3)), [args.resolution] * 2)
+        landscape._csv_prefixes(args.resolution)
+        pairs = list(tasks)
+    lattices = [lat for lats, _ in pairs for lat in lats]
+    islands = landscape.catchment_map(lattices)
+    csv = landscape.landscape_csv(lattices, islands, [t for _, ts in pairs for t in ts])
+    del pairs  # frees the value text before the CSV is written
     # Grey levels that overflow fail before any file is written.
     with np.errstate(over="raise", invalid="raise"):
         pgms = [landscape.lattice_to_pgm(lat) for lat in lattices]

@@ -19,7 +19,7 @@ weighted sum over training points. Landscape contract 3 fixes every bit:
 
 A prediction that is not finite, as when a row sum overflows (einsum raises
 no floating-point error), is a FloatingPointError from ``predict_many`` and
-``face_grid``.
+``face_grids``.
 
 Each of the four faces of the composition simplex (one component held at
 zero) is rasterized to a resolution x resolution triangular lattice, and each
@@ -33,9 +33,12 @@ smallest canonical (face, i, j)), its parent is the lowest rank in its 3x3
 window on every face hosting it, and ``parent = parent[parent]`` repeats until
 each cell points at its island's maximum.
 
-The faces are independent: ``face_grid`` and ``face_csv`` take one face, so a
-caller may map them over worker processes (the ``landscape`` command forks
-one per usable CPU, up to 4), and the bytes do not depend on how many.
+The faces are independent, and faces 0 and 1, like faces 2 and 3, share
+their factor tables: ``face_grids`` predicts one face or one such pair, and
+``face_values_text`` writes a face's values as the CSV's text, so a caller may
+map the two pairs over worker processes (the ``landscape`` command forks one
+per usable CPU, up to 2), and the bytes do not depend on how many.
+``landscape_csv`` joins the faces' text with their cell prefixes and labels.
 """
 
 from __future__ import annotations
@@ -136,12 +139,11 @@ def _kernel_matrix(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
 
 @dataclass
 class KernelModel:
-    """A fitted model: its training inputs and targets, dual weights and
-    parameters. It holds no n x n matrix, so it pickles small to a worker
-    process; K is rebuilt, with the same bits, on access."""
+    """A fitted model: its training inputs, dual weights and parameters. It
+    holds neither the targets nor an n x n matrix, so it pickles small to a
+    worker process; K is rebuilt, with the same bits, on access."""
 
     X: np.ndarray        # (n, 4) training inputs
-    y: np.ndarray        # (n,) targets
     theta: np.ndarray    # (n,) dual weights
     lam: float
     sigma: float
@@ -167,7 +169,7 @@ def fit(X, y, lam: float = DEFAULT_LAMBDA, sigma: float = DEFAULT_SIGMA) -> Kern
     if X.shape[0] != y.shape[0] or X.shape[0] < 1:
         raise LandscapeError(f"{X.shape[0]} inputs vs {y.shape[0]} targets")
     theta = _cholesky_solve(_kernel_matrix(X, X, sigma) + lam * np.eye(len(y)), y)
-    return KernelModel(X=X, y=y, theta=theta, lam=lam, sigma=sigma)
+    return KernelModel(X=X, theta=theta, lam=lam, sigma=sigma)
 
 
 _PANEL = 64  # columns factored together before one trailing update
@@ -180,7 +182,9 @@ def _cholesky_solve(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     is scaled by its pivot's root and subtracted from the panel's later
     columns as an elementwise outer product; the panel P then updates the
     trailing block by P P^T through einsum, which (without ``optimize``)
-    never calls BLAS. Only the lower triangle of the work array is read.
+    never calls BLAS. Only the lower triangle of the work array is read, so
+    the update runs per block column of _PANEL columns, on the rows at and
+    below it: each element gets the same einsum sum as over the whole block.
     """
     L = np.array(A, dtype=float)
     n = len(L)
@@ -195,7 +199,8 @@ def _cholesky_solve(A: np.ndarray, y: np.ndarray) -> np.ndarray:
             L[k + 1:, k] /= d
             L[k + 1:, k + 1:q] -= np.multiply.outer(L[k + 1:, k], L[k + 1:q, k])
         P = L[q:, p:q]
-        L[q:, q:] -= np.einsum("ik,jk->ij", P, P)
+        for c in range(q, n, _PANEL):  # block columns right of the panel
+            L[c:, c:c + _PANEL] -= np.einsum("ik,jk->ij", P[c - q:], P[c - q:c - q + _PANEL])
     # L z = y by columns, then L^T x = z by rows of L.
     x = np.array(y, dtype=float)
     for k in range(n):
@@ -208,9 +213,10 @@ def _cholesky_solve(A: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _weighted_rows(k: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """k @ theta as einsum row sums: each row's bits depend on that row and
-    theta only, not on how many rows the call has or on BLAS threads."""
-    return np.einsum("ij,j->i", k, theta)
+    """k @ theta as einsum row sums over k's last axis: each row's bits depend
+    on that row and theta only, not on how many rows the call has or on BLAS
+    threads."""
+    return np.einsum("...j,j->...", k, theta)
 
 
 def _factor(coords: np.ndarray, x: np.ndarray, sigma: float,
@@ -312,7 +318,14 @@ _BLOCK_ROWS = 32
 def face_grid(model: KernelModel, face: int,
               resolution: int = DEFAULT_RESOLUTION) -> FaceLattice:
     """Predict the model over one face of the simplex, with the bits of
-    ``predict_many`` at each cell's ``cell_composition``.
+    ``predict_many`` at each cell's ``cell_composition``."""
+    return face_grids(model, (face,), resolution)[0]
+
+
+def face_grids(model: KernelModel, faces: tuple[int, ...],
+               resolution: int = DEFAULT_RESOLUTION) -> list[FaceLattice]:
+    """``face_grid`` of each face in `faces`: one face, or the pair (0, 1) or
+    (2, 3), which share their factor tables and block products.
 
     A cell's kernel row is (t_0 t_1)(t_2 t_3), and one of the two pairs is
     the same for every cell of a walk w over the lattice: F X along lattice
@@ -320,44 +333,56 @@ def face_grid(model: KernelModel, face: int,
     a Z-row on faces 2 and 3. The other pair, Y Z or X Y, is row a of a
     forward factor table times row b = res-1-w-a of a reversed one, so a
     block of a walk is one product of two table slices, and no exp runs per
-    cell. Table B is built whole and table A half at a time (the cells with
-    a < ceil(res/2), then the rest), which keeps the tables to 1.5 x (res, n).
+    cell. Faces 0 and 1 have the same Y and Z components, and faces 2 and 3
+    the same X and Y, so a pair computes each block product once and each
+    face multiplies it by its own walk factor. Table B is built whole and
+    table A half at a time (the cells with a < ceil(res/2), then the rest),
+    which keeps the tables to 1.5 x (res, n).
     """
-    if face not in (0, 1, 2, 3):
-        raise LandscapeError("face must be 0..3")
+    faces = tuple(faces)
+    if faces not in ((0,), (1,), (2,), (3,), (0, 1), (2, 3)):
+        raise LandscapeError(f"faces must be one face, (0, 1) or (2, 3), got {faces}")
     if resolution < 2:
         raise LandscapeError(f"resolution must be >= 2, got {resolution}")
     res, X, theta, sigma = resolution, model.X, model.theta, model.sigma
-    ax, ay, az = face_axes(face)
-    walk, fwd, rev = (ax, ay, az) if face < 2 else (az, ax, ay)
+    lower = faces[0] < 2
+    axes = face_axes(faces[0])
+    fwd, rev = axes[1:] if lower else axes[:2]
+    walks = [face_axes(face)[0 if lower else 2] for face in faces]
+    held = np.stack([_factor(np.zeros(1), X[:, face], sigma) for face in faces])
     coords = np.arange(res) / (res - 1)
-    lat = FaceLattice(face=face, resolution=res, values=np.full((res, res), np.nan))
+    lats = [FaceLattice(face=face, resolution=res, values=np.full((res, res), np.nan))
+            for face in faces]
     # A walk's cells are (w, a) on faces 0 and 1 and (a, b) on faces 2 and 3,
     # so along it the flat index steps by 1 or by res-1.
-    cells, step = lat.values.reshape(-1), 1 if face < 2 else res - 1
-    held = _factor(np.zeros(1), X[:, face], sigma)[0]
+    cells, step = [lat.values.reshape(-1) for lat in lats], 1 if lower else res - 1
     table_b = _factor(coords, X[:, rev], sigma)
     half = (res + 1) // 2
     table_a = np.empty((half, len(X)))
-    kernel = np.empty((_BLOCK_ROWS, len(X)))
+    block = np.empty((_BLOCK_ROWS, len(X)))
+    kernel = np.empty((len(faces), _BLOCK_ROWS, len(X)))
     for lo, hi in ((0, half), (half, res)):
         _factor(coords[lo:hi], X[:, fwd], sigma, out=table_a[:hi - lo])
         for w0 in range(0, res - lo, _DEXP_ROWS):  # walks with a cell a >= lo
-            pairs = _factor(coords[w0:min(w0 + _DEXP_ROWS, res - lo)], X[:, walk], sigma)
+            ws = coords[w0:min(w0 + _DEXP_ROWS, res - lo)]
+            pairs = np.stack([_factor(ws, X[:, walk], sigma) for walk in walks])
             pairs *= held
-            for w, pair in enumerate(pairs, w0):
+            for k in range(len(ws)):
+                w = w0 + k
                 stop = min(hi, res - w)
                 for a in range(lo, stop, _BLOCK_ROWS):
                     m = min(_BLOCK_ROWS, stop - a)
                     b = res - 1 - w - a
-                    out = np.multiply(table_a[a - lo:a - lo + m], table_b[b::-1][:m],
-                                      out=kernel[:m])
-                    out *= pair
-                    start = w * res + a if face < 2 else a * res + b
-                    cells[start:start + m * step:step] = _weighted_rows(out, theta)
-    if not np.isfinite(lat.values[lat.valid]).all():
-        raise FloatingPointError(f"face {face}: a prediction is not finite")
-    return lat
+                    product = np.multiply(table_a[a - lo:a - lo + m], table_b[b::-1][:m],
+                                          out=block[:m])
+                    start = w * res + a if lower else a * res + b
+                    out = np.multiply(product, pairs[:, k, None], out=kernel[:, :m])
+                    for values, row in zip(cells, _weighted_rows(out, theta)):
+                        values[start:start + m * step:step] = row
+    for lat in lats:
+        if not np.isfinite(lat.values[lat.valid]).all():
+            raise FloatingPointError(f"face {lat.face}: a prediction is not finite")
+    return lats
 
 
 # ---------------------------------------------------------------------------
@@ -463,20 +488,34 @@ def _csv_prefixes(resolution: int) -> tuple[str, ...]:
                  for i, j in zip(ii.tolist(), jj.tolist()))
 
 
-def face_csv(lat: FaceLattice, labels: np.ndarray) -> str:
-    """The landscape.csv lines of one face; `labels` is its (res, res) island
-    label grid."""
-    valid = lat.valid
-    return "".join(f"{lat.face},{prefix}{value!r},{label}\n" for prefix, value, label
-                   in zip(_csv_prefixes(lat.resolution), lat.values[valid].tolist(),
-                          labels[valid].tolist()))
+def face_values_text(lat: FaceLattice) -> str:
+    """The repr of a face's valid values as a list, in row-major order: its
+    fitness column, each value as ``repr`` writes it, between ", "."""
+    return repr(lat.values[lat.valid].tolist())
 
 
-def landscape_csv(lattices: list[FaceLattice], island_map: IslandMap, map=map) -> str:
-    """The header and every face's lines. `map` applies face_csv to the faces
-    in order (an executor's map writes them concurrently)."""
-    labels = [island_map.labels[lat.face] for lat in lattices]
-    return "".join(["face,i,j,X,Y,Z,fitness,island_label\n", *map(face_csv, lattices, labels)])
+def landscape_csv(lattices: list[FaceLattice], island_map: IslandMap,
+                  texts: list[str] | None = None) -> str:
+    """The header and every face's lines, "face,i,j,X,Y,Z,fitness,label".
+    `texts` holds each lattice's ``face_values_text``, if the caller has made
+    them (the landscape command does so in its workers); otherwise they are
+    made here."""
+    if texts is None:
+        texts = [face_values_text(lat) for lat in lattices]
+    prefixes = _csv_prefixes(island_map.resolution)
+    valid = _valid_mask(island_map.resolution)
+    ends = [f",{label}\n" for label in range(len(island_map.islands))]
+    faces = ["face,i,j,X,Y,Z,fitness,island_label\n"]
+    for lat, text in zip(lattices, texts):
+        # Four parts a line: the face, the cell's prefix, its value and its
+        # label, interleaved into a list that starts as the face throughout.
+        # Each face is joined on its own, so only one face's parts are held.
+        parts = [f"{lat.face},"] * (4 * len(prefixes))
+        parts[1::4] = prefixes
+        parts[2::4] = text[1:-1].split(", ")
+        parts[3::4] = map(ends.__getitem__, island_map.labels[lat.face][valid].tolist())
+        faces.append("".join(parts))
+    return "".join(faces)
 
 
 def island_summary_json(island_map: IslandMap) -> str:

@@ -515,8 +515,7 @@ def kill_in_worker(*args, **kwargs):
     ("evolve", None),
     ("evolve", "evaluators.evaluate_recipe"),
     ("landscape", None),
-    ("landscape", "landscape.face_grid"),
-    ("landscape", "landscape._csv_prefixes"),
+    ("landscape", "landscape.face_grids"),
 ])
 def test_no_process_outlives_a_command(tmp_path, fast_config, command, kill):
     # cli.entry ends with os._exit, which skips multiprocessing's atexit
@@ -618,11 +617,11 @@ def test_landscape_rejects_sigma_whose_bandwidth_underflows(tmp_path, capsys, si
 
 
 def test_landscape_out_of_memory_is_a_numeric_failure(tmp_path, capsys, monkeypatch):
-    def face_grid(*args):
+    def face_grids(*args):
         raise MemoryError("Unable to allocate 298. GiB for an array with shape "
                           "(200000, 200000) and data type float64")
 
-    monkeypatch.setattr(landscape, "face_grid", face_grid)
+    monkeypatch.setattr(landscape, "face_grids", face_grids)
     hist = write_history(tmp_path / "history.csv")
     rc = main(["landscape", hist, "--out-dir", str(tmp_path / "o")])
     assert rc == EXIT_NUMERIC
@@ -706,9 +705,8 @@ def test_landscape_bytes_do_not_depend_on_cpu_features(tmp_path):
 
 @pytest.mark.parametrize("resolution", ["31", "2"])
 def test_landscape_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, resolution):
-    # One usable CPU maps the faces serially, two fork a pool of two, and
-    # eight a pool of one worker per face. At resolution 2 each face has 3
-    # cells.
+    # One usable CPU maps the two face pairs serially, and two or eight fork
+    # a pool of one worker per pair. At resolution 2 each face has 3 cells.
     workers = []
     init = ProcessPoolExecutor.__init__
 
@@ -725,8 +723,32 @@ def test_landscape_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch, re
         assert main(["landscape", hist, "--resolution", resolution,
                      "--out-dir", str(out_dir)]) == EXIT_OK
         outputs.append([(out_dir / name).read_bytes() for name in LANDSCAPE_DATA_FILES])
-    assert workers == [2, 4]
+    assert workers == [2, 2]
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# landscape --resolution 61 of write_random_history(points=200), taken before
+# the faces were predicted in pairs and the CSV joined in the command: 200
+# points reach the solve's trailing update, and 61 rows span two 32-row
+# blocks of a walk.
+RANDOM_LANDSCAPE_SHA256 = {
+    "landscape.csv": "f7220f23a105e4f8a457923401dd60d088420455e5132d470330fbf25e6b6786",
+    "islands.json": "6302cc6732d1d2769a325b4c5d9cf02e359a0da78a66d184f9b3470f49d03576",
+    "face_0.pgm": "93b929b1f66e47913102975ad1afc4d050c0cbc80f5971766c0c6e83036b6902",
+    "face_1.pgm": "764a5c167bf1908f9d173704aa3d36755b4f620b2737ade44fbc231117f054b2",
+    "face_2.pgm": "9ed3c04ae117ace355cdfe620c5dee6feffa2ad84c9d4448d35eddfc59e44036",
+    "face_3.pgm": "42e651584e0e523dac48c1cc686915987e635dc028d0d712168d89003904f10a",
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_landscape_bytes_are_pinned(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    hist = write_random_history(tmp_path / "history.csv", points=200)
+    out_dir = tmp_path / "o"
+    assert main(["landscape", hist, "--resolution", "61", "--out-dir", str(out_dir)]) == EXIT_OK
+    assert {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in LANDSCAPE_DATA_FILES} == RANDOM_LANDSCAPE_SHA256
 
 
 @pytest.mark.parametrize("cpus, pool_modules", [
@@ -760,15 +782,29 @@ def _assert_a_worker_died(capsys, rc):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("stage", ["face_grid", "_csv_prefixes"])
+@pytest.mark.parametrize("stage", ["face_grids"])
 def test_landscape_dead_worker_is_one_line(tmp_path, capsys, monkeypatch, stage):
-    # The faces map (face_grid) and the CSV map (_csv_prefixes) each lose a
-    # worker, as to the OOM killer.
+    # The face pairs map loses a worker, as to the OOM killer.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(landscape, stage, _kill_in_worker(getattr(landscape, stage)))
     hist = write_history(tmp_path / "history.csv")
     _assert_a_worker_died(capsys, main(["landscape", hist, "--resolution", "11",
                                         "--out-dir", str(tmp_path / "o")]))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_landscape_builds_csv_prefixes_once_in_its_own_process(tmp_path, monkeypatch, cpus):
+    # The CSV is joined in the command's process, so no worker builds the
+    # cell prefixes (a worker that called _csv_prefixes would die, and the
+    # command fail), and the command builds them once.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    cached = landscape._csv_prefixes
+    cached.cache_clear()
+    monkeypatch.setattr(landscape, "_csv_prefixes", _kill_in_worker(cached))
+    hist = write_history(tmp_path / "history.csv")
+    assert main(["landscape", hist, "--resolution", "11",
+                 "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+    assert cached.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("error, code, prefix", [
@@ -835,9 +871,9 @@ def test_perfbench_tracer_counts_a_serial_evolve_and_a_landscape(tmp_path):
 
 
 def test_perfbench_tracer_runs_a_pooled_landscape(tmp_path):
-    # The tracer replaces landscape.face_grid with a closure, which a pool
-    # could not pickle; the command maps a function that looks it up in the
-    # worker. Two usable CPUs, so the faces go to a forked pool.
+    # The tracer replaces layer functions with closures, which a pool could
+    # not pickle; the command maps a cli function that looks the layers up in
+    # the worker. Two usable CPUs, so the face pairs go to a forked pool.
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), str(root / "perfbench"), os.environ.get("PYTHONPATH")]))}

@@ -6,6 +6,7 @@ re-derivation. The catchment oracle iterates steepest ascent from every cell
 to convergence, sharing no code with dropevo.landscape's region-growing.
 """
 
+import hashlib
 import math
 import multiprocessing
 import warnings
@@ -24,11 +25,14 @@ from dropevo.landscape import (
     LandscapeError,
     NonpositiveBandwidth,
     _cholesky_solve,
+    _kernel_matrix,
     catchment_map,
     cell_composition,
     dexp,
     face_axes,
     face_grid,
+    face_grids,
+    face_values_text,
     fit,
     island_summary_json,
     landscape_csv,
@@ -151,7 +155,7 @@ def test_a_prediction_that_overflows_raises():
     # The row sum 1.79e308 + 1.79e308 overflows to inf, and einsum raises no
     # floating-point error of its own.
     q = [0.0, 0.5, 0.5, 0.0]  # on face 0, at cell (2, 2) of a res-5 lattice
-    model = KernelModel(X=np.array([q, q]), y=np.zeros(2), theta=np.array([1.79e308] * 2),
+    model = KernelModel(X=np.array([q, q]), theta=np.array([1.79e308] * 2),
                         lam=1e-3, sigma=0.15)
     with pytest.raises(FloatingPointError, match="^a prediction is not finite$"):
         predict_many(model, [[0.25] * 4, q])
@@ -186,6 +190,28 @@ def test_cholesky_solve_matches_numpy_solve(n):
     want = np.linalg.solve(A, y)
     assert np.linalg.norm(A @ x - y) <= 1e-10 * np.linalg.norm(y)
     assert x == pytest.approx(want, rel=1e-8, abs=1e-10)
+
+
+# theta of _cholesky_solve on K + 1e-3 I for n uniform points in [0, 1)^4
+# (sigma 0.15, both drawn from default_rng(n)), taken before the trailing
+# update was restricted to the lower triangle. Sizes 65, 129 and 700 reach
+# that update with one, two and ten block columns.
+CHOLESKY_THETA_SHA256 = {
+    63: "1f0ee4f6f9a2c5e9e22940e9caacbf5ee01e5272b653361fcd543402c7793635",
+    64: "f5bcc63fdae07a8c1aab0ee556887b3c2f485d62e518197139d01fea754f6993",
+    65: "fcc4a9a2cda12df93bbc2bb15c4c09eea5f949d3ae453aa67c9fd73fc9b91c18",
+    129: "86b3cc9e3dee74ce847d9ff528299c96cb7c670649687158e479718de6a54ec5",
+    700: "57ae118857f37a9b939a325d4aef5bfdb17a71ae77b89a7500a5c086e42b5df5",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CHOLESKY_THETA_SHA256))
+def test_cholesky_solve_bits_are_pinned(n):
+    rng = np.random.default_rng(n)
+    X = rng.random((n, 4))
+    y = rng.random(n)
+    theta = _cholesky_solve(_kernel_matrix(X, X, 0.15) + 1e-3 * np.eye(n), y)
+    assert hashlib.sha256(theta.tobytes()).hexdigest() == CHOLESKY_THETA_SHA256[n]
 
 
 def test_cholesky_solve_rejects_a_singular_matrix():
@@ -399,10 +425,25 @@ def _toy_lattices():
     return [face_grid(model, f, resolution=11) for f in range(4)]
 
 
+def _csv_by_line(lattices, island_map):
+    """landscape.csv as one formatted line per cell, the writer's reference."""
+    res = island_map.resolution
+    step = 1.0 / (res - 1)
+    lines = ["face,i,j,X,Y,Z,fitness,island_label\n"]
+    for lat in lattices:
+        for i, j in zip(*np.nonzero(lat.valid)):
+            lines.append(f"{lat.face},{i},{j},{i * step:.10g},{j * step:.10g},"
+                         f"{1.0 - i * step - j * step:.10g},{float(lat.values[i, j])!r},"
+                         f"{island_map.labels[lat.face][i, j]}\n")
+    return "".join(lines)
+
+
 def test_landscape_csv_shape():
     lats = _toy_lattices()
     imap = catchment_map(lats)
-    lines = landscape_csv(lats, imap).splitlines()
+    text = landscape_csv(lats, imap)
+    assert text == _csv_by_line(lats, imap)
+    lines = text.splitlines()
     assert lines[0] == "face,i,j,X,Y,Z,fitness,island_label"
     assert len(lines) == 1 + 4 * (11 * 12 // 2)
     first = lines[1].split(",")
@@ -428,18 +469,23 @@ def test_lattice_to_pgm():
 
 
 def test_faces_and_csv_are_the_same_over_a_forked_pool():
-    # The landscape command maps the faces, then their CSV text, over forked
-    # workers; at resolution 301 the bits and bytes match the serial path.
+    # The landscape command maps the two face pairs, and their CSV value
+    # text, over forked workers; at resolution 301 the bits match the serial
+    # faces, and the CSV joined from the workers' text matches one formatted
+    # line per cell.
     rng = np.random.default_rng(14)
     model = fit(rng.dirichlet(np.ones(4), size=40), rng.normal(size=40))
     lats = [face_grid(model, f, resolution=301) for f in range(4)]
     imap = catchment_map(lats)
     with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("fork")) as pool:
-        pooled = list(pool.map(face_grid, [model] * 4, range(4), [301] * 4))
-        text = landscape_csv(lats, imap, map=pool.map)
+        pooled = [lat for pair in pool.map(face_grids, [model] * 2, [(0, 1), (2, 3)], [301] * 2)
+                  for lat in pair]
+        texts = list(pool.map(face_values_text, pooled))
+    assert [lat.face for lat in pooled] == [0, 1, 2, 3]
     for got, want in zip(pooled, lats):
         assert np.array_equal(got.values, want.values, equal_nan=True)
-    assert text == landscape_csv(lats, imap)
+    text = landscape_csv(lats, imap, texts)
+    assert text == landscape_csv(lats, imap) == _csv_by_line(lats, imap)
 
 
 # ------------------------------------------------- array-native equivalence
@@ -493,6 +539,7 @@ def test_face_grid_bit_identical_all_faces(res):
     # Res 129 has 8,385 cells, so its second 8192-row chunk starts partway
     # through a lattice row.
     model = _random_model(13)
+    lattices = []
     for face in range(4):
         ii, jj, Q = _face_queries(face, res)
         want = np.concatenate([predict_many(model, Q[s:s + 8192])
@@ -500,13 +547,20 @@ def test_face_grid_bit_identical_all_faces(res):
         lat = face_grid(model, face, resolution=res)
         assert np.array_equal(lat.values[ii, jj], want)
         assert np.isnan(lat.values[~lat.valid]).all()
+        lattices.append(lat)
+    # A pair shares its factor tables and block products, with each face's
+    # bits unchanged.
+    for pair in ((0, 1), (2, 3)):
+        for lat in face_grids(model, pair, resolution=res):
+            assert np.array_equal(lat.values, lattices[lat.face].values, equal_nan=True)
 
 
 def test_face_grid_peak_memory():
     # Kernel rows are summed block by block, so no (cells, n) kernel matrix
-    # is built. The 3.5 MiB peak is one whole (res, n) factor table (1.55
+    # is built. The 3.8 MiB peak is one whole (res, n) factor table (1.55
     # MiB), half of another (0.78 MiB), the (res, res) lattice (0.69 MiB),
-    # one 32-row block and the 8-row dexp buffers.
+    # two 32-row blocks (the table product and the kernel rows) and the
+    # 8-row dexp buffers.
     model = _random_model(14)
     tracemalloc.start()
     try:
@@ -517,6 +571,21 @@ def test_face_grid_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def test_face_pair_peak_memory():
+    # A pair adds its second (res, res) lattice, a second 32-row block and
+    # its walk factors to one face's tables: 4.7 MiB at res 301.
+    model = _random_model(14)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        face_grids(model, (2, 3), resolution=301)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 @pytest.mark.parametrize("res", [2, 3, 301])
@@ -535,6 +604,14 @@ def test_face_grid_rejects_resolution_below_two():
     for res in (1, 0, -5):
         with pytest.raises(LandscapeError):
             face_grid(model, 0, resolution=res)
+
+
+@pytest.mark.parametrize("faces", [(), (4,), (1, 2), (0, 2), (1, 0), (0, 1, 2)])
+def test_face_grids_rejects_other_face_sets(faces):
+    model = fit([[0.25] * 4], [1.0])
+    with pytest.raises(LandscapeError,
+                       match=r"^faces must be one face, \(0, 1\) or \(2, 3\), got "):
+        face_grids(model, faces, resolution=5)
 
 
 def _quantized_lattice(face, res, rng, levels=4):

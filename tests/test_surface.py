@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # Names kept although no program module refers to them, each with its reason.
 ALLOWED = {
     "droplet_stream": "the reference that tests compare arena._walk's streams against",
+    "face_grid": "the one-face call, which perfbench/tracer.py patches by name and tests use",
     "predict_many": "the reference that tests compare landscape.face_grid against",
     "run_replicate": "perfbench/tracer.py patches it by name",
 }
