@@ -24,8 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .formulation import (Formulation, OilProperties, _total, check_number, check_vector,
-                          oils_for_order)
+from .formulation import Formulation, _total, check_number, check_vector, oils_for_order
 
 
 FRAME_RATE = 30.0              # Hz; the CV pipeline's native rate
@@ -68,17 +67,12 @@ class ArenaConfig:
 
 @dataclass(frozen=True)
 class BehaviorParams:
+    """Both behaviour maps give rates >= 0 and a split probability in [0, 1]."""
+
     speed: float              # px/frame
     turn_noise: float         # rad, SD of per-frame heading change
     split_probability: float  # per droplet per frame
     shrink_rate: float        # px^2/frame
-
-    def __post_init__(self):
-        for name in ("speed", "turn_noise", "shrink_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if not 0.0 <= self.split_probability <= 1.0:
-            raise ValueError("split_probability must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -121,12 +115,9 @@ SHRINK_PER_SOLUBILITY = 0.01  # px^2/frame per g/L
 MIN_SPLIT_AREA = 30.0        # px^2; droplets below this no longer split
 
 
-def behavior_from_formulation(f: Formulation, oils: list[OilProperties] | None = None) -> BehaviorParams:
+def behavior_from_formulation(f: Formulation) -> BehaviorParams:
     """Proportion-weighted affine map from oil properties to walk parameters."""
-    if oils is None:
-        oils = oils_for_order()
-    if len(oils) != 4:
-        raise ValueError("need exactly 4 oils")
+    oils = oils_for_order()
     # ((p0*v0 + p1*v1) + p2*v2) + p3*v3: np.dot's result depends on the BLAS
     # kernel that OpenBLAS picks by CPU.
     p = [float(v) for v in f.proportions]
@@ -218,13 +209,14 @@ def simulate(f: Formulation, cfg: ArenaConfig, seed,
              behavior: BehaviorParams | None = None) -> DetectionRecord:
     """Run the correlated random walk and record every frame's detections.
 
-    `seed` is one replicate's SeedSequence, or a sequence of them to simulate
-    those replicates in one pass. With F = cfg.total_frames, replicate r's
-    frame t is then frame r * (F + 1) + t of the record: the replicates
-    follow one another in seed order, each but the last followed by one
-    empty frame, so a record of R replicates holds R * (F + 1) - 1 frames
-    and nothing tracks across replicates. One seed gives the record of that
-    replicate alone, and each replicate of a pass is the same as its own.
+    `seed` is one replicate's SeedSequence, or a non-empty sequence of them
+    to simulate those replicates in one pass. With F = cfg.total_frames,
+    replicate r's frame t is then frame r * (F + 1) + t of the record: the
+    replicates follow one another in seed order, each but the last followed
+    by one empty frame, so a record of R replicates holds R * (F + 1) - 1
+    frames and nothing tracks across replicates. One seed gives the record
+    of that replicate alone, and each replicate of a pass is the same as its
+    own.
 
     Each step a live droplet turns by turn_noise * N(0, 1), moves `speed`
     along its new heading and loses `shrink_rate` of area, so a droplet born
@@ -257,8 +249,6 @@ def simulate(f: Formulation, cfg: ArenaConfig, seed,
     children are walked the same way from their birth frame.
     """
     seeds = [seed] if isinstance(seed, np.random.SeedSequence) else list(seed)
-    if not seeds:
-        raise ValueError("simulate needs at least one seed")
     b = behavior if behavior is not None else behavior_from_formulation(f)
     frames = cfg.total_frames
     words = [_seed_words(s) for s in seeds]  # each replicate's, computed once

@@ -290,11 +290,13 @@ def cmd_landscape(args) -> int:
                 seen[run, row[2]] = row
     X = np.array([normalize(row[4:8]).proportions for row in seen.values()])
     y = np.array([row[-1] for row in seen.values()])
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            model = landscape.fit(X, y, lam=args.lam, sigma=args.sigma)
-    except landscape.NonpositiveBandwidth as exc:
-        raise UsageError(f"--sigma: {exc}") from exc
+    # Below the smallest normal float, 2 sigma^2 is 0 or subnormal and the
+    # kernel's d / (2 sigma^2) overflows to inf (NaN at d = 0 when it is 0).
+    if not (args.sigma > 0 and 2.0 * args.sigma * args.sigma >= sys.float_info.min):
+        raise UsageError(f"--sigma: sigma must be > 0 with 2*sigma^2 >= "
+                         f"{sys.float_info.min:.4g}, got {args.sigma}")
+    with np.errstate(over="raise", invalid="raise"):
+        model = landscape.fit(X, y, lam=args.lam, sigma=args.sigma)
     # Forked workers (no BLAS runs, so the bits do not depend on the process)
     # predict the face pairs while this process builds the CSV's cell prefixes.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -334,6 +336,11 @@ def cmd_analyze(args) -> int:
     # fails without that import, and the memory the parse frees is reused by
     # it rather than added to the command's peak.
     histories = _load_histories(args.history)
+    # The report numbers a file's generations by position, so they must be 1..G.
+    for path, gens in zip(args.history, histories):
+        if missing := set(range(1, max(gens))) - gens.keys():
+            raise ValueError(f"{path}: generation {min(missing)} has no rows, "
+                             f"but generation {max(gens)} does")
     import numpy as np
 
     from . import stats

@@ -24,7 +24,7 @@ GENOME_LENGTH = 4
 WELL_TOTAL_UL = 360.0
 
 # Fixed component order in every serialized formulation. The paper's
-# alternative fourth oil, dodecane, is in the table for oils_for_order.
+# alternative fourth oil, dodecane, is in the table too.
 DEFAULT_OIL_ORDER = ("1-octanol", "1-pentanol", "DEP", "octanoic acid")
 
 
@@ -99,9 +99,9 @@ def oil_lookup(name: str) -> OilProperties:
     raise KeyError(name)
 
 
-def oils_for_order(order: tuple[str, ...] = DEFAULT_OIL_ORDER) -> list[OilProperties]:
+def oils_for_order() -> list[OilProperties]:
     """The four OilProperties rows in serialization order."""
-    return [oil_lookup(name) for name in order]
+    return [oil_lookup(name) for name in DEFAULT_OIL_ORDER]
 
 
 def _total(p: list) -> float:

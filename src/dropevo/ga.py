@@ -142,9 +142,7 @@ def _weights(pop, inverse: bool) -> np.ndarray:
 
 def select_parents(pop: list[Individual], rng: np.random.Generator) -> tuple[Individual, Individual]:
     """Two distinct parents, drawn without replacement with probability
-    proportional to fitness + eps."""
-    if len(pop) < 2:
-        raise GAError("need at least 2 individuals to breed")
+    proportional to fitness + eps, from the >= 2 that GAConfig keeps."""
     first = rng.choice(len(pop), p=_weights(pop, inverse=False))
     rest = [ind for i, ind in enumerate(pop) if i != first]
     second = rng.choice(len(rest), p=_weights(rest, inverse=False))

@@ -268,8 +268,6 @@ def _quantize(v: float) -> float:
 
 def move(layout: StageLayout, x: float, y: float, apparatus: str = "syringe") -> list:
     """The carriage move that puts `apparatus` over (x, y) mm."""
-    if apparatus not in layout.apparatus_offsets:
-        raise GcodeError(apparatus)
     ox, oy = layout.apparatus_offsets[apparatus]
     x, y = _quantize(x - ox), _quantize(y - oy)
     if not layout.on_stage(x, y):
@@ -281,8 +279,6 @@ def move(layout: StageLayout, x: float, y: float, apparatus: str = "syringe") ->
 def plunger(verb: str, volume_ul: float) -> list:
     """M12 ('aspirate') or M13 ('dispense') of `volume_ul` with syringe 0;
     no line for 0 uL."""
-    if not volume_ul >= 0:
-        raise GcodeError(f"{verb} volume must be >= 0, got {volume_ul}")
     code = {"aspirate": 12, "dispense": 13}[verb]
     return [f"M{code} S0 V{volume_ul:.1f}"] if volume_ul > 0 else []
 
@@ -290,8 +286,6 @@ def plunger(verb: str, volume_ul: float) -> list:
 def stroke(layout: StageLayout, pump: int, volume_ml: float, direction: int) -> list:
     """Pump `volume_ml` in one plunger stroke: direction 0 draws through the
     current valve port, 1 expels; no line for 0 steps."""
-    if not volume_ml >= 0:
-        raise GcodeError(f"pump transfer volume must be >= 0, got {volume_ml}")
     steps = int(round(volume_ml * 1000.0 / layout.pump_calibration_ul_per_step(pump)))
     if steps > PUMP_MAX_STEPS:
         raise PumpRangeError(f"E={steps}: {volume_ml} mL exceeds one barrel stroke")
@@ -488,10 +482,9 @@ def _mix_in(contents: dict, added: dict) -> None:
 class VirtualRobot:
     """Deterministic interpreter for compiled programs."""
 
-    def __init__(self, layout: StageLayout | None = None,
-                 state: VirtualState | None = None):
+    def __init__(self, layout: StageLayout | None = None):
         self.layout = layout if layout is not None else default_layout()
-        self.state = state if state is not None else VirtualState.initial(self.layout)
+        self.state = VirtualState.initial(self.layout)
         self.events: list[tuple] = []
 
     def _vessel_at_carriage(self, pc: int) -> str:

@@ -39,13 +39,15 @@ their factor tables: ``face_grids`` predicts one face or one such pair, and
 map the two pairs over worker processes (the ``landscape`` command forks one
 per usable CPU, up to 2), and the bytes do not depend on how many.
 ``landscape_csv`` joins the faces' text with their cell prefixes and labels.
+
+The landscape command checks sigma, lambda and the resolution where they
+enter, and the functions here trust what it passes.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from functools import cache
 
@@ -59,14 +61,6 @@ LANDSCAPE_CONTRACT = 3
 DEFAULT_SIGMA = 0.15
 DEFAULT_LAMBDA = 1e-3
 DEFAULT_RESOLUTION = 301
-
-
-class LandscapeError(ValueError):
-    pass
-
-
-class NonpositiveBandwidth(LandscapeError):
-    pass
 
 
 # fdlibm e_exp.c: ln 2 split so that k * _LN2_HI is exact, 1 / ln 2, and the
@@ -123,8 +117,6 @@ def _kernel_matrix(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
     K(X, X), the training kernel, is exactly symmetric with a unit diagonal:
     (a - b)^2 == (b - a)^2, and dexp(-0.0) == 1.0.
     """
-    if A.shape[1] != B.shape[1]:
-        raise LandscapeError(f"{A.shape[1]} vs {B.shape[1]} components")
     out = np.empty((len(A), len(B)))
     tmp = np.empty_like(out)
     np.square(np.subtract.outer(A[:, 0], B[:, 0], out=out), out=out)
@@ -139,37 +131,24 @@ def _kernel_matrix(A: np.ndarray, B: np.ndarray, sigma: float) -> np.ndarray:
 
 @dataclass
 class KernelModel:
-    """A fitted model: its training inputs, dual weights and parameters. It
+    """A fitted model: its training inputs, dual weights and bandwidth. It
     holds neither the targets nor an n x n matrix, so it pickles small to a
-    worker process; K is rebuilt, with the same bits, on access."""
+    worker process."""
 
     X: np.ndarray        # (n, 4) training inputs
     theta: np.ndarray    # (n,) dual weights
-    lam: float
     sigma: float
-
-    @property
-    def K(self) -> np.ndarray:
-        """(n, n) training kernel matrix."""
-        return _kernel_matrix(self.X, self.X, self.sigma)
 
 
 def fit(X, y, lam: float = DEFAULT_LAMBDA, sigma: float = DEFAULT_SIGMA) -> KernelModel:
     """Solve (K + lam*I) theta = y by Cholesky factorization; a matrix that is
-    not numerically positive definite is a FloatingPointError."""
-    # Below the smallest normal float, 2 sigma^2 is 0 or subnormal and the
-    # kernel's d / (2 sigma^2) overflows to inf (NaN at d = 0 when it is 0).
-    if not (sigma > 0 and 2.0 * sigma * sigma >= sys.float_info.min):
-        raise NonpositiveBandwidth(
-            f"sigma must be > 0 with 2*sigma^2 >= {sys.float_info.min:.4g}, got {sigma}")
-    if lam <= 0:
-        raise LandscapeError(f"lambda must be > 0, got {lam}")
+    not numerically positive definite is a FloatingPointError. Callers pass
+    checked values, as the landscape command does: n >= 1 rows of X with one
+    target each, lam > 0, and sigma with 2 sigma^2 a normal float."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
-    if X.shape[0] != y.shape[0] or X.shape[0] < 1:
-        raise LandscapeError(f"{X.shape[0]} inputs vs {y.shape[0]} targets")
     theta = _cholesky_solve(_kernel_matrix(X, X, sigma) + lam * np.eye(len(y)), y)
-    return KernelModel(X=X, theta=theta, lam=lam, sigma=sigma)
+    return KernelModel(X=X, theta=theta, sigma=sigma)
 
 
 _PANEL = 64  # columns factored together before one trailing update
@@ -241,8 +220,6 @@ def predict_many(model: KernelModel, Xq) -> np.ndarray:
     """The model at each row of Xq (m, 4): theta summed against the kernel
     row (t_0 t_1)(t_2 t_3), where t_k is component k's factor."""
     Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-    if Xq.shape[1] != 4 or model.X.shape[1] != 4:
-        raise LandscapeError(f"{Xq.shape[1]} vs {model.X.shape[1]} components, not 4")
 
     def factor(queries, k):
         # dexp is elementwise, so a factor is computed once per distinct
@@ -325,7 +302,8 @@ def face_grid(model: KernelModel, face: int,
 def face_grids(model: KernelModel, faces: tuple[int, ...],
                resolution: int = DEFAULT_RESOLUTION) -> list[FaceLattice]:
     """``face_grid`` of each face in `faces`: one face, or the pair (0, 1) or
-    (2, 3), which share their factor tables and block products.
+    (2, 3), which share their factor tables and block products. Callers pass
+    one of these and a resolution >= 2, which the landscape command checks.
 
     A cell's kernel row is (t_0 t_1)(t_2 t_3), and one of the two pairs is
     the same for every cell of a walk w over the lattice: F X along lattice
@@ -339,11 +317,6 @@ def face_grids(model: KernelModel, faces: tuple[int, ...],
     table A half at a time (the cells with a < ceil(res/2), then the rest),
     which keeps the tables to 1.5 x (res, n).
     """
-    faces = tuple(faces)
-    if faces not in ((0,), (1,), (2,), (3,), (0, 1), (2, 3)):
-        raise LandscapeError(f"faces must be one face, (0, 1) or (2, 3), got {faces}")
-    if resolution < 2:
-        raise LandscapeError(f"resolution must be >= 2, got {resolution}")
     res, X, theta, sigma = resolution, model.X, model.theta, model.sigma
     lower = faces[0] < 2
     axes = face_axes(faces[0])
@@ -404,7 +377,8 @@ class IslandMap:
 
 
 def _ascent(lattices: list[FaceLattice]):
-    """Steepest-ascent step over the cells of 1-4 face lattices.
+    """Steepest-ascent step over the cells of 1-4 face lattices of one
+    resolution.
 
     Cells are keyed by integer composition (counts out of res-1), so a cell on
     an edge shared by several faces is one node, valued by the last lattice.
@@ -414,8 +388,6 @@ def _ascent(lattices: list[FaceLattice]):
     order.
     """
     res = lattices[0].resolution
-    if any(lat.resolution != res for lat in lattices):
-        raise LandscapeError("all lattices must share one resolution")
     ii, jj = np.nonzero(lattices[0].valid)
     keys, codes, values = [], [], []
     for lat in lattices:

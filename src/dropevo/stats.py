@@ -32,12 +32,6 @@ class GenerationSample:
     generation: int
     fitnesses: list[float]
 
-    def __post_init__(self):
-        # Empty is allowed only as the degenerate result of a strict top-half
-        # split over an all-tied sample.
-        if self.generation < 1:
-            raise StatsError("generation must be >= 1")
-
 
 def top_half(sample: GenerationSample) -> GenerationSample:
     """Values strictly greater than the sample median. With heavy ties this

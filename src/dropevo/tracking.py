@@ -262,9 +262,7 @@ def track(rec: DetectionRecord) -> TrajectorySet:
 def _replicate_period(frames: int, replicates: int) -> int:
     """F + 1 for `frames` frames of `replicates` experiments of F frames each,
     laid out as one arena.simulate pass: replicate r's frame t is frame
-    r * (F + 1) + t."""
-    if replicates < 1 or (frames + 1) % replicates:
-        raise ValueError(f"{frames} frames do not hold {replicates} replicates")
+    r * (F + 1) + t, so frames + 1 is a multiple of replicates."""
     return (frames + 1) // replicates
 
 

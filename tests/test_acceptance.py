@@ -209,7 +209,7 @@ def test_krr_correctness():
         sigma = float(rng.uniform(0.1, 0.5))
         # Linear-system residual at the default ridge.
         m1 = landscape.fit(X, y, lam=1e-3, sigma=sigma)
-        A = m1.K + m1.lam * np.eye(n)
+        A = landscape._kernel_matrix(X, X, sigma) + 1e-3 * np.eye(n)
         resid = np.linalg.norm(A @ m1.theta - y) / max(np.linalg.norm(y), 1e-30)
         worst_resid = max(worst_resid, float(resid))
 

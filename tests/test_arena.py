@@ -18,7 +18,7 @@ from dropevo.arena import (
     simulate,
     unimodal_behavior,
 )
-from dropevo.formulation import Formulation, oil_lookup, oils_for_order
+from dropevo.formulation import Formulation, normalize, oil_lookup
 
 
 SHORT = ArenaConfig(duration=2.0)
@@ -53,11 +53,12 @@ def test_behavior_map_pure_octanol():
     assert b.shrink_rate == pytest.approx(0.01 * oil.solubility)
 
 
-def test_behavior_map_insoluble_oil():
-    # dodecane: no solubility, tension above the 28 mN/m reference.
-    b = behavior_from_formulation(
-        Formulation((0, 0, 0, 1)),
-        oils=oils_for_order(("1-octanol", "1-pentanol", "DEP", "dodecane")))
+def test_behavior_map_insoluble_oil(monkeypatch):
+    # dodecane, the paper's alternative fourth oil, in place of octanoic
+    # acid: no solubility, tension below the 28 mN/m reference.
+    oils = [oil_lookup(name) for name in ("1-octanol", "1-pentanol", "DEP", "dodecane")]
+    monkeypatch.setattr(arena, "oils_for_order", lambda: oils)
+    b = behavior_from_formulation(Formulation((0, 0, 0, 1)))
     assert b.speed == pytest.approx(0.2)
     assert b.split_probability == pytest.approx(2e-4 * (28.0 - 25.35))
     assert b.shrink_rate == 0.0
@@ -72,13 +73,18 @@ def test_behavior_map_is_affine_in_proportions():
     assert mid.shrink_rate == pytest.approx((a.shrink_rate + c.shrink_rate) / 2)
 
 
-@pytest.mark.parametrize("field", ["speed", "turn_noise", "shrink_rate"])
-def test_behavior_params_reject_negative_rates(field):
-    # A droplet's area must never grow and its turns are scaled normals, so
-    # the walk's rates are non-negative.
-    values = {"speed": 1.0, "turn_noise": 0.1, "split_probability": 0.0, "shrink_rate": 0.0}
-    with pytest.raises(ValueError, match=field):
-        BehaviorParams(**{**values, field: -0.5})
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw=st.lists(st.floats(0.0, 1e308), min_size=4, max_size=4).filter(any))
+def test_behavior_maps_give_valid_walk_parameters(raw):
+    # BehaviorParams checks nothing, so both maps must give a walk its valid
+    # parameters for every formulation: a droplet's area never grows, its
+    # turns are scaled normals, and its split chance is a probability.
+    f = normalize(raw)
+    for b in (behavior_from_formulation(f), unimodal_behavior(f)):
+        assert math.isfinite(b.speed) and b.speed >= arena.SPEED_FLOOR
+        assert math.isfinite(b.turn_noise) and b.turn_noise >= 0.0
+        assert 0.0 <= b.split_probability <= 1.0
+        assert math.isfinite(b.shrink_rate) and b.shrink_rate >= 0.0
 
 
 def test_unimodal_map_peaks_at_optimum():

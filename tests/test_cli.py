@@ -306,6 +306,7 @@ def test_gcode_malformed_layout_is_a_data_error(tmp_path, capsys, layout, proble
     ("locations", "dish_center", "layout locations: missing ['dish_center']"),
     ("location_vessel", "waste", "layout location_vessel: missing ['waste']"),
     ("apparatus_offsets", "pump_tube", "layout apparatus_offsets: missing ['pump_tube']"),
+    ("apparatus_offsets", "syringe", "layout apparatus_offsets: missing ['syringe']"),
     ("pump_syringe_ml", "6", "layout pump_syringe_ml: missing [6]"),
     ("vessel_initial_ul", "dish", "layout vessel_initial_ul: missing ['dish']"),
 ])

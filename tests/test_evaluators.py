@@ -44,9 +44,9 @@ def test_run_replicate_matches_manual_pipeline():
     p = (0.1, 0.2, 0.3, 0.4)
     got = run_replicate(setup, p, 42, 1)
 
-    from dropevo.formulation import Formulation, oils_for_order
+    from dropevo.formulation import Formulation
     f = Formulation(p)
-    behavior = arena.behavior_from_formulation(f, oils_for_order())
+    behavior = arena.behavior_from_formulation(f)
     record = arena.simulate(f, SHORT_ARENA, ga.replicate_seed(11, 2, 42, 1),
                             behavior=behavior)
     record = arena.filter_analytic_arena(record, SHORT_ARENA.arena_radius)

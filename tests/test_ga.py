@@ -108,8 +108,6 @@ def test_select_parents_distinct():
     for _ in range(50):
         a, b = select_parents(pop, rng)
         assert a.id != b.id
-    with pytest.raises(ga.GAError, match=r"^need at least 2 individuals to breed$"):
-        select_parents(pop[:1], rng)
 
 
 def test_select_parents_uniform_when_equal():

@@ -22,8 +22,6 @@ from dropevo.landscape import (
     FaceLattice,
     IslandMap,
     KernelModel,
-    LandscapeError,
-    NonpositiveBandwidth,
     _cholesky_solve,
     _kernel_matrix,
     catchment_map,
@@ -45,11 +43,10 @@ from dropevo.landscape import (
 
 
 def test_rbf_kernel_values():
-    K = fit([[0, 0, 0, 0], [0.3, 0, 0, 0]], [1.0, 2.0], sigma=0.15).K
+    X = np.array([[0.0, 0, 0, 0], [0.3, 0, 0, 0]])
+    K = _kernel_matrix(X, X, 0.15)
     assert K[0, 0] == K[1, 1] == 1.0
     assert K[0, 1] == K[1, 0] == pytest.approx(math.exp(-0.09 / (2 * 0.15 ** 2)))
-    with pytest.raises(NonpositiveBandwidth):
-        fit([[0] * 4], [1.0], sigma=0.0)
 
 
 def _ulps(a: float, b: float) -> int:
@@ -78,7 +75,7 @@ def test_training_kernel_is_symmetric_with_a_unit_diagonal():
     rng = np.random.default_rng(5)
     for n, sigma in [(1, 0.3), (40, 0.05), (250, 0.15), (250, 3.0)]:
         for X in (rng.dirichlet(np.ones(4), size=n), rng.uniform(-5.0, 5.0, size=(n, 4))):
-            K = fit(X, rng.normal(size=n), sigma=sigma).K
+            K = _kernel_matrix(X, X, sigma)
             assert np.array_equal(K, K.T)
             assert (np.diag(K) == 1.0).all()
 
@@ -134,29 +131,11 @@ def test_fit_matches_direct_solve():
         assert predict_many(model, [q])[0] == pytest.approx(float(k @ theta), abs=1e-8)
 
 
-def test_fit_validation():
-    with pytest.raises(LandscapeError, match=r"^1 inputs vs 2 targets$"):
-        fit([[0.25] * 4], [1.0, 2.0])
-    with pytest.raises(NonpositiveBandwidth):
-        fit([[0.25] * 4], [1.0], sigma=-1.0)
-    with pytest.raises(Exception):
-        fit([[0.25] * 4], [1.0], lam=0.0)
-
-
-@pytest.mark.parametrize("sigma", [1e-300, 1e-160, 0.0, -1.0, math.nan])
-def test_fit_rejects_sigma_whose_bandwidth_underflows(sigma):
-    # 2 sigma^2 is 0 at 1e-300 and subnormal at 1e-160.
-    X = [[0.25] * 4, [0.5, 0.5, 0.0, 0.0]]
-    with pytest.raises(NonpositiveBandwidth):
-        fit(X, [1.0, 2.0], sigma=sigma)
-
-
 def test_a_prediction_that_overflows_raises():
     # The row sum 1.79e308 + 1.79e308 overflows to inf, and einsum raises no
     # floating-point error of its own.
     q = [0.0, 0.5, 0.5, 0.0]  # on face 0, at cell (2, 2) of a res-5 lattice
-    model = KernelModel(X=np.array([q, q]), theta=np.array([1.79e308] * 2),
-                        lam=1e-3, sigma=0.15)
+    model = KernelModel(X=np.array([q, q]), theta=np.array([1.79e308] * 2), sigma=0.15)
     with pytest.raises(FloatingPointError, match="^a prediction is not finite$"):
         predict_many(model, [[0.25] * 4, q])
     with pytest.raises(FloatingPointError, match="^face 0: a prediction is not finite$"):
@@ -167,7 +146,7 @@ def test_a_prediction_that_overflows_raises():
 def test_fit_accepts_a_tiny_normal_bandwidth():
     # 2 sigma^2 = 2e-300 is normal: distinct points get kernel 0, no inf.
     model = fit([[0.25] * 4, [0.5, 0.5, 0.0, 0.0]], [1.0, 2.0], lam=1.0, sigma=1e-150)
-    assert np.array_equal(model.K, np.eye(2))
+    assert np.array_equal(_kernel_matrix(model.X, model.X, model.sigma), np.eye(2))
     assert model.theta == pytest.approx([0.5, 1.0])
 
 
@@ -597,21 +576,6 @@ def test_valid_mask_is_one_read_only_array_per_resolution(res):
     assert a.valid is b.valid and a.valid.dtype == bool
     with pytest.raises(ValueError):
         a.valid[0, 0] = False
-
-
-def test_face_grid_rejects_resolution_below_two():
-    model = fit([[0.25] * 4], [1.0])
-    for res in (1, 0, -5):
-        with pytest.raises(LandscapeError):
-            face_grid(model, 0, resolution=res)
-
-
-@pytest.mark.parametrize("faces", [(), (4,), (1, 2), (0, 2), (1, 0), (0, 1, 2)])
-def test_face_grids_rejects_other_face_sets(faces):
-    model = fit([[0.25] * 4], [1.0])
-    with pytest.raises(LandscapeError,
-                       match=r"^faces must be one face, \(0, 1\) or \(2, 3\), got "):
-        face_grids(model, faces, resolution=5)
 
 
 def _quantized_lattice(face, res, rng, levels=4):

@@ -18,6 +18,7 @@ import scipy.special
 import scipy.stats
 from hypothesis import given, strategies as st
 
+from dropevo.cli import EXIT_DATA, main
 from dropevo.stats import (
     GenerationSample,
     StatsError,
@@ -319,3 +320,23 @@ def test_report_serialization():
     lines = bands_csv(report).splitlines()
     assert lines[0] == "generation,median,p25,p75,p10,p90"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("generations, missing, last", [((1, 3), 2, 3), ((2,), 1, 2),
+                                                         ((2, 3), 1, 3)])
+def test_analyze_rejects_a_history_with_a_missing_generation(tmp_path, capsys, generations,
+                                                             missing, last):
+    # The report numbers a file's generations by position: with generation
+    # 2's rows gone, analyze labelled generation 3's band and trend point 2.
+    header = ("run,generation,individual_id,parent_ids,locus1,locus2,locus3,locus4,"
+              "replicate1,replicate2,replicate3,fitness")
+    paths = [tmp_path / "good.csv", tmp_path / "bad.csv"]
+    for path, gens in zip(paths, ((1, 2, 3), generations)):
+        rows = [f"0,{g},{3 * g + k},,0.{k + 1},0.5,0.5,0.5,1.0,1.0,1.0,{g + k}"
+                for g in gens for k in range(3)]
+        path.write_text("\n".join([header, *rows]) + "\n")
+    out_dir = tmp_path / "o"
+    assert main(["analyze", *map(str, paths), "--out-dir", str(out_dir)]) == EXIT_DATA
+    assert capsys.readouterr().err == (f"data error: {paths[1]}: generation {missing} has "
+                                       f"no rows, but generation {last} does\n")
+    assert not out_dir.exists()
