@@ -10,9 +10,9 @@ documented so the ground truth of the landscape is auditable.
 An experiment's detections travel as one columnar `DetectionRecord`: frame
 offsets plus flat float64 x, y and area arrays. Iterating a record yields one
 `DetectionFrame` per frame; only perfbench's tracer counts detections that
-way, and both go once it reads the program's own counters. `simulate` can
-run several replicates of one recipe as one pass, whose record holds them
-one after another with an empty frame between each two.
+way, and both go once it reads the program's own counters. `simulate`
+walks one behaviour over a list of replicate seeds as one pass, whose record
+holds the replicates one after another with an empty frame between each two.
 """
 
 from __future__ import annotations
@@ -152,6 +152,10 @@ def unimodal_behavior(f: Formulation) -> BehaviorParams:
                           split_probability=0.0, shrink_rate=0.0)
 
 
+# The formulation -> behaviour maps, by ExperimentSetup.behavior_map.
+BEHAVIOR_MAPS = {"oils": behavior_from_formulation, "unimodal": unimodal_behavior}
+
+
 # A droplet's two RNG streams: children TURN and SPLIT of its SeedSequence.
 TURN, SPLIT = 0, 1
 # Steps in a droplet's first block of draws; a droplet with no event in a
@@ -164,13 +168,13 @@ FIRST_BLOCK = 256
 
 
 def _words(values) -> list[int]:
-    """The little-endian 32-bit words of each non-negative int in `values`,
-    one int after another, as SeedSequence splits its entropy and spawn key."""
+    """The little-endian 32-bit words of each int in `values`, one int after
+    another, as SeedSequence splits its entropy and spawn key. Every value
+    is non-negative: SeedSequence rejects a negative entropy or spawn key,
+    and a lineage holds injection indices and child numbers."""
     words = []
     for value in values:
         value = operator.index(value)
-        if value < 0:
-            raise ValueError(f"seed words must be non-negative, got {value}")
         words.append(value & 0xFFFFFFFF)
         while value := value >> 32:
             words.append(value & 0xFFFFFFFF)
@@ -205,18 +209,16 @@ def droplet_stream(seed: np.random.SeedSequence, lineage: tuple,
     return _stream(_seed_words(seed) + _words((*lineage, stream)))
 
 
-def simulate(f: Formulation, cfg: ArenaConfig, seed,
-             behavior: BehaviorParams | None = None) -> DetectionRecord:
-    """Run the correlated random walk and record every frame's detections.
+def simulate(behavior: BehaviorParams, cfg: ArenaConfig, seeds: list) -> DetectionRecord:
+    """Run the correlated random walk of `behavior` and record every frame's
+    detections, for each replicate SeedSequence in the non-empty `seeds`.
 
-    `seed` is one replicate's SeedSequence, or a non-empty sequence of them
-    to simulate those replicates in one pass. With F = cfg.total_frames,
-    replicate r's frame t is then frame r * (F + 1) + t of the record: the
-    replicates follow one another in seed order, each but the last followed
-    by one empty frame, so a record of R replicates holds R * (F + 1) - 1
-    frames and nothing tracks across replicates. One seed gives the record
-    of that replicate alone, and each replicate of a pass is the same as its
-    own.
+    With F = cfg.total_frames, replicate r's frame t is frame r * (F + 1) + t
+    of the record: the replicates follow one another in seed order, each but
+    the last followed by one empty frame, so a record of R replicates holds
+    R * (F + 1) - 1 frames and nothing tracks across replicates. A list of
+    one seed gives the record of that replicate alone, and each replicate of
+    a pass is the same as its own.
 
     Each step a live droplet turns by turn_noise * N(0, 1), moves `speed`
     along its new heading and loses `shrink_rate` of area, so a droplet born
@@ -248,8 +250,6 @@ def simulate(f: Formulation, cfg: ArenaConfig, seed,
     stopping at its first event (disappearance, wall contact or split);
     children are walked the same way from their birth frame.
     """
-    seeds = [seed] if isinstance(seed, np.random.SeedSequence) else list(seed)
-    b = behavior if behavior is not None else behavior_from_formulation(f)
     frames = cfg.total_frames
     words = [_seed_words(s) for s in seeds]  # each replicate's, computed once
     keys = []  # (replicate, lineage) of each droplet walked, by walk number
@@ -261,7 +261,7 @@ def simulate(f: Formulation, cfg: ArenaConfig, seed,
     while born:
         t0 = min(born)
         group = born.pop(t0)
-        group_runs, children = _walk(b, words, cfg.arena_radius * cfg.arena_radius, frames,
+        group_runs, children = _walk(behavior, words, cfg.arena_radius * cfg.arena_radius, frames,
                                      t0, group, len(keys))
         keys.extend(d[:2] for d in group)
         runs += group_runs

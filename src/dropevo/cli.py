@@ -178,10 +178,7 @@ def cmd_evolve(args) -> int:
     if unknown:
         raise UsageError(f"config {args.config}: unknown section(s) {unknown}")
     where = f"config {args.config}: " if args.config else ""
-    ga_section = _section(cfg_file, "ga")
-    if args.seed is not None:
-        ga_section = {**ga_section, "rng_seed": args.seed}
-    ga_cfg = _build(ga.GAConfig, ga_section, where + "ga")
+    ga_cfg = _build(ga.GAConfig, _section(cfg_file, "ga"), where + "ga", rng_seed=args.seed)
     arena_cfg = _build(arena.ArenaConfig, _section(cfg_file, "arena"), where + "arena")
     setup = _build(evaluators.ExperimentSetup, _section(cfg_file, "evaluation"),
                    where + "evaluation", objective=args.objective,
@@ -429,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                   "directionality")),
                    default="movement")
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
                    help="forked worker processes that score each GA round (default 1: serial)")
     p.add_argument("--out-dir", default="out")

@@ -1,10 +1,12 @@
 """Closed-loop fitness evaluation: formulation -> arena simulation ->
 analytic-arena filtering -> tracking -> behaviour score.
 
-Each replicate is seeded by `ga.replicate_seed(master seed, run, recipe id,
-replicate index)`, and `arena.simulate` (RNG contract v2) gives every droplet
-its own streams keyed by that seed and the droplet's lineage, so results are
-independent of evaluation order and safe to compute concurrently.
+A recipe's behaviour is `arena.BEHAVIOR_MAPS[setup.behavior_map]` of its
+formulation. Each replicate is seeded by `ga.replicate_seed(master seed,
+run, recipe id, replicate index)`, and `arena.simulate` (RNG contract v2)
+gives every droplet its own streams keyed by that seed and the droplet's
+lineage, so results are independent of evaluation order and safe to compute
+concurrently.
 
 `evaluate_recipe` scores a recipe's replicates in passes: the replicates of
 one pass are simulated together into one columnar `arena.DetectionRecord`
@@ -20,7 +22,7 @@ perfbench's tracer wraps it).
 scores with `dataclasses.replace(setup, run=run)`. The round scorer from
 `make_batch_evaluator` scores one round of a campaign, every run's new
 recipes under its own run's setup, with one `ga.score_batch` call: it maps
-the recipes over the process pool it is given, or over none (serially).
+the recipes over the process pool it is given, or serially given None.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ class ExperimentSetup:
     def __post_init__(self):
         if self.objective not in tracking.FITNESS_FUNCTIONS:
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.behavior_map not in ("oils", "unimodal"):
-            raise ValueError(f"behavior_map must be 'oils' or 'unimodal', "
-                             f"got {self.behavior_map!r}")
+        if self.behavior_map not in arena.BEHAVIOR_MAPS:
+            raise ValueError(f"behavior_map must be {' or '.join(map(repr, arena.BEHAVIOR_MAPS))}"
+                             f", got {self.behavior_map!r}")
 
 
 def _pass_size(cfg: arena.ArenaConfig) -> int:
@@ -76,40 +78,37 @@ def _pass_size(cfg: arena.ArenaConfig) -> int:
     return min(ga.REPLICATES, max(1, PASS_DROPLET_FRAMES // droplet_frames))
 
 
-def _score_pass(setup: ExperimentSetup, f: Formulation, behavior: arena.BehaviorParams,
+def _score_pass(setup: ExperimentSetup, behavior: arena.BehaviorParams,
                 seeds: list) -> list[float]:
     """The scores of the replicates seeded by `seeds`, simulated, filtered,
     tracked (but for division) and scored as one record."""
     cfg = setup.arena_config
-    record = arena.simulate(f, cfg, seeds, behavior=behavior)
+    record = arena.simulate(behavior, cfg, seeds)
     record = arena.filter_analytic_arena(record, cfg.arena_radius)
     scored = record if setup.objective == "division" else tracking.track(record)
     return tracking.FITNESS_FUNCTIONS[setup.objective](scored, replicates=len(seeds))
 
 
-def _recipe(setup: ExperimentSetup, proportions) -> tuple:
-    f = Formulation(tuple(proportions))
-    if setup.behavior_map == "unimodal":
-        return f, arena.unimodal_behavior(f)
-    return f, arena.behavior_from_formulation(f)
+def _behavior(setup: ExperimentSetup, proportions) -> arena.BehaviorParams:
+    return arena.BEHAVIOR_MAPS[setup.behavior_map](Formulation(tuple(proportions)))
 
 
 def run_replicate(setup: ExperimentSetup, proportions, recipe_id: int,
                   replicate: int) -> float:
     """Simulate and score a single experiment, as a pass of one replicate."""
     seed = ga.replicate_seed(setup.master_seed, setup.run, recipe_id, replicate)
-    return _score_pass(setup, *_recipe(setup, proportions), [seed])[0]
+    return _score_pass(setup, _behavior(setup, proportions), [seed])[0]
 
 
 def evaluate_recipe(setup: ExperimentSetup, proportions, recipe_id: int) -> list[float]:
     """The REPLICATES scores of one recipe, equal to run_replicate's of each
     replicate, scored in passes of _pass_size replicates."""
-    f, behavior = _recipe(setup, proportions)
+    behavior = _behavior(setup, proportions)
     seeds = [ga.replicate_seed(setup.master_seed, setup.run, recipe_id, rep)
              for rep in range(ga.REPLICATES)]
     size = _pass_size(setup.arena_config)
     return [score for k in range(0, len(seeds), size)
-            for score in _score_pass(setup, f, behavior, seeds[k:k + size])]
+            for score in _score_pass(setup, behavior, seeds[k:k + size])]
 
 
 def _outcome(setup: ExperimentSetup, proportions, recipe_id: int):
@@ -129,14 +128,15 @@ def _raise_failures(outcomes):
         yield outcome
 
 
-def make_batch_evaluator(setup: ExperimentSetup, pool=None, jobs: int = 1):
+def make_batch_evaluator(setup: ExperimentSetup, pool, jobs: int):
     """The round scorer for ga.run_lockstep under `setup`.
 
     score_round(batches) scores every run's batch with one ga.score_batch
     call, each recipe under dataclasses.replace(setup, run=run). With a pool
     (a concurrent.futures executor of `jobs` workers, which the caller owns)
     the recipes are mapped over it in chunks; per-recipe seeding keeps the
-    results equal to serial evaluation.
+    results equal to serial evaluation. With pool None they are scored
+    serially.
     """
     def score_round(batches: dict) -> None:
         setups = {run: replace(setup, run=run) for run in batches}

@@ -28,10 +28,6 @@ WELL_TOTAL_UL = 360.0
 DEFAULT_OIL_ORDER = ("1-octanol", "1-pentanol", "DEP", "octanoic acid")
 
 
-class FormulationError(ValueError):
-    pass
-
-
 def check_number(name: str, value, minimum=None, *, integer=False, strict=False):
     """`value`; ValueError unless it (any JSON value) is a finite number, not
     a bool, an integer if `integer`, and >= minimum (> if `strict`). An
@@ -77,9 +73,9 @@ class OilProperties:
     def __post_init__(self):
         for field in ("density", "surface_tension", "viscosity"):
             if getattr(self, field) <= 0:
-                raise FormulationError(f"{self.name}: {field} must be positive")
+                raise ValueError(f"{self.name}: {field} must be positive")
         if self.solubility is not None and self.solubility <= 0:
-            raise FormulationError(f"{self.name}: solubility must be positive or None")
+            raise ValueError(f"{self.name}: solubility must be positive or None")
 
     @property
     def effective_solubility(self) -> float:
@@ -118,33 +114,33 @@ class Formulation:
     def __post_init__(self):
         p = [float(v) for v in self.proportions]
         if len(p) != GENOME_LENGTH:
-            raise FormulationError(f"expected {GENOME_LENGTH} proportions, got {len(p)}")
+            raise ValueError(f"expected {GENOME_LENGTH} proportions, got {len(p)}")
         if not all(0.0 <= v <= 1.0 for v in p):   # also rejects NaN
-            raise FormulationError(f"proportions must lie in [0, 1], got {p}")
+            raise ValueError(f"proportions must lie in [0, 1], got {p}")
         total = _total(p)
         if abs(total - 1.0) > 1e-12:
-            raise FormulationError(f"proportions sum to {total!r}, not 1")
+            raise ValueError(f"proportions sum to {total!r}, not 1")
 
 
 def normalize(raw) -> Formulation:
     """Scale four nonnegative components so they sum to 1.
 
-    Raises FormulationError if every component is 0, or if any is
+    Raises ValueError if every component is 0, or if any is
     negative, NaN or infinite.
     """
     r = [float(v) for v in raw]
     if len(r) != GENOME_LENGTH:
-        raise FormulationError(f"expected {GENOME_LENGTH} components, got {len(r)}")
+        raise ValueError(f"expected {GENOME_LENGTH} components, got {len(r)}")
     if not all(math.isfinite(v) for v in r):
-        raise FormulationError(f"non-finite component in {r}")
+        raise ValueError(f"non-finite component in {r}")
     if any(v < 0 for v in r):
-        raise FormulationError(f"negative component in {r}")
+        raise ValueError(f"negative component in {r}")
     total = _total(r)
     if math.isinf(total):  # the finite parts' sum overflowed; x * 0.25 is exact for normal x
         r = [v * 0.25 for v in r]
         total = _total(r)
     if total == 0:
-        raise FormulationError("all components are zero")
+        raise ValueError("all components are zero")
     # Inputs already on the simplex (to within a few ulps) pass through
     # unchanged; dividing by a total this close to 1 could only churn the
     # last bit, and passing through makes normalize exactly idempotent.

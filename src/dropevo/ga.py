@@ -16,7 +16,9 @@ one path from genomes to fitness.
 
 Every recipe is scored from ``REPLICATES`` = 3 replicate experiments and
 every genome has ``formulation.GENOME_LENGTH`` = 4 loci; neither is a knob.
-``GAConfig`` checks the type and range of every field when it is built.
+``GAConfig`` checks the type and range of every field when it is built. Its
+``rng_seed`` is the campaign seed, which the ``evolve`` command takes from
+``--seed`` alone, not from a config file.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ MUTATION_RATE = 0.3
 MUTATION_SD = 0.1
 
 
-class GAError(ValueError):
-    pass
-
-
 class EvaluationError(RuntimeError):
     """Wraps an evaluator failure with the offending recipe attached."""
 
@@ -68,10 +66,10 @@ class GAConfig:
             check_number(name, getattr(self, name), 1, integer=True)
         check_number("rng_seed", self.rng_seed, 0, integer=True)
         if not self.carry_overs < self.population_size:
-            raise GAError("carry_overs must satisfy 1 <= carry_overs < population_size")
+            raise ValueError("carry_overs must satisfy 1 <= carry_overs < population_size")
         if self.generations > 1 and self.carry_overs < 2:
-            raise GAError("carry_overs must be >= 2 when generations > 1: "
-                          "every child has two distinct parents")
+            raise ValueError("carry_overs must be >= 2 when generations > 1: "
+                             "every child has two distinct parents")
 
     @property
     def recipes_per_run(self) -> int:
@@ -89,9 +87,9 @@ class Individual:
 
     def set_fitness(self, replicates, fitness):
         if self.fitness is not None:
-            raise GAError(f"fitness of individual {self.id} is already set")
+            raise ValueError(f"fitness of individual {self.id} is already set")
         if fitness < 0:
-            raise GAError("fitness must be >= 0")
+            raise ValueError("fitness must be >= 0")
         self.replicates = tuple(float(r) for r in replicates)
         self.fitness = float(fitness)
 
@@ -108,9 +106,9 @@ class GAHistory:
         return len({ind.id for gen in self.generations for ind in gen})
 
 
-def init_population(cfg: GAConfig, rng: np.random.Generator,
-                    id_start: int = 0) -> list[Individual]:
-    """Uniform random population on [0, 1]^GENOME_LENGTH."""
+def init_population(cfg: GAConfig, rng: np.random.Generator, id_start: int) -> list[Individual]:
+    """Uniform random population on [0, 1]^GENOME_LENGTH, with ids from
+    id_start on."""
     return [
         Individual(genome=rng.uniform(0.0, 1.0, GENOME_LENGTH), id=id_start + i)
         for i in range(cfg.population_size)
@@ -164,9 +162,9 @@ def aggregate_fitness(replicates) -> float:
     fitnesses."""
     reps = [float(r) for r in replicates]
     if len(reps) != REPLICATES:
-        raise GAError(f"expected {REPLICATES} replicates, got {len(reps)}")
+        raise ValueError(f"expected {REPLICATES} replicates, got {len(reps)}")
     if any(r < 0 for r in reps):
-        raise GAError("replicate fitnesses must be >= 0")
+        raise ValueError("replicate fitnesses must be >= 0")
     return min(statistics.fmean(reps), statistics.median(reps))
 
 
@@ -197,7 +195,7 @@ def score_batch(batch: list[Individual], evaluator, map=map) -> None:
         ind.set_fitness(reps, aggregate_fitness(reps))
 
 
-def evolve(cfg: GAConfig, run: int = 0):
+def evolve(cfg: GAConfig, run: int):
     """One GA run as a generator. It yields each batch of new individuals,
     which the caller scores in place before asking for the next, and returns
     the GAHistory. The draws depend only on `cfg` and `run`, never on how or
@@ -205,7 +203,7 @@ def evolve(cfg: GAConfig, run: int = 0):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.rng_seed, spawn_key=(run,)))
     history = GAHistory(run=run)
     next_id = run * 10_000_000
-    pop = init_population(cfg, rng, id_start=next_id)
+    pop = init_population(cfg, rng, next_id)
     next_id += len(pop)
     yield pop
     history.generations.append(list(pop))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .formulation import (DEFAULT_OIL_ORDER, Formulation, check_number, check_vector,
                           well_volumes)
@@ -61,10 +61,6 @@ class GcodeError(ValueError):
         super().__init__(message if line_no is None else f"line {line_no}: {message}")
 
 
-class PumpRangeError(GcodeError):
-    pass
-
-
 class StateFault(GcodeError):
     def __init__(self, message, pc):
         super().__init__(f"instruction {pc}: {message}")
@@ -90,7 +86,7 @@ class PumpInstruction:
                 ("B", self.steps, 0 <= self.steps <= PUMP_MAX_STEPS,
                  f"steps limited to {PUMP_MAX_STEPS}")):
             if not ok:
-                raise PumpRangeError(f"{fld}={value}: {msg}")
+                raise GcodeError(f"{fld}={value}: {msg}")
 
     def serialize(self) -> str:
         return f"P{self.pump} M{self.motor} D{self.direction} S{self.speed_ms} E{self.steps}"
@@ -99,15 +95,16 @@ class PumpInstruction:
 _PUMP_RE = re.compile(r"^P(-?\d+) M(-?\d+) D(-?\d+) S(-?\d+) E(-?\d+)$")
 
 
-def parse_pump_line(line: str, line_no: int | None = None) -> PumpInstruction:
-    """Parse one 'PX MY DZ SA EB' line; tokens are required, in order."""
+def parse_pump_line(line: str, line_no: int) -> PumpInstruction:
+    """Parse one 'PX MY DZ SA EB' line, line `line_no` of its program;
+    tokens are required, in order."""
     m = _PUMP_RE.match(line.strip())
     if not m:
         raise GcodeError(f"expected 'PX MY DZ SA EB', got {line.strip()!r}", line_no)
     try:
         return PumpInstruction(*(int(g) for g in m.groups()))
-    except PumpRangeError as exc:
-        raise PumpRangeError(str(exc), line_no) from None
+    except GcodeError as exc:
+        raise GcodeError(str(exc), line_no) from None
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +139,7 @@ class StageLayout:
         return barrel_ml * 1000.0 / PUMP_MAX_STEPS
 
     def to_json(self) -> str:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["pump_ports"] = {str(k): v for k, v in d["pump_ports"].items()}
-        d["pump_syringe_ml"] = {str(k): v for k, v in d["pump_syringe_ml"].items()}
-        return json.dumps(d, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "StageLayout":
@@ -288,7 +282,7 @@ def stroke(layout: StageLayout, pump: int, volume_ml: float, direction: int) -> 
     current valve port, 1 expels; no line for 0 steps."""
     steps = int(round(volume_ml * 1000.0 / layout.pump_calibration_ul_per_step(pump)))
     if steps > PUMP_MAX_STEPS:
-        raise PumpRangeError(f"E={steps}: {volume_ml} mL exceeds one barrel stroke")
+        raise GcodeError(f"E={steps}: {volume_ml} mL exceeds one barrel stroke")
     if steps == 0:
         return []
     return [PumpInstruction(pump, 0, direction, PUMP_SPEED_MS, steps).serialize()]
@@ -311,11 +305,9 @@ def _syringe_at(layout: StageLayout, point, *actions: str) -> list:
     return [*move(layout, *point), "M10 S0", *actions, "M11 S0"]
 
 
-def compile_experiment(f: Formulation, layout: StageLayout | None = None) -> str:
+def compile_experiment(f: Formulation, layout: StageLayout) -> str:
     """Mix one well per the formulation, stir, draw 80 uL and place four
     5 uL droplets, raising the syringe after each; leftover goes to waste."""
-    if layout is None:
-        layout = default_layout()
     at = layout.locations
     lines = move(layout, *at["mixing_well"], apparatus="pump_tube")
     for pump, vol in enumerate(well_volumes(f)):
@@ -329,12 +321,10 @@ def compile_experiment(f: Formulation, layout: StageLayout | None = None) -> str
     return "".join(line + "\n" for line in lines)
 
 
-def compile_cleaning_cycle(layout: StageLayout | None = None) -> str:
+def compile_cleaning_cycle(layout: StageLayout) -> str:
     """Acetone washes of 4, 4 and 3 mL (with a needle dip-and-actuate between
     washes 1-2 and 2-3), then aqueous washes of 1.5, 1.5 and 1 mL; the dish
     is drained to waste after every wash."""
-    if layout is None:
-        layout = default_layout()
     dish = layout.locations["dish_center"]
     washes = [(5, vol) for vol in ACETONE_WASHES_ML] + [(4, vol) for vol in AQUEOUS_WASHES_ML]
     lines = []
@@ -361,8 +351,8 @@ class ParsedLine:
     args: tuple = ()
 
 
-def parse_line(line: str, line_no: int | None = None) -> ParsedLine | None:
-    """Parse one program line; None for blanks and comments."""
+def parse_line(line: str, line_no: int) -> ParsedLine | None:
+    """Parse line `line_no` of a program; None for blanks and comments."""
     body = line.split("#", 1)[0].strip()
     if not body:
         return None
@@ -444,18 +434,7 @@ class VirtualState:
         return total
 
     def to_json(self) -> str:
-        payload = {
-            "carriage": list(self.carriage),
-            "time_ms": self.time_ms,
-            "stirring": self.stirring,
-            "syringes": {str(k): {"contents": s.contents, "lowered": s.lowered}
-                         for k, s in self.syringes.items()},
-            "pumps": {str(k): {"position_steps": p.position_steps,
-                               "valve_port": p.valve_port, "contents": p.contents}
-                      for k, p in self.pumps.items()},
-            "vessels": self.vessels,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 def _mix_out(contents: dict, volume: float) -> dict:
@@ -482,8 +461,8 @@ def _mix_in(contents: dict, added: dict) -> None:
 class VirtualRobot:
     """Deterministic interpreter for compiled programs."""
 
-    def __init__(self, layout: StageLayout | None = None):
-        self.layout = layout if layout is not None else default_layout()
+    def __init__(self, layout: StageLayout):
+        self.layout = layout
         self.state = VirtualState.initial(self.layout)
         self.events: list[tuple] = []
 

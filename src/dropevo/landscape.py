@@ -292,15 +292,13 @@ def cell_composition(face: int, i: int, j: int, resolution: int) -> tuple:
 _BLOCK_ROWS = 32
 
 
-def face_grid(model: KernelModel, face: int,
-              resolution: int = DEFAULT_RESOLUTION) -> FaceLattice:
+def face_grid(model: KernelModel, face: int, resolution: int) -> FaceLattice:
     """Predict the model over one face of the simplex, with the bits of
     ``predict_many`` at each cell's ``cell_composition``."""
     return face_grids(model, (face,), resolution)[0]
 
 
-def face_grids(model: KernelModel, faces: tuple[int, ...],
-               resolution: int = DEFAULT_RESOLUTION) -> list[FaceLattice]:
+def face_grids(model: KernelModel, faces: tuple[int, ...], resolution: int) -> list[FaceLattice]:
     """``face_grid`` of each face in `faces`: one face, or the pair (0, 1) or
     (2, 3), which share their factor tables and block products. Callers pass
     one of these and a resolution >= 2, which the landscape command checks.

@@ -26,9 +26,9 @@ so the scores stay well defined when the droplet count varies.
 An empty frame ends every trajectory, so the record of an arena.simulate pass,
 its replicates joined by empty frames, tracks as each replicate alone would,
 with flat indices and droplet ids offset. Each score takes such a pass of
-`replicates` replicates (one by default), as a TrajectorySet or, for division,
-the record, and returns one score per replicate, the same as that replicate's
-alone; a replicate without a frame pair (respectively triple) scores 0.0.
+`replicates` replicates, as a TrajectorySet or, for division, the record,
+and returns one score per replicate, the same as that replicate's alone; a
+replicate without a frame pair (respectively triple) scores 0.0.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ def _replicate_period(frames: int, replicates: int) -> int:
     return (frames + 1) // replicates
 
 
-def fitness_division(rec: DetectionRecord, replicates: int = 1) -> list[float]:
+def fitness_division(rec: DetectionRecord, replicates: int) -> list[float]:
     """Per replicate, the droplets alive in its final frame with area
     strictly above DIVISION_AREA_THRESHOLD."""
     period, o = _replicate_period(len(rec), replicates), rec.offsets
@@ -313,7 +313,7 @@ def _steps(ts: TrajectorySet) -> tuple:
     return k, step
 
 
-def fitness_movement(ts: TrajectorySet, replicates: int = 1) -> list[float]:
+def fitness_movement(ts: TrajectorySet, replicates: int) -> list[float]:
     """Per replicate, the mean over frame pairs of the mean per-droplet
     displacement (px)."""
     k, step = _steps(ts)
@@ -321,7 +321,7 @@ def fitness_movement(ts: TrajectorySet, replicates: int = 1) -> list[float]:
                                 _replicate_period(ts.total_frames, replicates), replicates)
 
 
-def fitness_directionality(ts: TrajectorySet, replicates: int = 1) -> list[float]:
+def fitness_directionality(ts: TrajectorySet, replicates: int) -> list[float]:
     """Per replicate, the mean over frame triples of the mean per-droplet
     turning angle (rad).
 

@@ -21,7 +21,6 @@ from dropevo.formulation import Formulation
 from dropevo.gcode import (
     GcodeError,
     PumpInstruction,
-    PumpRangeError,
     VirtualRobot,
     compile_cleaning_cycle,
     compile_experiment,
@@ -169,8 +168,8 @@ def test_fitness_oracle_equivalence():
     for _ in range(200):
         trajectories, total_frames = _random_trajectories(rng)
         ts = _trajectory_set(trajectories, total_frames)
-        scores = [tracking.fitness_division(_detection_record(trajectories, total_frames)),
-                  tracking.fitness_movement(ts), tracking.fitness_directionality(ts)]
+        scores = [tracking.fitness_division(_detection_record(trajectories, total_frames), 1),
+                  tracking.fitness_movement(ts, 1), tracking.fitness_directionality(ts, 1)]
         for got, want in zip(scores, _oracle_scores(trajectories, total_frames)):
             if len(got) != 1 or not abs(got[0] - want) <= 1e-9:
                 ok = False
@@ -478,14 +477,14 @@ def test_gcode_round_trip_and_fuzz():
     over_limit_ok = True
     for steps in [50001, 50002, 60000, 99999, 10 ** 6]:
         try:
-            parse_line(f"P0 M0 D0 S1 E{steps}")
+            parse_line(f"P0 M0 D0 S1 E{steps}", 1)
             over_limit_ok = False
-        except PumpRangeError:
+        except GcodeError:
             pass
         try:
             PumpInstruction(0, 0, 0, 1, steps)
             over_limit_ok = False
-        except PumpRangeError:
+        except GcodeError:
             pass
 
     _report("G-code round trip, 1e6-line parser fuzz, step bound",
@@ -498,14 +497,14 @@ def test_gcode_round_trip_and_fuzz():
 
 def test_determinism(tmp_path):
     cfg = {"ga": {"generations": 4, "population_size": 10, "carry_overs": 6,
-                  "runs": 2, "rng_seed": 21},
+                  "runs": 2},
            "arena": {"duration": 2.0}}
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
 
     def run_all(tag):
         root = tmp_path / tag
-        assert cli_main(["evolve", "--config", str(cfg_path),
+        assert cli_main(["evolve", "--config", str(cfg_path), "--seed", "21",
                          "--out-dir", str(root / "evolve")]) == 0
         hist = str(root / "evolve" / "history_run0.csv")
         assert cli_main(["landscape", hist, "--resolution", "31",

@@ -95,8 +95,8 @@ def test_unimodal_map_peaks_at_optimum():
 
 
 def test_simulate_frame_structure():
-    frames = frames_of(simulate(Formulation((0.25, 0.25, 0.25, 0.25)), SHORT,
-                                np.random.SeedSequence(0)))
+    b = behavior_from_formulation(Formulation((0.25, 0.25, 0.25, 0.25)))
+    frames = frames_of(simulate(b, SHORT, [np.random.SeedSequence(0)]))
     assert len(frames) == SHORT.total_frames
     assert len(frames[0]) == 4
     assert {d[:2] for d in frames[0]} == set(SHORT.injection_positions)
@@ -104,17 +104,16 @@ def test_simulate_frame_structure():
 
 
 def test_simulate_deterministic():
-    f = Formulation((0.25, 0.25, 0.25, 0.25))
-    a = simulate(f, SHORT, np.random.SeedSequence(42))
-    b = simulate(f, SHORT, np.random.SeedSequence(42))
-    assert frames_of(a) == frames_of(b)
+    b = behavior_from_formulation(Formulation((0.25, 0.25, 0.25, 0.25)))
+    first = simulate(b, SHORT, [np.random.SeedSequence(42)])
+    second = simulate(b, SHORT, [np.random.SeedSequence(42)])
+    assert frames_of(first) == frames_of(second)
 
 
 def test_simulate_zero_speed_stays_put():
     b = BehaviorParams(speed=0.0, turn_noise=0.5, split_probability=0.0,
                        shrink_rate=0.0)
-    frames = frames_of(simulate(Formulation((1, 0, 0, 0)), SHORT,
-                                np.random.SeedSequence(1), behavior=b))
+    frames = frames_of(simulate(b, SHORT, [np.random.SeedSequence(1)]))
     for fr in frames:
         assert {d[:2] for d in fr} == set(SHORT.injection_positions)
         assert all(d[2] == 400.0 for d in fr)
@@ -129,8 +128,7 @@ def test_simulate_step_length_equals_speed():
     for seed, xy in enumerate(SHORT.injection_positions):
         cfg = ArenaConfig(duration=2.0, arena_radius=150.0, injection_count=1,
                           injection_positions=(xy,))
-        rec = simulate(Formulation((1, 0, 0, 0)), cfg, np.random.SeedSequence(seed),
-                       behavior=b)
+        rec = simulate(b, cfg, [np.random.SeedSequence(seed)])
         alive = np.diff(rec.offsets)
         n = len(rec.x)
         assert alive.tolist() == [1] * n + [0] * (cfg.total_frames - n)
@@ -145,7 +143,7 @@ def test_simulate_wall_freeze():
     cfg = ArenaConfig(duration=10.0, arena_radius=100.0)
     b = BehaviorParams(speed=5.0, turn_noise=0.0, split_probability=0.0,
                        shrink_rate=0.0)
-    rec = simulate(Formulation((1, 0, 0, 0)), cfg, np.random.SeedSequence(3), behavior=b)
+    rec = simulate(b, cfg, [np.random.SeedSequence(3)])
     assert np.all(np.hypot(rec.x, rec.y) < 100.0)
     # No droplet appears, and each dies within 37 steps of 5 px: it starts
     # 84.85 px out, at most 184.85 px from the wall along its line.
@@ -164,8 +162,7 @@ def test_simulate_wall_contact_does_not_split():
                        shrink_rate=0.0)
     outcomes = set()
     for seed in range(20):
-        frames = frames_of(simulate(Formulation((1, 0, 0, 0)), cfg,
-                                    np.random.SeedSequence(seed), behavior=b))
+        frames = frames_of(simulate(b, cfg, [np.random.SeedSequence(seed)]))
         # No detection (wall death) or the children of a split, less a child
         # born beyond the wall.
         first = frames[1]
@@ -177,8 +174,7 @@ def test_simulate_wall_contact_does_not_split():
 def test_simulate_shrink_and_disappear():
     b = BehaviorParams(speed=0.0, turn_noise=0.0, split_probability=0.0,
                        shrink_rate=10.0)
-    frames = frames_of(simulate(Formulation((1, 0, 0, 0)), SHORT,
-                                np.random.SeedSequence(4), behavior=b))
+    frames = frames_of(simulate(b, SHORT, [np.random.SeedSequence(4)]))
     assert frames[1][0][2] == pytest.approx(390.0)
     assert frames[40] == []  # 400 px^2 gone after 40 frames
 
@@ -187,8 +183,7 @@ def test_simulate_split_halves_area():
     cfg = ArenaConfig(duration=1.0)
     b = BehaviorParams(speed=0.0, turn_noise=0.0, split_probability=1.0,
                        shrink_rate=0.0)
-    frames = frames_of(simulate(Formulation((1, 0, 0, 0)), cfg,
-                                np.random.SeedSequence(5), behavior=b))
+    frames = frames_of(simulate(b, cfg, [np.random.SeedSequence(5)]))
     assert len(frames[1]) == 8
     assert all(d[2] == 200.0 for d in frames[1])
     total0 = sum(d[2] for d in frames[0])
@@ -200,8 +195,7 @@ def test_simulate_split_floor():
     cfg = ArenaConfig(duration=3.0)
     b = BehaviorParams(speed=0.0, turn_noise=0.0, split_probability=1.0,
                        shrink_rate=0.0)
-    frames = frames_of(simulate(Formulation((1, 0, 0, 0)), cfg,
-                                np.random.SeedSequence(6), behavior=b))
+    frames = frames_of(simulate(b, cfg, [np.random.SeedSequence(6)]))
     # 400 -> 200 -> 100 -> 50 -> 25: splitting stops below 30 px^2.
     areas = {d[2] for d in frames[-1]}
     assert areas == {25.0}
@@ -245,7 +239,7 @@ def test_min_split_area_constant():
 # ------------------------------------------------ scalar reference pipeline
 
 
-def simulate_v1(f, cfg, rng, behavior):
+def simulate_v1(cfg, rng, behavior):
     """RNG contract v1, the walk before per-droplet streams: one generator
     for the replicate, one uniform heading per injection, then per frame and
     per live droplet in list order one normal turn and, when the droplet can
@@ -288,7 +282,7 @@ def simulate_v1(f, cfg, rng, behavior):
     return frames
 
 
-def reference_simulate(f, cfg, seed, behavior):
+def reference_simulate(cfg, seed, behavior):
     """Contract v2 walked frame by frame, droplet by droplet, drawing one
     value at a time from each droplet's own streams: the reference that the
     event-driven simulate must match exactly."""
@@ -373,9 +367,8 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_simulate_matches_scalar_reference(case, seed):
     cfg, b = ORACLE_CASES[case]
-    f = Formulation((1, 0, 0, 0))
-    got = simulate(f, cfg, np.random.SeedSequence(seed), behavior=b)
-    want = reference_simulate(f, cfg, np.random.SeedSequence(seed), b)
+    got = simulate(b, cfg, [np.random.SeedSequence(seed)])
+    want = reference_simulate(cfg, np.random.SeedSequence(seed), b)
     assert frames_of(got) == want
     assert np.all(got.x * got.x + got.y * got.y < cfg.arena_radius * cfg.arena_radius)
     assert frames_of(filter_analytic_arena(got, cfg.arena_radius)) == reference_filter(
@@ -404,8 +397,7 @@ def test_filtered_record_digest(case):
     cfg, b = ORACLE_CASES[case]
     h = hashlib.sha256()
     for seed in range(3):
-        rec = filter_analytic_arena(simulate(Formulation((1, 0, 0, 0)), cfg,
-                                             np.random.SeedSequence(seed), behavior=b),
+        rec = filter_analytic_arena(simulate(b, cfg, [np.random.SeedSequence(seed)]),
                                     cfg.arena_radius)
         for col, dtype in ((rec.offsets, "<i8"), (rec.x, "<f8"), (rec.y, "<f8"),
                            (rec.area, "<f8")):
@@ -415,17 +407,15 @@ def test_filtered_record_digest(case):
 
 @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
 def test_a_pass_of_replicates_joins_their_records(case):
-    # One seed in a list is that replicate's record; three seeds give the
-    # three records one after another, an empty frame between each two.
+    # Three seeds give their three one-seed records one after another, an
+    # empty frame between each two.
     cfg, b = ORACLE_CASES[case]
-    f = Formulation((1, 0, 0, 0))
     seeds = [ga.replicate_seed(4, 1, case, rep) for rep in range(3)]
-    singles = [frames_of(simulate(f, cfg, seed, behavior=b)) for seed in seeds]
-    assert frames_of(simulate(f, cfg, seeds[:1], behavior=b)) == singles[0]
+    singles = [frames_of(simulate(b, cfg, [seed])) for seed in seeds]
     joined = singles[0]
     for frames in singles[1:]:
         joined = [*joined, [], *frames]
-    assert frames_of(simulate(f, cfg, seeds, behavior=b)) == joined
+    assert frames_of(simulate(b, cfg, seeds)) == joined
 
 
 def test_simulate_matches_scalar_reference_on_recipes():
@@ -436,21 +426,20 @@ def test_simulate_matches_scalar_reference_on_recipes():
                               (0, 1, 0, 0), (0.1, 0.2, 0.3, 0.4)]):
         f = Formulation(p)
         b = behavior_from_formulation(f)
-        got = simulate(f, cfg, np.random.SeedSequence(seed), behavior=b)
-        want = reference_simulate(f, cfg, np.random.SeedSequence(seed), b)
+        got = simulate(b, cfg, [np.random.SeedSequence(seed)])
+        want = reference_simulate(cfg, np.random.SeedSequence(seed), b)
         assert frames_of(got) == want
         assert frames_of(filter_analytic_arena(got, 200.0)) == reference_filter(want, 200.0)
 
 
 @pytest.mark.parametrize("block", [1, 7, 100_000])
 def test_simulate_walk_does_not_depend_on_block_size(monkeypatch, block):
-    f = Formulation((1, 0, 0, 0))
     for cfg, b in ORACLE_CASES:
-        seed = np.random.SeedSequence(9)
-        want = frames_of(simulate(f, cfg, seed, behavior=b))
+        seeds = [np.random.SeedSequence(9)]
+        want = frames_of(simulate(b, cfg, seeds))
         with monkeypatch.context() as m:
             m.setattr(arena, "FIRST_BLOCK", block)
-            assert frames_of(simulate(f, cfg, seed, behavior=b)) == want
+            assert frames_of(simulate(b, cfg, seeds)) == want
 
 
 def test_droplet_streams_are_children_of_the_lineage_seed():
@@ -484,7 +473,7 @@ def test_droplet_stream_is_the_spawned_sequence(entropy, spawn_key, lineage, str
 def _objective_scores(record, radius):
     record = filter_analytic_arena(record, radius)
     ts = tracking.track(record)
-    return [tracking.FITNESS_FUNCTIONS[objective](record if objective == "division" else ts)[0]
+    return [tracking.FITNESS_FUNCTIONS[objective](record if objective == "division" else ts, 1)[0]
             for objective in sorted(tracking.FITNESS_FUNCTIONS)]
 
 
@@ -504,9 +493,9 @@ def test_v1_and_v2_score_distributions_agree():
         for rep in range(replicates):
             seed = ga.replicate_seed(0, 0, recipe, rep)
             v1.append(_objective_scores(
-                record_of(*simulate_v1(f, cfg, np.random.default_rng(seed), b)),
+                record_of(*simulate_v1(cfg, np.random.default_rng(seed), b)),
                 cfg.arena_radius))
-            v2.append(_objective_scores(simulate(f, cfg, seed, behavior=b), cfg.arena_radius))
+            v2.append(_objective_scores(simulate(b, cfg, [seed]), cfg.arena_radius))
     v1 = np.array(v1).reshape(recipes, replicates, -1)
     v2 = np.array(v2).reshape(recipes, replicates, -1)
     for k, objective in enumerate(sorted(tracking.FITNESS_FUNCTIONS)):

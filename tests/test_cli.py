@@ -26,10 +26,11 @@ from dropevo.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from dropevo.formulation import normalize
 
 FAST_CONFIG = {
-    "ga": {"generations": 3, "population_size": 8, "carry_overs": 4,
-           "runs": 1, "rng_seed": 7},
+    "ga": {"generations": 3, "population_size": 8, "carry_overs": 4, "runs": 1},
     "arena": {"duration": 2.0},
 }
+# The campaign seed of every FAST_CONFIG run; evolve takes it from --seed alone.
+FAST_SEED = "7"
 
 
 @pytest.fixture
@@ -39,9 +40,9 @@ def fast_config(tmp_path):
     return str(p)
 
 
-def run_evolve(tmp_path, fast_config, out="out", extra=()):
+def run_evolve(tmp_path, fast_config, out="out", extra=(), seed=FAST_SEED):
     out_dir = tmp_path / out
-    rc = main(["evolve", "--config", fast_config, "--objective", "movement",
+    rc = main(["evolve", "--config", fast_config, "--seed", seed, "--objective", "movement",
                "--out-dir", str(out_dir), *extra])
     assert rc == EXIT_OK
     return out_dir
@@ -70,7 +71,7 @@ def test_evolve_outputs(tmp_path, fast_config):
 
 
 def test_evolve_seed_flag_overrides_config(tmp_path, fast_config):
-    a = run_evolve(tmp_path, fast_config, "a", ("--seed", "123"))
+    a = run_evolve(tmp_path, fast_config, "a", seed="123")
     manifest = json.loads((a / "manifest.json").read_text())
     assert manifest["seed"] == 123
 
@@ -389,7 +390,7 @@ def test_gcode_compile_formulation_whose_sum_overflows(capsys):
     assert main(["gcode", "compile", "--formulation", "1e308,1e308,1,1"]) == EXIT_OK
     recipe = normalize([1e308, 1e308, 1, 1])
     assert recipe.proportions == pytest.approx((0.5, 0.5, 0.0, 0.0), abs=1e-300)
-    assert capsys.readouterr().out == gcode.compile_experiment(recipe)
+    assert capsys.readouterr().out == gcode.compile_experiment(recipe, gcode.default_layout())
 
 
 def test_gcode_compile_elides_a_transfer_of_zero_steps(tmp_path, capsys):
@@ -451,7 +452,8 @@ def test_entry_keeps_the_exit_contract(tmp_path, capsys, monkeypatch, argv, code
     for side in ("entry", "main"):
         work = tmp_path / side
         work.mkdir()
-        (work / "exp.gcode").write_text(gcode.compile_experiment(normalize([1, 2, 3, 4])))
+        (work / "exp.gcode").write_text(gcode.compile_experiment(normalize([1, 2, 3, 4]),
+                                                                gcode.default_layout()))
         (work / "bad.gcode").write_text("G1 X1.0 Y1.0\nwat\n")
         write_overflowing_history(work / "big.csv", 1e307)
         if side == "entry":
@@ -471,7 +473,7 @@ def test_entry_keeps_the_exit_contract(tmp_path, capsys, monkeypatch, argv, code
 def _gcode_argv(tmp_path, command):
     """argv of a `gcode command` that writes to stdout."""
     program = tmp_path / "exp.gcode"
-    program.write_text(gcode.compile_experiment(normalize([1, 2, 3, 4])))
+    program.write_text(gcode.compile_experiment(normalize([1, 2, 3, 4]), gcode.default_layout()))
     if command == "compile":
         return ["gcode", "compile", "--formulation", "1,2,3,4"]
     return ["gcode", command, str(program)]
@@ -523,7 +525,7 @@ def test_no_process_outlives_a_command(tmp_path, fast_config, command, kill):
     # reaping: every forked worker must be gone when main returns, also after
     # one of them died (as in the *_dead_worker_is_one_line tests).
     if command == "evolve":
-        argv = ["evolve", "--config", fast_config, "--jobs", "2"]
+        argv = ["evolve", "--config", fast_config, "--seed", FAST_SEED, "--jobs", "2"]
     else:
         argv = ["landscape", write_history(tmp_path / "history.csv"), "--resolution", "11"]
     code = "import os; os.sched_getaffinity = lambda pid: {0, 1}\n"
@@ -818,7 +820,8 @@ def test_evolve_evaluation_failure_is_one_line(tmp_path, capsys, fast_config, mo
         raise error
 
     monkeypatch.setattr(arena, "simulate", simulate)
-    rc = main(["evolve", "--config", fast_config, "--out-dir", str(tmp_path / "o")])
+    rc = main(["evolve", "--config", fast_config, "--seed", FAST_SEED,
+               "--out-dir", str(tmp_path / "o")])
     assert rc == code
     err = capsys.readouterr().err
     assert err.startswith(prefix) and str(error) in err
@@ -976,8 +979,8 @@ def test_landscape_overflow_is_a_numeric_failure(tmp_path, case, cpus):
     ("ga", "genome_length", 4),            # genomes always have four loci
     ("ga", "generations", "3"),
     ("ga", "generations", 2.5),
-    ("ga", "rng_seed", 1.5),
-    ("ga", "rng_seed", -1),
+    ("ga", "rng_seed", 7),                 # the campaign seed comes from --seed alone
+    ("evaluation", "arena_config", {"duration": 2.0}),   # built by the command
     ("ga", "mutation_sd", "x"),             # no longer a field
     ("ga", "birth_before_cull", "yes"),     # no longer a field
     ("arena", "duration", float("nan")),
@@ -994,8 +997,8 @@ def test_landscape_overflow_is_a_numeric_failure(tmp_path, case, cpus):
      [[0.0, 200.0], [60.0, -60.0], [-60.0, 60.0], [60.0, 60.0]]),
     ("arena", "arena_radius", 1e200),      # its square overflows
     ("ga", "carry_overs", 1),              # two parents per child, 3 generations
-    *(pytest.param(section, key, 10**400, id=f"{section}-{key}-401-digit-int")
-      for section, key in (("arena", "duration"), ("ga", "rng_seed"))),  # too large for a float
+    pytest.param("arena", "duration", 10**400,    # too large for a float
+                 id="arena-duration-401-digit-int"),
     ("ga", "per_locus_mutation_rate", 0.3),   # no longer a field
     ("ga", "selective_pressure", 1.0),        # no longer a field
     ("arena", "frame_rate", 30.0),            # no longer a field
@@ -1015,6 +1018,19 @@ def test_evolve_rejects_unsupported_config(tmp_path, capsys, section, key, value
     assert not out_dir.exists()
 
 
+def test_evolve_config_does_not_seed(tmp_path, capsys):
+    # The campaign seed comes from --seed alone; a config's is a usage error
+    # whose one line lists the fields a config may set.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"ga": {"rng_seed": 7}}))
+    out_dir = tmp_path / "o"
+    assert main(["evolve", "--config", str(path), "--out-dir", str(out_dir)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"usage error: config {path}: ga: unknown field(s) ['rng_seed']; allowed: "
+        f"['carry_overs', 'generations', 'population_size', 'runs']\n")
+    assert not out_dir.exists()
+
+
 # sha256 of history_run0.csv for GOLDEN_CONFIG under each pinned objective.
 # They pin the replicate RNG streams and arena RNG contract v2 (per-droplet
 # streams keyed by lineage, see arena.simulate), and both the movement and
@@ -1022,10 +1038,10 @@ def test_evolve_rejects_unsupported_config(tmp_path, capsys, section, key, value
 # (sqrt(dx * dx + dy * dy)): a change to any must update them on purpose,
 # and they are the same for any --jobs.
 GOLDEN_CONFIG = {
-    "ga": {"generations": 2, "population_size": 4, "carry_overs": 2,
-           "runs": 1, "rng_seed": 7},
+    "ga": {"generations": 2, "population_size": 4, "carry_overs": 2, "runs": 1},
     "arena": {"duration": 2.0},
 }
+GOLDEN_SEED = "7"  # --seed of every GOLDEN_CONFIG run
 GOLDEN_HISTORY_SHA256 = {
     "directionality": "4d46169fe102c448b67a4858def04e851111da575b8041ff7da057ca8922ef66",
     "movement": "b7c9fde9092250ba5e5d8ff1cb877c380fbb82aac03dc1d6bcd1fc3c3aeb9c4a",
@@ -1048,8 +1064,8 @@ def test_evolve_golden_history(tmp_path, jobs):
         path.write_text(json.dumps(config))
         for objective in pins:
             out_dir = tmp_path / name / objective
-            rc = main(["evolve", "--config", str(path), "--objective", objective,
-                       "--jobs", jobs, "--out-dir", str(out_dir)])
+            rc = main(["evolve", "--config", str(path), "--seed", GOLDEN_SEED,
+                       "--objective", objective, "--jobs", jobs, "--out-dir", str(out_dir)])
             assert rc == EXIT_OK
             digests[name, objective] = hashlib.sha256(
                 (out_dir / "history_run0.csv").read_bytes()).hexdigest()
@@ -1078,15 +1094,15 @@ def test_evolve_golden_history_does_not_depend_on_the_blas_kernel(tmp_path):
     code = """
 import sys
 from dropevo.cli import main
-for objective in sys.argv[2:]:
-    assert main(["evolve", "--config", sys.argv[1], "--objective", objective,
-                 "--out-dir", objective]) == 0
+for objective in sys.argv[3:]:
+    assert main(["evolve", "--config", sys.argv[1], "--seed", sys.argv[2],
+                 "--objective", objective, "--out-dir", objective]) == 0
 """
     for core in _openblas_core_types():
         cwd = tmp_path / core
         cwd.mkdir()
-        subprocess.run([sys.executable, "-c", code, str(path), *GOLDEN_HISTORY_SHA256],
-                       cwd=cwd, capture_output=True, check=True,
+        subprocess.run([sys.executable, "-c", code, str(path), GOLDEN_SEED,
+                        *GOLDEN_HISTORY_SHA256], cwd=cwd, capture_output=True, check=True,
                        env=_fresh_env(OPENBLAS_CORETYPE=core))
         digests = {objective: hashlib.sha256(
             (cwd / objective / "history_run0.csv").read_bytes()).hexdigest()
@@ -1108,11 +1124,12 @@ def forbidden(*args, **kwargs):
 math.hypot = numpy.float_power = forbidden
 from dropevo.cli import main
 for jobs in ("1", "2"):
-    for objective in sys.argv[2:]:
-        assert main(["evolve", "--config", sys.argv[1], "--objective", objective,
-                     "--jobs", jobs, "--out-dir", objective + jobs]) == 0
+    for objective in sys.argv[3:]:
+        assert main(["evolve", "--config", sys.argv[1], "--seed", sys.argv[2],
+                     "--objective", objective, "--jobs", jobs,
+                     "--out-dir", objective + jobs]) == 0
 """
-    subprocess.run([sys.executable, "-c", code, str(path), *GOLDEN_HISTORY_SHA256],
+    subprocess.run([sys.executable, "-c", code, str(path), GOLDEN_SEED, *GOLDEN_HISTORY_SHA256],
                    cwd=tmp_path, capture_output=True, check=True, env=_fresh_env())
     for jobs in ("1", "2"):
         digests = {objective: hashlib.sha256(
@@ -1130,8 +1147,8 @@ def test_evolve_golden_history_does_not_depend_on_cpu_features(tmp_path):
         for objective, want in GOLDEN_HISTORY_SHA256.items():
             out_dir = tmp_path / f"level{k}-{objective}"
             _run_with_cpu_features_disabled(
-                ["evolve", "--config", str(path), "--objective", objective,
-                 "--out-dir", str(out_dir)], disabled)
+                ["evolve", "--config", str(path), "--seed", GOLDEN_SEED,
+                 "--objective", objective, "--out-dir", str(out_dir)], disabled)
             digest = hashlib.sha256((out_dir / "history_run0.csv").read_bytes()).hexdigest()
             assert digest == want, objective
 
@@ -1145,7 +1162,7 @@ def test_evolve_arena_without_droplets_scores_zero(tmp_path, objective, jobs):
     path.write_text(json.dumps({**GOLDEN_CONFIG, "arena": {
         "duration": 2.0, "injection_count": 0, "injection_positions": []}}))
     out_dir = tmp_path / "o"
-    rc = main(["evolve", "--config", str(path), "--objective", objective,
+    rc = main(["evolve", "--config", str(path), "--seed", GOLDEN_SEED, "--objective", objective,
                "--jobs", jobs, "--out-dir", str(out_dir)])
     assert rc == EXIT_OK
     rows = list(csv.DictReader(io.StringIO((out_dir / "history_run0.csv").read_text())))
@@ -1158,6 +1175,8 @@ def test_evolve_arena_without_droplets_scores_zero(tmp_path, objective, jobs):
     ["landscape", "HISTORY", "--seed", "3"],   # seeds only evolve
     ["analyze", "HISTORY", "--seed", "3"],
     ["evolve", "--seed", "-1"],
+    ["evolve", "--seed", "1.5"],
+    ["evolve", "--seed", "1" + "0" * 400],   # too large for a float
 ])
 def test_seed_option_rejections(tmp_path, capsys, argv):
     hist = write_history(tmp_path / "history.csv")
@@ -1190,14 +1209,13 @@ def test_evolve_opens_one_pool_per_campaign(tmp_path, monkeypatch):
     monkeypatch.setattr(ProcessPoolExecutor, "map", counting_map)
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
-        "ga": {"generations": 3, "population_size": 4, "carry_overs": 2,
-               "runs": 2, "rng_seed": 7},
+        "ga": {"generations": 3, "population_size": 4, "carry_overs": 2, "runs": 2},
         "arena": {"duration": 2.0},
     }))
     outs = {}
     for jobs in ("1", "2"):
         outs[jobs] = tmp_path / f"jobs{jobs}"
-        assert main(["evolve", "--config", str(path), "--jobs", jobs,
+        assert main(["evolve", "--config", str(path), "--seed", "7", "--jobs", jobs,
                      "--out-dir", str(outs[jobs])]) == EXIT_OK
     assert len(pools) == 1
     assert start_methods == ["fork"]
@@ -1228,7 +1246,7 @@ def test_evolve_histories_do_not_depend_on_jobs(tmp_path):
     outs = []
     for jobs in ("1", "2"):
         out_dir = tmp_path / f"jobs{jobs}"
-        assert main(["evolve", "--config", str(path), "--jobs", jobs,
+        assert main(["evolve", "--config", str(path), "--seed", FAST_SEED, "--jobs", jobs,
                      "--out-dir", str(out_dir)]) == EXIT_OK
         outs.append([(out_dir / f"history_run{run}.csv").read_bytes() for run in range(3)])
     assert outs[0] == outs[1]
@@ -1252,10 +1270,10 @@ def test_evolve_names_the_failed_recipe_of_an_interleaved_round(tmp_path, capsys
     monkeypatch.setattr(evaluators, "evaluate_recipe", evaluate_recipe)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    rc = main(["evolve", "--config", str(path), "--jobs", jobs,
+    rc = main(["evolve", "--config", str(path), "--seed", FAST_SEED, "--jobs", jobs,
                "--out-dir", str(tmp_path / "o")])
     assert rc == EXIT_NUMERIC
-    first_batch = next(ga.evolve(ga.GAConfig(**cfg["ga"]), run=1))
+    first_batch = next(ga.evolve(ga.GAConfig(**cfg["ga"], rng_seed=int(FAST_SEED)), 1))
     recipe = normalize(first_batch[failing - 10_000_000].genome).proportions
     err = capsys.readouterr().err
     assert err == (f"numeric failure: evaluator failed for recipe {list(recipe)}: "
@@ -1266,8 +1284,8 @@ def test_evolve_dead_worker_is_one_line(tmp_path, capsys, fast_config, monkeypat
     # A worker killed mid-round, as by the OOM killer, breaks the pool.
     monkeypatch.setattr(evaluators, "evaluate_recipe",
                         _kill_in_worker(evaluators.evaluate_recipe))
-    _assert_a_worker_died(capsys, main(["evolve", "--config", fast_config, "--jobs", "2",
-                                        "--out-dir", str(tmp_path / "o")]))
+    _assert_a_worker_died(capsys, main(["evolve", "--config", fast_config, "--seed", FAST_SEED,
+                                        "--jobs", "2", "--out-dir", str(tmp_path / "o")]))
 
 
 def test_evolve_without_fork_rejects_jobs_above_one(tmp_path, capsys, fast_config,
@@ -1297,7 +1315,8 @@ def _run_fresh(argv, modules, cpus=None):
 
 
 def test_serial_evolve_loads_no_process_pool(tmp_path, fast_config):
-    argv = ["evolve", "--config", fast_config, "--jobs", "1", "--out-dir", str(tmp_path / "o")]
+    argv = ["evolve", "--config", fast_config, "--seed", FAST_SEED, "--jobs", "1",
+            "--out-dir", str(tmp_path / "o")]
     assert _run_fresh(argv, ["multiprocessing", "concurrent.futures"]) == [EXIT_OK, []]
 
 
@@ -1305,7 +1324,8 @@ def test_serial_evolve_loads_neither_gcode_nor_numpy_ma(tmp_path, fast_config):
     # numpy.ma takes 15-40 ms to import, in every forked worker when the
     # parent has not loaded it; gcode is compiled on import without a
     # bytecode cache.
-    argv = ["evolve", "--config", fast_config, "--jobs", "1", "--out-dir", str(tmp_path / "o")]
+    argv = ["evolve", "--config", fast_config, "--seed", FAST_SEED, "--jobs", "1",
+            "--out-dir", str(tmp_path / "o")]
     assert _run_fresh(argv, ["numpy.ma", "dropevo.gcode"]) == [EXIT_OK, []]
 
 
@@ -1373,8 +1393,7 @@ def test_analyze_rejects_a_bad_history_before_loading_scipy(tmp_path):
 # adversarial values. Every outcome must be an exit code with at most a
 # one-line message, never a traceback.
 FUZZ_BASE = {
-    "ga": {"generations": 2, "population_size": 4, "carry_overs": 2,
-           "runs": 1, "rng_seed": 3},
+    "ga": {"generations": 2, "population_size": 4, "carry_overs": 2, "runs": 1},
     "arena": {"duration": 1.0},
     "evaluation": {},
 }
@@ -1400,7 +1419,7 @@ def _fuzz_evolve_config(swaps, objective):
         out_dir = Path(tmp) / "o"
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            rc = main(["evolve", "--config", str(path), "--objective", objective,
+            rc = main(["evolve", "--config", str(path), "--seed", "3", "--objective", objective,
                        "--out-dir", str(out_dir)])
         assert rc in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC)
         assert "Traceback" not in err.getvalue()

@@ -47,10 +47,9 @@ def test_run_replicate_matches_manual_pipeline():
     from dropevo.formulation import Formulation
     f = Formulation(p)
     behavior = arena.behavior_from_formulation(f)
-    record = arena.simulate(f, SHORT_ARENA, ga.replicate_seed(11, 2, 42, 1),
-                            behavior=behavior)
+    record = arena.simulate(behavior, SHORT_ARENA, [ga.replicate_seed(11, 2, 42, 1)])
     record = arena.filter_analytic_arena(record, SHORT_ARENA.arena_radius)
-    assert [got] == tracking.fitness_directionality(tracking.track(record))
+    assert [got] == tracking.fitness_directionality(tracking.track(record), 1)
 
 
 def test_evaluate_recipe_returns_replicates():
@@ -92,9 +91,9 @@ def test_pass_size_keeps_a_crowded_arena_to_one_replicate(monkeypatch):
     passes = []
     simulate = arena.simulate
 
-    def counting_simulate(f, cfg, seeds, behavior=None):
+    def counting_simulate(behavior, cfg, seeds):
         passes.append(len(seeds))
-        return simulate(f, cfg, seeds, behavior=behavior)
+        return simulate(behavior, cfg, seeds)
 
     monkeypatch.setattr(arena, "simulate", counting_simulate)
     setup = ExperimentSetup(objective="division", arena_config=CROWDED_ARENA)
@@ -131,11 +130,11 @@ def test_unimodal_map_rewards_optimum():
 def test_batch_evaluator_matches_serial():
     setup = ExperimentSetup(objective="movement", arena_config=SHORT_ARENA)
     cfg = ga.GAConfig(generations=1, rng_seed=3)
-    pop_a = ga.init_population(cfg, np.random.default_rng(0))
+    pop_a = ga.init_population(cfg, np.random.default_rng(0), 0)
     pop_b = [type(ind)(genome=ind.genome.copy(), id=ind.id) for ind in pop_a]
-    evaluators.make_batch_evaluator(setup)({0: pop_a[:6]})
+    evaluators.make_batch_evaluator(setup, None, 1)({0: pop_a[:6]})
     with ProcessPoolExecutor(max_workers=2, mp_context=get_context("fork")) as pool:
-        evaluators.make_batch_evaluator(setup, pool=pool, jobs=2)({0: pop_b[:6]})
+        evaluators.make_batch_evaluator(setup, pool, 2)({0: pop_b[:6]})
     assert [i.fitness for i in pop_a[:6]] == [i.fitness for i in pop_b[:6]]
     assert [i.replicates for i in pop_a[:6]] == [i.replicates for i in pop_b[:6]]
 

@@ -49,11 +49,12 @@ def test_real_outputs_validate():
     report = stats.trajectory_report([hist])
     assert validate_text(stats.bands_csv(report), "bands") == []
 
-    robot = VirtualRobot()
-    robot.execute(compile_experiment(Formulation((0.4, 0.3, 0.2, 0.1))))
+    layout = default_layout()
+    robot = VirtualRobot(layout)
+    robot.execute(compile_experiment(Formulation((0.4, 0.3, 0.2, 0.1)), layout))
     assert validate_text(robot.events_csv(), "events") == []
-    assert validate_text(compile_experiment(Formulation((1, 0, 0, 0))), "gcode") == []
-    assert StageLayout.from_json(default_layout().to_json()) == default_layout()
+    assert validate_text(compile_experiment(Formulation((1, 0, 0, 0)), layout), "gcode") == []
+    assert StageLayout.from_json(layout.to_json()) == layout
 
 
 def test_history_rejects_out_of_range_locus():

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from dropevo.formulation import (
     Formulation,
-    FormulationError,
     _oils,
     normalize,
     oil_lookup,
@@ -25,18 +24,18 @@ def test_normalize_already_normalized():
 
 
 def test_normalize_errors():
-    with pytest.raises(FormulationError, match=r"^all components are zero$"):
+    with pytest.raises(ValueError, match=r"^all components are zero$"):
         normalize([0, 0, 0, 0])
-    with pytest.raises(FormulationError,
+    with pytest.raises(ValueError,
                        match=r"^negative component in \[1\.0, -0\.1, 0\.0, 0\.0\]$"):
         normalize([1, -0.1, 0, 0])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_components_rejected(bad):
-    with pytest.raises(FormulationError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite"):
         normalize([bad, 1, 1, 1])
-    with pytest.raises(FormulationError, match=r"\[0, 1\]"):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
         Formulation((bad, 0.0, 0.0, 1.0))
 
 

@@ -9,7 +9,6 @@ from dropevo.formulation import Formulation, normalize
 from dropevo.gcode import (
     GcodeError,
     PumpInstruction,
-    PumpRangeError,
     StageLayout,
     StateFault,
     VirtualRobot,
@@ -38,21 +37,21 @@ def test_pump_instruction_serialize():
 
 def test_pump_round_trip():
     for text in ["P0 M0 D0 S1 E0", "P6 M1 D1 S999 E50000", "P2 M0 D1 S2 E123"]:
-        assert parse_pump_line(text).serialize() == text
+        assert parse_pump_line(text, 1).serialize() == text
 
 
 def test_pump_range_validation():
-    with pytest.raises(PumpRangeError):
+    with pytest.raises(GcodeError):
         PumpInstruction(7, 0, 0, 1, 10)
-    with pytest.raises(PumpRangeError):
+    with pytest.raises(GcodeError):
         PumpInstruction(0, 2, 0, 1, 10)
-    with pytest.raises(PumpRangeError):
+    with pytest.raises(GcodeError):
         PumpInstruction(0, 0, 2, 1, 10)
-    with pytest.raises(PumpRangeError):
+    with pytest.raises(GcodeError):
         PumpInstruction(0, 0, 0, 0, 10)   # speed must be positive
-    with pytest.raises(PumpRangeError):
+    with pytest.raises(GcodeError):
         PumpInstruction(0, 0, 0, 1, 50001)
-    with pytest.raises(PumpRangeError):
+    with pytest.raises(GcodeError):
         PumpInstruction(0, 0, 0, 1, -1)
 
 
@@ -61,10 +60,10 @@ def test_pump_syntax_errors_positioned():
                                          r"got 'P0 M0 D0 S1'$") as err:
         parse_pump_line("P0 M0 D0 S1", line_no=7)
     assert type(err.value) is GcodeError
-    with pytest.raises(PumpRangeError, match=r"^line 9: B=99999: steps limited to 50000$"):
+    with pytest.raises(GcodeError, match=r"^line 9: B=99999: steps limited to 50000$"):
         parse_pump_line("P0 M0 D0 S1 E99999", line_no=9)
     # The positioned error keeps the field's own reason.
-    with pytest.raises(PumpRangeError) as err:
+    with pytest.raises(GcodeError) as err:
         parse_pump_line("P9 M0 D0 S1 E1", line_no=3)
     assert str(err.value) == "line 3: X=9: valid pumps are 0..6"
 
@@ -73,26 +72,26 @@ def test_pump_syntax_errors_positioned():
        st.integers(1, 10000), st.integers(0, 50000))
 def test_pump_round_trip_exhaustive(p, m, d, s, e):
     instr = PumpInstruction(p, m, d, s, e)
-    assert parse_pump_line(instr.serialize()) == instr
+    assert parse_pump_line(instr.serialize(), 1) == instr
 
 
 # --------------------------------------------------------------- parsing
 
 
 def test_parse_line_comments_and_blanks():
-    assert parse_line("") is None
-    assert parse_line("   # just a comment") is None
+    assert parse_line("", 1) is None
+    assert parse_line("   # just a comment", 1) is None
     parsed = parse_line("G1 X10.0 Y20.0  # go to well", 3)
     assert parsed.kind == "move" and parsed.args == (10.0, 20.0)
 
 
 def test_parse_line_servo_codes():
-    assert parse_line("M10 S0").kind == "lower"
-    assert parse_line("M11 S0").kind == "raise"
-    assert parse_line("M12 S0 V80.0").args == (0, 80.0)
-    assert parse_line("M13 S0 V5.0").kind == "dispense"
-    assert parse_line("M15").kind == "stir_on"
-    assert parse_line("M16").kind == "stir_off"
+    assert parse_line("M10 S0", 1).kind == "lower"
+    assert parse_line("M11 S0", 1).kind == "raise"
+    assert parse_line("M12 S0 V80.0", 1).args == (0, 80.0)
+    assert parse_line("M13 S0 V5.0", 1).kind == "dispense"
+    assert parse_line("M15", 1).kind == "stir_on"
+    assert parse_line("M16", 1).kind == "stir_off"
 
 
 def test_parse_line_rejects_malformed():
@@ -104,8 +103,8 @@ def test_parse_line_rejects_malformed():
             ("bogus", "unrecognized instruction 'bogus'"),
             ("P1 M0", "expected 'PX MY DZ SA EB', got 'P1 M0'")]:
         with pytest.raises(GcodeError) as err:
-            parse_line(bad)
-        assert (type(err.value), str(err.value)) == (GcodeError, message)
+            parse_line(bad, 1)
+        assert (type(err.value), str(err.value)) == (GcodeError, f"line 1: {message}")
 
 
 def test_check_program_collects_errors():
@@ -142,7 +141,7 @@ def test_compile_bounds_check():
 def test_firmware_faults_on_a_move_off_the_stage():
     # The firmware holds a program to the stage that the move emitter holds
     # its lines to; the stage's edges are on it.
-    robot = VirtualRobot()
+    robot = VirtualRobot(default_layout())
     robot.execute("G1 X500.0 Y0.0\n")
     for move in ("G1 X500.1 Y0.0", "G1 X9999.0 Y-50.0", "G1 X10.0 Y400.1"):
         with pytest.raises(StateFault, match=r"instruction 0: carriage target .* mm "
@@ -158,7 +157,7 @@ def test_compile_pump_transfer_calibration():
     assert stroke(layout, 4, 1.0, 0) == ["P4 M0 D0 S2 E10000"]
     # Pump 0 (1 mL barrel): 1 step = 0.02 uL, so 0.5 mL = 25000 steps.
     assert stroke(layout, 0, 0.5, 1) == ["P0 M0 D1 S2 E25000"]
-    with pytest.raises(PumpRangeError):
+    with pytest.raises(GcodeError):
         stroke(layout, 4, 5.1, 0)  # > one barrel stroke
 
 
@@ -170,13 +169,14 @@ def test_compile_zero_volume_elided():
 
 def test_compiled_programs_parse_cleanly():
     f = Formulation((0.4, 0.3, 0.2, 0.1))
-    for text in (compile_experiment(f), compile_cleaning_cycle()):
+    layout = default_layout()
+    for text in (compile_experiment(f, layout), compile_cleaning_cycle(layout)):
         assert check_program(text) == []
         assert len(parse_program(text)) == text.count("\n")
 
 
 def test_compile_experiment_structure():
-    text = compile_experiment(Formulation((0.25, 0.25, 0.25, 0.25)))
+    text = compile_experiment(Formulation((0.25, 0.25, 0.25, 0.25)), default_layout())
     lines = text.splitlines()
     assert sum(1 for l in lines if l.startswith("M12")) == 1   # one 80 uL draw
     assert sum(1 for l in lines if l.startswith("M13")) == 5   # 4 drops + waste
@@ -185,7 +185,7 @@ def test_compile_experiment_structure():
 
 
 def test_compile_experiment_skips_zero_components():
-    text = compile_experiment(Formulation((1.0, 0.0, 0.0, 0.0)))
+    text = compile_experiment(Formulation((1.0, 0.0, 0.0, 0.0)), default_layout())
     pumps = {l.split()[0] for l in text.splitlines() if l.startswith("P")}
     assert pumps == {"P0"}
 
@@ -233,7 +233,7 @@ def off_stage(x, y):
 
 
 def over_stroke(steps, ml):
-    return PumpRangeError, f"E={steps}: {ml} mL exceeds one barrel stroke"
+    return GcodeError, f"E={steps}: {ml} mL exceeds one barrel stroke"
 
 
 @pytest.mark.parametrize("layout, experiment, cleaning", [
@@ -290,7 +290,7 @@ def test_execute_experiment_conserves_liquid():
     layout = default_layout()
     robot = VirtualRobot(layout)
     before = robot.state.total_liquid_ul()
-    robot.execute(compile_experiment(Formulation((0.4, 0.3, 0.2, 0.1))))
+    robot.execute(compile_experiment(Formulation((0.4, 0.3, 0.2, 0.1)), layout))
     assert robot.state.total_liquid_ul() == pytest.approx(before, abs=1e-6)
     # 4 droplets of 5 uL of oil mix landed in the dish.
     dish = robot.state.vessels["dish"]
@@ -304,8 +304,8 @@ def test_experiment_then_cleaning_resets_dish():
     layout = default_layout()
     robot = VirtualRobot(layout)
     before = robot.state.total_liquid_ul()
-    robot.execute(compile_experiment(Formulation((0.4, 0.3, 0.2, 0.1))))
-    robot.execute(compile_cleaning_cycle())
+    robot.execute(compile_experiment(Formulation((0.4, 0.3, 0.2, 0.1)), layout))
+    robot.execute(compile_cleaning_cycle(layout))
     dish = robot.state.vessels["dish"]
     # Only the retained aqueous dead volume survives the drain.
     assert set(dish) == {"aqueous"}
@@ -319,8 +319,8 @@ def test_full_campaign_cycles_are_stable():
     robot = VirtualRobot(layout)
     before = robot.state.total_liquid_ul()
     for k in range(5):
-        robot.execute(compile_experiment(Formulation((0.25, 0.25, 0.25, 0.25))))
-        robot.execute(compile_cleaning_cycle())
+        robot.execute(compile_experiment(Formulation((0.25, 0.25, 0.25, 0.25)), layout))
+        robot.execute(compile_cleaning_cycle(layout))
     dish = robot.state.vessels["dish"]
     assert set(dish) == {"aqueous"}
     assert robot.state.total_liquid_ul() == pytest.approx(before, abs=1e-5)
@@ -360,7 +360,7 @@ def test_state_faults():
 @pytest.mark.parametrize("line", ["M10 S3", "M11 S1", "M12 S3 V10.0", "M13 S2 V5.0"])
 def test_firmware_faults_on_a_syringe_the_carriage_does_not_hold(line):
     # The carriage holds one syringe, S0; the firmware makes up no other.
-    robot = VirtualRobot()
+    robot = VirtualRobot(default_layout())
     before = robot.state.to_json()
     with pytest.raises(StateFault) as err:
         robot.execute(line + "\n")
@@ -413,9 +413,11 @@ FIRMWARE_EVENTS_SHA256 = "07a160b7268d69deeb3993a463e4a7e0964b42f226a868f20d7910
 
 
 def test_firmware_output_bytes_pinned():
-    programs = [compile_experiment(normalize([4, 3, 2, 1])) + compile_cleaning_cycle(),
-                compile_experiment(normalize([0, 1, 0, 0]))]
-    robot = VirtualRobot()
+    layout = default_layout()
+    programs = [compile_experiment(normalize([4, 3, 2, 1]), layout)
+                + compile_cleaning_cycle(layout),
+                compile_experiment(normalize([0, 1, 0, 0]), layout)]
+    robot = VirtualRobot(layout)
     for program in programs * 2:
         robot.execute(program)
     state, events = robot.state.to_json().encode(), robot.events_csv().encode()

@@ -1,6 +1,7 @@
 """Every public module-level name of the package is used by the program,
-every config field is set by it, and every defaulted parameter is supplied
-by it.
+every config field is set by it, every defaulted parameter is both supplied
+and left out by it, and every exception class is caught by it or builds its
+own message.
 
 A function, class or constant that only tests reach is surface to keep in
 step for nothing. A name counts as used when some module in src/, demos/ or
@@ -8,10 +9,14 @@ perfbench/ refers to it in code (a name, an attribute or an import, not a
 string or a comment). The package's __init__ does not count: a re-export
 there is not a use. Likewise a field of a config class that only tests set
 is a knob that no workload turns, and so is a defaulted parameter of a
-function or method that no call in the program supplies.
+function or method that no call in the program supplies. A default that
+every call in the program overrides is a call form that only tests use. An
+exception class that adds no __init__ and that the program never names in an
+except clause or an isinstance call only renames its base class.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,7 +25,6 @@ ROOT = Path(__file__).resolve().parent.parent
 ALLOWED = {
     "droplet_stream": "the reference that tests compare arena._walk's streams against",
     "face_grid": "the one-face call, which perfbench/tracer.py patches by name and tests use",
-    "face_grid(resolution)": "face_grid's, kept for the same reason as face_grid",
     "predict_many": "the reference that tests compare landscape.face_grid against",
     "run_replicate": "perfbench/tracer.py patches it by name",
 }
@@ -125,37 +129,100 @@ def _name(node):
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
 
-def _supplied(trees: list) -> dict:
-    """Call name -> (most positional arguments, keyword names) over every
-    call in `trees`. A call through a module-level dict of functions, as
+def _calls(trees: list) -> dict:
+    """Call name -> [(explicit positional arguments, whether one is starred,
+    keyword names)] over every call in `trees`; a `**` argument is the
+    keyword name None. A call through a module-level dict of functions, as
     FITNESS_FUNCTIONS[objective](...), calls each of them."""
     tables = {target.id: [_name(v) for v in node.value.values]
               for tree in trees for node in tree.body
               if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
               for target in node.targets if isinstance(target, ast.Name)}
-    supplied = {}
+    calls = {}
     for tree in trees:
         for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
             func = call.func
             callees = (tables.get(_name(func.value), []) if isinstance(func, ast.Subscript)
                        else [_name(func)])
             starred = any(isinstance(arg, ast.Starred) for arg in call.args)
-            count = float("inf") if starred else len(call.args)
+            explicit = sum(not isinstance(arg, ast.Starred) for arg in call.args)
             for callee in callees:
-                most, keywords = supplied.get(callee, (0, set()))
-                supplied[callee] = max(most, count), keywords | {k.arg for k in call.keywords}
-    return supplied
+                calls.setdefault(callee, []).append(
+                    (explicit, starred, {k.arg for k in call.keywords}))
+    return calls
+
+
+def _parameter_calls():
+    """(name(param), whether some program call supplies it, whether some
+    program call may omit it) for each defaulted parameter of the package.
+    A starred call may supply every positional parameter and may omit the
+    ones after its explicit arguments; a `**` call supplies every parameter
+    and omits none."""
+    calls = _calls([_parse(p) for p in _program_paths()])
+    for path in sorted((ROOT / "src" / "dropevo").glob("*.py")):
+        for name, param, position in _defaulted(_parse(path)):
+            supplied = omitted = False
+            for explicit, starred, keywords in calls.get(name, []):
+                if {param, None} & keywords:
+                    supplied = True
+                elif position is not None and (starred or explicit > position):
+                    supplied = True
+                if not {param, None} & keywords and (position is None or explicit <= position):
+                    omitted = True
+            yield f"{name}({param})", supplied, omitted
 
 
 def test_every_defaulted_parameter_is_supplied_by_the_program():
-    supplied = _supplied([_parse(p) for p in _program_paths()])
-    unsupplied = []
-    for path in sorted((ROOT / "src" / "dropevo").glob("*.py")):
-        for name, param, position in _defaulted(_parse(path)):
-            count, keywords = supplied.get(name, (0, set()))
-            if not ({param, None} & keywords or position is not None and count > position):
-                unsupplied.append(f"{name}({param})")
+    unsupplied = [key for key, supplied, _ in _parameter_calls() if not supplied]
     assert sorted(set(unsupplied) - ALLOWED.keys()) == [], \
         f"defaulted parameters that only tests supply: {unsupplied}"
     # An allowed parameter that the program has come to supply needs no entry.
     assert sorted(k for k in ALLOWED if "(" in k and k not in unsupplied) == []
+
+
+def test_every_defaulted_parameter_is_omitted_by_the_program():
+    # A default that every program call overrides is a second call form
+    # that only tests use.
+    always = sorted(key for key, _, omitted in _parameter_calls() if not omitted)
+    assert always == [], f"defaulted parameters that every program call supplies: {always}"
+
+
+def _exception_classes():
+    """(name, whether it defines __init__) of each exception class of the
+    package: a class whose base is a builtin exception or one of these."""
+    classes = [node for path in sorted((ROOT / "src" / "dropevo").glob("*.py"))
+               for node in _parse(path).body if isinstance(node, ast.ClassDef)]
+    builtin = {name for name, value in vars(builtins).items()
+               if isinstance(value, type) and issubclass(value, BaseException)}
+    found = {}
+    while True:
+        new = {node.name: any(isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+                              for fn in node.body)
+               for node in classes if node.name not in found
+               and {_name(base) for base in node.bases} & (builtin | found.keys())}
+        if not new:
+            return found
+        found.update(new)
+
+
+def _caught(tree: ast.Module):
+    """The names of the classes that the module's except clauses and
+    isinstance calls test for."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            tested = node.type
+        elif (isinstance(node, ast.Call) and _name(node.func) == "isinstance"
+              and len(node.args) == 2):
+            tested = node.args[1]
+        else:
+            continue
+        yield from map(_name, tested.elts if isinstance(tested, ast.Tuple) else [tested])
+
+
+def test_every_exception_class_is_caught_or_builds_its_message():
+    classes = _exception_classes()
+    assert classes, "no exception classes found"
+    caught = {name for p in _program_paths() for name in _caught(_parse(p))}
+    renames = sorted(name for name, has_init in classes.items()
+                     if not has_init and name not in caught)
+    assert renames == [], f"exception classes that only rename their base: {renames}"

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dropevo import tracking
-from dropevo.arena import ArenaConfig, DetectionRecord, filter_analytic_arena, simulate
+from dropevo.arena import (ArenaConfig, DetectionRecord, behavior_from_formulation,
+                           filter_analytic_arena, simulate)
 from dropevo.formulation import Formulation
 from dropevo.tracking import (
     TrajectorySet,
@@ -181,8 +182,8 @@ def test_track_split_creates_new_id():
 def test_track_matches_oracle_on_simulations():
     cfg = ArenaConfig(duration=4.0)
     for seed in range(10):
-        frames = simulate(Formulation((0.25, 0.25, 0.25, 0.25)), cfg,
-                          np.random.SeedSequence(seed))
+        frames = simulate(behavior_from_formulation(Formulation((0.25, 0.25, 0.25, 0.25))),
+                          cfg, [np.random.SeedSequence(seed)])
         assert as_tracks(track(frames)) == oracle_track(frames_of(frames))
 
 
@@ -210,17 +211,17 @@ def test_track_matches_oracle_randomized(lists):
 
 
 def test_division_strict_threshold():
-    assert fitness_division(record_of([(0, 0, 400)], [(0, 0, 15.0)])) == [0.0]
-    assert fitness_division(record_of([(0, 0, 400)], [(0, 0, 15.0001)])) == [1.0]
+    assert fitness_division(record_of([(0, 0, 400)], [(0, 0, 15.0)]), 1) == [0.0]
+    assert fitness_division(record_of([(0, 0, 400)], [(0, 0, 15.0001)]), 1) == [1.0]
 
 
 def test_division_counts_only_final_frame():
     # Second droplet vanishes before the last frame.
-    assert fitness_division(record_of([(0, 0, 100), (50, 50, 100)], [(0, 0, 100)])) == [1.0]
+    assert fitness_division(record_of([(0, 0, 100), (50, 50, 100)], [(0, 0, 100)]), 1) == [1.0]
 
 
 def test_division_empty():
-    assert fitness_division(record_of()) == [0.0]
+    assert fitness_division(record_of(), 1) == [0.0]
 
 
 division_frame = st.lists(
@@ -250,7 +251,7 @@ def test_division_of_a_pass_counts_what_tracking_counted(replicates):
 
 def test_movement_straight_line():
     ts = track(record_of([(0, 0, 9)], [(3, 4, 9)], [(6, 8, 9)]))
-    assert fitness_movement(ts) == pytest.approx([5.0])
+    assert fitness_movement(ts, 1) == pytest.approx([5.0])
 
 
 def test_movement_unequal_pair_sizes():
@@ -259,11 +260,11 @@ def test_movement_unequal_pair_sizes():
     ts = track(record_of([(0, 0, 9), (50, 0, 9)],
                          [(1, 0, 9), (53, 0, 9)],
                          [(11, 0, 9)]))
-    assert fitness_movement(ts) == pytest.approx([6.0])
+    assert fitness_movement(ts, 1) == pytest.approx([6.0])
 
 
 def test_movement_needs_two_frames():
-    assert fitness_movement(track(record_of([(0, 0, 9)]))) == [0.0]
+    assert fitness_movement(track(record_of([(0, 0, 9)])), 1) == [0.0]
 
 
 def test_directionality_turn_angle_cases():
@@ -271,7 +272,7 @@ def test_directionality_turn_angle_cases():
         points = [(0.0, 0.0), v, (v[0] + w[0], v[1] + w[1])]
         ts = trajectory_set([[(t, float(x), float(y), 9.0)
                               for t, (x, y) in enumerate(points)]], 3)
-        [score] = fitness_directionality(ts)
+        [score] = fitness_directionality(ts, 1)
         return score
 
     assert angle((1, 0), (0, 1)) == pytest.approx(math.pi / 2)
@@ -289,31 +290,31 @@ def test_directionality_turn_angle_cases():
 
 def test_directionality_right_angles():
     ts = track(record_of([(0, 0, 9)], [(1, 0, 9)], [(1, 1, 9)], [(0, 1, 9)]))
-    assert fitness_directionality(ts) == pytest.approx([math.pi / 2])
+    assert fitness_directionality(ts, 1) == pytest.approx([math.pi / 2])
 
 
 def test_directionality_needs_triples():
-    assert fitness_directionality(track(record_of([(0, 0, 9)], [(1, 0, 9)]))) == [0.0]
+    assert fitness_directionality(track(record_of([(0, 0, 9)], [(1, 0, 9)])), 1) == [0.0]
 
 
 def test_directionality_skips_zero_vectors():
     # Stationary middle step contributes no angle; remaining triple is 90 deg.
     ts = track(record_of([(0, 0, 9)], [(1, 0, 9)], [(1, 0, 9)],
                          [(2, 0, 9)], [(2, 1, 9)]))
-    assert fitness_directionality(ts) == pytest.approx([math.pi / 2])
+    assert fitness_directionality(ts, 1) == pytest.approx([math.pi / 2])
 
 
 def test_fitness_matches_oracles_on_simulations():
     cfg = ArenaConfig(duration=4.0)
     for seed in range(10):
-        frames = simulate(Formulation((0.1, 0.3, 0.4, 0.2)), cfg,
-                          np.random.SeedSequence(seed))
+        frames = simulate(behavior_from_formulation(Formulation((0.1, 0.3, 0.4, 0.2))),
+                          cfg, [np.random.SeedSequence(seed)])
         ts = track(frames)
         tracks = oracle_track(frames_of(frames))
-        assert fitness_division(frames) == [oracle_division(tracks, len(frames))]
-        assert fitness_movement(ts) == pytest.approx(
+        assert fitness_division(frames, 1) == [oracle_division(tracks, len(frames))]
+        assert fitness_movement(ts, 1) == pytest.approx(
             [oracle_movement(tracks)], abs=1e-9)
-        assert fitness_directionality(ts) == pytest.approx(
+        assert fitness_directionality(ts, 1) == pytest.approx(
             [oracle_directionality(tracks)], abs=1e-9)
 
 
@@ -360,7 +361,7 @@ def scores(rec: DetectionRecord, ts: TrajectorySet):
     """The three scores of one replicate: division from its record, movement
     and directionality from its TrajectorySet."""
     [division], [movement], [directionality] = (
-        fitness_division(rec), fitness_movement(ts), fitness_directionality(ts))
+        fitness_division(rec, 1), fitness_movement(ts, 1), fitness_directionality(ts, 1))
     return division, movement, directionality
 
 
@@ -370,7 +371,8 @@ def test_scores_match_reference_on_pipeline():
     rng = np.random.default_rng(17)
     for seed in range(12):
         p = tuple(rng.dirichlet(np.ones(4)))
-        frames = simulate(Formulation(p), cfg, np.random.SeedSequence(seed))
+        frames = simulate(behavior_from_formulation(Formulation(p)), cfg,
+                          [np.random.SeedSequence(seed)])
         rec = filter_analytic_arena(frames, cfg.arena_radius)
         ts = track(rec)
         assert scores(rec, ts) == reference_scores(ts)
