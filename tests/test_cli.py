@@ -1003,6 +1003,7 @@ def test_landscape_overflow_is_a_numeric_failure(tmp_path, case, cpus):
     ("ga", "selective_pressure", 1.0),        # no longer a field
     ("arena", "frame_rate", 30.0),            # no longer a field
     ("arena", "initial_droplet_area", 400.0),   # no longer a field
+    ("ga", "rng_seed", -1),                # even a seed --seed would refuse
 ])
 def test_evolve_rejects_unsupported_config(tmp_path, capsys, section, key, value):
     cfg = json.loads(json.dumps(FAST_CONFIG))
