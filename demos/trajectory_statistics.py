@@ -52,6 +52,5 @@ for band in report["percentile_bands"]:
 print("\nstandalone worked examples:")
 tau, z, p = stats.kendall_tau([1, 2, 3, 4], [1, 2, 4, 3])
 print(f"  kendall_tau([1,2,3,4], [1,2,4,3]) -> tau={tau:.4f} (= 2/3)")
-F, p = stats.anova_oneway([stats.GenerationSample(1, [1, 2, 3]),
-                           stats.GenerationSample(2, [4, 5, 6])])
+F, p = stats.anova_oneway([[1, 2, 3], [4, 5, 6]])
 print(f"  anova_oneway({{1,2,3}} vs {{4,5,6}}) -> F={F} (= 13.5), p={p:.4f}")

@@ -121,7 +121,7 @@ def behavior_from_formulation(f: Formulation) -> BehaviorParams:
     # ((p0*v0 + p1*v1) + p2*v2) + p3*v3: np.dot's result depends on the BLAS
     # kernel that OpenBLAS picks by CPU.
     p = [float(v) for v in f.proportions]
-    solubility = _total([pk * o.effective_solubility for pk, o in zip(p, oils)])
+    solubility = _total([pk * o.solubility for pk, o in zip(p, oils)])
     inv_viscosity = _total([pk * (1.0 / o.viscosity) for pk, o in zip(p, oils)])
     tension = _total([pk * o.surface_tension for pk, o in zip(p, oils)])
     deficit = max(0.0, SURFACE_TENSION_REF - tension)

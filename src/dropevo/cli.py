@@ -306,9 +306,7 @@ def cmd_landscape(args) -> int:
     islands = landscape.catchment_map(lattices)
     csv = landscape.landscape_csv(lattices, islands, [t for _, ts in pairs for t in ts])
     del pairs  # frees the value text before the CSV is written
-    # Grey levels that overflow fail before any file is written.
-    with np.errstate(over="raise", invalid="raise"):
-        pgms = [landscape.lattice_to_pgm(lat) for lat in lattices]
+    pgms = [landscape.lattice_to_pgm(lat) for lat in lattices]
     out_dir = Path(args.out_dir)
     outputs = [_write(out_dir, "landscape.csv", csv).name]
     outputs.append(_write(out_dir, "islands.json",

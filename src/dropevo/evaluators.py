@@ -18,8 +18,9 @@ score is the same as that of the replicate scored alone, a pass of one
 (`run_replicate`, which no command calls: the tests compare against it, and
 perfbench's tracer wraps it).
 
-`ExperimentSetup` is built once per campaign and checks itself; each GA run
-scores with `dataclasses.replace(setup, run=run)`. The round scorer from
+`ExperimentSetup` is built once per campaign and checks the `behavior_map` of
+a config file (`evolve --objective`'s choices check the objective); each GA
+run scores with `dataclasses.replace(setup, run=run)`. The round scorer from
 `make_batch_evaluator` scores one round of a campaign, every run's new
 recipes under its own run's setup, with one `ga.score_batch` call: it maps
 the recipes over the process pool it is given, or serially given None.
@@ -27,7 +28,7 @@ the recipes over the process pool it is given, or serially given None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 from . import arena, ga, tracking
@@ -57,15 +58,13 @@ _CHUNKS_PER_WORKER = 4
 class ExperimentSetup:
     """Everything needed to score one recipe replicate."""
 
-    objective: str                      # 'division' | 'movement' | 'directionality'
-    arena_config: arena.ArenaConfig = field(default_factory=arena.ArenaConfig)
-    master_seed: int = 0
+    objective: str                      # a tracking.FITNESS_FUNCTIONS key
+    arena_config: arena.ArenaConfig
+    master_seed: int
     run: int = 0
     behavior_map: str = "oils"          # 'oils' or 'unimodal'
 
     def __post_init__(self):
-        if self.objective not in tracking.FITNESS_FUNCTIONS:
-            raise ValueError(f"unknown objective {self.objective!r}")
         if self.behavior_map not in arena.BEHAVIOR_MAPS:
             raise ValueError(f"behavior_map must be {' or '.join(map(repr, arena.BEHAVIOR_MAPS))}"
                              f", got {self.behavior_map!r}")

@@ -3,7 +3,8 @@
 A genome holds GENOME_LENGTH = 4 raw quantitative trait loci in [0, 1]. It
 only becomes a recipe (a Formulation, a point on the 4-component unit simplex)
 when it is normalized at phenotype time; genetic operators act on the raw
-loci. oils.json is parsed once per process.
+loci. oils.json, the property table of the four stock oils, is parsed once
+per process.
 
 The module is pure Python, so the G-code commands that use it load no numpy.
 A four-component total is ((a + b) + c) + d, the bits of numpy's sum of a
@@ -23,8 +24,8 @@ from importlib import resources
 GENOME_LENGTH = 4
 WELL_TOTAL_UL = 360.0
 
-# Fixed component order in every serialized formulation. The paper's
-# alternative fourth oil, dodecane, is in the table too.
+# Fixed component order in every serialized formulation: the four oils of
+# oils.json.
 DEFAULT_OIL_ORDER = ("1-octanol", "1-pentanol", "DEP", "octanoic acid")
 
 
@@ -58,46 +59,26 @@ def check_vector(name: str, values, length: int) -> tuple:
 
 @dataclass(frozen=True)
 class OilProperties:
-    """One row of the oil property table.
-
-    solubility is g/L in water; None marks an insoluble oil (treated as
-    0 g/L in simulator arithmetic).
-    """
+    """One row of the oil property table, whose shipped values are positive.
+    Solubility is g/L in water."""
 
     name: str
     density: float
-    solubility: float | None
+    solubility: float
     surface_tension: float
     viscosity: float
 
-    def __post_init__(self):
-        for field in ("density", "surface_tension", "viscosity"):
-            if getattr(self, field) <= 0:
-                raise ValueError(f"{self.name}: {field} must be positive")
-        if self.solubility is not None and self.solubility <= 0:
-            raise ValueError(f"{self.name}: solubility must be positive or None")
-
-    @property
-    def effective_solubility(self) -> float:
-        return 0.0 if self.solubility is None else self.solubility
-
 
 @cache
-def _oils() -> tuple[OilProperties, ...]:
+def _oils() -> dict[str, OilProperties]:
+    """The rows of oils.json, keyed by oil name."""
     raw = json.loads(resources.files("dropevo.data").joinpath("oils.json").read_text())
-    return tuple(OilProperties(**row) for row in raw["oils"])
-
-
-def oil_lookup(name: str) -> OilProperties:
-    for oil in _oils():
-        if oil.name == name:
-            return oil
-    raise KeyError(name)
+    return {row["name"]: OilProperties(**row) for row in raw["oils"]}
 
 
 def oils_for_order() -> list[OilProperties]:
     """The four OilProperties rows in serialization order."""
-    return [oil_lookup(name) for name in DEFAULT_OIL_ORDER]
+    return [_oils()[name] for name in DEFAULT_OIL_ORDER]
 
 
 def _total(p: list) -> float:

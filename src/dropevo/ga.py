@@ -55,11 +55,11 @@ class EvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class GAConfig:
+    rng_seed: int
     generations: int = 21
     population_size: int = 25
     carry_overs: int = 15
     runs: int = 3
-    rng_seed: int = 0
 
     def __post_init__(self):
         for name in ("generations", "population_size", "carry_overs", "runs"):
@@ -84,14 +84,6 @@ class Individual:
     parent_ids: tuple[int, ...] = ()
     fitness: float | None = None
     replicates: tuple[float, ...] = ()
-
-    def set_fitness(self, replicates, fitness):
-        if self.fitness is not None:
-            raise ValueError(f"fitness of individual {self.id} is already set")
-        if fitness < 0:
-            raise ValueError("fitness must be >= 0")
-        self.replicates = tuple(float(r) for r in replicates)
-        self.fitness = float(fitness)
 
 
 @dataclass
@@ -192,7 +184,8 @@ def score_batch(batch: list[Individual], evaluator, map=map) -> None:
             raise
         except Exception as exc:  # noqa: BLE001 - context is attached and re-raised
             raise EvaluationError(recipe, exc) from exc
-        ind.set_fitness(reps, aggregate_fitness(reps))
+        ind.replicates = tuple(float(r) for r in reps)
+        ind.fitness = aggregate_fitness(reps)
 
 
 def evolve(cfg: GAConfig, run: int):

@@ -499,14 +499,13 @@ def island_summary_json(island_map: IslandMap) -> str:
 
 
 def lattice_to_pgm(lat: FaceLattice) -> bytes:
-    """Portable graymap of a face grid (invalid cells black)."""
-    vals = np.where(lat.valid, lat.values, np.nan)
-    finite = vals[np.isfinite(vals)]
-    lo = finite.min() if finite.size else 0.0
-    hi = finite.max() if finite.size else 1.0
-    span = (hi - lo) or 1.0
-    img = np.zeros_like(vals, dtype=np.uint8)
-    mask = np.isfinite(vals)
-    img[mask] = np.round(1 + 254 * (vals[mask] - lo) / span).astype(np.uint8)
+    """Portable graymap of a face grid (invalid cells black). face_grids
+    leaves every valid value finite; scaling them by 2**-9, exact for normal
+    floats, keeps 254 * (v - lo) finite."""
+    vals = lat.values[lat.valid] * 2.0 ** -9
+    lo = vals.min()
+    span = (vals.max() - lo) or 1.0
+    img = np.zeros(lat.values.shape, dtype=np.uint8)
+    img[lat.valid] = np.round(1 + 254 * (vals - lo) / span).astype(np.uint8)
     header = f"P5\n{lat.resolution} {lat.resolution}\n255\n".encode()
     return header + img.tobytes()

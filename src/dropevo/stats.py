@@ -14,7 +14,6 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import fdtrc, ndtr
@@ -27,27 +26,20 @@ class StatsError(ValueError):
     pass
 
 
-@dataclass
-class GenerationSample:
-    generation: int
-    fitnesses: list[float]
-
-
-def top_half(sample: GenerationSample) -> GenerationSample:
-    """Values strictly greater than the sample median. With heavy ties this
-    can retain fewer than half the values, or none (degenerate)."""
-    if len(sample.fitnesses) < 2:
+def top_half(values: list[float]) -> list[float]:
+    """Values strictly greater than the median. With heavy ties this can
+    retain fewer than half the values, or none (degenerate)."""
+    if len(values) < 2:
         raise StatsError("need at least 2 values")
-    med = float(np.median(sample.fitnesses))
-    return GenerationSample(sample.generation,
-                            [v for v in sample.fitnesses if v > med])
+    med = float(np.median(values))
+    return [v for v in values if v > med]
 
 
-def anova_oneway(groups: list[GenerationSample]) -> tuple[float, float]:
+def anova_oneway(groups: list[list[float]]) -> tuple[float, float]:
     """One-way fixed-effects ANOVA: (F, p)."""
     if len(groups) < 2:
         raise StatsError("need at least 2 groups")
-    data = [np.asarray(g.fitnesses, dtype=float) for g in groups]
+    data = [np.asarray(g, dtype=float) for g in groups]
     if any(len(d) < 2 for d in data):
         raise StatsError("each group needs at least 2 values")
     n_total = sum(len(d) for d in data)
@@ -75,8 +67,6 @@ def kendall_tau(x, y) -> tuple[float, float, float]:
     n = len(x)
     if n != len(y) or n < 2:
         raise StatsError("x and y must have equal length >= 2")
-    if any(math.isnan(v) for v in x + y):
-        raise StatsError("x and y must not hold NaN")
     if len(set(x)) == 1 or len(set(y)) == 1:
         raise StatsError("a variable is constant; tau undefined")
     # C - D, exactly: row i adds the sum over j > i of
@@ -109,8 +99,6 @@ def kendall_tau(x, y) -> tuple[float, float, float]:
 def holm_bonferroni(pvals) -> list[bool]:
     """Step-down Holm correction at level ALPHA; True marks a rejected null."""
     p = list(map(float, pvals))
-    if any(not 0.0 <= v <= 1.0 for v in p):
-        raise StatsError("p-values must lie in [0, 1]")
     m = len(p)
     order = sorted(range(m), key=lambda i: p[i])
     reject = [False] * m
@@ -125,13 +113,14 @@ def holm_bonferroni(pvals) -> list[bool]:
 # ---------------------------------------------------------------------------
 # Trajectory report
 
-def _amalgamated_generations(histories) -> list[GenerationSample]:
-    """Pool the per-generation fitness values of all supplied runs."""
+def _amalgamated_generations(histories) -> dict[int, list[float]]:
+    """Generation number -> the pooled fitness values of all supplied runs,
+    in generation order (every run numbers its generations from 1)."""
     pooled: dict[int, list[float]] = {}
     for hist in histories:
         for g, gen in enumerate(hist.generations, start=1):
             pooled.setdefault(g, []).extend(ind.fitness for ind in gen)
-    return [GenerationSample(g, pooled[g]) for g in sorted(pooled)]
+    return pooled
 
 
 def _entry(keys, test, *args) -> dict:
@@ -143,7 +132,7 @@ def _entry(keys, test, *args) -> dict:
         return {**dict.fromkeys(keys), "degenerate": True}
 
 
-def _tophalf_anova(a: GenerationSample, b: GenerationSample):
+def _tophalf_anova(a: list[float], b: list[float]):
     return anova_oneway([top_half(a), top_half(b)])
 
 
@@ -153,17 +142,18 @@ def trajectory_report(histories) -> dict:
     histories: one or more GAHistory objects (repeats are amalgamated).
     """
     gens = _amalgamated_generations(histories)
-    first, last = gens[0], gens[-1]
-    mid = gens[len(gens) // 2] if len(gens) > 2 else gens[0]
+    numbers = list(gens)
+    first, last = numbers[0], numbers[-1]
+    mid = numbers[len(numbers) // 2] if len(numbers) > 2 else first
     # Kendall: fitness against generation, every individual a data point.
-    xs = [g.generation for g in gens for _ in g.fitnesses]
-    ys = [v for g in gens for v in g.fitnesses]
+    xs = [g for g, values in gens.items() for _ in values]
+    ys = [v for values in gens.values() for v in values]
     report = {
-        "first_vs_last_tophalf": _entry(("F", "p"), _tophalf_anova, first, last),
-        "mid_vs_last_tophalf": _entry(("F", "p"), _tophalf_anova, mid, last),
-        "mid_generation": mid.generation,
+        "first_vs_last_tophalf": _entry(("F", "p"), _tophalf_anova, gens[first], gens[last]),
+        "mid_vs_last_tophalf": _entry(("F", "p"), _tophalf_anova, gens[mid], gens[last]),
+        "mid_generation": mid,
         # All generations as a categorical factor.
-        "all_generations": _entry(("F", "p"), anova_oneway, gens),
+        "all_generations": _entry(("F", "p"), anova_oneway, list(gens.values())),
         "fitness_vs_generation": _entry(("tau", "z", "p"), kendall_tau, xs, ys),
     }
 
@@ -176,13 +166,13 @@ def trajectory_report(histories) -> dict:
             entry["holm_reject"] = rej
 
     report["percentile_bands"] = [
-        {"generation": g.generation,
-         "median": float(np.median(g.fitnesses)),
-         "p25": float(np.percentile(g.fitnesses, 25)),
-         "p75": float(np.percentile(g.fitnesses, 75)),
-         "p10": float(np.percentile(g.fitnesses, 10)),
-         "p90": float(np.percentile(g.fitnesses, 90))}
-        for g in gens
+        {"generation": g,
+         "median": float(np.median(values)),
+         "p25": float(np.percentile(values, 25)),
+         "p75": float(np.percentile(values, 75)),
+         "p10": float(np.percentile(values, 10)),
+         "p90": float(np.percentile(values, 90))}
+        for g, values in gens.items()
     ]
     return report
 

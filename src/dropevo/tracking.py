@@ -184,8 +184,8 @@ def track(rec: DetectionRecord) -> TrajectorySet:
     # Sort detections by (frame, x) on the key frame + x / scale. x / scale
     # stays below a quarter and a band's half-width below a half, so no band
     # reaches another frame's keys; `margin` widens every band past the
-    # rounding of the keys. A non-finite x, which links to nothing, sorts as 0.
-    x = np.nan_to_num(rec.x, nan=0.0, posinf=0.0, neginf=0.0)
+    # rounding of the keys. filter_analytic_arena leaves every x finite.
+    x = rec.x
     scale = 4.0 * float(np.max(np.abs(x), initial=0.0)) + 2.0 * TRACK_RADIUS_PX + 1.0
     key = frame + x / scale
     order = np.argsort(key)

@@ -385,8 +385,7 @@ def _holm_oracle(p, alpha=0.05):
 
 def test_statistics_oracles():
     tau, _, _ = stats.kendall_tau([1, 2, 3, 4], [1, 2, 4, 3])
-    F, _ = stats.anova_oneway([stats.GenerationSample(1, [1, 2, 3]),
-                               stats.GenerationSample(2, [4, 5, 6])])
+    F, _ = stats.anova_oneway([[1, 2, 3], [4, 5, 6]])
     worked_ok = abs(tau - 2 / 3) < 1e-9 and abs(F - 13.5) < 1e-9
 
     # Holm at alpha=0.05 compares sorted p-values against alpha/(m-k) with

@@ -18,7 +18,7 @@ from dropevo.arena import (
     simulate,
     unimodal_behavior,
 )
-from dropevo.formulation import Formulation, normalize, oil_lookup
+from dropevo.formulation import Formulation, _oils, normalize
 
 
 SHORT = ArenaConfig(duration=2.0)
@@ -45,23 +45,12 @@ def test_config_frame_count():
 
 
 def test_behavior_map_pure_octanol():
-    oil = oil_lookup("1-octanol")
+    oil = _oils()["1-octanol"]
     b = behavior_from_formulation(Formulation((1, 0, 0, 0)))
     assert b.speed == pytest.approx(0.2 + 0.25 * oil.solubility)
     assert b.turn_noise == pytest.approx(0.8 / oil.viscosity)
     assert b.split_probability == pytest.approx(2e-4 * (28.0 - oil.surface_tension))
     assert b.shrink_rate == pytest.approx(0.01 * oil.solubility)
-
-
-def test_behavior_map_insoluble_oil(monkeypatch):
-    # dodecane, the paper's alternative fourth oil, in place of octanoic
-    # acid: no solubility, tension below the 28 mN/m reference.
-    oils = [oil_lookup(name) for name in ("1-octanol", "1-pentanol", "DEP", "dodecane")]
-    monkeypatch.setattr(arena, "oils_for_order", lambda: oils)
-    b = behavior_from_formulation(Formulation((0, 0, 0, 1)))
-    assert b.speed == pytest.approx(0.2)
-    assert b.split_probability == pytest.approx(2e-4 * (28.0 - 25.35))
-    assert b.shrink_rate == 0.0
 
 
 def test_behavior_map_is_affine_in_proportions():

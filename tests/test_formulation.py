@@ -6,7 +6,6 @@ from dropevo.formulation import (
     Formulation,
     _oils,
     normalize,
-    oil_lookup,
     well_volumes,
 )
 
@@ -106,17 +105,11 @@ def test_normalize_matches_numpy_bit_for_bit(raw):
 
 
 def test_oil_table_rows():
-    assert [oil.name for oil in _oils()] == ["1-octanol", "1-pentanol", "DEP",
-                                             "octanoic acid", "dodecane"]
-    octanol = oil_lookup("1-octanol")
+    assert list(_oils()) == ["1-octanol", "1-pentanol", "DEP", "octanoic acid"]
+    octanol = _oils()["1-octanol"]
     assert (octanol.density, octanol.solubility, octanol.surface_tension,
             octanol.viscosity) == (0.824, 0.46, 27.1, 7.288)
-    dodecane = oil_lookup("dodecane")
-    assert dodecane.density == 0.78
-    assert dodecane.solubility is None
-    assert dodecane.effective_solubility == 0.0
-    assert dodecane.viscosity == 1.383
-    dep = oil_lookup("DEP")
+    dep = _oils()["DEP"]
     assert (dep.density, dep.surface_tension, dep.viscosity) == (1.12, 19.6, 10.625)
 
 

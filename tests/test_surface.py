@@ -1,7 +1,8 @@
 """Every public module-level name of the package is used by the program,
-every config field is set by it, every defaulted parameter is both supplied
-and left out by it, and every exception class is caught by it or builds its
-own message.
+every config field is set by it and has a default only if some program
+construction leaves it out, every defaulted parameter is both supplied and
+left out by it, and every exception class is caught by it or builds its own
+message.
 
 A function, class or constant that only tests reach is surface to keep in
 step for nothing. A name counts as used when some module in src/, demos/ or
@@ -80,8 +81,10 @@ CONFIG_CLASSES = {"ga": "GAConfig", "arena": "ArenaConfig", "evaluators": "Exper
 
 
 def _fields(tree: ast.Module, cls: str):
+    """(name, whether it has a default) of each field of the class `cls`."""
     (node,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
-    return [n.target.id for n in node.body if isinstance(n, ast.AnnAssign)]
+    return [(n.target.id, n.value is not None) for n in node.body
+            if isinstance(n, ast.AnnAssign)]
 
 
 def _set_by_name(tree: ast.Module):
@@ -100,9 +103,32 @@ def test_every_config_field_is_set_by_the_program():
         path = ROOT / "src" / "dropevo" / f"{module}.py"
         set_names = {name for p in _program_paths() if p != path
                      for name in _set_by_name(_parse(p))}
-        unset += [f"{cls}.{name}" for name in _fields(_parse(path), cls)
+        unset += [f"{cls}.{name}" for name, _ in _fields(_parse(path), cls)
                   if name not in set_names]
     assert unset == [], f"config fields that only tests set: {unset}"
+
+
+def test_no_config_default_that_every_program_construction_overrides():
+    # A default of a field that `evolve` sets itself (a keyword of its
+    # `_build` call for the class) and that every other construction in the
+    # program supplies (by position, by keyword or through `**`) is a call
+    # form that only tests use.
+    trees = [_parse(p) for p in _program_paths()]
+    (evolve,) = (n for n in _parse(ROOT / "src" / "dropevo" / "cli.py").body
+                 if isinstance(n, ast.FunctionDef) and n.name == "cmd_evolve")
+    always = []
+    for module, cls in CONFIG_CLASSES.items():
+        fields = _fields(_parse(ROOT / "src" / "dropevo" / f"{module}.py"), cls)
+        (build,) = (n for n in ast.walk(evolve) if isinstance(n, ast.Call)
+                    and _name(n.func) == "_build" and _name(n.args[0]) == cls)
+        supplied = [{name for name, _ in fields[:len(call.args)]}
+                    | {k.arg for k in call.keywords}
+                    for tree in trees for call in ast.walk(tree)
+                    if isinstance(call, ast.Call) and _name(call.func) == cls]
+        always += [f"{cls}.{name}" for name, default in fields
+                   if default and name in {k.arg for k in build.keywords}
+                   and all({name, None} & names for names in supplied)]
+    assert always == [], f"config defaults that every program construction overrides: {always}"
 
 
 def _defaulted(tree: ast.Module):

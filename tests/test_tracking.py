@@ -488,17 +488,6 @@ def test_track_coincident_static_pair_every_frame():
     assert as_tracks(track(record_of(*lists))) == oracle_track(lists)
 
 
-def test_track_nan_coordinates_link_nothing():
-    # A NaN coordinate is within no gate; it must not disturb the x order the
-    # other detections are searched in.
-    nan = float("nan")
-    ts = track(record_of([(0.0, 0.0, 9), (nan, 5.0, 9), (40.0, 0.0, 9)],
-                         [(41.0, 0.0, 9), (nan, nan, 9), (1.0, 0.0, 9)],
-                         [(2.0, 0.0, 9), (42.0, 0.0, 9)]))
-    assert [len(s) for s in as_tracks(ts).values()] == [3, 1, 3, 1]
-    assert ts.parent.tolist() == [-1, -1, -1, 2, -1, 0, 5, 3]
-
-
 @st.composite
 def crowded_frames(draw):
     """Frames of 20-40 detections on a 10 px grid, inside the 30 px gate of
