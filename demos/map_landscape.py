@@ -43,7 +43,8 @@ for isl in islands.islands:
           f"{np.round(comp, 3)} ({isl.cell_count} cells)")
 
 out = Path(__file__).with_name("landscape_demo.csv")
-out.write_text(landscape.landscape_csv(lattices, islands))
+out.write_text(landscape.landscape_csv(
+    lattices, islands, [landscape.face_values_text(lat) for lat in lattices]))
 for lat in lattices:
     Path(__file__).with_name(f"face_{lat.face}_demo.pgm").write_bytes(
         landscape.lattice_to_pgm(lat))

@@ -6,7 +6,8 @@ config snapshot and seed needed to reproduce the data files byte for byte.
 
 `evolve --jobs N` (N > 1) scores each GA round, every run's new recipes
 together, in one map over a pool of N worker processes forked from this
-process. `landscape` predicts its four simplex faces in two pairs over a pool
+process, one recipe per task, so a recipe that fails is named by its own
+task. `landscape` predicts its four simplex faces in two pairs over a pool
 forked the same way, one worker per CPU the process may run on, up to 2; the
 bytes do not depend on the worker count.
 With one worker (`--jobs 1`, or one usable CPU) a command maps serially and
@@ -125,15 +126,16 @@ def _can_fork() -> bool:
 
 @contextlib.contextmanager
 def _fork_pool(workers: int):
-    """A process pool of `workers` workers forked from this process, which has
-    already imported numpy and the layers, so no worker starts an interpreter
-    or imports them again; None (map serially, load no pool machinery) for
-    one worker. A fork-context pool forks all its workers at its first
-    submit, before it starts its manager thread. A worker that dies breaks
-    the pool, which ends the command as a numeric failure.
+    """The map of a process pool of `workers` workers forked from this
+    process, which has already imported numpy and the layers, so no worker
+    starts an interpreter or imports them again; the builtin map (load no
+    pool machinery) for one worker. A fork-context pool forks all its
+    workers at its first submit, before it starts its manager thread. A
+    worker that dies breaks the pool, which ends the command as a numeric
+    failure.
     """
     if workers < 2:
-        yield None
+        yield map
         return
     # Only a pooled command loads these (about 20 ms of a cold start).
     import multiprocessing
@@ -142,7 +144,7 @@ def _fork_pool(workers: int):
     try:
         with ProcessPoolExecutor(max_workers=workers,
                                  mp_context=multiprocessing.get_context("fork")) as pool:
-            yield pool
+            yield pool.map
     except RuntimeError as exc:  # ga.EvaluationError, or the pool's own error
         if isinstance(_cause(exc), BrokenExecutor):
             raise NumericFailure(f"a worker process died: {_cause(exc)}") from exc
@@ -191,9 +193,9 @@ def cmd_evolve(args) -> int:
     # its threads down in a pthread_atfork handler. As the pool starts every
     # worker at once, it gets no more than a round has recipes.
     jobs = min(args.jobs, ga_cfg.runs * ga_cfg.population_size)
-    with _fork_pool(jobs) as pool:
+    with _fork_pool(jobs) as mapper:
         histories = ga.run_lockstep(ga_cfg, range(ga_cfg.runs),
-                                    evaluators.make_batch_evaluator(setup, pool, jobs))
+                                    evaluators.make_batch_evaluator(setup, mapper))
     for history in histories:
         name = f"history_run{history.run}.csv"
         _write(out_dir, name, ga.history_to_csv(history))
@@ -297,9 +299,8 @@ def cmd_landscape(args) -> int:
     # Forked workers (no BLAS runs, so the bits do not depend on the process)
     # predict the face pairs while this process builds the CSV's cell prefixes.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    with _fork_pool(2 if cpus > 1 and _can_fork() else 1) as pool:
-        tasks = (map if pool is None else pool.map)(
-            _face_pair, [model] * 2, ((0, 1), (2, 3)), [args.resolution] * 2)
+    with _fork_pool(2 if cpus > 1 and _can_fork() else 1) as mapper:
+        tasks = mapper(_face_pair, [model] * 2, ((0, 1), (2, 3)), [args.resolution] * 2)
         landscape._csv_prefixes(args.resolution)
         pairs = list(tasks)
     lattices = [lat for lats, _ in pairs for lat in lats]

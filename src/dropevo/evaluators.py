@@ -22,14 +22,14 @@ perfbench's tracer wraps it).
 a config file (`evolve --objective`'s choices check the objective); each GA
 run scores with `dataclasses.replace(setup, run=run)`. The round scorer from
 `make_batch_evaluator` scores one round of a campaign, every run's new
-recipes under its own run's setup, with one `ga.score_batch` call: it maps
-the recipes over the process pool it is given, or serially given None.
+recipes under its own run's setup, with one `ga.score_batch` call, through
+the map it is given: the builtin map, or a process pool's, one recipe per
+task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 from . import arena, ga, tracking
 from .formulation import Formulation
@@ -42,16 +42,6 @@ from .formulation import Formulation
 # the command's peak RSS from 41.3-41.9 to 49.3-50.8 MB and saved no time (3
 # seeds, 2 vCPUs). The default arena (4 x 1,800) takes all three at once.
 PASS_DROPLET_FRAMES = 2 ** 15
-
-# A pooled round goes out as about this many chunks of recipes per worker,
-# which keeps both the round trips and the end-of-round tail short. On the
-# default campaign, 1 to 8 chunks per worker and one recipe per task all
-# measured within noise of each other (2 vCPUs). With a recipe's replicates
-# in one pass, the benchmark's evolve-default (2 generations, --jobs 2,
-# seeds 201-210, 10 s runs, 2 vCPUs) gave a median wall time of 0.624 s at
-# 4 chunks per worker, 0.680 s at 8 and 0.650 s at 16; 8 and 16 beat 4 in
-# only 2 and 3 of the 10 seeds.
-_CHUNKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -110,41 +100,27 @@ def evaluate_recipe(setup: ExperimentSetup, proportions, recipe_id: int) -> list
             for score in _score_pass(setup, behavior, seeds[k:k + size])]
 
 
-def _outcome(setup: ExperimentSetup, proportions, recipe_id: int):
-    """evaluate_recipe's replicates, or the exception it raised. A pool runs
-    a chunk of recipes as one task, whose failure would surface at the
-    chunk's first recipe; returned, it surfaces at its own."""
-    try:
-        return evaluate_recipe(setup, proportions, recipe_id)
-    except Exception as exc:  # noqa: BLE001 - raised again by _raise_failures
-        return exc
+def _evaluate(setup: ExperimentSetup, proportions, recipe_id: int) -> list[float]:
+    # A pool maps this function by name; it looks evaluate_recipe up when it
+    # runs, so a test's patch reaches it.
+    return evaluate_recipe(setup, proportions, recipe_id)
 
 
-def _raise_failures(outcomes):
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-        yield outcome
-
-
-def make_batch_evaluator(setup: ExperimentSetup, pool, jobs: int):
+def make_batch_evaluator(setup: ExperimentSetup, mapper):
     """The round scorer for ga.run_lockstep under `setup`.
 
     score_round(batches) scores every run's batch with one ga.score_batch
-    call, each recipe under dataclasses.replace(setup, run=run). With a pool
-    (a concurrent.futures executor of `jobs` workers, which the caller owns)
-    the recipes are mapped over it in chunks; per-recipe seeding keeps the
-    results equal to serial evaluation. With pool None they are scored
-    serially.
+    call, each recipe under dataclasses.replace(setup, run=run), through
+    `mapper`: the builtin map, or the map of a concurrent.futures executor
+    (which the caller owns). Per-recipe seeding keeps a pool's results equal
+    to serial evaluation, and a pool raises a recipe's failure at that
+    recipe's own result.
     """
     def score_round(batches: dict) -> None:
         setups = {run: replace(setup, run=run) for run in batches}
         recipe_setups = [setups[run] for run, batch in batches.items() for _ in batch]
-        mapper = map if pool is None else partial(
-            pool.map, chunksize=-(-len(recipe_setups) // (_CHUNKS_PER_WORKER * jobs)))
         # score_batch maps evaluator(proportions, id); each recipe's setup goes first.
-        ga.score_batch([ind for batch in batches.values() for ind in batch], _outcome,
-                       map=lambda evaluator, *columns: _raise_failures(
-                           mapper(evaluator, recipe_setups, *columns)))
+        ga.score_batch([ind for batch in batches.values() for ind in batch], _evaluate,
+                       map=lambda evaluator, *columns: mapper(evaluator, recipe_setups, *columns))
 
     return score_round

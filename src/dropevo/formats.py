@@ -1,7 +1,7 @@
 """File format specifications and validators.
 
-Every CSV file the package reads or writes has a versioned format here:
-column names, units and value ranges. validate_file checks a file against
+Every CSV file the package reads or writes has a format here: column
+names, kinds and value ranges. validate_file checks a file against
 one of these, or a G-code program against the dialect, and returns a list of
 violations (empty means ok); CsvFormat.rows, the one parser of the CSV
 files, also yields each row's typed fields. A stage layout is checked where
@@ -21,7 +21,6 @@ from pathlib import Path
 class ColumnSpec:
     name: str
     kind: str              # 'int' | 'float' | 'str'
-    unit: str = ""
     minimum: float | None = None
     maximum: float | None = None
     allow_empty: bool = False
@@ -49,8 +48,6 @@ class ColumnSpec:
 
 @dataclass(frozen=True)
 class CsvFormat:
-    format_id: str
-    version: int
     columns: tuple
     rows_required: bool = False  # a file with a header and no rows is invalid
 
@@ -91,38 +88,36 @@ class CsvFormat:
 
 
 CSV_FORMATS = {
-    "history": CsvFormat("history", 1, (
-        ColumnSpec("run", "int", "", minimum=0),
-        ColumnSpec("generation", "int", "", minimum=1),
-        ColumnSpec("individual_id", "int", "", minimum=0),
-        ColumnSpec("parent_ids", "str", "semicolon-separated ids", allow_empty=True),
-        *(ColumnSpec(f"locus{k}", "float", "raw QTL in [0,1]", minimum=0, maximum=1)
-          for k in range(1, 5)),
-        *(ColumnSpec(f"replicate{k}", "float", "raw fitness", minimum=0,
-                     allow_empty=True) for k in range(1, 4)),
-        ColumnSpec("fitness", "float", "aggregated fitness", minimum=0),
+    "history": CsvFormat((
+        ColumnSpec("run", "int", minimum=0),
+        ColumnSpec("generation", "int", minimum=1),
+        ColumnSpec("individual_id", "int", minimum=0),
+        ColumnSpec("parent_ids", "str", allow_empty=True),
+        *(ColumnSpec(f"locus{k}", "float", minimum=0, maximum=1) for k in range(1, 5)),
+        *(ColumnSpec(f"replicate{k}", "float", minimum=0, allow_empty=True)
+          for k in range(1, 4)),
+        ColumnSpec("fitness", "float", minimum=0),
     ), rows_required=True),
-    "landscape": CsvFormat("landscape", 1, (
-        ColumnSpec("face", "int", "held-at-zero component", minimum=0, maximum=3),
-        ColumnSpec("i", "int", "", minimum=0),
-        ColumnSpec("j", "int", "", minimum=0),
-        ColumnSpec("X", "float", "proportion", minimum=0, maximum=1),
-        ColumnSpec("Y", "float", "proportion", minimum=0, maximum=1),
-        ColumnSpec("Z", "float", "proportion", maximum=1),
-        ColumnSpec("fitness", "float", "model prediction"),
-        ColumnSpec("island_label", "int", "island rank", minimum=0, allow_empty=True),
+    "landscape": CsvFormat((
+        ColumnSpec("face", "int", minimum=0, maximum=3),
+        ColumnSpec("i", "int", minimum=0),
+        ColumnSpec("j", "int", minimum=0),
+        ColumnSpec("X", "float", minimum=0, maximum=1),
+        ColumnSpec("Y", "float", minimum=0, maximum=1),
+        ColumnSpec("Z", "float", maximum=1),
+        ColumnSpec("fitness", "float"),
+        ColumnSpec("island_label", "int", minimum=0, allow_empty=True),
     )),
-    "events": CsvFormat("events", 1, (
-        ColumnSpec("time_ms", "float", "ms", minimum=0),
-        ColumnSpec("instruction_index", "int", "", minimum=0),
+    "events": CsvFormat((
+        ColumnSpec("time_ms", "float", minimum=0),
+        ColumnSpec("instruction_index", "int", minimum=0),
         ColumnSpec("event", "str"),
         ColumnSpec("vessel", "str", allow_empty=True),
-        ColumnSpec("delta_ul", "float", "uL"),
+        ColumnSpec("delta_ul", "float"),
     )),
-    "bands": CsvFormat("bands", 1, (
-        ColumnSpec("generation", "int", "", minimum=1),
-        *(ColumnSpec(name, "float", "fitness")
-          for name in ("median", "p25", "p75", "p10", "p90")),
+    "bands": CsvFormat((
+        ColumnSpec("generation", "int", minimum=1),
+        *(ColumnSpec(name, "float") for name in ("median", "p25", "p75", "p10", "p90")),
     )),
 }
 

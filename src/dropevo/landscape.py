@@ -465,13 +465,10 @@ def face_values_text(lat: FaceLattice) -> str:
 
 
 def landscape_csv(lattices: list[FaceLattice], island_map: IslandMap,
-                  texts: list[str] | None = None) -> str:
+                  texts: list[str]) -> str:
     """The header and every face's lines, "face,i,j,X,Y,Z,fitness,label".
-    `texts` holds each lattice's ``face_values_text``, if the caller has made
-    them (the landscape command does so in its workers); otherwise they are
-    made here."""
-    if texts is None:
-        texts = [face_values_text(lat) for lat in lattices]
+    `texts` holds each lattice's ``face_values_text`` (the landscape command
+    makes them in its workers)."""
     prefixes = _csv_prefixes(island_map.resolution)
     valid = _valid_mask(island_map.resolution)
     ends = [f",{label}\n" for label in range(len(island_map.islands))]

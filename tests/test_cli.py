@@ -824,16 +824,19 @@ def test_landscape_builds_csv_prefixes_once_in_its_own_process(tmp_path, monkeyp
 ])
 def test_evolve_evaluation_failure_is_one_line(tmp_path, capsys, fast_config, monkeypatch,
                                                error, code, prefix):
+    # At --jobs 2 the error is raised in a forked worker and again by the
+    # pool at its recipe's result.
     def simulate(*args, **kwargs):
         raise error
 
     monkeypatch.setattr(arena, "simulate", simulate)
-    rc = main(["evolve", "--config", fast_config, "--seed", FAST_SEED,
-               "--out-dir", str(tmp_path / "o")])
-    assert rc == code
-    err = capsys.readouterr().err
-    assert err.startswith(prefix) and str(error) in err
-    assert err.count("\n") == 1
+    for jobs in ("1", "2"):
+        rc = main(["evolve", "--config", fast_config, "--seed", FAST_SEED, "--jobs", jobs,
+                   "--out-dir", str(tmp_path / f"jobs{jobs}")])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and str(error) in err
+        assert err.count("\n") == 1
 
 
 def test_perfbench_tracer_hooks_exist():
@@ -1281,9 +1284,9 @@ def test_evolve_histories_do_not_depend_on_jobs(tmp_path):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_evolve_names_the_failed_recipe_of_an_interleaved_round(tmp_path, capsys,
                                                                 monkeypatch, jobs):
-    # Round 1 scores the two runs' 16 recipes as one map, in chunks of 2 at
-    # --jobs 2; the failing recipe is the second of its chunk. The forked
-    # workers inherit the patched evaluate_recipe.
+    # Round 1 scores the two runs' 16 recipes as one map, one recipe per
+    # task at --jobs 2; the failing recipe is the twelfth, not the first of
+    # the map. The forked workers inherit the patched evaluate_recipe.
     cfg = {**FAST_CONFIG, "ga": {**FAST_CONFIG["ga"], "runs": 2}}
     failing = 10_000_003   # run 1, fourth recipe
     evaluate = evaluators.evaluate_recipe

@@ -127,9 +127,9 @@ def test_batch_evaluator_matches_serial():
     cfg = ga.GAConfig(generations=1, rng_seed=3)
     pop_a = ga.init_population(cfg, np.random.default_rng(0), 0)
     pop_b = [type(ind)(genome=ind.genome.copy(), id=ind.id) for ind in pop_a]
-    evaluators.make_batch_evaluator(setup, None, 1)({0: pop_a[:6]})
+    evaluators.make_batch_evaluator(setup, map)({0: pop_a[:6]})
     with ProcessPoolExecutor(max_workers=2, mp_context=get_context("fork")) as pool:
-        evaluators.make_batch_evaluator(setup, pool, 2)({0: pop_b[:6]})
+        evaluators.make_batch_evaluator(setup, pool.map)({0: pop_b[:6]})
     assert [i.fitness for i in pop_a[:6]] == [i.fitness for i in pop_b[:6]]
     assert [i.replicates for i in pop_a[:6]] == [i.replicates for i in pop_b[:6]]
 

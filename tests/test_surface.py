@@ -1,15 +1,16 @@
 """Every public module-level name of the package is used by the program,
-every config field is set by it and has a default only if some program
-construction leaves it out, every defaulted parameter is both supplied and
-left out by it, and every exception class is caught by it or builds its own
-message.
+every dataclass field is read by it, every config field is set by it and
+has a default only if some program construction leaves it out, every
+defaulted parameter is both supplied and left out by it, and every
+exception class is caught by it or builds its own message.
 
 A function, class or constant that only tests reach is surface to keep in
 step for nothing. A name counts as used when some module in src/, demos/ or
 perfbench/ refers to it in code (a name, an attribute or an import, not a
 string or a comment). The package's __init__ does not count: a re-export
 there is not a use. Likewise a field of a config class that only tests set
-is a knob that no workload turns, and so is a defaulted parameter of a
+is a knob that no workload turns, a field that the program never reads is
+data carried for nothing, and so is a defaulted parameter of a
 function or method that no call in the program supplies. A default that
 every call in the program overrides is a call form that only tests use. An
 exception class that adds no __init__ and that the program never names in an
@@ -28,6 +29,14 @@ ALLOWED = {
     "face_grid": "the one-face call, which perfbench/tracer.py patches by name and tests use",
     "predict_many": "the reference that tests compare landscape.face_grid against",
     "run_replicate": "perfbench/tracer.py patches it by name",
+    # Dataclass fields, keyed by class: see test_every_dataclass_field_is_read_by_the_program.
+    "DetectionFrame.frame_index": "DetectionRecord's per-frame view serves only perfbench's "
+                                  "tracer, until it reads the program's trace (ROADMAP item 2)",
+    "Trajectory.droplet_id": "TrajectorySet's per-droplet view serves only perfbench's tracer, "
+                             "until it reads the program's trace (ROADMAP item 2)",
+    "Trajectory.samples": "TrajectorySet's per-droplet view serves only perfbench's tracer, "
+                          "until it reads the program's trace (ROADMAP item 2)",
+    "OilProperties.density": "a column of oils.json, whose rows OilProperties(**row) takes whole",
 }
 
 
@@ -74,6 +83,40 @@ def test_every_public_name_is_used_by_the_program():
     assert unused == [], f"public names that only tests reach: {unused}"
     # An allowed name that the program has come to use needs no entry.
     assert sorted(used & ALLOWED.keys()) == []
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(class, field) of each field of the module's dataclasses, but for a
+    class that serializes itself with asdict(self), which reads them all."""
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and any(
+                _name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                for d in node.decorator_list)):
+            continue
+        if any(isinstance(n, ast.Call) and _name(n.func) == "asdict"
+               and [_name(a) for a in n.args] == ["self"] for n in ast.walk(node)):
+            continue
+        yield from ((node.name, n.target.id) for n in node.body
+                    if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name))
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    # A field counts as read when some program module reads it as an
+    # attribute, or when a string constant of its own module names it, as
+    # the config classes' checks do through getattr(self, name).
+    read = {node.attr for p in _program_paths() for node in ast.walk(_parse(p))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in sorted((ROOT / "src" / "dropevo").glob("*.py")):
+        tree = _parse(path)
+        named = {n.value for n in ast.walk(tree)
+                 if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        unread += [f"{cls}.{field}" for cls, field in _dataclass_fields(tree)
+                   if field not in read | named]
+    flagged = sorted(set(unread) - ALLOWED.keys())
+    assert flagged == [], f"dataclass fields that the program never reads: {flagged}"
+    # An allowed field that the program has come to read needs no entry.
+    assert sorted(k for k in ALLOWED if "." in k and k not in unread) == []
 
 
 # The config classes that `evolve --config` builds, by defining module.
